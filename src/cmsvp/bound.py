@@ -14,6 +14,7 @@ maximum, for every choice of positive weights.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .interval import (
     det_interval,
     interval_max,
     interval_prod,
+    minor_intervals,
 )
 from .units import DeltaSet, UnitBasis, delta_sets
 
@@ -61,19 +63,20 @@ class BoundReport:
 
 
 def _simplex_at_precision(
-    field: CMField, delta: DeltaSet, prec: PrecisionConfig
+    field: CMField, delta: DeltaSet, prec: PrecisionConfig, sigmas: dict
 ) -> SimplexData:
     k = field.k
-    rows = [list(sigma(field, v, prec)) for v in delta.vertices]
+    rows = []
+    for v in delta.vertices:
+        if v.coords not in sigmas:
+            sigmas[v.coords] = sigma(field, v, prec)
+        rows.append(sigmas[v.coords])
     det_a = det_interval(rows)
     diff = [
         [rows[i + 1][j] - rows[i][j] for j in range(k)]
         for i in range(k - 1)
     ]
-    det_bs = []
-    for l in range(k):
-        minor = [[row[c] for c in range(k) if c != l] for row in diff]
-        det_bs.append(det_interval(minor))
+    det_bs = minor_intervals(diff)
     for l, db in enumerate(det_bs):
         if db.contains_zero():
             raise DegenerateSimplexError(delta.perm, l)
@@ -82,21 +85,34 @@ def _simplex_at_precision(
 
 
 def simplex_data(
-    field: CMField, delta: DeltaSet, prec: PrecisionConfig = DEFAULT_PRECISION
+    field: CMField,
+    delta: DeltaSet,
+    prec: PrecisionConfig = DEFAULT_PRECISION,
+    sigmas: dict | None = None,
 ) -> SimplexData:
     """Certified simplex data, retrying once at doubled precision before
-    declaring a minor degenerate."""
+    declaring a minor degenerate.
+
+    `sigmas` maps vertex coordinates to their Sigma rows at `prec`, so
+    simplices that share a vertex evaluate Sigma once; the retry starts
+    from a fresh map at the doubled precision.
+    """
     try:
-        return _simplex_at_precision(field, delta, prec)
+        return _simplex_at_precision(field, delta, prec, {} if sigmas is None else sigmas)
     except DegenerateSimplexError:
-        return _simplex_at_precision(field, delta, prec.doubled())
+        return _simplex_at_precision(field, delta, prec.doubled(), {})
 
 
 def theorem_bound(
     field: CMField, basis: UnitBasis, prec: PrecisionConfig = DEFAULT_PRECISION
 ) -> BoundReport:
-    """The certified norm bound: max over all simplices of the simplex value."""
-    simplices = tuple(simplex_data(field, d, prec) for d in delta_sets(basis))
+    """The certified norm bound: max over all simplices of the simplex value.
+
+    The (k-1)! vertex chains share 2^(k-1) distinct vertices, and Sigma is
+    evaluated once per vertex.
+    """
+    sigmas = {}
+    simplices = tuple(simplex_data(field, d, prec, sigmas) for d in delta_sets(basis))
     bound = interval_max(s.value for s in simplices)
     return BoundReport(
         conductor=field.conductor,
@@ -119,15 +135,7 @@ def ideal_bound(
         raise InputError("ideal generator must be nonzero")
     base = theorem_bound(field, basis, prec)
     n_kappa = abs(field_norm(kappa))
-    return BoundReport(
-        conductor=base.conductor,
-        k=base.k,
-        basis_provenance=base.basis_provenance,
-        simplices=base.simplices,
-        bound=base.bound,
-        ideal_norm=n_kappa,
-        ideal_bound=base.bound * Fraction(n_kappa),
-    )
+    return dataclasses.replace(base, ideal_norm=n_kappa, ideal_bound=base.bound * Fraction(n_kappa))
 
 
 def norm_gap_verdict(report: BoundReport, p: int) -> Verdict:
@@ -144,13 +152,4 @@ def norm_gap_verdict(report: BoundReport, p: int) -> Verdict:
 
 
 def with_verdict(report: BoundReport, verdict: Verdict) -> BoundReport:
-    return BoundReport(
-        conductor=report.conductor,
-        k=report.k,
-        basis_provenance=report.basis_provenance,
-        simplices=report.simplices,
-        bound=report.bound,
-        ideal_norm=report.ideal_norm,
-        ideal_bound=report.ideal_bound,
-        verdict=verdict,
-    )
+    return dataclasses.replace(report, verdict=verdict)

@@ -90,14 +90,18 @@ def _basis_from(field: CMField, args) -> UnitBasis:
         ) from exc
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """`text` as an exact rational; InputError naming `what` if it is not one."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {what} {text!r}") from exc
+
+
 def _weights_from(args):
     if args.weights is None:
         return None
-    try:
-        parts = [Fraction(p.strip()) for p in args.weights.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad weight list {args.weights!r}") from exc
-    return tuple(parts)
+    return tuple(_rational(p, "weight") for p in args.weights.split(","))
 
 
 def _kappa_from(field: CMField, args):
@@ -230,6 +234,7 @@ def _parse_circulant(text: str) -> tuple[int, int]:
 def cmd_theta(args) -> int:
     if args.circulant is not None and args.cyclotomic is not None:
         raise InputError("--circulant and --cyclotomic are mutually exclusive")
+    max_norm = _rational(args.max_norm, "--max-norm value")
     if args.circulant is not None:
         n, r = _parse_circulant(args.circulant)
         g = svp.craig_circulant(n, r)
@@ -241,7 +246,7 @@ def cmd_theta(args) -> int:
         if not g.exact:
             raise InputError("theta counting needs equal rational weights")
         source = f"cyclotomic {field.conductor}"
-    tp = theta.theta_prefix(g, Fraction(args.max_norm), args.budget)
+    tp = theta.theta_prefix(g, max_norm, args.budget)
     lines = [f"{source}  scale {tp.scale}"]
     lines.extend(f"  norm {m * tp.scale}: {c}" for m, c in tp.coefficients)
     _emit({"command": "theta", **tp.to_json()}, lines, args.json)
@@ -251,7 +256,8 @@ def cmd_theta(args) -> int:
 def cmd_psi(args) -> int:
     field = _field_from(args)
     prec = _prec_from(args)
-    sample = theta.psi_truncated(field, _weights_from(args), Fraction(args.t), prec, args.budget)
+    t = _rational(args.t, "--t value")
+    sample = theta.psi_truncated(field, _weights_from(args), t, prec, args.budget)
     enc = sample.enclosure()
     lines = [
         f"t {sample.t}  truncation radius {sample.radius}",

@@ -12,6 +12,7 @@ enclosure property end to end.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +34,10 @@ class PrecisionConfig:
     """Working binary precision and the certified-radius target.
 
     `bits` is the mantissa size handed to mpmath for irrational leaves.
-    A computation that cannot reach relative radius 2**-64 is retried once
-    at doubled bits before PrecisionError is raised.
+    A computation that misses its certification target retries at doubled
+    bits: once in `sigma`, `log_sigma` and `simplex_data`, and up to
+    `svp.MAX_REFINEMENTS` times in the minimal-vector search, before
+    PrecisionError is raised.
     """
 
     bits: int = 128
@@ -93,11 +96,6 @@ class RealInterval:
         a, b = x._mpi_
         return RealInterval(_fraction_from_mpf_raw(a), _fraction_from_mpf_raw(b))
 
-    @staticmethod
-    def hull(items) -> "RealInterval":
-        items = list(items)
-        return RealInterval(min(i.lo for i in items), max(i.hi for i in items))
-
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -132,14 +130,28 @@ class RealInterval:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        # a sign-definite factor fixes which endpoint products are extreme;
+        # only when both factors straddle 0 are all four corners compared
         other = _coerce(other)
-        c = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RealInterval(min(c), max(c))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0:
+            if c >= 0:
+                return RealInterval(a * c, b * d)
+            if d <= 0:
+                return RealInterval(b * c, a * d)
+            return RealInterval(b * c, b * d)
+        if b <= 0:
+            if c >= 0:
+                return RealInterval(a * d, b * c)
+            if d <= 0:
+                return RealInterval(b * d, a * c)
+            return RealInterval(a * d, a * c)
+        if c >= 0:
+            return RealInterval(a * d, b * d)
+        if d <= 0:
+            return RealInterval(b * c, a * c)
+        corners = (a * c, a * d, b * c, b * d)
+        return RealInterval(min(corners), max(corners))
 
     __rmul__ = __mul__
 
@@ -156,6 +168,11 @@ class RealInterval:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are exact")
+        # x**n is monotone on a sign-definite interval
+        if self.lo >= 0 or (self.hi <= 0 and n % 2):
+            return RealInterval(self.lo**n, self.hi**n)
+        if self.hi <= 0:
+            return RealInterval(self.hi**n, self.lo**n)
         out = RealInterval.point(1)
         base = self
         e = n
@@ -228,11 +245,6 @@ def interval_max(items) -> RealInterval:
     """Enclosure of max(x_1, ..., x_m) for intervals x_i."""
     items = [_coerce(i) for i in items]
     return RealInterval(max(i.lo for i in items), max(i.hi for i in items))
-
-
-def interval_min(items) -> RealInterval:
-    items = [_coerce(i) for i in items]
-    return RealInterval(min(i.lo for i in items), min(i.hi for i in items))
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +327,43 @@ def interval_json(x: RealInterval, digits: int = 40) -> dict:
 # interval linear algebra (small, dense, exact endpoints)
 
 
-def det_cofactor(m: list[list[RealInterval]]) -> RealInterval:
-    """Determinant by cofactor expansion; exact on Fraction endpoints.
+def _laplace_minors(m, width: int) -> dict[int, RealInterval]:
+    """Cofactor expansions of every n x n minor of an n x width matrix m.
 
-    Never divides, so it tolerates any singular or zero-straddling input.
-    Intended for the small orders used here (k <= 6).
+    Keys are column bitmasks with n bits set. One dynamic program over
+    column subsets, bottom row first: the minor on the last s rows and
+    the columns of a mask expands along its top row, with signs
+    alternating over the mask's columns in ascending order, so each minor
+    is the same interval expression as a recursive expansion along the
+    first row. Never divides, so it tolerates any singular or
+    zero-straddling input.
     """
     n = len(m)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return _coerce(m[0][0])
-    if n == 2:
-        return _coerce(m[0][0]) * m[1][1] - _coerce(m[0][1]) * m[1][0]
-    total = ZERO
-    rest = m[1:]
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rest]
-        term = _coerce(m[0][j]) * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    level = {0: ONE}
+    for size in range(1, n + 1):
+        row = [_coerce(x) for x in m[n - size]]
+        below = level
+        level = {}
+        for cols in itertools.combinations(range(width), size):
+            mask = sum(1 << c for c in cols)
+            total = ZERO
+            for idx, c in enumerate(cols):
+                term = row[c] * below[mask ^ (1 << c)]
+                total = total + term if idx % 2 == 0 else total - term
+            level[mask] = total
+    return level
+
+
+def det_cofactor(m: list[list[RealInterval]]) -> RealInterval:
+    """Determinant by cofactor expansion; exact on Fraction endpoints."""
+    return _laplace_minors(m, len(m))[(1 << len(m)) - 1]
 
 
 def det_elimination(m: list[list[RealInterval]]) -> RealInterval:
     """Determinant by interval Gaussian elimination with pivot search.
 
     Raises PrecisionError when no pivot column excludes zero; callers fall
-    back to det_cofactor, which is always defined.
+    back to the cofactor expansion, which is always defined.
     """
     n = len(m)
     a = [[_coerce(x) for x in row] for row in m]
@@ -371,9 +393,8 @@ def det_elimination(m: list[list[RealInterval]]) -> RealInterval:
     return det if sign == 1 else -det
 
 
-def det_interval(m: list[list[RealInterval]]) -> RealInterval:
-    """Tightest available determinant enclosure (elimination ∩ cofactor)."""
-    cof = det_cofactor(m)
+def _tightened(cof: RealInterval, m) -> RealInterval:
+    """The cofactor enclosure `cof` of det m, intersected with elimination."""
     try:
         elim = det_elimination(m)
     except PrecisionError:
@@ -383,6 +404,26 @@ def det_interval(m: list[list[RealInterval]]) -> RealInterval:
     if lo > hi:
         raise PrecisionError("determinant enclosures are disjoint")
     return RealInterval(lo, hi)
+
+
+def det_interval(m: list[list[RealInterval]]) -> RealInterval:
+    """Tightest available determinant enclosure (elimination ∩ cofactor)."""
+    return _tightened(det_cofactor(m), m)
+
+
+def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
+    """det_interval of each minor of an n x (n+1) matrix with column l deleted,
+    l = 0..n, from one shared cofactor expansion."""
+    width = len(rows) + 1
+    full = (1 << width) - 1
+    cofactors = _laplace_minors(rows, width)
+    return [
+        _tightened(
+            cofactors[full ^ (1 << l)],
+            [[row[c] for c in range(width) if c != l] for row in rows],
+        )
+        for l in range(width)
+    ]
 
 
 def solve_cramer(m: list[list[RealInterval]], rhs: list[RealInterval]) -> list[RealInterval]:

@@ -114,8 +114,11 @@ def load_unit_basis(field: CMField, path) -> UnitBasis:
     Format: first line 'torsion <t>', then k-1 lines of comma-separated
     power-basis coordinates.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read unit basis file: {exc}") from exc
     if not lines or not lines[0].lower().startswith("torsion"):
         raise InputError("unit basis file must start with a 'torsion <t>' line")
     parts = lines[0].split()

@@ -1,9 +1,13 @@
 """Certified bound reports: worked conductors, ideal scaling, verdicts."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cmsvp import bound, cli
 from cmsvp.bound import (
     Verdict,
     ideal_bound,
@@ -15,7 +19,9 @@ from cmsvp.bound import (
 from cmsvp.errors import InputError
 from cmsvp.field import CMField
 from cmsvp.interval import PrecisionConfig
-from cmsvp.units import cyclotomic_unit_basis, delta_sets
+from cmsvp.units import cyclotomic_unit_basis, delta_sets, fundamental_domain_vertices
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_bound_n5(f5):
@@ -81,3 +87,33 @@ def test_simplex_data_determinants_multiply_out(f7):
         for b in s.det_b:
             recombined = recombined / abs(b)
         assert recombined.overlaps(s.value)
+
+
+def test_theorem_bound_evaluates_sigma_once_per_vertex(monkeypatch):
+    field = CMField(11)
+    basis = cyclotomic_unit_basis(field)
+    evaluated = []
+    real_sigma = bound.sigma
+
+    def counting_sigma(field, a, prec):
+        evaluated.append(a.coords)
+        return real_sigma(field, a, prec)
+
+    monkeypatch.setattr(bound, "sigma", counting_sigma)
+    report = theorem_bound(field, basis)
+    assert len(report.simplices) == 24
+    assert len(evaluated) == 2 ** (field.k - 1) == 16
+    assert set(evaluated) == {v.coords for v in fundamental_domain_vertices(basis)}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["bound --cyclotomic 5", "bound --cyclotomic 7 --ideal-exp 3", "bound --cyclotomic 11"],
+)
+def test_bound_json_is_byte_identical_to_stored_reference(command, capsys):
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[command]
+    rc = cli.main(command.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert rc == ref["rc"]
+    assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(ref["json"], sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]

@@ -83,6 +83,23 @@ def test_missing_required_flags():
     assert proc.returncode == 2
 
 
+def test_bad_numbers_exit_2():
+    for args in (
+        ("theta", "--circulant", "4,1", "--max-norm", "abc"),
+        ("psi", "--cyclotomic", "5", "--t", "1/0"),
+        ("psi", "--cyclotomic", "5", "--t", "abc"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, args
+
+
+def test_missing_units_file_exits_2(tmp_path):
+    proc = run_cli("bound", "--cyclotomic", "7", "--units", str(tmp_path / "missing.txt"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read unit basis file")
+
+
 def test_bits_floor():
     proc = run_cli("bound", "--cyclotomic", "5", "--bits", "10")
     assert proc.returncode == 2

@@ -12,6 +12,7 @@ from cmsvp.interval import (
     RealInterval,
     cos2pi,
     decimal_str,
+    det_cofactor,
     det_interval,
     exp_interval,
     interval_json,
@@ -19,6 +20,7 @@ from cmsvp.interval import (
     interval_prod,
     interval_sum,
     log_interval,
+    minor_intervals,
     pi_interval,
     root_interval,
     solve_cramer,
@@ -151,3 +153,72 @@ def test_precision_config_floor():
     with pytest.raises(ValueError):
         PrecisionConfig(bits=32)
     assert PrecisionConfig(bits=64).doubled().bits == 128
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels equal their plain references exactly
+
+endpoints = st.one_of(st.just(Fraction(0)), fractions)
+intervals = st.tuples(endpoints, endpoints).map(lambda ab: RealInterval(min(ab), max(ab)))
+
+
+def corner_product(x: RealInterval, y: RealInterval) -> RealInterval:
+    corners = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return RealInterval(min(corners), max(corners))
+
+
+def power_reference(x: RealInterval, n: int) -> RealInterval:
+    out = RealInterval.point(1)
+    for _ in range(n):
+        out = corner_product(out, x)
+    if n % 2 == 0 and out.lo < 0:
+        out = RealInterval(Fraction(0), out.hi)
+    return out
+
+
+def cofactor_reference(m):
+    """Recursive expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = RealInterval.point(0)
+    for j in range(len(m)):
+        minor = [[row[c] for c in range(len(m)) if c != j] for row in m[1:]]
+        term = corner_product(m[0][j], cofactor_reference(minor))
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+# narrow entries let elimination find pivots, so the intersection is exercised
+entries = st.builds(
+    lambda c, r: RealInterval(c - r, c + r),
+    fractions,
+    st.sampled_from([Fraction(0), Fraction(1, 64), Fraction(1, 4), Fraction(8)]),
+)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(deadline=None, derandomize=True)
+@given(intervals, intervals, st.integers(min_value=0, max_value=7))
+def test_sign_case_products_equal_corner_products(x, y, n):
+    assert x * y == corner_product(x, y)
+    assert x**n == power_reference(x, n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: matrices(n, n)))
+def test_subset_dp_determinant_equals_recursive_expansion(m):
+    assert det_cofactor(m) == cofactor_reference(m)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n + 1)))
+def test_minor_intervals_equal_det_interval_per_minor(rows):
+    width = len(rows) + 1
+    expected = [
+        det_interval([[row[c] for c in range(width) if c != l] for row in rows])
+        for l in range(width)
+    ]
+    assert minor_intervals(rows) == expected

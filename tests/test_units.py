@@ -94,3 +94,10 @@ def test_load_unit_basis_errors(f5, tmp_path):
     wrong_count.write_text("torsion 10\n0,1,1,0\n0,1,1,0\n", encoding="utf-8")
     with pytest.raises(InputError):
         load_unit_basis(f5, wrong_count)
+
+
+def test_load_unit_basis_unreadable_file(f5, tmp_path):
+    with pytest.raises(InputError):
+        load_unit_basis(f5, tmp_path / "missing.txt")
+    with pytest.raises(InputError):
+        load_unit_basis(f5, tmp_path)
