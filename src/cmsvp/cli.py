@@ -382,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, metavar="S", help="seed for randomized checks")
 
     parser = argparse.ArgumentParser(prog="cmsvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -155,6 +155,3 @@ def weights_are_equal_rational(weights) -> bool:
         and len(set(weights)) == 1
     )
 
-
-def weights_are_rational(weights) -> bool:
-    return all(isinstance(w, Fraction) for w in weights)

@@ -38,11 +38,20 @@ class PrecisionError(CmsvpError):
 
 
 class BudgetExceededError(CmsvpError):
-    """Enumeration visited more nodes than the configured budget allows."""
+    """Enumeration visited, or was estimated to visit far, more nodes than
+    the configured budget allows."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, log10_estimate=None):
         self.budget = budget
-        super().__init__(f"enumeration exceeded the node budget of {budget}")
+        if log10_estimate is None:
+            message = f"enumeration exceeded the node budget of {budget}"
+        else:
+            message = (
+                f"enumeration refused before it started: the Gaussian heuristic "
+                f"estimates about 10^{log10_estimate:.1f} nodes, far above the node "
+                f"budget of {budget}"
+            )
+        super().__init__(message)
 
 
 class NotPositiveDefiniteError(CmsvpError):

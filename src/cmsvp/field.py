@@ -9,10 +9,14 @@ integers and Fractions, with no floating point anywhere.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from .errors import InputError
+
+# Largest field degree phi(n) that CMField accepts.  The reduction table
+# holds phi(n)^2 integers: at this degree the field builds in under a
+# second, while conductor 1000003 would need 10^12 entries.
+MAX_DEGREE = 128
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -53,6 +57,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient of n >= 1, by trial division."""
+    out = m = n
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            while m % f == 0:
+                m //= f
+            out -= out // f
+        f += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -79,6 +98,12 @@ class CMField:
         if conductor < 3:
             # conductors 1 and 2 give Q, which is not CM
             raise InputError("conductor must be an integer >= 3")
+        # phi(n) >= sqrt(n / 2), so a huge conductor is refused unfactored
+        if conductor > 2 * MAX_DEGREE**2 or euler_phi(conductor) > MAX_DEGREE:
+            raise InputError(
+                f"conductor {conductor} gives a field of degree above {MAX_DEGREE}, "
+                "the largest supported"
+            )
         self.conductor = conductor
         phi = cyclotomic_polynomial(conductor)
         self.polynomial = phi
@@ -352,6 +377,3 @@ def exact_divide(a: FieldElement, b: FieldElement) -> FieldElement:
         raise InputError("division check failed")
     return x
 
-
-def gcd_of_coords(a: FieldElement) -> int:
-    return math.gcd(*a.coords) if any(a.coords) else 0

@@ -258,12 +258,6 @@ def cos2pi(num: int, den: int, bits: int) -> RealInterval:
     return RealInterval.from_mpiv(val)
 
 
-def sin2pi(num: int, den: int, bits: int) -> RealInterval:
-    ctx = _ctx(bits)
-    val = ctx.sin(2 * ctx.pi * ctx.mpf(num) / den)
-    return RealInterval.from_mpiv(val)
-
-
 def pi_interval(bits: int) -> RealInterval:
     return RealInterval.from_mpiv(_ctx(bits).pi)
 

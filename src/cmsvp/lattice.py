@@ -2,21 +2,26 @@
 
 Everything here is Gram based: a lattice is its exact Gram matrix over
 `fractions.Fraction`, basis changes are unimodular integer matrices, and no
-floating point is involved.  Shortest-vector listing is Fincke-Pohst
-enumeration over the LDL^T decomposition, preconditioned by a Gram-space
-LLL reduction; integer branch bounds are obtained with `math.isqrt` plus an
-exact adjustment, so every emitted vector and every omission is certain.
+floating point decides anything.  LLL reduction and Fincke-Pohst
+enumeration run on the Gram scaled to an integer matrix, through its
+integral Gram-Schmidt data (Cohen 1993, Alg. 2.6.7): the leading minors d
+and the integers lam[i][j] = d[j+1] * mu[i][j].  Every division in them is
+exact, so every emitted vector and every omission is certain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import exp, isqrt, lcm, lgamma, log, pi
+from operator import mul
 
 from .errors import BudgetExceededError, NotPositiveDefiniteError
 
 DEFAULT_BUDGET = 10**8
 LLL_DELTA = Fraction(99, 100)
+# enumerate_short refuses up front when the Gaussian-heuristic node count
+# exceeds the budget by this factor; the exact node counter stays the guard.
+REFUSE_MARGIN = 100
 
 
 def ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -50,15 +55,46 @@ def is_positive_definite(g: list[list[Fraction]]) -> bool:
         return False
 
 
-def _gram_of_transform(g, u):
-    """Gram of the basis with rows u in terms of the original Gram g."""
-    n = len(g)
-    gu = [[sum(g[i][j] * u[r][j] for j in range(n)) for i in range(n)] for r in range(n)]
-    # gu[r][i] = (u g)[r][i]; final [r][s] = sum_i u[s][i] * gu[r][i]
-    return [
-        [sum(u[s][i] * gu[r][i] for i in range(n)) for s in range(n)]
-        for r in range(n)
-    ]
+def _integer_gram(g, den: int = 1) -> tuple[int, list[list[int]]]:
+    """(s, s * g as an integer matrix), s the lcm of den and g's denominators."""
+    g = [[Fraction(x) for x in row] for row in g]
+    s = lcm(den, *(x.denominator for row in g for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in g]
+
+
+def _integral_gso(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of an integer Gram a.
+
+    d[m] is the leading m x m minor (d[0] = 1) and lam[i][j] = d[j+1] *
+    mu[i][j] for j < i; both are integers and every division is exact.
+    """
+    n = len(a)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        lk = lam[k]
+        for j in range(k + 1):
+            lj = lam[j]
+            v = a[k][j]
+            for i in range(j):
+                v = (d[i + 1] * v - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = v
+            elif v <= 0:
+                raise NotPositiveDefiniteError(
+                    f"leading minor {k + 1} of the Gram is not positive"
+                )
+            else:
+                d[k + 1] = v
+    return d, lam
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0: ties go to the even integer."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        return q + 1
+    return q
 
 
 def lll_reduce(
@@ -70,95 +106,65 @@ def lll_reduce(
     reduced = U G U^T; U has integer entries and determinant +-1.
     """
     n = len(g)
+    delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
+    s, a = _integer_gram(g)
+    d, lam = _integral_gso(a)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    cur = [[Fraction(x) for x in row] for row in g]
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                s = cur[i][j]
-                for t in range(j):
-                    s -= mu[i][t] * mu[j][t] * b[t]
-                mu[i][j] = s / b[j]
-            s = cur[i][i]
-            for t in range(i):
-                s -= mu[i][t] * mu[i][t] * b[t]
-            if s <= 0:
-                raise NotPositiveDefiniteError("LLL input is not positive definite")
-            b[i] = s
-        return mu, b
-
-    def row_op(i, j, r):
-        # basis_i -= r * basis_j
-        if r == 0:
-            return
-        for c in range(n):
-            u[i][c] -= r * u[j][c]
-        # update Gram: row/col i
-        for c in range(n):
-            cur[i][c] -= r * cur[j][c]
-        for c in range(n):
-            cur[c][i] -= r * cur[c][j]
-
-    def swap(i, j):
-        u[i], u[j] = u[j], u[i]
-        cur[i], cur[j] = cur[j], cur[i]
-        for row in cur:
-            row[i], row[j] = row[j], row[i]
-
-    mu, b = gso()
-    i = 1
-    while i < n:
-        for j in range(i - 1, -1, -1):
-            r = round(mu[i][j])
-            if r:
-                row_op(i, j, r)
-                mu, b = gso()
-        if b[i] >= (delta - mu[i][i - 1] ** 2) * b[i - 1]:
-            i += 1
-        else:
-            swap(i, i - 1)
-            mu, b = gso()
-            i = max(i - 1, 1)
-    return cur, u
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for l in range(k - 1, -1, -1):
+            r = _round_half_even(lk[l], d[l + 1])
+            if not r:
+                continue
+            # basis_k -= r * basis_l
+            ll = lam[l]
+            lk[l] -= r * d[l + 1]
+            for i in range(l):
+                lk[i] -= r * ll[i]
+            uk, ul = u[k], u[l]
+            ak, al = a[k], a[l]
+            for c in range(n):
+                uk[c] -= r * ul[c]
+                ak[c] -= r * al[c]
+            for row in a:
+                row[k] -= r * row[l]
+        # Lovasz: B_k >= (delta - mu_{k,k-1}^2) B_{k-1}, times dd d[k] d[k-1]
+        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lk[k - 1] ** 2:
+            k += 1
+            continue
+        u[k], u[k - 1] = u[k - 1], u[k]
+        a[k], a[k - 1] = a[k - 1], a[k]
+        for row in a:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lp = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lp[j] = lp[j], lk[j]
+        m = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (b * t + m * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return [[Fraction(x, s) for x in row] for row in a], u
 
 
-def _range_bounds(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
-    """Integer x range with (x - center)^2 <= radius_sq, exact.
-
-    The walks only test the violated side, so they terminate even when the
-    admissible interval contains no integer (the result is then empty).
-    """
-    if radius_sq < 0:
-        return 1, 0
-    # isqrt overestimate of the half-width, then exact one-sided adjustment
-    approx = isqrt(radius_sq.numerator // radius_sq.denominator) + 2
-    hi = int(center) + approx
-    while hi > center and (hi - center) ** 2 > radius_sq:
-        hi -= 1
-    lo = int(center) - approx
-    while lo < center and (center - lo) ** 2 > radius_sq:
-        lo += 1
-    return lo, hi
-
-
-class _Budget:
-    __slots__ = ("left", "total")
-
-    def __init__(self, budget):
-        self.left = budget
-        self.total = budget
-
-    def spend(self, k=1):
-        self.left -= k
-        if self.left < 0:
-            raise BudgetExceededError(self.total)
-
-    @property
-    def used(self):
-        return self.total - self.left
+def _log_node_estimate(d: list[int], top: int) -> float:
+    """Natural log of the Gaussian-heuristic node count of a Fincke-Pohst
+    descent with scaled radius top > 0 over integral pivots d: the sum over
+    k of V_k(sqrt(top)) / sqrt(d[n] / d[n - k]), the expected number of
+    points of the projection onto the top k coordinates."""
+    n = len(d) - 1
+    terms = [
+        k / 2 * (log(top) + log(pi)) - lgamma(k / 2 + 1) + (log(d[n - k]) - log(d[n])) / 2
+        for k in range(1, n + 1)
+    ]
+    peak = max(terms)
+    return peak + log(sum(exp(t - peak) for t in terms))
 
 
 def enumerate_short(
@@ -172,54 +178,72 @@ def enumerate_short(
     Vectors come in +-v pairs; both are listed.  Returns (sorted list of
     (coordinates, value) pairs, nodes visited).  Coordinates refer to the
     Gram's own basis; ordering is lexicographic.
+
+    The descent runs on s * (reduced Gram), s = lcm of the denominators of
+    the radius and the reduced Gram, and carries e = d[level+1] times the
+    unspent scaled radius as an integer.  With c = -sum_{j>level}
+    lam[j][level] x_j, a coordinate x is admissible iff
+    (x d[level+1] - c)^2 <= e d[level].
     """
     radius = Fraction(radius)
     n = len(g)
     reduced, u = lll_reduce(g)
-    l, d = ldl(reduced)
-    budget_box = _Budget(budget)
+    s, a = _integer_gram(reduced, radius.denominator)
+    d, lam = _integral_gso(a)
+    top = radius.numerator * (s // radius.denominator)
+    if n and top > 0:
+        estimate = _log_node_estimate(d, top)
+        if estimate > log(REFUSE_MARGIN * max(budget, 1)):
+            raise BudgetExceededError(budget, log10_estimate=estimate / log(10))
     half: list[tuple[tuple[int, ...], Fraction]] = []
-
+    values: dict[int, Fraction] = {}
     x = [0] * n
+    nodes = 0
 
-    def descend(level: int, remaining: Fraction, nonzero_seen: bool):
-        if level < 0:
-            if nonzero_seen:
-                val = radius - remaining
-                half.append((tuple(x), val))
-            return
-        center = Fraction(0)
+    def descend(level: int, e: int, nonzero_seen: bool):
+        nonlocal nodes
+        dl, dh = d[level], d[level + 1]
+        big = e * dl
+        c = 0
         for j in range(level + 1, n):
-            center -= l[j][level] * x[j]
-        lo, hi = _range_bounds(center, remaining / d[level])
-        if not nonzero_seen:
+            c -= lam[j][level] * x[j]
+        h = isqrt(big)
+        lo = -((h - c) // dh)
+        hi = (c + h) // dh
+        if not nonzero_seen and lo < 0:
             # restrict to the canonical half-space: topmost nonzero coord > 0
-            lo = max(lo, 0)
+            lo = 0
         for xv in range(lo, hi + 1):
-            budget_box.spend()
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(budget)
             x[level] = xv
-            step = d[level] * (xv - center) ** 2
-            if xv == 0 and not nonzero_seen:
-                descend(level - 1, remaining - step, False)
-            else:
-                descend(level - 1, remaining - step, True)
-        x[level] = 0
+            t = xv * dh - c
+            rest = (big - t * t) // dh
+            if level:
+                descend(level - 1, rest, nonzero_seen or xv != 0)
+            elif nonzero_seen or xv:
+                # one Fraction per distinct value, shared by all its vectors
+                val = values.get(rest)
+                if val is None:
+                    val = values[rest] = Fraction(top - rest, s)
+                half.append((tuple(x), val))
 
-    descend(n - 1, radius, False)
+    if n and top >= 0:
+        descend(n - 1, d[n] * top, False)
 
     out: list[tuple[tuple[int, ...], Fraction]] = []
     if include_zero:
         out.append(((0,) * n, Fraction(0)))
+    u_cols = list(zip(*u))
     for coords, val in half:
         # map back to the original basis: v = coords . U
-        orig = tuple(
-            sum(coords[r] * u[r][c] for r in range(n)) for c in range(n)
-        )
+        orig = tuple(sum(map(mul, coords, col)) for col in u_cols)
         neg = tuple(-t for t in orig)
         out.append((orig, val))
         out.append((neg, val))
     out.sort(key=lambda p: p[0])
-    return out, budget_box.used
+    return out, nodes
 
 
 def minimum_shell(

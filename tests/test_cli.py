@@ -65,6 +65,24 @@ def test_minima_budget_exit_code():
     assert "budget" in proc.stderr.lower()
 
 
+def test_hopeless_theta_is_refused_up_front():
+    # about 10^800 nodes: the heuristic estimate refuses before the descent
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmsvp", "theta", "--circulant", "4,1", "--max-norm", "1e400"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 4
+    assert "refused" in proc.stderr and "budget" in proc.stderr
+
+
+def test_seed_flag_is_gone():
+    proc = run_cli("minima", "--cyclotomic", "5", "--seed", "1")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed" in proc.stderr
+
+
 def test_minima_bad_weights():
     proc = run_cli("minima", "--cyclotomic", "5", "--weights", "0,1")
     assert proc.returncode == 2

@@ -4,12 +4,16 @@ floating-point embedding oracle."""
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from cmsvp import cli, field
 from cmsvp.errors import InputError
 from cmsvp.field import (
+    MAX_DEGREE,
     CMField,
+    euler_phi,
     exact_divide,
     field_norm,
     is_prime,
@@ -146,3 +150,23 @@ def test_torsion_units(f5):
     assert len(torsion) == 10
     assert all(is_unit(u) for u in torsion)
     assert len(set(torsion)) == 10
+
+
+def test_euler_phi_by_trial_division():
+    for n in range(1, 400):
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("conductor", [1000003, 131, 2 * 127 * 131, 10**40])
+def test_degree_cap_is_checked_before_the_polynomial_is_built(conductor, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"cyclotomic_polynomial({n}) reached")
+
+    monkeypatch.setattr(field, "cyclotomic_polynomial", refuse)
+    with pytest.raises(InputError, match=f"above {MAX_DEGREE}"):
+        CMField(conductor)
+    assert cli.main(["minima", "--cyclotomic", str(conductor)]) == 2
+
+
+def test_degree_cap_admits_fields_up_to_the_cap():
+    assert CMField(127).degree == 126 <= MAX_DEGREE

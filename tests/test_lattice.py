@@ -1,12 +1,21 @@
 """Exact lattice algorithms: LDL, LLL, enumeration, theta counting."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmsvp import cli
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.lattice import (
+    LLL_DELTA,
+    _round_half_even,
     enumerate_short,
     is_positive_definite,
     ldl,
@@ -115,3 +124,184 @@ def test_theta_counts_z4():
 def test_theta_counts_fractional_grid():
     counts = theta_counts(_frac([[Fraction(1, 2)]]), Fraction(2))
     assert counts == [(Fraction(0), 1), (Fraction(1, 2), 2), (Fraction(2), 2)]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernels: LLL that rebuilds the whole
+# Gram-Schmidt data after every change, and Fincke-Pohst over the LDL pivots.
+
+
+def _gso_reference(g):
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = g[i][j] - sum(mu[i][t] * mu[j][t] * b[t] for t in range(j))
+            mu[i][j] = s / b[j]
+        b[i] = g[i][i] - sum(mu[i][t] ** 2 * b[t] for t in range(i))
+        if b[i] <= 0:
+            raise NotPositiveDefiniteError("reference LLL input is not positive definite")
+    return mu, b
+
+
+def lll_reference(g, delta=LLL_DELTA):
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    cur = [[Fraction(x) for x in row] for row in g]
+    mu, b = _gso_reference(cur)
+    i = 1
+    while i < n:
+        for j in range(i - 1, -1, -1):
+            r = round(mu[i][j])
+            if r:
+                u[i] = [a - r * c for a, c in zip(u[i], u[j])]
+                cur[i] = [a - r * c for a, c in zip(cur[i], cur[j])]
+                for row in cur:
+                    row[i] -= r * row[j]
+                mu, b = _gso_reference(cur)
+        if b[i] >= (delta - mu[i][i - 1] ** 2) * b[i - 1]:
+            i += 1
+        else:
+            u[i], u[i - 1] = u[i - 1], u[i]
+            cur[i], cur[i - 1] = cur[i - 1], cur[i]
+            for row in cur:
+                row[i], row[i - 1] = row[i - 1], row[i]
+            mu, b = _gso_reference(cur)
+            i = max(i - 1, 1)
+    return cur, u
+
+
+def enumerate_reference(g, radius, include_zero=False):
+    radius = Fraction(radius)
+    n = len(g)
+    reduced, u = lll_reference(g)
+    l, d = ldl(reduced)
+    half, x, nodes = [], [0] * n, 0
+
+    def descend(level, remaining, nonzero_seen):
+        nonlocal nodes
+        if level < 0:
+            if nonzero_seen:
+                half.append((tuple(x), radius - remaining))
+            return
+        center = -sum(l[j][level] * x[j] for j in range(level + 1, n))
+        width_sq = remaining / d[level]
+        if width_sq < 0:
+            return
+        # every integer within isqrt + 2 of the center, tested exactly
+        reach = isqrt(width_sq.numerator // width_sq.denominator) + 2
+        lo = int(center) - reach
+        if not nonzero_seen:
+            lo = max(lo, 0)
+        for xv in range(lo, int(center) + reach + 1):
+            if (xv - center) ** 2 <= width_sq:
+                nodes += 1
+                x[level] = xv
+                step = d[level] * (xv - center) ** 2
+                descend(level - 1, remaining - step, nonzero_seen or xv != 0)
+
+    descend(n - 1, radius, False)
+    out = [((0,) * n, Fraction(0))] if include_zero else []
+    for coords, val in half:
+        orig = tuple(sum(coords[r] * u[r][c] for r in range(n)) for c in range(n))
+        out += [(orig, val), (tuple(-t for t in orig), val)]
+    out.sort(key=lambda p: p[0])
+    return out, nodes
+
+
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+pivots = st.builds(
+    Fraction, st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=6)
+)
+
+
+@st.composite
+def pd_grams(draw):
+    """G = L D L^T with unit lower-triangular rational L and positive D."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    l = [
+        [draw(small_fractions) if j < i else Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    d = [draw(pivots) for _ in range(n)]
+    return [[sum(l[i][t] * d[t] * l[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(pd_grams())
+def test_integral_lll_equals_fraction_reference(g):
+    assert lll_reduce(g) == lll_reference(g)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    pd_grams(),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=12), st.integers(min_value=2, max_value=5)),
+    st.booleans(),
+)
+def test_integer_fincke_pohst_equals_fraction_reference(g, scale, include_zero):
+    # radii up to 6 times the shortest reduced basis vector keep the trees small
+    reduced, _ = lll_reference(g)
+    radius = scale * min(reduced[i][i] for i in range(len(g)))
+    assert enumerate_short(g, radius, include_zero=include_zero) == enumerate_reference(
+        g, radius, include_zero
+    )
+
+
+def test_round_half_even_matches_fraction_round():
+    for den in range(1, 9):
+        for num in range(-40, 41):
+            assert _round_half_even(num, den) == round(Fraction(num, den))
+
+
+@pytest.mark.parametrize(
+    "mu, r",
+    [
+        (Fraction(1, 2), 0),
+        (Fraction(-1, 2), 0),
+        (Fraction(3, 2), 2),
+        (Fraction(-3, 2), -2),
+        (Fraction(5, 2), 2),
+        (Fraction(-5, 2), -2),
+    ],
+)
+def test_size_reduction_rounds_ties_to_even(mu, r):
+    # b_1 . b_0 = mu |b_0|^2 and |b_1|^2 large: one size-reduction step, no swap
+    g = [[Fraction(2), 2 * mu], [2 * mu, Fraction(40)]]
+    reduced, u = lll_reduce(g)
+    assert u == [[1, 0], [-r, 1]]
+    assert (reduced, u) == lll_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[-1]], [[4, 0, 0], [0, 1, 3], [0, 3, 1]]],
+)
+def test_integer_kernels_reject_non_positive_definite(g):
+    g = _frac(g)
+    with pytest.raises(NotPositiveDefiniteError):
+        lll_reduce(g)
+    with pytest.raises(NotPositiveDefiniteError):
+        enumerate_short(g, Fraction(3))
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "minima --cyclotomic 17 --ideal-exp 2",
+        "minima --cyclotomic 11 --weights 1,4,16,64,256",
+        "theta --circulant 10,1 --max-norm 6",
+    ],
+)
+def test_enumeration_json_is_byte_identical_to_stored_reference(command, capsys):
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[command]
+    rc = cli.main(command.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert rc == ref["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
