@@ -38,7 +38,7 @@ from .errors import (
     PrecisionError,
     SelfTestError,
 )
-from .field import CMField, exact_divide, is_prime, is_unit
+from .field import CMField, is_prime, is_unit
 from .interval import PrecisionConfig, RealInterval, decimal_str, interval_json
 from .units import UnitBasis, cyclotomic_unit_basis, load_unit_basis
 
@@ -113,19 +113,25 @@ def _kappa_from(field: CMField, args):
         r = args.ideal_exp
         if r < 0:
             raise InputError("--ideal-exp must be nonnegative")
-        if r == 0:
-            return None
-        k1 = field.one() - field.zeta(1)
-        kappa = field.one()
-        for _ in range(r):
-            kappa = kappa * k1
-        return kappa
+        return _one_minus_zeta_power(field, r)
     if args.ideal_gen is not None:
         gen = field.parse(args.ideal_gen)
         if gen.is_zero():
             raise InputError("ideal generator must be nonzero")
         return gen
     return None
+
+
+def _one_minus_zeta_power(field: CMField, r: int):
+    """(1 - zeta)^r, the ideal generator of --ideal-exp and of Craig's
+    lattices; None at r = 0, where the ideal is O_F itself."""
+    if r == 0:
+        return None
+    base = field.one() - field.zeta(1)
+    kappa = base
+    for _ in range(r - 1):
+        kappa = kappa * base
+    return kappa
 
 
 def _prec_from(args) -> PrecisionConfig:
@@ -286,23 +292,11 @@ def _parse_r_range(text: str) -> tuple[int, int]:
 def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, list[str], bool]:
     """One verify-craig leg: enumerate, factor out (1 - zeta)^r, cross-check
     theta counts against the circulant model (A_(p-1)^* at r = 0)."""
-    k1 = field.one() - field.zeta(1)
-    kappa_pow = field.one()
-    for _ in range(r):
-        kappa_pow = kappa_pow * k1
-    kappa = kappa_pow if r else None
+    kappa = _one_minus_zeta_power(field, r)
     mv = svp.minimal_vectors(field, None, kappa, prec, budget)
-    factored = True
-    for coords in mv.vectors:
-        alpha = field.element(coords) if kappa is None else kappa * field.element(coords)
-        try:
-            q = exact_divide(alpha, kappa_pow)
-        except InputError:
-            factored = False
-            break
-        if not is_unit(q):
-            factored = False
-            break
+    # a minimal vector is alpha = kappa * v with v its coordinates in the
+    # basis kappa zeta^i, so alpha / kappa is v itself
+    factored = all(is_unit(field.element(coords)) for coords in mv.vectors)
     tc = theta.theta_prefix(svp.craig_circulant(p - 1, r), THETA_CHECK_NORM, budget)
     gi = svp.gram_matrix(field, None, kappa, prec).scaled(Fraction(2, p))
     ti = theta.theta_prefix(gi, THETA_CHECK_NORM, budget)

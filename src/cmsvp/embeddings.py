@@ -7,8 +7,9 @@ representative exponents m in 1..n/2 coprime to n, ascending, i.e. by
 increasing argument of zeta^m in (0, pi).
 
 Since beta = alpha*conj(alpha) is fixed by conjugation, sigma_m(beta) is real
-and equals sum_j beta_j cos(2*pi*j*m/n) exactly; that sum is evaluated in
-interval arithmetic from a cached cosine table.
+and equals sum_j beta_j cos(2*pi*j*m/n) exactly; each endpoint of its
+enclosure is an integer dot product with a cached table of cosine
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -37,22 +38,42 @@ def representatives(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _cos_table(n: int, bits: int) -> tuple[RealInterval, ...]:
-    return tuple(cos2pi(r, n, bits) for r in range(n))
+def _cos_table(n: int, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(D, lo, hi): the enclosure of cos(2*pi*r/n) is [lo[r]/D, hi[r]/D],
+    r = 0..n-1, over one common denominator D."""
+    ivs = [cos2pi(r, n, bits) for r in range(n)]
+    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    lo = tuple(iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs)
+    hi = tuple(iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs)
+    return den, lo, hi
+
+
+def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
+    """Enclosures of sum_j x_j cos(2*pi*j*m/n) for each representative m.
+
+    Each endpoint is one integer dot product over the cosine numerators,
+    taking lo or hi by the sign of x_j, so it is exactly the interval sum
+    of the products x_j * [cos lo, cos hi].
+    """
+    den, cos_lo, cos_hi = _cos_table(n, bits)
+    terms = [(j, c) for j, c in enumerate(coords) if c]
+    out = []
+    for m in representatives(n):
+        lo = hi = 0
+        for j, c in terms:
+            r = j * m % n
+            if c > 0:
+                lo += c * cos_lo[r]
+                hi += c * cos_hi[r]
+            else:
+                lo += c * cos_hi[r]
+                hi += c * cos_lo[r]
+        out.append(RealInterval(Fraction(lo, den), Fraction(hi, den)))
+    return out
 
 
 def _sigma_at_bits(field: CMField, a: FieldElement, bits: int) -> list[RealInterval]:
-    n = field.conductor
-    beta = a * a.conj()
-    table = _cos_table(n, bits)
-    out = []
-    for m in representatives(n):
-        terms = []
-        for j, c in enumerate(beta.coords):
-            if c:
-                terms.append(c * table[(j * m) % n])
-        out.append(interval_sum(terms) if terms else RealInterval.point(0))
-    return out
+    return _sigma_sum(field.conductor, (a * a.conj()).coords, bits)
 
 
 def _radius_ok(vals: list[RealInterval]) -> bool:
@@ -98,14 +119,9 @@ def sigma_real(
     """Enclosures of sigma_m(x) for a conjugation-fixed element x."""
     if x != x.conj():
         raise ValueError("sigma_real needs a conjugation-fixed element")
-    n = field.conductor
     out = []
     for bits in (prec.bits, prec.doubled().bits):
-        table = _cos_table(n, bits)
-        out = []
-        for m in representatives(n):
-            terms = [c * table[(j * m) % n] for j, c in enumerate(x.coords) if c]
-            out.append(interval_sum(terms) if terms else RealInterval.point(0))
+        out = _sigma_sum(field.conductor, x.coords, bits)
         if _radius_ok([v for v in out if not (v.lo == 0 and v.hi == 0)]):
             return tuple(out)
     return tuple(out)

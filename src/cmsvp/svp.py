@@ -179,13 +179,30 @@ def gram_matrix(
 def _floor_form(g: GramMatrix) -> tuple[list[list[Fraction]], list[list[Fraction]], Fraction]:
     """Rational (lower form, midpoint form, entry slack) for an interval Gram.
 
-    Midpoints are quantized to 24 fractional bits so downstream exact
-    arithmetic stays cheap; the lower form subtracts dim*eps from the
+    Midpoints are quantized to QUANTIZE_BITS fractional bits so downstream
+    exact arithmetic stays cheap; the lower form subtracts dim*eps from the
     diagonal, which dominates the symmetric error matrix by Gershgorin.
+    When the Gram's smallest eigenvalue is below that slack (very skewed
+    weights), the lower form is not positive definite and the fractional
+    bits double, up to the bit length of the midpoints' own denominators,
+    past which a finer quantum cannot shrink eps any further.
     """
+    mids = [[e.mid for e in row] for row in g.entries]
+    finest = max(m.denominator for row in mids for m in row).bit_length()
+    bits = QUANTIZE_BITS
+    while True:
+        try:
+            return _quantized_floor_form(g, mids, bits)
+        except NotPositiveDefiniteError:
+            if bits >= finest:
+                raise
+            bits *= 2
+
+
+def _quantized_floor_form(g: GramMatrix, mids, bits: int):
     d = g.dimension
-    q = 1 << QUANTIZE_BITS
-    mid = [[Fraction(round(e.mid * q), q) for e in row] for row in g.entries]
+    q = 1 << bits
+    mid = [[Fraction(round(m * q), q) for m in row] for row in mids]
     eps = Fraction(0)
     for i in range(d):
         for j in range(d):
@@ -280,9 +297,39 @@ def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
     return Fraction(trace(a * a.conj()), 2)
 
 
+class _Chamber:
+    """What every chamber reduction against one unit basis shares: each
+    inverse g_j^-1 (integral, since g_j is a unit) and, per precision tried,
+    the generators' log rows L[j][m] = log sigma_m(g_j conj(g_j)), m < k-1."""
+
+    def __init__(self, field: CMField, basis: UnitBasis):
+        self.field = field
+        self.generators = basis.generators
+        one = field.one()
+        self.inverses = tuple(exact_divide(one, g) for g in basis.generators)
+        self._log_rows: dict[int, tuple[tuple[RealInterval, ...], ...]] = {}
+
+    def log_rows(self, prec: PrecisionConfig) -> tuple[tuple[RealInterval, ...], ...]:
+        rows = self._log_rows.get(prec.bits)
+        if rows is None:
+            k1 = len(self.generators)
+            rows = tuple(
+                tuple(log_sigma(self.field, g, prec)[:k1]) for g in self.generators
+            )
+            self._log_rows[prec.bits] = rows
+        return rows
+
+    def divide_out(self, w: FieldElement, exps) -> FieldElement:
+        """w / prod g_j^a_j for integer exponents a."""
+        for g, inv, a in zip(self.generators, self.inverses, exps):
+            factor = inv if a > 0 else g
+            for _ in range(abs(a)):
+                w = w * factor
+        return w
+
+
 def _chamber_exponents(
-    field: CMField,
-    basis: UnitBasis,
+    chamber: _Chamber,
     w: FieldElement,
     prec: PrecisionConfig,
 ) -> tuple[int, ...]:
@@ -294,16 +341,15 @@ def _chamber_exponents(
     exactly: c equals an integer vector a iff w / prod g^a times its
     conjugate is rational.
     """
-    k1 = len(basis.generators)
+    field = chamber.field
+    k1 = len(chamber.generators)
     n_abs = abs(field_norm(w))
     if n_abs == 0:
         raise InputError("chamber reduction needs a nonzero element")
     cur = prec
     for _ in range(MAX_REFINEMENTS + 1):
-        mat = []
-        for gj in basis.generators:
-            mat.append(list(log_sigma(field, gj, cur)[:k1]))
-        mat = [[mat[j][m] for j in range(k1)] for m in range(k1)]
+        rows = chamber.log_rows(cur)
+        mat = [[rows[j][m] for j in range(k1)] for m in range(k1)]
         ys = log_sigma(field, w, cur)
         shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
         rhs = [ys[m] - shift for m in range(k1)]
@@ -321,12 +367,7 @@ def _chamber_exponents(
         if not straddle:
             return tuple(floors)
         guess = tuple(round(cj.mid) for cj in c)
-        red = w
-        for gj, a in zip(basis.generators, guess):
-            for _ in range(a):
-                red = exact_divide(red, gj)
-            for _ in range(-a):
-                red = red * gj
+        red = chamber.divide_out(w, guess)
         bb = red * red.conj()
         if all(x == 0 for x in bb.coords[1:]):
             # exactly on a wall lattice point: c == guess, floor == guess
@@ -342,14 +383,9 @@ def reduce_to_chamber(
     prec: PrecisionConfig = DEFAULT_PRECISION,
 ) -> tuple[FieldElement, tuple[int, ...]]:
     """(w / prod g^a, a) with the quotient's log coordinates in [0,1)^(k-1)."""
-    exps = _chamber_exponents(field, basis, w, prec)
-    red = w
-    for gj, a in zip(basis.generators, exps):
-        for _ in range(a):
-            red = exact_divide(red, gj)
-        for _ in range(-a):
-            red = red * gj
-    return red, exps
+    chamber = _Chamber(field, basis)
+    exps = _chamber_exponents(chamber, w, prec)
+    return chamber.divide_out(w, exps), exps
 
 
 def characteristic_set_E(
@@ -373,20 +409,17 @@ def characteristic_set_E(
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     g = gram_matrix(field, None, None, prec)
     found, _ = lattice.enumerate_short(g.rows(), radius, budget)
+    chamber = _Chamber(field, basis)
     elements = []
     for coords, _ in found:
         a = field.element(coords)
         n_abs = abs(field_norm(a))
         if Fraction(n_abs) > bound.hi:
             continue
-        if _chamber_exponents(field, basis, a, prec) == (0,) * (k - 1):
+        if _chamber_exponents(chamber, a, prec) == (0,) * (k - 1):
             elements.append(a)
     elements.sort(key=lambda e: e.coords)
-    k1 = len(basis.generators)
-    log_rows = tuple(
-        tuple(log_sigma(field, gj, prec)[:k1]) for gj in basis.generators
-    )
-    return CharacteristicSetE(tuple(elements), log_rows, bound)
+    return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
 
 
 def _simplex_lp(points: list[tuple[Fraction, ...]], target_index: int) -> Fraction:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cmsvp.embeddings import (
+    _sigma_sum,
     log_sigma,
     normalize_weights,
     representatives,
@@ -17,8 +18,15 @@ from cmsvp.embeddings import (
     weights_are_equal_rational,
 )
 from cmsvp.errors import InputError
-from cmsvp.field import trace
-from cmsvp.interval import DEFAULT_PRECISION, RealInterval, exp_interval
+from cmsvp.field import CMField, trace
+from cmsvp.interval import (
+    DEFAULT_PRECISION,
+    PrecisionConfig,
+    RealInterval,
+    cos2pi,
+    exp_interval,
+    interval_sum,
+)
 
 
 def _random_element(field, rng, span=4):
@@ -124,3 +132,33 @@ def test_normalize_weights(f5):
         normalize_weights(f5, (0, 1))
     with pytest.raises(InputError):
         normalize_weights(f5, (RealInterval(Fraction(-1), Fraction(1)), Fraction(1)))
+
+
+def _reference_sigma_sum(n, coords, bits):
+    """The interval sum of the products x_j * cos(2 pi j m / n), term by term."""
+    out = []
+    for m in representatives(n):
+        terms = [c * cos2pi(j * m % n, n, bits) for j, c in enumerate(coords) if c]
+        out.append(interval_sum(terms) if terms else RealInterval.point(0))
+    return out
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("conductor", [5, 7, 11, 13, 17, 12, 15, 20])
+def test_integer_sigma_kernel_equals_the_interval_sum(conductor, bits):
+    field = CMField(conductor)
+    rng = random.Random(conductor * 1000 + bits)
+    inputs = [[0] * field.degree, [1] + [0] * (field.degree - 1)]
+    for span in (1, 9, 10**30):
+        for _ in range(4):
+            inputs.append([rng.choice((0, rng.randint(-span, span))) for _ in range(field.degree)])
+    for coords in inputs:
+        assert _sigma_sum(conductor, coords, bits) == _reference_sigma_sum(conductor, coords, bits)
+    # sigma and sigma_real meet their 2^-64 radius target at once from 128
+    # bits on, and retry 53 bits at 106
+    a = _random_element(field, rng)
+    beta = a * a.conj()
+    used = bits if bits >= 128 else 2 * bits
+    ref = tuple(_reference_sigma_sum(conductor, beta.coords, used))
+    assert sigma(field, a, PrecisionConfig(bits)) == ref
+    assert sigma_real(field, beta, PrecisionConfig(bits)) == ref

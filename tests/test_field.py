@@ -3,10 +3,13 @@ floating-point embedding oracle."""
 
 import cmath
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmsvp import cli, field
 from cmsvp.errors import InputError
@@ -170,3 +173,139 @@ def test_degree_cap_is_checked_before_the_polynomial_is_built(conductor, monkeyp
 
 def test_degree_cap_admits_fields_up_to_the_cap():
     assert CMField(127).degree == 126 <= MAX_DEGREE
+
+
+# -- the zeta-power table against the repeated-multiplication code it replaced
+
+
+def _reference_reduction(field):
+    """Coordinates of x^(d+i) mod Phi_n, i = 0..d-2, by repeated shifting."""
+    d = field.degree
+    rows = []
+    cur = [-c for c in field.polynomial[:d]]
+    rows.append(tuple(cur))
+    for _ in range(d - 2):
+        shifted = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            shifted = [s + top * b for s, b in zip(shifted, rows[0])]
+        cur = shifted
+        rows.append(tuple(cur))
+    return rows
+
+
+def _reference_mul(field, red, a, b):
+    """Schoolbook product of coordinate tuples, reduced with the rows `red`."""
+    d = field.degree
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    out = list(prod[:d])
+    for i in range(d, 2 * d - 1):
+        c = prod[i]
+        if c:
+            for t in range(d):
+                out[t] += c * red[i - d][t]
+    return tuple(out)
+
+
+def _unit_vector(d, i):
+    return tuple(1 if t == i else 0 for t in range(d))
+
+
+def _reference_zeta_powers(field, red):
+    """zeta^m for m = 0..n-1: basis vectors below d, then zeta^(d-1) times
+    zeta, once per further power."""
+    n, d = field.conductor, field.degree
+    out = [_unit_vector(d, m) for m in range(d)]
+    while len(out) < n:
+        out.append(_reference_mul(field, red, out[-1], _unit_vector(d, 1)))
+    return out
+
+
+def _reference_conj(field, powers, coords):
+    """Sum of c_j zeta^(-j) over the coordinates."""
+    n, d = field.conductor, field.degree
+    out = (0,) * d
+    for j, c in enumerate(coords):
+        if c:
+            out = tuple(o + c * z for o, z in zip(out, powers[-j % n]))
+    return out
+
+
+def _reference_trace(field, red, powers, m):
+    """Tr(zeta^m) from the diagonal of its multiplication matrix, one product
+    per basis vector."""
+    d = field.degree
+    return sum(
+        _reference_mul(field, red, powers[m], _unit_vector(d, i))[i] for i in range(d)
+    )
+
+
+def _ramanujan_sum(n, m):
+    """c_n(m) = sum over e | gcd(n, m) of mobius(n/e) * e, which is Tr(zeta_n^m)."""
+
+    def mobius(x):
+        out, f = 1, 2
+        while f * f <= x:
+            if x % f == 0:
+                x //= f
+                if x % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return -out if x > 1 else out
+
+    g = gcd(n, m)
+    return sum(mobius(n // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+ALL_CONDUCTORS = [n for n in range(3, 131) if euler_phi(n) <= MAX_DEGREE]
+
+
+def test_zeta_powers_equal_repeated_multiplication():
+    rng = random.Random(23)
+    for n in ALL_CONDUCTORS:
+        field = CMField(n)
+        red = _reference_reduction(field)
+        assert [tuple(r) for r in field._reduction] == red
+        powers = _reference_zeta_powers(field, red)
+        for m in range(-n, 2 * n):
+            assert field.zeta(m).coords == powers[m % n], (n, m)
+        for _ in range(3):
+            a = _random_element(field, rng)
+            assert a.conj().coords == _reference_conj(field, powers, a.coords), n
+        # the product-by-product diagonal costs n * phi(n)^3; Ramanujan's sum,
+        # which it equals, checks the rest
+        assert list(field._zeta_traces) == [_ramanujan_sum(n, m) for m in range(n)], n
+        if field.degree <= 24:
+            assert list(field._zeta_traces) == [
+                _reference_trace(field, red, powers, m) for m in range(n)
+            ], n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([n for n in ALL_CONDUCTORS if n <= 40]),
+    st.lists(st.integers(-6, 6), min_size=40, max_size=40),
+    st.lists(st.integers(-6, 6), min_size=40, max_size=40),
+)
+def test_conj_is_a_ring_involution(conductor, xs, ys):
+    field = CMField(conductor)
+    a = field.element(xs[: field.degree])
+    b = field.element(ys[: field.degree])
+    assert a.conj().conj() == a
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert field.zeta(1).conj() == field.zeta(-1)
+
+
+def test_large_field_builds_fast():
+    start = time.perf_counter()
+    field = CMField(255)
+    assert time.perf_counter() - start < 1.0
+    assert field.degree == 128
+    assert field.zeta(255) == field.one()

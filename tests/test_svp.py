@@ -1,12 +1,16 @@
 """Field-aware enumeration: Gram construction, minima, chamber reduction,
 characteristic sets, hull checks, circulant lattices."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cmsvp import cli, svp
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import representatives
 from cmsvp.errors import InputError
@@ -22,6 +26,8 @@ from cmsvp.svp import (
     reduce_to_chamber,
 )
 from cmsvp.units import cyclotomic_unit_basis
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _skew_oracle(field, weights, box=4):
@@ -208,3 +214,84 @@ def test_gram_scaled():
     h = g.scaled(Fraction(2, 5))
     assert h.entries[0][0] == Fraction(4, 5)
     assert h.exact
+
+
+def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
+    field = CMField(7)
+    gens = len(cyclotomic_unit_basis(field).generators)
+    logged, solves, divides = [], [], []
+    real_log, real_solve, real_divide = svp.log_sigma, svp.solve_cramer, svp.exact_divide
+
+    def counting_log(field, a, prec):
+        logged.append(prec.bits)
+        return real_log(field, a, prec)
+
+    def counting_solve(m, rhs):
+        solves.append(1)
+        return real_solve(m, rhs)
+
+    def counting_divide(a, b):
+        divides.append(1)
+        return real_divide(a, b)
+
+    monkeypatch.setattr(svp, "log_sigma", counting_log)
+    monkeypatch.setattr(svp, "solve_cramer", counting_solve)
+    monkeypatch.setattr(svp, "exact_divide", counting_divide)
+    assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 14
+    # each candidate attempt logs only itself and runs one Cramer solve; the
+    # generators are logged once at each precision tried
+    assert len(solves) > 50
+    assert len(logged) == len(solves) + gens * len(set(logged))
+    # one division per generator, for its inverse
+    assert len(divides) == gens
+
+
+def test_reduce_to_chamber_divides_once_per_generator(f7, monkeypatch):
+    basis = cyclotomic_unit_basis(f7)
+    g0, g1 = basis.generators
+    w = f7.zeta(3) * g0 * g0 * g0 * exact_divide(f7.one(), g1)
+    divides = []
+    real_divide = svp.exact_divide
+
+    def counting_divide(a, b):
+        divides.append(1)
+        return real_divide(a, b)
+
+    monkeypatch.setattr(svp, "exact_divide", counting_divide)
+    assert reduce_to_chamber(f7, basis, w) == (f7.zeta(3), (3, -1))
+    assert len(divides) == 2
+
+
+def test_skewed_weights_refine_the_floor_form_quantum(f5):
+    """Weights 1 and 10^-8 give a Gram whose smallest eigenvalue (about 1e-8)
+    is below the 24-bit slack; the finer quantum certifies it."""
+    w = (Fraction(1), Fraction(1, 10**8))
+    mv = minimal_vectors(f5, w)
+    assert mv.count == 10
+    assert all(is_unit(f5.element(v)) for v in mv.vectors)
+    # the listed vectors attain the enclosed minimum in floating point
+    for v in mv.vectors:
+        q = sum(
+            float(x) * abs(sum(c * np.exp(2j * np.pi * rep * m / 5) for m, c in enumerate(v))) ** 2
+            for x, rep in zip(w, representatives(5))
+        )
+        assert float(mv.mu.lo) * (1 - 1e-9) <= q <= float(mv.mu.hi) * (1 + 1e-9)
+    assert cli.main(["minima", "--cyclotomic", "5", "--weights", "1,1/100000000"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "psi --cyclotomic 11 --t 1/2 --weights 1,2,3,4,5",
+        "set-e --cyclotomic 7",
+        "set-e --cyclotomic 7 --bits 256",
+        "verify-craig -p 7 -r 1..6",
+    ],
+)
+def test_analytic_json_is_byte_identical_to_stored_reference(command, capsys):
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[command]
+    rc = cli.main(command.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert rc == ref["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
