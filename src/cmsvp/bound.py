@@ -18,9 +18,10 @@ import dataclasses
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .embeddings import sigma
-from .errors import DegenerateSimplexError, InputError
+from .errors import DegenerateSimplexError, InputError, SimplexBudgetError
 from .field import CMField, FieldElement, field_norm, is_prime
 from .interval import (
     DEFAULT_PRECISION,
@@ -32,6 +33,10 @@ from .interval import (
     minor_intervals,
 )
 from .units import DeltaSet, UnitBasis, delta_sets
+
+# (k-1)! = 720 at k = 7, which no field has (14 is not a totient): k <= 6
+# runs (p = 13 in about 10 s) and k >= 8 is refused before any simplex.
+MAX_SIMPLICES = 720
 
 
 class Verdict(enum.Enum):
@@ -109,8 +114,12 @@ def theorem_bound(
     """The certified norm bound: max over all simplices of the simplex value.
 
     The (k-1)! vertex chains share 2^(k-1) distinct vertices, and Sigma is
-    evaluated once per vertex.
+    evaluated once per vertex.  More than MAX_SIMPLICES simplices raise
+    SimplexBudgetError before any is built.
     """
+    count = factorial(len(basis.generators))
+    if count > MAX_SIMPLICES:
+        raise SimplexBudgetError(count, MAX_SIMPLICES)
     sigmas = {}
     simplices = tuple(simplex_data(field, d, prec, sigmas) for d in delta_sets(basis))
     bound = interval_max(s.value for s in simplices)

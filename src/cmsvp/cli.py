@@ -7,7 +7,8 @@ cross-check, `set-e` materializes the characteristic set, and
 `theta` / `psi` expose the counting and truncated-sum machinery.
 
 Exit codes: 0 success, 1 verification or self-test failure, 2 bad input
-or degenerate simplex, 3 precision failure, 4 node budget exceeded.
+or degenerate simplex, 3 precision failure, 4 node or simplex budget
+exceeded.
 JSON output carries a "schema": "1" field and is byte-deterministic for
 a fixed configuration.
 """

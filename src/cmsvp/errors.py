@@ -54,6 +54,15 @@ class BudgetExceededError(CmsvpError):
         super().__init__(message)
 
 
+class SimplexBudgetError(BudgetExceededError):
+    """The theorem bound needs more simplices than its limit allows."""
+
+    def __init__(self, simplices, limit):
+        self.budget = limit
+        message = f"the bound needs {simplices} simplices, above the limit of {limit}"
+        CmsvpError.__init__(self, message)
+
+
 class NotPositiveDefiniteError(CmsvpError):
     """A Gram matrix expected to be positive definite is not."""
 

@@ -196,9 +196,6 @@ class RealInterval:
     def is_positive(self) -> bool:
         return self.lo > 0
 
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
     def less_than(self, x) -> bool:
         """Certified strict comparison against an exact rational."""
         return self.hi < Fraction(x)

@@ -267,7 +267,9 @@ def theta_counts(
 ) -> list[tuple[Fraction, int]]:
     """Sorted (q, count) pairs for q <= max_norm, including q = 0."""
     vectors, _ = enumerate_short(g, Fraction(max_norm), budget, include_zero=True)
-    counts: dict[Fraction, int] = {}
+    # keyed on integer pairs: Fraction does not cache its hash
+    counts: dict[tuple[int, int], int] = {}
     for _, v in vectors:
-        counts[v] = counts.get(v, 0) + 1
-    return sorted(counts.items())
+        key = (v.numerator, v.denominator)
+        counts[key] = counts.get(key, 0) + 1
+    return sorted((Fraction(n, d), c) for (n, d), c in counts.items())

@@ -176,8 +176,8 @@ def gram_matrix(
     )
 
 
-def _floor_form(g: GramMatrix) -> tuple[list[list[Fraction]], list[list[Fraction]], Fraction]:
-    """Rational (lower form, midpoint form, entry slack) for an interval Gram.
+def _floor_form(g: GramMatrix) -> list[list[Fraction]]:
+    """Rational lower form of a Gram; an exact Gram is its own.
 
     Midpoints are quantized to QUANTIZE_BITS fractional bits so downstream
     exact arithmetic stays cheap; the lower form subtracts dim*eps from the
@@ -187,6 +187,8 @@ def _floor_form(g: GramMatrix) -> tuple[list[list[Fraction]], list[list[Fraction
     bits double, up to the bit length of the midpoints' own denominators,
     past which a finer quantum cannot shrink eps any further.
     """
+    if g.exact:
+        return g.rows()
     mids = [[e.mid for e in row] for row in g.entries]
     finest = max(m.denominator for row in mids for m in row).bit_length()
     bits = QUANTIZE_BITS
@@ -212,7 +214,43 @@ def _quantized_floor_form(g: GramMatrix, mids, bits: int):
     for i in range(d):
         low[i][i] -= d * eps
     lattice.ldl(low)
-    return low, mid, eps
+    return low
+
+
+def lower_form(g: GramMatrix):
+    """(lower form L, LLL-reduced U L U^T, U) of a Gram; see _floor_form."""
+    low = _floor_form(g)
+    reduced, u = lattice.lll_reduce(low)
+    return low, reduced, u
+
+
+def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fraction:
+    """Smallest certified upper end of the weighted norm over the rows of U:
+    a radius that holds at least one nonzero vector of the form."""
+    return min(
+        weighted_norm(field, _basis_element(field, kappa, row), ws, prec).hi
+        for row in u
+    )
+
+
+def superset_search(field, ws, kappa, low, radius, prec, budget):
+    """({beta: (weighted norm enclosure, coordinates)}, nodes) over every
+    vector of the lower form `low` within `radius`, grouped by the exact
+    value beta = alpha*conj(alpha), groups in lexicographic order of their
+    first member.  As `low` bounds the form from below, the groups hold
+    every vector of weighted norm <= radius; the norm depends on alpha only
+    through beta, so one weighted_norm certifies each group."""
+    cands, nodes = lattice.enumerate_short(low, radius, budget)
+    groups = {}
+    for coords, _ in cands:
+        a = _basis_element(field, kappa, coords)
+        beta = a * a.conj()
+        group = groups.get(beta)
+        if group is None:
+            groups[beta] = (weighted_norm(field, a, ws, prec), [coords])
+        else:
+            group[1].append(coords)
+    return groups, nodes
 
 
 def enumerate_short(
@@ -239,33 +277,18 @@ def enumerate_short(
 
 
 def _interval_minimum(field, ws, kappa, prec, budget):
-    """Minimum cluster for interval weights: superset search plus certified
-    filtering, grouped by the exact algebraic value alpha*conj(alpha)."""
+    """Minimum cluster for interval weights: the superset search from the
+    best reduced basis vector's norm, kept when one group separates."""
     cur = prec
     for _ in range(MAX_REFINEMENTS + 1):
-        g = gram_matrix(field, ws, kappa, cur)
-        low, _, _ = _floor_form(g)
-        _, u = lattice.lll_reduce(low)
-        radius = None
-        for row in u:
-            val = weighted_norm(field, _basis_element(field, kappa, row), ws, cur)
-            if radius is None or val.hi < radius:
-                radius = val.hi
-        cands, nodes = lattice.enumerate_short(low, radius, budget)
-        groups: dict[FieldElement, list] = {}
-        vals: dict[FieldElement, RealInterval] = {}
-        for coords, _ in cands:
-            a = _basis_element(field, kappa, coords)
-            beta = a * a.conj()
-            if beta not in groups:
-                groups[beta] = []
-                vals[beta] = weighted_norm(field, a, ws, cur)
-            groups[beta].append(coords)
-        m_hi = min(v.hi for v in vals.values())
-        alive = [b for b, v in vals.items() if v.lo <= m_hi]
+        low, _, u = lower_form(gram_matrix(field, ws, kappa, cur))
+        radius = basis_minimum(field, ws, kappa, u, cur)
+        groups, nodes = superset_search(field, ws, kappa, low, radius, cur, budget)
+        m_hi = min(v.hi for v, _ in groups.values())
+        alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
-            win = alive[0]
-            return vals[win], tuple(sorted(groups[win])), radius, nodes
+            value, coords = alive[0]
+            return value, tuple(coords), radius, nodes
         cur = cur.doubled()
     raise PrecisionError(
         "minimum cluster did not separate; weights may tie distinct values exactly"
@@ -331,21 +354,19 @@ class _Chamber:
 def _chamber_exponents(
     chamber: _Chamber,
     w: FieldElement,
+    n_abs: int,
     prec: PrecisionConfig,
 ) -> tuple[int, ...]:
     """Integer exponents a with w / prod g_j^a_j in the fundamental chamber.
 
     Chamber coordinates c solve sum_j c_j log sigma_m(g_j conj(g_j)) =
-    log sigma_m(w conj(w)) - log N / k over the first k-1 embeddings; the
-    answer is floor(c).  Interval straddles on integer walls are resolved
+    log sigma_m(w conj(w)) - log n_abs / k over the first k-1 embeddings,
+    n_abs = |N(w)| > 0; the answer is floor(c).  Interval straddles on integer walls are resolved
     exactly: c equals an integer vector a iff w / prod g^a times its
     conjugate is rational.
     """
     field = chamber.field
     k1 = len(chamber.generators)
-    n_abs = abs(field_norm(w))
-    if n_abs == 0:
-        raise InputError("chamber reduction needs a nonzero element")
     cur = prec
     for _ in range(MAX_REFINEMENTS + 1):
         rows = chamber.log_rows(cur)
@@ -383,8 +404,11 @@ def reduce_to_chamber(
     prec: PrecisionConfig = DEFAULT_PRECISION,
 ) -> tuple[FieldElement, tuple[int, ...]]:
     """(w / prod g^a, a) with the quotient's log coordinates in [0,1)^(k-1)."""
+    n_abs = abs(field_norm(w))
+    if n_abs == 0:
+        raise InputError("chamber reduction needs a nonzero element")
     chamber = _Chamber(field, basis)
-    exps = _chamber_exponents(chamber, w, prec)
+    exps = _chamber_exponents(chamber, w, n_abs, prec)
     return chamber.divide_out(w, exps), exps
 
 
@@ -416,7 +440,7 @@ def characteristic_set_E(
         n_abs = abs(field_norm(a))
         if Fraction(n_abs) > bound.hi:
             continue
-        if _chamber_exponents(chamber, a, prec) == (0,) * (k - 1):
+        if _chamber_exponents(chamber, a, n_abs, prec) == (0,) * (k - 1):
             elements.append(a)
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
@@ -494,44 +518,26 @@ def hull_check(
     budget: int = lattice.DEFAULT_BUDGET,
 ) -> bool:
     """Do all weighted-norm minimizers map to the hull boundary of the
-    enumerated Sigma images?  Exact LP on certified midpoints."""
+    enumerated Sigma images?  Heuristic: an exact LP on the midpoints of the
+    Sigma enclosures, accepted within 2*k*(largest enclosure width)."""
     if field.k not in (2, 3):
         raise InputError("hull check is implemented for k in {2, 3}")
     ws = normalize_weights(field, w)
     mv = minimal_vectors(field, ws, None, prec, budget)
-    if isinstance(mv.mu, RealInterval):
-        radius = sample_radius * mv.mu.hi
-    else:
-        radius = sample_radius * mv.mu
-    if weights_are_equal_rational(ws):
-        g = gram_matrix(field, ws, None, prec)
-        cands, _ = lattice.enumerate_short(g.rows(), radius, budget)
-        coords_list = [c for c, _ in cands]
-    else:
-        g = gram_matrix(field, ws, None, prec)
-        low, _, _ = _floor_form(g)
-        cands, _ = lattice.enumerate_short(low, radius, budget)
-        coords_list = []
-        for c, _ in cands:
-            a = field.element(c)
-            if weighted_norm(field, a, ws, prec).lo <= radius:
-                coords_list.append(c)
+    radius = sample_radius * (mv.mu.hi if isinstance(mv.mu, RealInterval) else mv.mu)
+    low = _floor_form(gram_matrix(field, ws, None, prec))
+    groups, _ = superset_search(field, ws, None, low, radius, prec, budget)
     images: dict[FieldElement, tuple] = {}
     max_width = Fraction(0)
-    for c in coords_list:
-        a = field.element(c)
-        beta = a * a.conj()
-        if beta in images:
+    for beta, (value, coords) in groups.items():
+        if value.lo > radius:
             continue
-        vals = sigma(field, a, prec)
+        vals = sigma(field, field.element(coords[0]), prec)
         max_width = max(max_width, *(v.width for v in vals))
         images[beta] = tuple(v.mid for v in vals)
-    points = list(images.values())
-    order = {b: i for i, b in enumerate(images)}
     tol = field.k * max_width
     a0 = field.element(mv.vectors[0])
-    beta0 = a0 * a0.conj()
-    t_opt = _simplex_lp(points, order[beta0])
+    t_opt = _simplex_lp(list(images.values()), list(images).index(a0 * a0.conj()))
     return t_opt >= -2 * tol
 
 
@@ -544,7 +550,8 @@ def hull_consistency(
     weights_list=None,
 ) -> bool:
     """hull_check over several weight vectors: equal weights first, then
-    seeded random positive rationals (or an explicit list)."""
+    seeded random positive rationals (or an explicit list).  Heuristic, as
+    each hull_check verdict is."""
     if weights_list is None:
         rng = random.Random(seed)
         weights_list = [tuple(Fraction(1) for _ in range(field.k))]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lattice
-from .embeddings import normalize_weights, weighted_norm, weights_are_equal_rational
+from .embeddings import normalize_weights, weights_are_equal_rational
 from .errors import BudgetExceededError, InputError, SelfTestError
 from .field import CMField
 from .interval import (
@@ -34,7 +34,8 @@ from .interval import (
     pi_interval,
     root_interval,
 )
-from .svp import GramMatrix, _basis_element, _floor_form, gram_matrix, minimal_vectors
+from .svp import GramMatrix, gram_matrix, minimal_vectors
+from .svp import basis_minimum, lower_form, superset_search
 
 TAIL_REL = Fraction(1, 2**40)
 MAX_RADIUS_STEPS = 200
@@ -132,6 +133,11 @@ def _tail_bound(
     return top / (1 - e_half)
 
 
+def _pivot_floor(reduced) -> Fraction:
+    """Smallest LDL pivot of a reduced Gram: the tail bound's delta."""
+    return min(lattice.ldl(reduced)[1])
+
+
 def _initial_radius(dim: int, delta: Fraction, mu_ub: Fraction, t: Fraction, bits: int) -> Fraction:
     pi_lo = pi_interval(bits).lo
     r = max(Fraction(1), delta, mu_ub + 1, Fraction(dim) / (pi_lo * t))
@@ -182,10 +188,8 @@ def theta_sum(
     if t <= 0:
         raise InputError("t must be positive")
     bits = prec.bits
-    rows = g.rows()
-    reduced, _ = lattice.lll_reduce(rows)
-    _, pivots = lattice.ldl(reduced)
-    delta = min(pivots)
+    rows, reduced, _ = lower_form(g)
+    delta = _pivot_floor(reduced)
     mu_ub = min(reduced[i][i] for i in range(len(reduced)))
     radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, tail_rel, budget)
     counts = lattice.theta_counts(rows, radius, budget)
@@ -216,63 +220,31 @@ def psi_truncated(
         sample = theta_sum(g, t, prec, budget, tail_rel)
         return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
     bits = prec.bits
-    g = gram_matrix(field, ws, None, prec)
-    low, _, _ = _floor_form(g)
-    reduced_low, u = lattice.lll_reduce(low)
-    _, pivots = lattice.ldl(reduced_low)
-    delta = min(pivots)
-    mu_ub = None
-    for row in u:
-        val = weighted_norm(field, field.element(row), ws, prec)
-        if mu_ub is None or val.hi < mu_ub:
-            mu_ub = val.hi
+    low, reduced, u = lower_form(gram_matrix(field, ws, None, prec))
+    delta = _pivot_floor(reduced)
+    mu_ub = basis_minimum(field, ws, None, u, prec)
     radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, tail_rel, budget)
-    cands, _ = lattice.enumerate_short(low, radius, budget)
-    groups: dict = {}
-    for coords, _ in cands:
-        a = field.element(coords)
-        beta = a * a.conj()
-        if beta in groups:
-            groups[beta][1] += 1
-        else:
-            groups[beta] = [weighted_norm(field, a, ws, prec), 1]
+    groups, _ = superset_search(field, ws, None, low, radius, prec, budget)
     terms = [RealInterval.point(1)]
-    terms.extend(Fraction(c) * _term(v, t, bits) for v, c in groups.values())
+    terms.extend(Fraction(len(c)) * _term(v, t, bits) for v, c in groups.values())
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
 
 
-def _excess_data(field, ws, kappa, mv, prec, budget):
+def _excess_data(field, ws, mv, prec, budget):
     """Certified upper-bound ingredients for the non-minimal part of psi:
     (list of (value lower end, count) beyond the minimum, cutoff, pivot)."""
-    exact = not isinstance(mv.mu, RealInterval)
-    if exact:
-        g = gram_matrix(field, ws, kappa, prec)
-        rows = g.rows()
+    low, reduced, _ = lower_form(gram_matrix(field, ws, None, prec))
+    delta = _pivot_floor(reduced)
+    if not isinstance(mv.mu, RealInterval):
         cutoff = 3 * mv.mu
-        reduced, _ = lattice.lll_reduce(rows)
-        _, pivots = lattice.ldl(reduced)
-        delta = min(pivots)
-        shells = lattice.theta_counts(rows, cutoff, budget)
+        shells = lattice.theta_counts(low, cutoff, budget)
         beyond = [(Fraction(q), c) for q, c in shells if q > mv.mu]
         return beyond, cutoff, delta
-    g = gram_matrix(field, ws, kappa, prec)
-    low, _, _ = _floor_form(g)
     cutoff = 3 * mv.mu.hi
-    reduced_low, _ = lattice.lll_reduce(low)
-    _, pivots = lattice.ldl(reduced_low)
-    delta = min(pivots)
-    cands, _ = lattice.enumerate_short(low, cutoff, budget)
-    groups: dict = {}
-    for coords, _ in cands:
-        a = _basis_element(field, kappa, coords)
-        beta = a * a.conj()
-        if beta in groups:
-            groups[beta][1] += 1
-        else:
-            groups[beta] = [weighted_norm(field, a, ws, prec), 1]
-    a0 = _basis_element(field, kappa, mv.vectors[0])
+    groups, _ = superset_search(field, ws, None, low, cutoff, prec, budget)
+    a0 = field.element(mv.vectors[0])
     beta0 = a0 * a0.conj()
-    beyond = [(v.lo, c) for b, (v, c) in groups.items() if b != beta0]
+    beyond = [(v.lo, len(c)) for b, (v, c) in groups.items() if b != beta0]
     return beyond, cutoff, delta
 
 
@@ -303,7 +275,7 @@ def cusp_extract(
     mu0, n0 = mv.mu, mv.count
     mu_hi = mu0.hi if isinstance(mu0, RealInterval) else Fraction(mu0)
     mu_lo = mu0.lo if isinstance(mu0, RealInterval) else Fraction(mu0)
-    beyond, cutoff, delta = _excess_data(field, ws, None, mv, prec, budget)
+    beyond, cutoff, delta = _excess_data(field, ws, mv, prec, budget)
     pi = pi_interval(bits)
 
     def delta_hat(t: Fraction) -> Fraction:

@@ -77,6 +77,26 @@ def test_hopeless_theta_is_refused_up_front():
     assert "refused" in proc.stderr and "budget" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--cyclotomic", "17"),
+        ("set-e", "--cyclotomic", "17"),
+        ("verify-craig", "-p", "17"),
+    ],
+)
+def test_too_many_simplices_are_refused_up_front(argv):
+    # k = 8 walks 7! = 5040 simplices, above MAX_SIMPLICES = 720
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmsvp", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 4
+    assert "5040 simplices" in proc.stderr and "720" in proc.stderr
+
+
 def test_seed_flag_is_gone():
     proc = run_cli("minima", "--cyclotomic", "5", "--seed", "1")
     assert proc.returncode == 2

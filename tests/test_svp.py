@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmsvp import cli, svp
+from cmsvp import cli, lattice, svp
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import representatives
 from cmsvp.errors import InputError
@@ -21,7 +21,9 @@ from cmsvp.svp import (
     craig_circulant,
     enumerate_short,
     gram_matrix,
+    hull_check,
     hull_consistency,
+    lower_form,
     minimal_vectors,
     reduce_to_chamber,
 )
@@ -167,6 +169,39 @@ def test_reduce_to_chamber_inverts_unit_multiplication(f5, f7):
 def test_hull_consistency(f5, f7):
     assert hull_consistency(f5, trials=3)
     assert hull_consistency(f7, trials=2)
+    # single verdicts, equal and skew weights
+    assert hull_check(f5, None)
+    assert hull_check(f5, (Fraction(3), Fraction(1)))
+    assert hull_check(f7, None)
+    assert hull_check(f7, (Fraction(1), Fraction(2), Fraction(3)))
+
+
+def test_hull_check_certifies_each_beta_once(f5, monkeypatch):
+    """hull_check's own search evaluates weighted_norm once per distinct
+    alpha*conj(alpha), not once per enumerated candidate."""
+    w = (Fraction(3), Fraction(1))
+    certified = []
+    real_norm = svp.weighted_norm
+
+    def counting_norm(field, a, ws, prec):
+        certified.append(a * a.conj())
+        return real_norm(field, a, ws, prec)
+
+    monkeypatch.setattr(svp, "weighted_norm", counting_norm)
+    mv = minimal_vectors(f5, w)
+    mv_calls = len(certified)
+    certified.clear()
+    assert hull_check(f5, w)
+    # hull_check runs minimal_vectors first, then its own search
+    own = certified[mv_calls:]
+    low, _, _ = lower_form(gram_matrix(f5, w))
+    cands, _ = lattice.enumerate_short(low, 3 * mv.mu.hi)
+    betas = set()
+    for coords, _ in cands:
+        a = f5.element(coords)
+        betas.add(a * a.conj())
+    assert len(own) == len(set(own)) == len(betas) < len(cands)
+    assert set(own) == betas
 
 
 def test_hull_check_requires_small_k():
@@ -236,9 +271,26 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
 
     monkeypatch.setattr(svp, "log_sigma", counting_log)
     monkeypatch.setattr(svp, "solve_cramer", counting_solve)
+    norms, candidates = [], []
+    real_norm, real_enumerate = svp.field_norm, lattice.enumerate_short
+
+    def counting_norm(a):
+        norms.append(1)
+        return real_norm(a)
+
+    def counting_enumerate(*args):
+        found, nodes = real_enumerate(*args)
+        candidates.append(len(found))
+        return found, nodes
+
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
+    monkeypatch.setattr(svp, "field_norm", counting_norm)
+    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
+    # one exact norm per enumerated candidate, none recomputed in the chamber
+    assert candidates == [168]
+    assert len(norms) == 168
     # each candidate attempt logs only itself and runs one Cramer solve; the
     # generators are logged once at each precision tried
     assert len(solves) > 50

@@ -25,6 +25,44 @@ from cmsvp.theta import (
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
 THETA_IDEAL5_T2 = Fraction("1.0000000000004542202136648342414360426770426075049")
+# exact endpoints at weights (3, 1) on Q(zeta_5): psi_truncated at t = 2
+# (value, tail upper end, radius) and the cusp readout of mu
+SKEW5_PSI_T2_VALUE = (
+    Fraction(
+        "1078397867395190843838227666030703360775731599763308038557751082"
+        "80049/1078397866686025591786680603480785226945485776901622899244"
+        "14440996864"
+    ),
+    Fraction(
+        "2156795734790381687676455332061406721551463200969151464627025333"
+        "10393/2156795733372051183573361206961570453890971553803245798488"
+        "28881993728"
+    ),
+)
+SKEW5_PSI_T2_TAIL_HI = Fraction(
+    "2884642900119947392749259756532807330415971562467134406902343075"
+    "9862614497962227952590620148841180138897555321192804302011980125"
+    "1964786449720666991535550451320843883837361331497509071894793751"
+    "7259123863397883643993343256652886864511043678315223879737015315"
+    "0786921706766224727277716488159748389111255908044453989986597234"
+    "2784/66138864960432554359278372489105278795559991292977655973946"
+    "0275961959865600108823127813736066966775944838328478882907772341"
+    "1981208338024763420779762393495793856052325594207807537453810956"
+    "4588220654096694067496600788869507630383151814211122662497380038"
+    "9996552952076185732672649535503105430026135998390918293462086218"
+    "245120812898539475785980237980915269"
+)
+SKEW5_CUSP_MU = (
+    Fraction(
+        "1789862953928838347704445092741224323228291679391229470209177050"
+        "3000897257180211271/47553009545065586638994008314133890818471876"
+        "49483822387828555625283024518224281600"
+    ),
+    Fraction(
+        "1106040272165927288251727416283149869657919354016807/29385233965"
+        "1086010968627532783571912220889789235200"
+    ),
+)
 
 
 def test_theta_prefix_z5():
@@ -102,6 +140,9 @@ def test_psi_interval_weights_against_float_oracle(f5):
     """Skew-weight psi agrees with a brute-force complex-embedding sum."""
     w = (Fraction(3), Fraction(1))
     sample = psi_truncated(f5, w, 2)
+    assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
+    assert (sample.tail.lo, sample.tail.hi) == (0, SKEW5_PSI_T2_TAIL_HI)
+    assert sample.radius == Fraction(45, 4)
     enc = sample.enclosure()
     reps = representatives(5)
     box = 3
@@ -149,3 +190,5 @@ def test_cusp_extract_skew_weights(f5):
     ground = minimal_vectors(f5, (Fraction(3), Fraction(1)))
     assert count == ground.count
     assert mu.overlaps(ground.mu)
+    assert (mu.lo, mu.hi) == SKEW5_CUSP_MU
+    assert count == 10
