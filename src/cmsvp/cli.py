@@ -8,7 +8,7 @@ cross-check, `set-e` materializes the characteristic set, and
 
 Exit codes: 0 success, 1 verification or self-test failure, 2 bad input
 or degenerate simplex, 3 precision failure, 4 node or simplex budget
-exceeded.
+exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 JSON output carries a "schema": "1" field and is byte-deterministic for
 a fixed configuration.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141
 
 THETA_CHECK_NORM = Fraction(12)
 
@@ -407,7 +409,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point it at devnull so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InputError, DegenerateSimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -72,8 +72,8 @@ def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
     return out
 
 
-def _sigma_at_bits(field: CMField, a: FieldElement, bits: int) -> list[RealInterval]:
-    return _sigma_sum(field.conductor, (a * a.conj()).coords, bits)
+def _sigma_at_bits(field: CMField, beta: FieldElement, bits: int) -> list[RealInterval]:
+    return _sigma_sum(field.conductor, beta.coords, bits)
 
 
 def _radius_ok(vals: list[RealInterval]) -> bool:
@@ -81,19 +81,25 @@ def _radius_ok(vals: list[RealInterval]) -> bool:
 
 
 def sigma(
-    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
+    field: CMField,
+    a: FieldElement,
+    prec: PrecisionConfig = DEFAULT_PRECISION,
+    beta: FieldElement | None = None,
 ) -> tuple[RealInterval, ...]:
     """Certified enclosures of (sigma_1(a*abar), ..., sigma_k(a*abar)).
 
-    Retries once at doubled precision if any enclosure misses the relative
-    radius target, then raises PrecisionError.
+    `beta` is a*abar when the caller already has it.  Retries once at
+    doubled precision if any enclosure misses the relative radius target,
+    then raises PrecisionError.
     """
     if a.is_zero():
         return tuple(RealInterval.point(0) for _ in range(field.k))
-    vals = _sigma_at_bits(field, a, prec.bits)
+    if beta is None:
+        beta = a.times_conj()
+    vals = _sigma_at_bits(field, beta, prec.bits)
     if _radius_ok(vals):
         return tuple(vals)
-    vals = _sigma_at_bits(field, a, prec.doubled().bits)
+    vals = _sigma_at_bits(field, beta, prec.doubled().bits)
     if _radius_ok(vals):
         return tuple(vals)
     raise PrecisionError("sigma evaluation exceeded the radius target after retry")
@@ -104,12 +110,14 @@ def weighted_norm(
     a: FieldElement,
     weights,
     prec: PrecisionConfig = DEFAULT_PRECISION,
+    beta: FieldElement | None = None,
 ) -> RealInterval:
-    """Enclosure of the weighted norm sum_j x_j sigma_j(a*abar)."""
+    """Enclosure of the weighted norm sum_j x_j sigma_j(a*abar); `beta` is
+    a*abar when the caller already has it."""
     w = normalize_weights(field, weights)
     if a.is_zero():
         return RealInterval.point(0)
-    vals = sigma(field, a, prec)
+    vals = sigma(field, a, prec, beta)
     return interval_sum(x * v for x, v in zip(w, vals))
 
 
@@ -128,11 +136,17 @@ def sigma_real(
 
 
 def log_sigma(
-    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
+    field: CMField,
+    a: FieldElement,
+    prec: PrecisionConfig = DEFAULT_PRECISION,
+    beta: FieldElement | None = None,
 ) -> tuple[RealInterval, ...]:
-    """Enclosures of log sigma_j(a*abar); requires a != 0."""
+    """Enclosures of log sigma_j(a*abar); requires a != 0.  `beta` is
+    a*abar when the caller already has it."""
+    if beta is None:
+        beta = a.times_conj()
     for bits in (prec.bits, prec.doubled().bits):
-        vals = _sigma_at_bits(field, a, bits)
+        vals = _sigma_at_bits(field, beta, bits)
         if all(v.lo > 0 for v in vals):
             return tuple(log_interval(v, bits) for v in vals)
     raise PrecisionError("sigma enclosure not certifiably positive after retry")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 
@@ -279,6 +280,30 @@ class FieldElement:
                 for t, r in enumerate(rows[-j % n]):
                     if r:
                         out[t] += c * r
+        return FieldElement(field, tuple(out))
+
+    def times_conj(self) -> "FieldElement":
+        """alpha * conj(alpha) from the cyclic autocorrelation of the
+        coordinates: with alpha = sum a_i zeta^i it is r_0 + sum_(s >= 1)
+        r_s (zeta^s + zeta^(n-s)), r_s = sum_i a_i a_(i+s), which takes half
+        the products of a general multiplication.  Powers zeta^e with
+        e >= phi(n) fold back through the zeta-power table."""
+        field = self.field
+        n, d = field.conductor, field.degree
+        a = self.coords
+        acc = [0] * n
+        acc[0] = sum(map(mul, a, a))
+        for s in range(1, d):
+            r = sum(map(mul, a, a[s:]))
+            if r:
+                acc[s] += r
+                acc[n - s] += r
+        out = acc[:d]
+        rows = field._zeta_powers
+        for e in range(d, n):
+            c = acc[e]
+            if c:
+                out = [o + c * x for o, x in zip(out, rows[e])]
         return FieldElement(field, tuple(out))
 
     def format(self) -> str:

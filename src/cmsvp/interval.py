@@ -417,14 +417,21 @@ def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
     ]
 
 
-def solve_cramer(m: list[list[RealInterval]], rhs: list[RealInterval]) -> list[RealInterval]:
-    """Solve m x = rhs by Cramer's rule; m's determinant must exclude zero."""
+def adjugate(m: list[list[RealInterval]]) -> tuple[list[list[RealInterval]], RealInterval]:
+    """(C, det m) for a square interval matrix m, C[i][j] the cofactor
+    (-1)^(i+j) det_interval(m without row i and column j).
+
+    m x = y solves as x_j = sum_i y_i C[i][j] / det m: Cramer's rule with
+    the replaced column expanded, so one adjugate serves every right-hand
+    side and the interval expression still encloses the exact solution.
+    """
     n = len(m)
-    d = det_interval(m)
-    if d.contains_zero():
-        raise PrecisionError("Cramer solve: determinant interval contains zero")
-    out = []
-    for j in range(n):
-        mj = [[rhs[i] if c == j else m[i][c] for c in range(n)] for i in range(n)]
-        out.append(det_interval(mj) / d)
-    return out
+    cofactors = []
+    for i in range(n):
+        rows = [row for r, row in enumerate(m) if r != i]
+        out = []
+        for j in range(n):
+            minor = det_interval([[x for c, x in enumerate(row) if c != j] for row in rows])
+            out.append(-minor if (i + j) % 2 else minor)
+        cofactors.append(out)
+    return cofactors, det_interval(m)

@@ -50,10 +50,11 @@ from .interval import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     RealInterval,
+    adjugate,
     interval_json,
+    interval_sum,
     log_interval,
     root_interval,
-    solve_cramer,
 )
 from .units import UnitBasis, fundamental_domain_vertices
 
@@ -148,7 +149,7 @@ def gram_matrix(
     if kappa is not None and kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
     d = field.degree
-    kk = field.one() if kappa is None else kappa * kappa.conj()
+    kk = field.one() if kappa is None else kappa.times_conj()
     if weights_are_equal_rational(ws):
         w0 = ws[0]
         t = [w0 * Fraction(trace(kk * field.zeta(j)), 2) for j in range(d)]
@@ -244,10 +245,10 @@ def superset_search(field, ws, kappa, low, radius, prec, budget):
     groups = {}
     for coords, _ in cands:
         a = _basis_element(field, kappa, coords)
-        beta = a * a.conj()
+        beta = a.times_conj()
         group = groups.get(beta)
         if group is None:
-            groups[beta] = (weighted_norm(field, a, ws, prec), [coords])
+            groups[beta] = (weighted_norm(field, a, ws, prec, beta), [coords])
         else:
             group[1].append(coords)
     return groups, nodes
@@ -317,64 +318,96 @@ def minimal_vectors(
 
 
 def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
-    return Fraction(trace(a * a.conj()), 2)
+    return Fraction(trace(a.times_conj()), 2)
+
+
+def _unit_quotient(w: FieldElement, exps, units, inverses) -> FieldElement:
+    """w / prod units_j^a_j for integer exponents a, given each inverse."""
+    for u, inv, a in zip(units, inverses, exps):
+        factor = inv if a > 0 else u
+        for _ in range(abs(a)):
+            w = w * factor
+    return w
 
 
 class _Chamber:
     """What every chamber reduction against one unit basis shares: each
-    inverse g_j^-1 (integral, since g_j is a unit) and, per precision tried,
-    the generators' log rows L[j][m] = log sigma_m(g_j conj(g_j)), m < k-1."""
+    inverse g_j^-1 (integral, since g_j is a unit), each beta_j =
+    g_j conj(g_j) and its inverse, and, per precision tried, the generators'
+    log matrix L[m][j] = log sigma_m(beta_j), m < k-1, with its cofactors
+    and determinant."""
 
     def __init__(self, field: CMField, basis: UnitBasis):
         self.field = field
         self.generators = basis.generators
         one = field.one()
         self.inverses = tuple(exact_divide(one, g) for g in basis.generators)
-        self._log_rows: dict[int, tuple[tuple[RealInterval, ...], ...]] = {}
+        self.betas = tuple(g.times_conj() for g in self.generators)
+        self.beta_inverses = tuple(v.times_conj() for v in self.inverses)
+        self._logs: dict[int, tuple] = {}
 
-    def log_rows(self, prec: PrecisionConfig) -> tuple[tuple[RealInterval, ...], ...]:
-        rows = self._log_rows.get(prec.bits)
-        if rows is None:
+    def _log_data(self, prec: PrecisionConfig) -> tuple:
+        """(log rows L^T, cofactors of L, det L) at this precision."""
+        data = self._logs.get(prec.bits)
+        if data is None:
             k1 = len(self.generators)
             rows = tuple(
-                tuple(log_sigma(self.field, g, prec)[:k1]) for g in self.generators
+                tuple(log_sigma(self.field, g, prec, beta)[:k1])
+                for g, beta in zip(self.generators, self.betas)
             )
-            self._log_rows[prec.bits] = rows
-        return rows
+            cofactors, det = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
+            data = self._logs[prec.bits] = (rows, cofactors, det)
+        return data
+
+    def log_rows(self, prec: PrecisionConfig) -> tuple[tuple[RealInterval, ...], ...]:
+        return self._log_data(prec)[0]
+
+    def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
+        """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1:
+        c_j = sum_m ys[m] C[m][j] / det L."""
+        _, cofactors, det = self._log_data(prec)
+        if det.contains_zero():
+            raise PrecisionError("unit log matrix: determinant interval contains zero")
+        k1 = len(cofactors)
+        return [
+            interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
+            for j in range(k1)
+        ]
 
     def divide_out(self, w: FieldElement, exps) -> FieldElement:
         """w / prod g_j^a_j for integer exponents a."""
-        for g, inv, a in zip(self.generators, self.inverses, exps):
-            factor = inv if a > 0 else g
-            for _ in range(abs(a)):
-                w = w * factor
-        return w
+        return _unit_quotient(w, exps, self.generators, self.inverses)
+
+    def on_wall(self, beta: FieldElement, exps) -> bool:
+        """Is beta / prod beta_j^a_j rational, i.e. are the chamber
+        coordinates of beta exactly the integers a?"""
+        red = _unit_quotient(beta, exps, self.betas, self.beta_inverses)
+        return not any(red.coords[1:])
 
 
 def _chamber_exponents(
     chamber: _Chamber,
     w: FieldElement,
+    beta: FieldElement,
     n_abs: int,
     prec: PrecisionConfig,
 ) -> tuple[int, ...]:
     """Integer exponents a with w / prod g_j^a_j in the fundamental chamber.
 
-    Chamber coordinates c solve sum_j c_j log sigma_m(g_j conj(g_j)) =
-    log sigma_m(w conj(w)) - log n_abs / k over the first k-1 embeddings,
-    n_abs = |N(w)| > 0; the answer is floor(c).  Interval straddles on integer walls are resolved
-    exactly: c equals an integer vector a iff w / prod g^a times its
-    conjugate is rational.
+    beta = w conj(w) and n_abs = |N(w)| > 0; everything here depends on w
+    only through them.  Chamber coordinates c solve sum_j c_j log
+    sigma_m(g_j conj(g_j)) = log sigma_m(beta) - log n_abs / k over the
+    first k-1 embeddings; the answer is floor(c).  Interval straddles on
+    integer walls are resolved exactly: c equals an integer vector a iff
+    beta / prod (g_j conj(g_j))^a_j is rational.
     """
     field = chamber.field
     k1 = len(chamber.generators)
     cur = prec
     for _ in range(MAX_REFINEMENTS + 1):
-        rows = chamber.log_rows(cur)
-        mat = [[rows[j][m] for j in range(k1)] for m in range(k1)]
-        ys = log_sigma(field, w, cur)
+        ys = log_sigma(field, w, cur, beta)
         shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
-        rhs = [ys[m] - shift for m in range(k1)]
-        c = solve_cramer(mat, rhs)
+        c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
         floors = []
         straddle = False
         for cj in c:
@@ -388,9 +421,7 @@ def _chamber_exponents(
         if not straddle:
             return tuple(floors)
         guess = tuple(round(cj.mid) for cj in c)
-        red = chamber.divide_out(w, guess)
-        bb = red * red.conj()
-        if all(x == 0 for x in bb.coords[1:]):
+        if chamber.on_wall(beta, guess):
             # exactly on a wall lattice point: c == guess, floor == guess
             return guess
         cur = cur.doubled()
@@ -408,7 +439,7 @@ def reduce_to_chamber(
     if n_abs == 0:
         raise InputError("chamber reduction needs a nonzero element")
     chamber = _Chamber(field, basis)
-    exps = _chamber_exponents(chamber, w, n_abs, prec)
+    exps = _chamber_exponents(chamber, w, w.times_conj(), n_abs, prec)
     return chamber.divide_out(w, exps), exps
 
 
@@ -433,15 +464,22 @@ def characteristic_set_E(
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     g = gram_matrix(field, None, None, prec)
     found, _ = lattice.enumerate_short(g.rows(), radius, budget)
-    chamber = _Chamber(field, basis)
-    elements = []
+    # the norm and the chamber coordinates depend on a only through
+    # beta = a conj(a), so each group of candidates is tested once
+    groups: dict[tuple[int, ...], list[FieldElement]] = {}
     for coords, _ in found:
-        a = field.element(coords)
-        n_abs = abs(field_norm(a))
+        a = FieldElement(field, coords)
+        groups.setdefault(a.times_conj().coords, []).append(a)
+    chamber = _Chamber(field, basis)
+    origin = (0,) * (k - 1)
+    elements = []
+    for beta, members in groups.items():
+        n_abs = abs(field_norm(members[0]))
         if Fraction(n_abs) > bound.hi:
             continue
-        if _chamber_exponents(chamber, a, n_abs, prec) == (0,) * (k - 1):
-            elements.append(a)
+        exps = _chamber_exponents(chamber, members[0], FieldElement(field, beta), n_abs, prec)
+        if exps == origin:
+            elements.extend(members)
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
 
@@ -532,12 +570,12 @@ def hull_check(
     for beta, (value, coords) in groups.items():
         if value.lo > radius:
             continue
-        vals = sigma(field, field.element(coords[0]), prec)
+        vals = sigma(field, field.element(coords[0]), prec, beta)
         max_width = max(max_width, *(v.width for v in vals))
         images[beta] = tuple(v.mid for v in vals)
     tol = field.k * max_width
     a0 = field.element(mv.vectors[0])
-    t_opt = _simplex_lp(list(images.values()), list(images).index(a0 * a0.conj()))
+    t_opt = _simplex_lp(list(images.values()), list(images).index(a0.times_conj()))
     return t_opt >= -2 * tol
 
 

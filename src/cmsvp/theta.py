@@ -243,7 +243,7 @@ def _excess_data(field, ws, mv, prec, budget):
     cutoff = 3 * mv.mu.hi
     groups, _ = superset_search(field, ws, None, low, cutoff, prec, budget)
     a0 = field.element(mv.vectors[0])
-    beta0 = a0 * a0.conj()
+    beta0 = a0.times_conj()
     beyond = [(v.lo, len(c)) for b, (v, c) in groups.items() if b != beta0]
     return beyond, cutoff, delta
 

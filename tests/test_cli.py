@@ -197,3 +197,20 @@ def test_set_e_size():
     out = json.loads(proc.stdout)
     assert out["size"] == 10
     assert len(out["elements"]) == 10
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_closed_stdout_exits_141_without_a_traceback(fmt):
+    """A reader that closes the pipe early (`| head -c 50`) gets exit 141,
+    128 + SIGPIPE, and nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmsvp", "theta", "--circulant", "10,1", "--max-norm", "6", *fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # closed long before the child has imported cmsvp and enumerated
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err == ""

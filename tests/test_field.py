@@ -309,3 +309,22 @@ def test_large_field_builds_fast():
     assert time.perf_counter() - start < 1.0
     assert field.degree == 128
     assert field.zeta(255) == field.one()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([1, 6, 10**20]),
+    st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_times_conj_equals_the_product_with_the_conjugate(seed, span, sparsity):
+    """Every conductor up to 130; coordinates drawn from the example's seed,
+    magnitude and share of zeros."""
+    rng = random.Random(seed)
+    for n in ALL_CONDUCTORS:
+        field = CMField(n)
+        a = field.element(
+            [0 if rng.random() < sparsity else rng.randint(-span, span) for _ in range(field.degree)]
+        )
+        assert a.times_conj() == a * a.conj(), n
+    assert CMField(7).zero().times_conj() == CMField(7).zero()

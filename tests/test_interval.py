@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
+    adjugate,
     cos2pi,
     decimal_str,
     det_cofactor,
@@ -23,7 +24,6 @@ from cmsvp.interval import (
     minor_intervals,
     pi_interval,
     root_interval,
-    solve_cramer,
 )
 
 fractions = st.fractions(
@@ -138,13 +138,19 @@ def test_det_interval_matches_exact_rational_det():
     assert det_interval(rows).contains(exact)
 
 
-def test_solve_cramer():
+def adjugate_solve(cofactors, det, rhs):
+    """m x = rhs from the adjugate of m: x_j = sum_i rhs_i C[i][j] / det m."""
+    n = len(rhs)
+    return [interval_sum(rhs[i] * cofactors[i][j] for i in range(n)) / det for j in range(n)]
+
+
+def test_adjugate_solve():
     rows = [
         [RealInterval.point(2), RealInterval.point(1)],
         [RealInterval.point(1), RealInterval.point(3)],
     ]
     rhs = [RealInterval.point(5), RealInterval.point(10)]
-    x = solve_cramer(rows, rhs)
+    x = adjugate_solve(*adjugate(rows), rhs)
     assert x[0].contains(1)
     assert x[1].contains(3)
 
@@ -222,3 +228,50 @@ def test_minor_intervals_equal_det_interval_per_minor(rows):
         for l in range(width)
     ]
     assert minor_intervals(rows) == expected
+
+
+def exact_solve(m, rhs):
+    """Gauss-Jordan over Fractions; None when m is singular."""
+    n = len(m)
+    aug = [list(row) + [b] for row, b in zip(m, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+def systems(n):
+    return st.tuples(
+        st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(fractions, min_size=n, max_size=n),
+        st.sampled_from([Fraction(0), Fraction(1, 2**40), Fraction(1, 2**10)]),
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.integers(min_value=1, max_value=6).flatmap(systems))
+def test_adjugate_solve_encloses_the_exact_solution(system):
+    """Rational point systems of order 1-6, solved as points and with every
+    entry widened by a radius r: the enclosure holds the exact solution."""
+    m, rhs, r = system
+    exact = exact_solve(m, rhs)
+    assume(exact is not None)
+    rows = [[RealInterval(x - r, x + r) for x in row] for row in m]
+    ys = [RealInterval(y - r, y + r) for y in rhs]
+    cofactors, det = adjugate(rows)
+    assume(not det.contains_zero())
+    x = adjugate_solve(cofactors, det, ys)
+    for xj, ej in zip(x, exact):
+        assert xj.contains(ej)
+        if r == 0:
+            assert xj == RealInterval.point(ej)
+    # each row expands to the determinant
+    for i, row in enumerate(rows):
+        assert interval_sum(a * c for a, c in zip(row, cofactors[i])).overlaps(det)

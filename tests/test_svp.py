@@ -10,12 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmsvp import cli, lattice, svp
+from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
-from cmsvp.embeddings import representatives
+from cmsvp.embeddings import log_sigma, representatives
 from cmsvp.errors import InputError
-from cmsvp.field import CMField, exact_divide, is_unit, trace
-from cmsvp.interval import RealInterval
+from cmsvp.field import CMField, exact_divide, field_norm, is_unit, trace
+from cmsvp.interval import (
+    PrecisionConfig,
+    RealInterval,
+    det_interval,
+    log_interval,
+    root_interval,
+)
 from cmsvp.svp import (
     characteristic_set_E,
     craig_circulant,
@@ -27,7 +33,7 @@ from cmsvp.svp import (
     minimal_vectors,
     reduce_to_chamber,
 )
-from cmsvp.units import cyclotomic_unit_basis
+from cmsvp.units import cyclotomic_unit_basis, fundamental_domain_vertices
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -183,9 +189,9 @@ def test_hull_check_certifies_each_beta_once(f5, monkeypatch):
     certified = []
     real_norm = svp.weighted_norm
 
-    def counting_norm(field, a, ws, prec):
+    def counting_norm(field, a, ws, prec, beta=None):
         certified.append(a * a.conj())
-        return real_norm(field, a, ws, prec)
+        return real_norm(field, a, ws, prec, beta)
 
     monkeypatch.setattr(svp, "weighted_norm", counting_norm)
     mv = minimal_vectors(f5, w)
@@ -252,27 +258,28 @@ def test_gram_scaled():
 
 
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
+    """Set E at p = 7 tests each beta = a conj(a) once: 168 candidates fall
+    into 11 groups, each gets one exact norm, and each chamber attempt one
+    log_sigma against one adjugate of the unit log matrix per precision."""
     field = CMField(7)
+    k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
-    logged, solves, divides = [], [], []
-    real_log, real_solve, real_divide = svp.log_sigma, svp.solve_cramer, svp.exact_divide
+    logged, dets, divides, norms, candidates, attempts = [], [], [], [], [], []
+    real_log, real_divide, real_norm = svp.log_sigma, svp.exact_divide, svp.field_norm
+    real_det, real_enumerate = interval.det_interval, lattice.enumerate_short
+    real_coordinates = svp._Chamber.coordinates
 
-    def counting_log(field, a, prec):
+    def counting_log(field, a, prec, beta=None):
         logged.append(prec.bits)
-        return real_log(field, a, prec)
+        return real_log(field, a, prec, beta)
 
-    def counting_solve(m, rhs):
-        solves.append(1)
-        return real_solve(m, rhs)
+    def counting_det(m):
+        dets.append(len(m))
+        return real_det(m)
 
     def counting_divide(a, b):
         divides.append(1)
         return real_divide(a, b)
-
-    monkeypatch.setattr(svp, "log_sigma", counting_log)
-    monkeypatch.setattr(svp, "solve_cramer", counting_solve)
-    norms, candidates = [], []
-    real_norm, real_enumerate = svp.field_norm, lattice.enumerate_short
 
     def counting_norm(a):
         norms.append(1)
@@ -283,18 +290,32 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         candidates.append(len(found))
         return found, nodes
 
+    def counting_coordinates(self, ys, prec):
+        attempts.append(prec.bits)
+        return real_coordinates(self, ys, prec)
+
+    monkeypatch.setattr(svp, "log_sigma", counting_log)
+    # interval.adjugate looks det_interval up in its own module; the bound
+    # engine binds its own name and is not counted
+    monkeypatch.setattr(interval, "det_interval", counting_det)
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
     monkeypatch.setattr(svp, "field_norm", counting_norm)
     monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(svp._Chamber, "coordinates", counting_coordinates)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
-    # one exact norm per enumerated candidate, none recomputed in the chamber
     assert candidates == [168]
-    assert len(norms) == 168
-    # each candidate attempt logs only itself and runs one Cramer solve; the
-    # generators are logged once at each precision tried
-    assert len(solves) > 50
-    assert len(logged) == len(solves) + gens * len(set(logged))
+    # one exact norm per beta group
+    assert len(norms) == 11
+    # each chamber attempt logs only its beta; the generators are logged
+    # once at each precision tried
+    precisions = len(set(logged))
+    assert len(logged) == len(attempts) + gens * precisions
+    # det L and its (k-1)^2 cofactor minors, once per precision
+    assert len(dets) == (1 + k1 * k1) * precisions
+    # at p = 7 every attempt separates at the base precision: 7 of the 11
+    # groups are within the norm bound
+    assert (precisions, len(attempts), len(logged), len(dets)) == (1, 7, 9, 5)
     # one division per generator, for its inverse
     assert len(divides) == gens
 
@@ -347,3 +368,73 @@ def test_analytic_json_is_byte_identical_to_stored_reference(command, capsys):
     out = capsys.readouterr().out
     assert rc == ref["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
+
+
+def _reference_set_e(field, basis, report, prec):
+    """Set E one candidate at a time: an exact norm, a Cramer solve on
+    interval determinants and a wall test on the candidate itself, for every
+    enumerated candidate."""
+    k, k1 = field.k, field.k - 1
+    bound = report.bound
+    q_max = max(Fraction(trace(v * v.conj()), 2) for v in fundamental_domain_vertices(basis))
+    radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
+    found, _ = lattice.enumerate_short(gram_matrix(field, None, None, prec).rows(), radius)
+    gens = basis.generators
+
+    def exponents(a, n_abs):
+        cur = prec
+        for _ in range(svp.MAX_REFINEMENTS + 1):
+            rows = [log_sigma(field, g, cur)[:k1] for g in gens]
+            mat = [[rows[j][m] for j in range(k1)] for m in range(k1)]
+            ys = log_sigma(field, a, cur)
+            shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / k
+            rhs = [ys[m] - shift for m in range(k1)]
+            det = det_interval(mat)
+            c = [
+                det_interval([[rhs[i] if col == j else mat[i][col] for col in range(k1)] for i in range(k1)])
+                / det
+                for j in range(k1)
+            ]
+            lo = [cj.lo.numerator // cj.lo.denominator for cj in c]
+            hi = [cj.hi.numerator // cj.hi.denominator for cj in c]
+            if lo == hi:
+                return tuple(lo)
+            guess = tuple(round(cj.mid) for cj in c)
+            red = a
+            for g, e in zip(gens, guess):
+                for _ in range(abs(e)):
+                    red = exact_divide(red, g) if e > 0 else red * g
+            if not any((red * red.conj()).coords[1:]):
+                return guess
+            cur = cur.doubled()
+        raise AssertionError("reference chamber solve did not separate")
+
+    elements = []
+    for coords, _ in found:
+        a = field.element(coords)
+        n_abs = abs(field_norm(a))
+        if n_abs <= bound.hi and exponents(a, n_abs) == (0,) * k1:
+            elements.append(a)
+    return tuple(sorted(elements, key=lambda e: e.coords))
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("conductor", [5, 7])
+def test_set_e_by_beta_groups_equals_the_per_candidate_loop(conductor, bits):
+    field = CMField(conductor)
+    basis = cyclotomic_unit_basis(field)
+    prec = PrecisionConfig(bits)
+    report = theorem_bound(field, basis, prec)
+    expected = _reference_set_e(field, basis, report, prec)
+    assert characteristic_set_E(field, basis, report, prec).elements == expected
+
+
+def test_set_e_p11_json_is_pinned(capsys):
+    """44 elements, and the --json bytes of the per-candidate implementation
+    this grouping replaced."""
+    assert cli.main(["set-e", "--cyclotomic", "11", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["size"] == 44
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ea65679c581d1d6f716c07a1e3e98a101f516103cf4e6b62bff26beed0d11dfa"
+    )
