@@ -67,45 +67,39 @@ class BoundReport:
     verdict: Verdict | None = None
 
 
-def _simplex_at_precision(
-    field: CMField, delta: DeltaSet, prec: PrecisionConfig, sigmas: dict
-) -> SimplexData:
-    k = field.k
-    rows = []
-    for v in delta.vertices:
-        if v.coords not in sigmas:
-            sigmas[v.coords] = sigma(field, v, prec)
-        rows.append(sigmas[v.coords])
-    det_a = det_interval(rows)
-    diff = [
-        [rows[i + 1][j] - rows[i][j] for j in range(k)]
-        for i in range(k - 1)
-    ]
-    det_bs = minor_intervals(diff)
-    for l, db in enumerate(det_bs):
-        if db.contains_zero():
-            raise DegenerateSimplexError(delta.perm, l)
-    value = abs((det_a / k) ** k / interval_prod(det_bs))
-    return SimplexData(delta.perm, delta.vertices, det_a, tuple(det_bs), value)
-
-
 def simplex_data(
     field: CMField,
     delta: DeltaSet,
     prec: PrecisionConfig = DEFAULT_PRECISION,
     sigmas: dict | None = None,
 ) -> SimplexData:
-    """Certified simplex data, retrying once at doubled precision before
-    declaring a minor degenerate.
+    """Certified simplex data at the first rung of the precision ladder
+    where no minor determinant contains zero; DegenerateSimplexError when
+    one still does at the top rung.
 
-    `sigmas` maps vertex coordinates to their Sigma rows at `prec`, so
-    simplices that share a vertex evaluate Sigma once; the retry starts
-    from a fresh map at the doubled precision.
+    `sigmas` maps (bits, vertex coordinates) to Sigma rows, so simplices
+    that share a vertex evaluate Sigma once per rung.
     """
-    try:
-        return _simplex_at_precision(field, delta, prec, {} if sigmas is None else sigmas)
-    except DegenerateSimplexError:
-        return _simplex_at_precision(field, delta, prec.doubled(), {})
+    sigmas = {} if sigmas is None else sigmas
+    k = field.k
+    for cur in prec.ladder():
+        rows = []
+        for v in delta.vertices:
+            key = (cur.bits, v.coords)
+            if key not in sigmas:
+                sigmas[key] = sigma(field, v, cur)
+            rows.append(sigmas[key])
+        det_a = det_interval(rows)
+        diff = [
+            [rows[i + 1][j] - rows[i][j] for j in range(k)]
+            for i in range(k - 1)
+        ]
+        det_bs = minor_intervals(diff)
+        zero = [l for l, db in enumerate(det_bs) if db.contains_zero()]
+        if not zero:
+            value = abs((det_a / k) ** k / interval_prod(det_bs))
+            return SimplexData(delta.perm, delta.vertices, det_a, tuple(det_bs), value)
+    raise DegenerateSimplexError(delta.perm, zero[0], cur.bits)
 
 
 def theorem_bound(

@@ -72,12 +72,14 @@ def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
     return out
 
 
-def _sigma_at_bits(field: CMField, beta: FieldElement, bits: int) -> list[RealInterval]:
-    return _sigma_sum(field.conductor, beta.coords, bits)
-
-
-def _radius_ok(vals: list[RealInterval]) -> bool:
-    return all(v.relative_radius() <= REL_RADIUS for v in vals)
+def _certified_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
+    """_sigma_sum at the first rung of prec's ladder where every enclosure
+    meets the relative radius target REL_RADIUS."""
+    for cur in prec.ladder():
+        vals = _sigma_sum(n, coords, cur.bits)
+        if all(v.relative_radius() <= REL_RADIUS for v in vals):
+            return tuple(vals)
+    raise PrecisionError(f"sigma: radius target missed at {cur.bits} bits")
 
 
 def sigma(
@@ -88,21 +90,13 @@ def sigma(
 ) -> tuple[RealInterval, ...]:
     """Certified enclosures of (sigma_1(a*abar), ..., sigma_k(a*abar)).
 
-    `beta` is a*abar when the caller already has it.  Retries once at
-    doubled precision if any enclosure misses the relative radius target,
-    then raises PrecisionError.
+    `beta` is a*abar when the caller already has it.  Climbs the precision
+    ladder until every enclosure meets the relative radius target, and
+    raises PrecisionError when its top rung misses.
     """
-    if a.is_zero():
-        return tuple(RealInterval.point(0) for _ in range(field.k))
     if beta is None:
         beta = a.times_conj()
-    vals = _sigma_at_bits(field, beta, prec.bits)
-    if _radius_ok(vals):
-        return tuple(vals)
-    vals = _sigma_at_bits(field, beta, prec.doubled().bits)
-    if _radius_ok(vals):
-        return tuple(vals)
-    raise PrecisionError("sigma evaluation exceeded the radius target after retry")
+    return _certified_sigma(field.conductor, beta.coords, prec)
 
 
 def weighted_norm(
@@ -124,15 +118,11 @@ def weighted_norm(
 def sigma_real(
     field: CMField, x: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
 ) -> tuple[RealInterval, ...]:
-    """Enclosures of sigma_m(x) for a conjugation-fixed element x."""
+    """Enclosures of sigma_m(x) for a conjugation-fixed element x, certified
+    as sigma's are."""
     if x != x.conj():
         raise ValueError("sigma_real needs a conjugation-fixed element")
-    out = []
-    for bits in (prec.bits, prec.doubled().bits):
-        out = _sigma_sum(field.conductor, x.coords, bits)
-        if _radius_ok([v for v in out if not (v.lo == 0 and v.hi == 0)]):
-            return tuple(out)
-    return tuple(out)
+    return _certified_sigma(field.conductor, x.coords, prec)
 
 
 def log_sigma(
@@ -145,11 +135,11 @@ def log_sigma(
     a*abar when the caller already has it."""
     if beta is None:
         beta = a.times_conj()
-    for bits in (prec.bits, prec.doubled().bits):
-        vals = _sigma_at_bits(field, beta, bits)
+    for cur in prec.ladder():
+        vals = _sigma_sum(field.conductor, beta.coords, cur.bits)
         if all(v.lo > 0 for v in vals):
-            return tuple(log_interval(v, bits) for v in vals)
-    raise PrecisionError("sigma enclosure not certifiably positive after retry")
+            return tuple(log_interval(v, cur.bits) for v in vals)
+    raise PrecisionError(f"log_sigma: enclosure not certifiably positive at {cur.bits} bits")
 
 
 def normalize_weights(field: CMField, weights) -> tuple:

@@ -24,32 +24,33 @@ class DependentUnitsError(InputError):
 class DegenerateSimplexError(CmsvpError):
     """A simplex minor determinant could not be bounded away from zero."""
 
-    def __init__(self, perm, minor_index):
+    def __init__(self, perm, minor_index, bits):
         self.perm = tuple(perm)
         self.minor_index = minor_index
         super().__init__(
-            f"degenerate simplex for permutation {self.perm}: "
-            f"minor {minor_index} has a determinant interval containing zero"
+            f"simplex_data: degenerate simplex for permutation {self.perm}: minor "
+            f"{minor_index} has a determinant interval containing zero at {bits} bits"
         )
 
 
 class PrecisionError(CmsvpError):
-    """Interval arithmetic failed to certify a result after the retry."""
+    """Interval arithmetic failed to certify a result at the top rung of the
+    precision ladder (`PrecisionConfig.ladder`)."""
 
 
 class BudgetExceededError(CmsvpError):
-    """Enumeration visited, or was estimated to visit far, more nodes than
-    the configured budget allows."""
+    """Enumeration visited or listed, or was estimated to visit or list,
+    more nodes or vectors (`what`) than its budget allows."""
 
-    def __init__(self, budget, log10_estimate=None):
+    def __init__(self, budget, log10_estimate=None, what="nodes"):
         self.budget = budget
         if log10_estimate is None:
-            message = f"enumeration exceeded the node budget of {budget}"
+            message = f"enumeration exceeded the budget of {budget} {what}"
         else:
             message = (
                 f"enumeration refused before it started: the Gaussian heuristic "
-                f"estimates about 10^{log10_estimate:.1f} nodes, far above the node "
-                f"budget of {budget}"
+                f"estimates about 10^{log10_estimate:.1f} {what}, above the budget "
+                f"of {budget} {what}"
             )
         super().__init__(message)
 

@@ -27,6 +27,9 @@ from mpmath.libmp import (
 from .errors import PrecisionError
 
 MIN_BITS = 53
+# the top of every precision ladder; at 4096 bits `bound --cyclotomic 11`
+# still finishes, in about 70 s on a 2-CPU x86-64 VM
+MAX_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -34,20 +37,22 @@ class PrecisionConfig:
     """Working binary precision and the certified-radius target.
 
     `bits` is the mantissa size handed to mpmath for irrational leaves.
-    A computation that misses its certification target retries at doubled
-    bits: once in `sigma`, `log_sigma` and `simplex_data`, and up to
-    `svp.MAX_REFINEMENTS` times in the minimal-vector search, before
-    PrecisionError is raised.
+    A computation that misses its certification target climbs `ladder()`,
+    and raises PrecisionError when its top rung misses too.
     """
 
     bits: int = 128
 
     def __post_init__(self):
-        if self.bits < MIN_BITS:
-            raise ValueError(f"precision must be at least {MIN_BITS} bits")
+        if not MIN_BITS <= self.bits <= MAX_BITS:
+            raise ValueError(f"precision must be from {MIN_BITS} to {MAX_BITS} bits")
 
-    def doubled(self) -> "PrecisionConfig":
-        return PrecisionConfig(bits=self.bits * 2)
+    def ladder(self):
+        """This precision, then twice the last rung, while within MAX_BITS."""
+        bits = self.bits
+        while bits <= MAX_BITS:
+            yield PrecisionConfig(bits)
+            bits *= 2
 
 
 DEFAULT_PRECISION = PrecisionConfig()

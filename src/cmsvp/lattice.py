@@ -22,6 +22,11 @@ LLL_DELTA = Fraction(99, 100)
 # enumerate_short refuses up front when the Gaussian-heuristic node count
 # exceeds the budget by this factor; the exact node counter stays the guard.
 REFUSE_MARGIN = 100
+# enumerate_short lists at most this many vectors: it refuses up front when
+# the Gaussian heuristic expects more, and stops when its exact count passes
+# the limit.  set-e and the superset search peak at about 330 bytes per
+# listed vector, so a run at the cap stays near 1.4 GB.
+MAX_LISTED = 4 * 10**6
 
 
 def ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -153,18 +158,20 @@ def lll_reduce(
     return [[Fraction(x, s) for x in row] for row in a], u
 
 
-def _log_node_estimate(d: list[int], top: int) -> float:
-    """Natural log of the Gaussian-heuristic node count of a Fincke-Pohst
-    descent with scaled radius top > 0 over integral pivots d: the sum over
-    k of V_k(sqrt(top)) / sqrt(d[n] / d[n - k]), the expected number of
-    points of the projection onto the top k coordinates."""
+def _log_node_estimate(d: list[int], top: int) -> tuple[float, float]:
+    """Natural logs of the Gaussian-heuristic node count of a Fincke-Pohst
+    descent with scaled radius top > 0 over integral pivots d, and of its
+    full-dimension term, the expected number of vectors listed.  The node
+    count is the sum over k of V_k(sqrt(top)) / sqrt(d[n] / d[n - k]), the
+    expected number of points of the projection onto the top k
+    coordinates."""
     n = len(d) - 1
     terms = [
         k / 2 * (log(top) + log(pi)) - lgamma(k / 2 + 1) + (log(d[n - k]) - log(d[n])) / 2
         for k in range(1, n + 1)
     ]
     peak = max(terms)
-    return peak + log(sum(exp(t - peak) for t in terms))
+    return peak + log(sum(exp(t - peak) for t in terms)), terms[-1]
 
 
 def enumerate_short(
@@ -177,7 +184,8 @@ def enumerate_short(
 
     Vectors come in +-v pairs; both are listed.  Returns (sorted list of
     (coordinates, value) pairs, nodes visited).  Coordinates refer to the
-    Gram's own basis; ordering is lexicographic.
+    Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
+    vectors, expected or found, raise BudgetExceededError.
 
     The descent runs on s * (reduced Gram), s = lcm of the denominators of
     the radius and the reduced Gram, and carries e = d[level+1] times the
@@ -192,9 +200,11 @@ def enumerate_short(
     d, lam = _integral_gso(a)
     top = radius.numerator * (s // radius.denominator)
     if n and top > 0:
-        estimate = _log_node_estimate(d, top)
-        if estimate > log(REFUSE_MARGIN * max(budget, 1)):
-            raise BudgetExceededError(budget, log10_estimate=estimate / log(10))
+        nodes_est, listed_est = _log_node_estimate(d, top)
+        if nodes_est > log(REFUSE_MARGIN * max(budget, 1)):
+            raise BudgetExceededError(budget, nodes_est / log(10))
+        if listed_est > log(MAX_LISTED):
+            raise BudgetExceededError(MAX_LISTED, listed_est / log(10), "listed vectors")
     half: list[tuple[tuple[int, ...], Fraction]] = []
     values: dict[int, Fraction] = {}
     x = [0] * n
@@ -228,6 +238,8 @@ def enumerate_short(
                 if val is None:
                     val = values[rest] = Fraction(top - rest, s)
                 half.append((tuple(x), val))
+                if 2 * len(half) > MAX_LISTED:
+                    raise BudgetExceededError(MAX_LISTED, what="listed vectors")
 
     if n and top >= 0:
         descend(n - 1, d[n] * top, False)

@@ -58,7 +58,6 @@ from .interval import (
 )
 from .units import UnitBasis, fundamental_domain_vertices
 
-MAX_REFINEMENTS = 3
 QUANTIZE_BITS = 24
 
 
@@ -157,8 +156,7 @@ def gram_matrix(
         g = GramMatrix(ent, True)
         lattice.ldl(g.rows())
         return g
-    cur = prec
-    for _ in range(MAX_REFINEMENTS + 1):
+    for cur in prec.ladder():
         t = []
         for j in range(d):
             elem = kk * (field.zeta(j) + field.zeta(-j))
@@ -171,9 +169,9 @@ def gram_matrix(
             _floor_form(g)
             return g
         except NotPositiveDefiniteError:
-            cur = cur.doubled()
+            pass
     raise NotPositiveDefiniteError(
-        "interval Gram could not be certified positive definite"
+        f"gram_matrix: interval Gram not certified positive definite at {cur.bits} bits"
     )
 
 
@@ -280,8 +278,7 @@ def enumerate_short(
 def _interval_minimum(field, ws, kappa, prec, budget):
     """Minimum cluster for interval weights: the superset search from the
     best reduced basis vector's norm, kept when one group separates."""
-    cur = prec
-    for _ in range(MAX_REFINEMENTS + 1):
+    for cur in prec.ladder():
         low, _, u = lower_form(gram_matrix(field, ws, kappa, cur))
         radius = basis_minimum(field, ws, kappa, u, cur)
         groups, nodes = superset_search(field, ws, kappa, low, radius, cur, budget)
@@ -290,9 +287,9 @@ def _interval_minimum(field, ws, kappa, prec, budget):
         if len(alive) == 1:
             value, coords = alive[0]
             return value, tuple(coords), radius, nodes
-        cur = cur.doubled()
     raise PrecisionError(
-        "minimum cluster did not separate; weights may tie distinct values exactly"
+        f"_interval_minimum: minimum cluster did not separate at {cur.bits} bits; "
+        "weights may tie distinct values exactly"
     )
 
 
@@ -367,7 +364,9 @@ class _Chamber:
         c_j = sum_m ys[m] C[m][j] / det L."""
         _, cofactors, det = self._log_data(prec)
         if det.contains_zero():
-            raise PrecisionError("unit log matrix: determinant interval contains zero")
+            raise PrecisionError(
+                f"_Chamber: unit log matrix determinant contains zero at {prec.bits} bits"
+            )
         k1 = len(cofactors)
         return [
             interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
@@ -403,29 +402,20 @@ def _chamber_exponents(
     """
     field = chamber.field
     k1 = len(chamber.generators)
-    cur = prec
-    for _ in range(MAX_REFINEMENTS + 1):
+    for cur in prec.ladder():
         ys = log_sigma(field, w, cur, beta)
         shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
         c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
-        floors = []
-        straddle = False
-        for cj in c:
-            f_lo = cj.lo.numerator // cj.lo.denominator
-            f_hi = cj.hi.numerator // cj.hi.denominator
-            if f_lo == f_hi:
-                floors.append(f_lo)
-            else:
-                straddle = True
-                floors.append(None)
-        if not straddle:
+        floors = [cj.lo.numerator // cj.lo.denominator for cj in c]
+        if floors == [cj.hi.numerator // cj.hi.denominator for cj in c]:
             return tuple(floors)
         guess = tuple(round(cj.mid) for cj in c)
         if chamber.on_wall(beta, guess):
             # exactly on a wall lattice point: c == guess, floor == guess
             return guess
-        cur = cur.doubled()
-    raise PrecisionError("chamber coordinates did not separate from a wall")
+    raise PrecisionError(
+        f"_chamber_exponents: chamber coordinates not separated from a wall at {cur.bits} bits"
+    )
 
 
 def reduce_to_chamber(

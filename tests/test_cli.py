@@ -3,9 +3,16 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+
+from cmsvp import cli
+from cmsvp.field import CMField
+from cmsvp.interval import RealInterval
+from cmsvp.units import cyclotomic_unit_basis
 
 
 def run_cli(*args):
@@ -143,6 +150,42 @@ def test_bits_floor():
     assert proc.returncode == 2
 
 
+def test_bits_above_the_ladder_top_exit_2_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmsvp", "bound", "--cyclotomic", "5", "--bits", "8192"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "4096 bits" in proc.stderr
+
+
+def _bound_interval(proc) -> RealInterval:
+    bound = json.loads(proc.stdout)["bound"]
+    return RealInterval(Fraction(bound["lo"]), Fraction(bound["hi"]))
+
+
+def test_units_file_bound_climbs_the_precision_ladder(tmp_path):
+    """beta of the vertex g0*g1^30 has 67-bit coordinates and a Sigma value
+    near 2^-52, so its enclosures miss the radius target at 64 and 128 bits.
+    The ladder certifies them at 256 bits; one retry from 64 bits gave
+    exit 3."""
+    field = CMField(7)
+    g0, g1 = cyclotomic_unit_basis(field).generators
+    big = g0
+    for _ in range(30):
+        big = big * g1
+    path = tmp_path / "units.txt"
+    lines = ["torsion 14"] + [",".join(map(str, g.coords)) for g in (big, g1)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    low = run_cli("bound", "--cyclotomic", "7", "--units", str(path), "--bits", "64", "--json")
+    assert low.returncode == 0, low.stderr
+    high = run_cli("bound", "--cyclotomic", "7", "--units", str(path), "--bits", "128", "--json")
+    assert high.returncode == 0, high.stderr
+    assert _bound_interval(low).overlaps(_bound_interval(high))
+
+
 def test_theta_circulant_golden():
     proc = run_cli("theta", "--circulant", "4,1", "--max-norm", "8", "--json")
     assert proc.returncode == 0
@@ -197,6 +240,22 @@ def test_set_e_size():
     out = json.loads(proc.stdout)
     assert out["size"] == 10
     assert len(out["elements"]) == 10
+
+
+def test_set_e_p13_is_refused_before_listing(monkeypatch, capsys):
+    """At p = 13 set E would list about 1.5e8 candidates, which do not fit
+    in memory: the Gaussian heuristic refuses the enumeration before it
+    lists any.  The value 371293/729, inside theorem_bound's enclosure,
+    stands in for theorem_bound, which takes about 10 s on a 2-CPU x86-64 VM
+    and is not what this test times."""
+    bound = SimpleNamespace(bound=RealInterval.point(Fraction(371293, 729)))
+    monkeypatch.setattr(cli, "theorem_bound", lambda field, basis, prec: bound)
+    start = time.perf_counter()
+    assert cli.main(["set-e", "--cyclotomic", "13"]) == 4
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "refused" in err and "listed vectors" in err
 
 
 @pytest.mark.parametrize("fmt", [["--json"], []])

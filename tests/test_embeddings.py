@@ -17,16 +17,19 @@ from cmsvp.embeddings import (
     weighted_norm,
     weights_are_equal_rational,
 )
-from cmsvp.errors import InputError
+from cmsvp.errors import InputError, PrecisionError
 from cmsvp.field import CMField, trace
 from cmsvp.interval import (
     DEFAULT_PRECISION,
+    MAX_BITS,
+    REL_RADIUS,
     PrecisionConfig,
     RealInterval,
     cos2pi,
     exp_interval,
     interval_sum,
 )
+from cmsvp.units import cyclotomic_unit_basis
 
 
 def _random_element(field, rng, span=4):
@@ -162,3 +165,43 @@ def test_integer_sigma_kernel_equals_the_interval_sum(conductor, bits):
     ref = tuple(_reference_sigma_sum(conductor, beta.coords, used))
     assert sigma(field, a, PrecisionConfig(bits)) == ref
     assert sigma_real(field, beta, PrecisionConfig(bits)) == ref
+
+
+def _unit_power(field, e):
+    u = cyclotomic_unit_basis(field).generators[0]
+    out = field.one()
+    for _ in range(e):
+        out = out * u
+    return out
+
+
+def test_unit_power_climbs_the_ladder_from_53_bits(f5):
+    """beta = u^40 conj(u^40) has one embedding near 2^-55 and coordinates
+    near 2^55: at 53 and 106 bits its Sigma enclosures miss the radius
+    target and one of them straddles 0, so sigma and log_sigma climb to
+    212 bits, and sigma_real meets the target there too."""
+    a = _unit_power(f5, 40)
+    beta = a * a.conj()
+    assert any(v.relative_radius() > REL_RADIUS for v in _sigma_sum(5, beta.coords, 106))
+    assert any(v.lo <= 0 for v in _sigma_sum(5, beta.coords, 106))
+    prec = PrecisionConfig(53)
+    vals = sigma(f5, a, prec)
+    assert vals == tuple(_sigma_sum(5, beta.coords, 212))
+    assert all(v.relative_radius() <= REL_RADIUS for v in vals)
+    assert sigma_real(f5, beta, prec) == vals
+    for lg, v in zip(log_sigma(f5, a, prec), vals):
+        assert exp_interval(lg, 256).overlaps(v)
+
+
+def test_the_top_rung_raises_naming_its_site_and_bits(f5):
+    """u^3000 needs about 4200 bits for the radius target, above MAX_BITS:
+    sigma_real raises rather than return a wide enclosure."""
+    a = _unit_power(f5, 3000)
+    beta = a * a.conj()
+    prec = PrecisionConfig(MAX_BITS // 2)
+    with pytest.raises(PrecisionError, match="sigma: radius target missed at 4096 bits"):
+        sigma_real(f5, beta, prec)
+    with pytest.raises(PrecisionError, match="sigma: radius target missed at 4096 bits"):
+        sigma(f5, a, prec)
+    with pytest.raises(PrecisionError, match="log_sigma: .* at 4096 bits"):
+        log_sigma(f5, a, prec)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmsvp.interval import (
+    MAX_BITS,
     PrecisionConfig,
     RealInterval,
     adjugate,
@@ -158,7 +159,13 @@ def test_adjugate_solve():
 def test_precision_config_floor():
     with pytest.raises(ValueError):
         PrecisionConfig(bits=32)
-    assert PrecisionConfig(bits=64).doubled().bits == 128
+    with pytest.raises(ValueError):
+        PrecisionConfig(bits=MAX_BITS + 1)
+    assert MAX_BITS == 4096
+    assert [c.bits for c in PrecisionConfig(bits=64).ladder()] == [64, 128, 256, 512, 1024, 2048, 4096]
+    assert [c.bits for c in PrecisionConfig(bits=53).ladder()] == [53, 106, 212, 424, 848, 1696, 3392]
+    assert [c.bits for c in PrecisionConfig(bits=3000).ladder()] == [3000]
+    assert [c.bits for c in PrecisionConfig(bits=MAX_BITS).ladder()] == [MAX_BITS]
 
 
 # ---------------------------------------------------------------------------

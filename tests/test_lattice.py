@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmsvp import cli
+from cmsvp import cli, lattice
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.lattice import (
     LLL_DELTA,
@@ -99,6 +99,20 @@ def test_enumerate_budget():
     g = _frac([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
     with pytest.raises(BudgetExceededError):
         enumerate_short(g, Fraction(6), budget=3)
+
+
+def test_enumerate_listing_limit(monkeypatch):
+    """Z^4 within norm 2 holds 32 nonzero vectors where the Gaussian
+    heuristic expects 19.7: a limit of 20 passes the up-front estimate and
+    stops at the exact count, a limit of 19 refuses up front."""
+    g = _frac([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert len(enumerate_short(g, Fraction(2))[0]) == 32
+    monkeypatch.setattr(lattice, "MAX_LISTED", 20)
+    with pytest.raises(BudgetExceededError, match="exceeded the budget of 20 listed vectors"):
+        enumerate_short(g, Fraction(2))
+    monkeypatch.setattr(lattice, "MAX_LISTED", 19)
+    with pytest.raises(BudgetExceededError, match="refused .* listed vectors"):
+        enumerate_short(g, Fraction(2))
 
 
 def test_minimum_shell():

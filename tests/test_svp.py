@@ -33,7 +33,7 @@ from cmsvp.svp import (
     minimal_vectors,
     reduce_to_chamber,
 )
-from cmsvp.units import cyclotomic_unit_basis, fundamental_domain_vertices
+from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -320,6 +320,21 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     assert len(divides) == gens
 
 
+def test_reduce_to_chamber_climbs_the_ladder_for_a_large_generator(f7):
+    """With the basis {g0*g1^100, g1} the log rows need more than 256 bits
+    to certify positivity, so one retry from 128 bits raised; the ladder
+    finds the exponents, and the quotient lies in the chamber."""
+    g0, g1 = cyclotomic_unit_basis(f7).generators
+    big = g0
+    for _ in range(100):
+        big = big * g1
+    basis = UnitBasis(f7, (big, g1), 14, "test")
+    w = f7.element([3, 1, 0, 2, 0, 0])
+    eta, exps = reduce_to_chamber(f7, basis, w, PrecisionConfig(128))
+    assert exps == (-1, 22)
+    assert reduce_to_chamber(f7, basis, eta) == (eta, (0, 0))
+
+
 def test_reduce_to_chamber_divides_once_per_generator(f7, monkeypatch):
     basis = cyclotomic_unit_basis(f7)
     g0, g1 = basis.generators
@@ -382,8 +397,7 @@ def _reference_set_e(field, basis, report, prec):
     gens = basis.generators
 
     def exponents(a, n_abs):
-        cur = prec
-        for _ in range(svp.MAX_REFINEMENTS + 1):
+        for cur in prec.ladder():
             rows = [log_sigma(field, g, cur)[:k1] for g in gens]
             mat = [[rows[j][m] for j in range(k1)] for m in range(k1)]
             ys = log_sigma(field, a, cur)
@@ -406,7 +420,6 @@ def _reference_set_e(field, basis, report, prec):
                     red = exact_divide(red, g) if e > 0 else red * g
             if not any((red * red.conj()).coords[1:]):
                 return guess
-            cur = cur.doubled()
         raise AssertionError("reference chamber solve did not separate")
 
     elements = []
