@@ -263,6 +263,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    if args.ideal_exp is not None or args.ideal_gen is not None:
+        raise InputError("psi sums over O_F; --ideal-exp and --ideal-gen are not supported")
     field = _field_from(args)
     prec = _prec_from(args)
     t = _rational(args.t, "--t value")
@@ -367,6 +369,13 @@ def cmd_verify_craig(args) -> int:
 # parser
 
 
+def _node_budget(text: str) -> int:
+    """--budget value: a nonnegative node count."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative node count, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
@@ -376,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ideal-gen", metavar="COORDS", help="ideal generator coordinates")
     common.add_argument("--bits", type=int, default=128, metavar="B", help="working precision bits")
     common.add_argument(
-        "--budget", type=int, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
+        "--budget", type=_node_budget, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -178,19 +178,9 @@ class CMField:
 
     def torsion_units(self) -> list["FieldElement"]:
         """All roots of unity in O_F: ±zeta^j (2n elements for odd n)."""
-        out = []
-        for j in range(self.conductor):
-            z = self.zeta(j)
-            out.append(z)
-            m = -z
-            if m not in out:
-                out.append(m)
         # dedupe preserving order; even conductors have -1 = zeta^(n/2)
-        seen = []
-        for u in out:
-            if u not in seen:
-                seen.append(u)
-        return seen
+        zetas = map(self.zeta, range(self.conductor))
+        return list(dict.fromkeys(u for z in zetas for u in (z, -z)))
 
     def torsion_order(self) -> int:
         n = self.conductor

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import exp, isqrt, lcm, lgamma, log, pi
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, NotPositiveDefiniteError
 
@@ -54,7 +55,7 @@ def ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 def is_positive_definite(g: list[list[Fraction]]) -> bool:
     try:
-        ldl(g)
+        _integral_gso(_integer_gram(g)[1])
         return True
     except NotPositiveDefiniteError:
         return False
@@ -102,17 +103,14 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def lll_reduce(
-    g: list[list[Fraction]], delta: Fraction = LLL_DELTA
-) -> tuple[list[list[Fraction]], list[list[int]]]:
-    """Gram-space LLL reduction.
+def lll_reduce(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[list[int]]]:
+    """Gram-space LLL reduction with parameter LLL_DELTA.
 
     Returns (reduced Gram, unimodular transform U) with
     reduced = U G U^T; U has integer entries and determinant +-1.
     """
     n = len(g)
-    delta = Fraction(delta)
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = LLL_DELTA.numerator, LLL_DELTA.denominator
     s, a = _integer_gram(g)
     d, lam = _integral_gso(a)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -158,6 +156,21 @@ def lll_reduce(
     return [[Fraction(x, s) for x in row] for row in a], u
 
 
+class Reduced(NamedTuple):
+    """A rational Gram with its LLL reduction: reduced = U gram U^T."""
+
+    gram: list[list[Fraction]]
+    reduced: list[list[Fraction]]
+    u: list[list[int]]
+
+
+def reduce(g: list[list[Fraction]]) -> Reduced:
+    """LLL-reduce g once.  The reduction's integral Gram-Schmidt data raise
+    NotPositiveDefiniteError on a Gram that is not positive definite, so a
+    Reduced is also a certificate of positive definiteness."""
+    return Reduced(g, *lll_reduce(g))
+
+
 def _log_node_estimate(d: list[int], top: int) -> tuple[float, float]:
     """Natural logs of the Gaussian-heuristic node count of a Fincke-Pohst
     descent with scaled radius top > 0 over integral pivots d, and of its
@@ -175,7 +188,7 @@ def _log_node_estimate(d: list[int], top: int) -> tuple[float, float]:
 
 
 def enumerate_short(
-    g: list[list[Fraction]],
+    g: list[list[Fraction]] | Reduced,
     radius: Fraction,
     budget: int = DEFAULT_BUDGET,
     include_zero: bool = False,
@@ -185,7 +198,8 @@ def enumerate_short(
     Vectors come in +-v pairs; both are listed.  Returns (sorted list of
     (coordinates, value) pairs, nodes visited).  Coordinates refer to the
     Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
-    vectors, expected or found, raise BudgetExceededError.
+    vectors, expected or found, raise BudgetExceededError.  A raw Gram is
+    reduced on entry; a Reduced is used as it is.
 
     The descent runs on s * (reduced Gram), s = lcm of the denominators of
     the radius and the reduced Gram, and carries e = d[level+1] times the
@@ -194,8 +208,8 @@ def enumerate_short(
     (x d[level+1] - c)^2 <= e d[level].
     """
     radius = Fraction(radius)
-    n = len(g)
-    reduced, u = lll_reduce(g)
+    _, reduced, u = g if isinstance(g, Reduced) else reduce(g)
+    n = len(reduced)
     s, a = _integer_gram(reduced, radius.denominator)
     d, lam = _integral_gso(a)
     top = radius.numerator * (s // radius.denominator)
@@ -259,23 +273,23 @@ def enumerate_short(
 
 
 def minimum_shell(
-    g: list[list[Fraction]], budget: int = DEFAULT_BUDGET
+    g: list[list[Fraction]] | Reduced, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, list[tuple[int, ...]], Fraction, int]:
     """(minimum q, minimizers, search radius, nodes) for an exact Gram.
 
     The search radius is the smallest diagonal entry of the LLL-reduced
     Gram, which always contains a nonzero vector.
     """
-    reduced, _ = lll_reduce(g)
-    radius = min(reduced[i][i] for i in range(len(g)))
-    vectors, nodes = enumerate_short(g, radius, budget)
+    red = g if isinstance(g, Reduced) else reduce(g)
+    radius = min(red.reduced[i][i] for i in range(len(red.reduced)))
+    vectors, nodes = enumerate_short(red, radius, budget)
     mu = min(v for _, v in vectors)
     mins = sorted(c for c, v in vectors if v == mu)
     return mu, mins, radius, nodes
 
 
 def theta_counts(
-    g: list[list[Fraction]], max_norm: Fraction, budget: int = DEFAULT_BUDGET
+    g: list[list[Fraction]] | Reduced, max_norm: Fraction, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Fraction, int]]:
     """Sorted (q, count) pairs for q <= max_norm, including q = 0."""
     vectors, _ = enumerate_short(g, Fraction(max_norm), budget, include_zero=True)

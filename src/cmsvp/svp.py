@@ -18,6 +18,7 @@ for cross-checking.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,11 +64,20 @@ QUANTIZE_BITS = 24
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite Gram; exact rational or certified interval."""
+    """Symmetric positive-definite Gram; exact rational or certified interval.
+
+    Construction builds the rational lower form (see _floor_form) and
+    LLL-reduces it once into `reduction`; the reduction certifies positive
+    definiteness, so a Gram that is not positive definite raises
+    NotPositiveDefiniteError here.  Every search on the Gram reuses it.
+    """
 
     entries: tuple[tuple, ...]
     exact: bool
-    scale: Fraction = Fraction(1)
+    reduction: lattice.Reduced = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reduction", _floor_form(self))
 
     @property
     def dimension(self) -> int:
@@ -81,7 +91,7 @@ class GramMatrix:
         if factor <= 0:
             raise InputError("scale factor must be positive")
         ent = tuple(tuple(e * factor for e in row) for row in self.entries)
-        return GramMatrix(ent, self.exact, self.scale * factor)
+        return GramMatrix(ent, self.exact)
 
 
 @dataclass(frozen=True)
@@ -153,9 +163,7 @@ def gram_matrix(
         w0 = ws[0]
         t = [w0 * Fraction(trace(kk * field.zeta(j)), 2) for j in range(d)]
         ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
-        g = GramMatrix(ent, True)
-        lattice.ldl(g.rows())
-        return g
+        return GramMatrix(ent, True)
     for cur in prec.ladder():
         t = []
         for j in range(d):
@@ -164,10 +172,8 @@ def gram_matrix(
             total = sum((x * v for x, v in zip(ws, vals)), RealInterval.point(0))
             t.append(total * Fraction(1, 2))
         ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
-        g = GramMatrix(ent, False)
         try:
-            _floor_form(g)
-            return g
+            return GramMatrix(ent, False)
         except NotPositiveDefiniteError:
             pass
     raise NotPositiveDefiniteError(
@@ -175,8 +181,8 @@ def gram_matrix(
     )
 
 
-def _floor_form(g: GramMatrix) -> list[list[Fraction]]:
-    """Rational lower form of a Gram; an exact Gram is its own.
+def _floor_form(g: GramMatrix) -> lattice.Reduced:
+    """LLL-reduced rational lower form of a Gram; an exact Gram is its own.
 
     Midpoints are quantized to QUANTIZE_BITS fractional bits so downstream
     exact arithmetic stays cheap; the lower form subtracts dim*eps from the
@@ -187,13 +193,13 @@ def _floor_form(g: GramMatrix) -> list[list[Fraction]]:
     past which a finer quantum cannot shrink eps any further.
     """
     if g.exact:
-        return g.rows()
+        return lattice.reduce(g.rows())
     mids = [[e.mid for e in row] for row in g.entries]
     finest = max(m.denominator for row in mids for m in row).bit_length()
     bits = QUANTIZE_BITS
     while True:
         try:
-            return _quantized_floor_form(g, mids, bits)
+            return lattice.reduce(_quantized_floor_form(g, mids, bits))
         except NotPositiveDefiniteError:
             if bits >= finest:
                 raise
@@ -209,18 +215,9 @@ def _quantized_floor_form(g: GramMatrix, mids, bits: int):
         for j in range(d):
             e = g.entries[i][j]
             eps = max(eps, e.hi - mid[i][j], mid[i][j] - e.lo)
-    low = [row[:] for row in mid]
     for i in range(d):
-        low[i][i] -= d * eps
-    lattice.ldl(low)
-    return low
-
-
-def lower_form(g: GramMatrix):
-    """(lower form L, LLL-reduced U L U^T, U) of a Gram; see _floor_form."""
-    low = _floor_form(g)
-    reduced, u = lattice.lll_reduce(low)
-    return low, reduced, u
+        mid[i][i] -= d * eps
+    return mid
 
 
 def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fraction:
@@ -232,14 +229,14 @@ def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fracti
     )
 
 
-def superset_search(field, ws, kappa, low, radius, prec, budget):
+def superset_search(field, ws, kappa, red, radius, prec, budget):
     """({beta: (weighted norm enclosure, coordinates)}, nodes) over every
-    vector of the lower form `low` within `radius`, grouped by the exact
-    value beta = alpha*conj(alpha), groups in lexicographic order of their
-    first member.  As `low` bounds the form from below, the groups hold
-    every vector of weighted norm <= radius; the norm depends on alpha only
-    through beta, so one weighted_norm certifies each group."""
-    cands, nodes = lattice.enumerate_short(low, radius, budget)
+    vector of the reduced lower form `red` within `radius`, grouped by the
+    exact value beta = alpha*conj(alpha), groups in lexicographic order of
+    their first member.  As the lower form bounds the form from below, the
+    groups hold every vector of weighted norm <= radius; the norm depends on
+    alpha only through beta, so one weighted_norm certifies each group."""
+    cands, nodes = lattice.enumerate_short(red, radius, budget)
     groups = {}
     for coords, _ in cands:
         a = _basis_element(field, kappa, coords)
@@ -267,7 +264,7 @@ def enumerate_short(
     radius = Fraction(radius)
     if radius <= 0:
         raise InputError("enumeration radius must be positive")
-    found, nodes = lattice.enumerate_short(g.rows(), radius, budget)
+    found, nodes = lattice.enumerate_short(g.reduction, radius, budget)
     if not found:
         return ShortVectorSet(None, (), radius, nodes)
     mu = min(v for _, v in found)
@@ -279,9 +276,9 @@ def _interval_minimum(field, ws, kappa, prec, budget):
     """Minimum cluster for interval weights: the superset search from the
     best reduced basis vector's norm, kept when one group separates."""
     for cur in prec.ladder():
-        low, _, u = lower_form(gram_matrix(field, ws, kappa, cur))
-        radius = basis_minimum(field, ws, kappa, u, cur)
-        groups, nodes = superset_search(field, ws, kappa, low, radius, cur, budget)
+        red = gram_matrix(field, ws, kappa, cur).reduction
+        radius = basis_minimum(field, ws, kappa, red.u, cur)
+        groups, nodes = superset_search(field, ws, kappa, red, radius, cur, budget)
         m_hi = min(v.hi for v, _ in groups.values())
         alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
@@ -308,7 +305,7 @@ def minimal_vectors(
     ws = normalize_weights(field, w)
     if weights_are_equal_rational(ws):
         g = gram_matrix(field, ws, kappa, prec)
-        mu, mins, radius, nodes = lattice.minimum_shell(g.rows(), budget)
+        mu, mins, radius, nodes = lattice.minimum_shell(g.reduction, budget)
         return ShortVectorSet(mu, tuple(mins), radius, nodes)
     mu, mins, radius, nodes = _interval_minimum(field, ws, kappa, prec, budget)
     return ShortVectorSet(mu, mins, radius, nodes)
@@ -453,7 +450,7 @@ def characteristic_set_E(
     q_max = max(_equal_weight_q(field, v) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     g = gram_matrix(field, None, None, prec)
-    found, _ = lattice.enumerate_short(g.rows(), radius, budget)
+    found, _ = lattice.enumerate_short(g.reduction, radius, budget)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once
     groups: dict[tuple[int, ...], list[FieldElement]] = {}
@@ -553,8 +550,8 @@ def hull_check(
     ws = normalize_weights(field, w)
     mv = minimal_vectors(field, ws, None, prec, budget)
     radius = sample_radius * (mv.mu.hi if isinstance(mv.mu, RealInterval) else mv.mu)
-    low = _floor_form(gram_matrix(field, ws, None, prec))
-    groups, _ = superset_search(field, ws, None, low, radius, prec, budget)
+    red = gram_matrix(field, ws, None, prec).reduction
+    groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
     images: dict[FieldElement, tuple] = {}
     max_width = Fraction(0)
     for beta, (value, coords) in groups.items():
@@ -627,5 +624,4 @@ def craig_circulant(n_ambient: int, r: int) -> GramMatrix:
         )
         for vi in vecs
     )
-    lattice.ldl([list(row) for row in ent])
     return GramMatrix(ent, True)

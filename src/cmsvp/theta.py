@@ -21,7 +21,7 @@ from math import lcm
 
 from . import lattice
 from .embeddings import normalize_weights, weights_are_equal_rational
-from .errors import BudgetExceededError, InputError, SelfTestError
+from .errors import BudgetExceededError, InputError, PrecisionError, SelfTestError
 from .field import CMField
 from .interval import (
     DEFAULT_PRECISION,
@@ -35,7 +35,7 @@ from .interval import (
     root_interval,
 )
 from .svp import GramMatrix, gram_matrix, minimal_vectors
-from .svp import basis_minimum, lower_form, superset_search
+from .svp import basis_minimum, superset_search
 
 TAIL_REL = Fraction(1, 2**40)
 MAX_RADIUS_STEPS = 200
@@ -100,7 +100,7 @@ def theta_prefix(
     if max_norm < 0:
         raise InputError("max_norm must be nonnegative")
     denom = lcm(*(e.denominator for row in g.entries for e in row))
-    counts = lattice.theta_counts(g.rows(), max_norm, budget)
+    counts = lattice.theta_counts(g.reduction, max_norm, budget)
     coeff = tuple((int(q * denom), c) for q, c in counts)
     return ThetaPrefix(Fraction(1, denom), coeff, max_norm)
 
@@ -130,7 +130,10 @@ def _tail_bound(
     e_main = exp_interval(-(pi * t * radius), bits)
     e_half = exp_interval(-(pi * t * Fraction(1, 2)), bits)
     top = Fraction(3**dim) * poly * e_main
-    return top / (1 - e_half)
+    slab = 1 - e_half
+    if slab.contains_zero():
+        raise PrecisionError(f"_tail_bound: 1 - exp(-pi t/2) contains 0 at {bits} bits")
+    return top / slab
 
 
 def _pivot_floor(reduced) -> Fraction:
@@ -150,13 +153,12 @@ def _grow_radius(
     mu_ub: Fraction,
     t: Fraction,
     bits: int,
-    tail_rel: Fraction,
     budget: int,
 ) -> tuple[Fraction, RealInterval]:
-    """Smallest tried radius whose certified tail drops below tail_rel times
+    """Smallest tried radius whose certified tail drops below TAIL_REL times
     exp(-pi t mu), the first-shell scale."""
     pi = pi_interval(bits)
-    target = (tail_rel * exp_interval(-(pi * t * mu_ub), bits)).lo
+    target = (TAIL_REL * exp_interval(-(pi * t * mu_ub), bits)).lo
     r = _initial_radius(dim, delta, mu_ub, t, bits)
     for _ in range(MAX_RADIUS_STEPS):
         tail = _tail_bound(dim, delta, r, t, bits)
@@ -179,7 +181,6 @@ def theta_sum(
     t,
     prec: PrecisionConfig = DEFAULT_PRECISION,
     budget: int = lattice.DEFAULT_BUDGET,
-    tail_rel: Fraction = TAIL_REL,
 ) -> PsiSample:
     """Truncated theta sum of an exact Gram at parameter t, with tail."""
     if not g.exact:
@@ -188,11 +189,11 @@ def theta_sum(
     if t <= 0:
         raise InputError("t must be positive")
     bits = prec.bits
-    rows, reduced, _ = lower_form(g)
+    reduced = g.reduction.reduced
     delta = _pivot_floor(reduced)
     mu_ub = min(reduced[i][i] for i in range(len(reduced)))
-    radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, tail_rel, budget)
-    counts = lattice.theta_counts(rows, radius, budget)
+    radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
+    counts = lattice.theta_counts(g.reduction, radius, budget)
     value = interval_sum(Fraction(c) * _term(q, t, bits) for q, c in counts)
     return PsiSample(None, t, radius, value, tail)
 
@@ -203,7 +204,6 @@ def psi_truncated(
     t,
     prec: PrecisionConfig = DEFAULT_PRECISION,
     budget: int = lattice.DEFAULT_BUDGET,
-    tail_rel: Fraction = TAIL_REL,
 ) -> PsiSample:
     """Certified truncation of psi at z_j = t i x_j.
 
@@ -217,14 +217,14 @@ def psi_truncated(
         raise InputError("t must be positive")
     if weights_are_equal_rational(ws):
         g = gram_matrix(field, ws, None, prec)
-        sample = theta_sum(g, t, prec, budget, tail_rel)
+        sample = theta_sum(g, t, prec, budget)
         return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
     bits = prec.bits
-    low, reduced, u = lower_form(gram_matrix(field, ws, None, prec))
-    delta = _pivot_floor(reduced)
-    mu_ub = basis_minimum(field, ws, None, u, prec)
-    radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, tail_rel, budget)
-    groups, _ = superset_search(field, ws, None, low, radius, prec, budget)
+    red = gram_matrix(field, ws, None, prec).reduction
+    delta = _pivot_floor(red.reduced)
+    mu_ub = basis_minimum(field, ws, None, red.u, prec)
+    radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
+    groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
     terms = [RealInterval.point(1)]
     terms.extend(Fraction(len(c)) * _term(v, t, bits) for v, c in groups.values())
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
@@ -233,15 +233,15 @@ def psi_truncated(
 def _excess_data(field, ws, mv, prec, budget):
     """Certified upper-bound ingredients for the non-minimal part of psi:
     (list of (value lower end, count) beyond the minimum, cutoff, pivot)."""
-    low, reduced, _ = lower_form(gram_matrix(field, ws, None, prec))
-    delta = _pivot_floor(reduced)
+    red = gram_matrix(field, ws, None, prec).reduction
+    delta = _pivot_floor(red.reduced)
     if not isinstance(mv.mu, RealInterval):
         cutoff = 3 * mv.mu
-        shells = lattice.theta_counts(low, cutoff, budget)
+        shells = lattice.theta_counts(red, cutoff, budget)
         beyond = [(Fraction(q), c) for q, c in shells if q > mv.mu]
         return beyond, cutoff, delta
     cutoff = 3 * mv.mu.hi
-    groups, _ = superset_search(field, ws, None, low, cutoff, prec, budget)
+    groups, _ = superset_search(field, ws, None, red, cutoff, prec, budget)
     a0 = field.element(mv.vectors[0])
     beta0 = a0.times_conj()
     beyond = [(v.lo, len(c)) for b, (v, c) in groups.items() if b != beta0]

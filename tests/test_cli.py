@@ -273,3 +273,26 @@ def test_closed_stdout_exits_141_without_a_traceback(fmt):
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert err == ""
+
+
+def test_psi_with_a_tiny_t_fails_on_precision_without_a_traceback():
+    """At 128 bits 1 - exp(-pi t/2) contains 0 for t = 1e-300; the tail
+    bound reports that as a precision failure."""
+    proc = run_cli("psi", "--cyclotomic", "5", "--t", "1e-300")
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "_tail_bound" in proc.stderr and "128 bits" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [["--ideal-exp", "2"], ["--ideal-gen", "1,1,0,0"]])
+def test_psi_refuses_ideals(flag):
+    proc = run_cli("psi", "--cyclotomic", "5", "--t", "1", *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "not supported" in proc.stderr
+
+
+@pytest.mark.parametrize("budget", ["-5", "many"])
+def test_bad_budget_exits_2(budget):
+    proc = run_cli("minima", "--cyclotomic", "5", "--budget", budget)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "--budget" in proc.stderr

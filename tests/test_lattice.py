@@ -311,6 +311,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         "minima --cyclotomic 17 --ideal-exp 2",
         "minima --cyclotomic 11 --weights 1,4,16,64,256",
         "theta --circulant 10,1 --max-norm 6",
+        "theta --circulant 12,1 --max-norm 4",
+        "theta --cyclotomic 11 --max-norm 20",
     ],
 )
 def test_enumeration_json_is_byte_identical_to_stored_reference(command, capsys):

@@ -13,7 +13,7 @@ import pytest
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import log_sigma, representatives
-from cmsvp.errors import InputError
+from cmsvp.errors import InputError, NotPositiveDefiniteError
 from cmsvp.field import CMField, exact_divide, field_norm, is_unit, trace
 from cmsvp.interval import (
     PrecisionConfig,
@@ -23,13 +23,13 @@ from cmsvp.interval import (
     root_interval,
 )
 from cmsvp.svp import (
+    GramMatrix,
     characteristic_set_E,
     craig_circulant,
     enumerate_short,
     gram_matrix,
     hull_check,
     hull_consistency,
-    lower_form,
     minimal_vectors,
     reduce_to_chamber,
 )
@@ -200,7 +200,7 @@ def test_hull_check_certifies_each_beta_once(f5, monkeypatch):
     assert hull_check(f5, w)
     # hull_check runs minimal_vectors first, then its own search
     own = certified[mv_calls:]
-    low, _, _ = lower_form(gram_matrix(f5, w))
+    low = gram_matrix(f5, w).reduction
     cands, _ = lattice.enumerate_short(low, 3 * mv.mu.hi)
     betas = set()
     for coords, _ in cands:
@@ -255,6 +255,38 @@ def test_gram_scaled():
     h = g.scaled(Fraction(2, 5))
     assert h.entries[0][0] == Fraction(4, 5)
     assert h.exact
+
+
+def test_exact_gram_that_is_not_positive_definite_fails_at_construction():
+    with pytest.raises(NotPositiveDefiniteError):
+        GramMatrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))), True)
+    with pytest.raises(NotPositiveDefiniteError):
+        GramMatrix(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))), True)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "minima --cyclotomic 17 --ideal-exp 2",
+        "minima --cyclotomic 11 --weights 1,4,16,64,256",
+        "psi --cyclotomic 11 --t 1",
+        "psi --cyclotomic 11 --t 1/2 --weights 1,2,3,4,5",
+        "theta --cyclotomic 11 --max-norm 20",
+        "set-e --cyclotomic 5",
+    ],
+)
+def test_each_command_reduces_its_gram_once(command, monkeypatch, capsys):
+    """The Gram's construction reduces it; the searches reuse that reduction."""
+    calls = []
+    real_lll = lattice.lll_reduce
+
+    def counting_lll(g):
+        calls.append(len(g))
+        return real_lll(g)
+
+    monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
+    assert cli.main(command.split()) == 0
+    assert len(calls) == 1
 
 
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
@@ -371,7 +403,9 @@ def test_skewed_weights_refine_the_floor_form_quantum(f5):
 @pytest.mark.parametrize(
     "command",
     [
+        "psi --cyclotomic 11 --t 1",
         "psi --cyclotomic 11 --t 1/2 --weights 1,2,3,4,5",
+        "set-e --cyclotomic 5",
         "set-e --cyclotomic 7",
         "set-e --cyclotomic 7 --bits 256",
         "verify-craig -p 7 -r 1..6",

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cmsvp import lattice, svp
 from cmsvp.embeddings import representatives, sigma
 from cmsvp.errors import InputError
 from cmsvp.field import CMField
@@ -127,6 +128,27 @@ def test_psi_leading_term(f5):
         lead = 10 * mpmath.exp(-20 * mpmath.pi)
         rel = abs((sample.mid - 1) / Fraction(str(lead)) - 1)
     assert rel < Fraction(1, 10**6)
+
+
+def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
+    """Four Grams (minimum, excess data, two psi samples): one lower form
+    and one LLL reduction each."""
+    lower_forms, reductions = [], []
+    real_floor, real_lll = svp._floor_form, lattice.lll_reduce
+
+    def counting_floor(g):
+        lower_forms.append(g.dimension)
+        return real_floor(g)
+
+    def counting_lll(g):
+        reductions.append(len(g))
+        return real_lll(g)
+
+    monkeypatch.setattr(svp, "_floor_form", counting_floor)
+    monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
+    mu, count = cusp_extract(CMField(5), (3, 1))
+    assert (mu.lo, mu.hi) == SKEW5_CUSP_MU and count == 10
+    assert len(lower_forms) == len(reductions) == 4
 
 
 def test_psi_validation(f5):
