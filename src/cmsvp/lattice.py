@@ -187,19 +187,15 @@ def _log_node_estimate(d: list[int], top: int) -> tuple[float, float]:
     return peak + log(sum(exp(t - peak) for t in terms)), terms[-1]
 
 
-def enumerate_short(
-    g: list[list[Fraction]] | Reduced,
-    radius: Fraction,
-    budget: int = DEFAULT_BUDGET,
-    include_zero: bool = False,
-) -> tuple[list[tuple[tuple[int, ...], Fraction]], int]:
-    """All lattice vectors v with q(v) <= radius, exactly.
+def _half_space(
+    reduced: list[list[Fraction]], radius: Fraction, budget: int
+) -> tuple[list[tuple[tuple[int, ...], int]], int, int]:
+    """Fincke-Pohst descent over the canonical half-space of a reduced Gram:
+    one vector of each +-v pair with q(v) <= radius, zero excluded.
 
-    Vectors come in +-v pairs; both are listed.  Returns (sorted list of
-    (coordinates, value) pairs, nodes visited).  Coordinates refer to the
-    Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
-    vectors, expected or found, raise BudgetExceededError.  A raw Gram is
-    reduced on entry; a Reduced is used as it is.
+    Returns (list of (reduced coordinates, m), s, nodes visited), with
+    q(v) = m / s for the integer m.  More than MAX_LISTED vectors, counting
+    both of each pair, expected or found, raise BudgetExceededError.
 
     The descent runs on s * (reduced Gram), s = lcm of the denominators of
     the radius and the reduced Gram, and carries e = d[level+1] times the
@@ -207,8 +203,6 @@ def enumerate_short(
     lam[j][level] x_j, a coordinate x is admissible iff
     (x d[level+1] - c)^2 <= e d[level].
     """
-    radius = Fraction(radius)
-    _, reduced, u = g if isinstance(g, Reduced) else reduce(g)
     n = len(reduced)
     s, a = _integer_gram(reduced, radius.denominator)
     d, lam = _integral_gso(a)
@@ -219,8 +213,7 @@ def enumerate_short(
             raise BudgetExceededError(budget, nodes_est / log(10))
         if listed_est > log(MAX_LISTED):
             raise BudgetExceededError(MAX_LISTED, listed_est / log(10), "listed vectors")
-    half: list[tuple[tuple[int, ...], Fraction]] = []
-    values: dict[int, Fraction] = {}
+    half: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
     nodes = 0
 
@@ -247,22 +240,41 @@ def enumerate_short(
             if level:
                 descend(level - 1, rest, nonzero_seen or xv != 0)
             elif nonzero_seen or xv:
-                # one Fraction per distinct value, shared by all its vectors
-                val = values.get(rest)
-                if val is None:
-                    val = values[rest] = Fraction(top - rest, s)
-                half.append((tuple(x), val))
+                half.append((tuple(x), top - rest))
                 if 2 * len(half) > MAX_LISTED:
                     raise BudgetExceededError(MAX_LISTED, what="listed vectors")
 
     if n and top >= 0:
         descend(n - 1, d[n] * top, False)
+    return half, s, nodes
 
+
+def enumerate_short(
+    g: list[list[Fraction]] | Reduced,
+    radius: Fraction,
+    budget: int = DEFAULT_BUDGET,
+    include_zero: bool = False,
+) -> tuple[list[tuple[tuple[int, ...], Fraction]], int]:
+    """All lattice vectors v with q(v) <= radius, exactly.
+
+    Vectors come in +-v pairs; both are listed.  Returns (sorted list of
+    (coordinates, value) pairs, nodes visited).  Coordinates refer to the
+    Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
+    vectors, expected or found, raise BudgetExceededError.  A raw Gram is
+    reduced on entry; a Reduced is used as it is.
+    """
+    _, reduced, u = g if isinstance(g, Reduced) else reduce(g)
+    half, s, nodes = _half_space(reduced, Fraction(radius), budget)
     out: list[tuple[tuple[int, ...], Fraction]] = []
     if include_zero:
-        out.append(((0,) * n, Fraction(0)))
+        out.append(((0,) * len(reduced), Fraction(0)))
+    # one Fraction per distinct value, shared by all its vectors
+    values: dict[int, Fraction] = {}
     u_cols = list(zip(*u))
-    for coords, val in half:
+    for coords, m in half:
+        val = values.get(m)
+        if val is None:
+            val = values[m] = Fraction(m, s)
         # map back to the original basis: v = coords . U
         orig = tuple(sum(map(mul, coords, col)) for col in u_cols)
         neg = tuple(-t for t in orig)
@@ -291,11 +303,13 @@ def minimum_shell(
 def theta_counts(
     g: list[list[Fraction]] | Reduced, max_norm: Fraction, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Fraction, int]]:
-    """Sorted (q, count) pairs for q <= max_norm, including q = 0."""
-    vectors, _ = enumerate_short(g, Fraction(max_norm), budget, include_zero=True)
-    # keyed on integer pairs: Fraction does not cache its hash
-    counts: dict[tuple[int, int], int] = {}
-    for _, v in vectors:
-        key = (v.numerator, v.denominator)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted((Fraction(n, d), c) for (n, d), c in counts.items())
+    """Sorted (q, count) pairs for q <= max_norm, including q = 0.
+
+    Counted on the half-space descent: each value found there stands for
+    a +-v pair, and the zero vector counts once."""
+    reduced = g.reduced if isinstance(g, Reduced) else reduce(g).reduced
+    half, s, _ = _half_space(reduced, Fraction(max_norm), budget)
+    counts = {0: 1}
+    for _, m in half:
+        counts[m] = counts.get(m, 0) + 2
+    return [(Fraction(m, s), c) for m, c in sorted(counts.items())]

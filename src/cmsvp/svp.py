@@ -67,17 +67,19 @@ class GramMatrix:
     """Symmetric positive-definite Gram; exact rational or certified interval.
 
     Construction builds the rational lower form (see _floor_form) and
-    LLL-reduces it once into `reduction`; the reduction certifies positive
+    LLL-reduces it once into `reduction`, unless a reduction of the Gram
+    is passed in (as `scaled` does); the reduction certifies positive
     definiteness, so a Gram that is not positive definite raises
     NotPositiveDefiniteError here.  Every search on the Gram reuses it.
     """
 
     entries: tuple[tuple, ...]
     exact: bool
-    reduction: lattice.Reduced = dataclasses.field(init=False, repr=False, compare=False)
+    reduction: lattice.Reduced | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "reduction", _floor_form(self))
+        if self.reduction is None:
+            object.__setattr__(self, "reduction", _floor_form(self))
 
     @property
     def dimension(self) -> int:
@@ -87,11 +89,18 @@ class GramMatrix:
         return [list(r) for r in self.entries]
 
     def scaled(self, factor) -> "GramMatrix":
+        """factor times this Gram.  An exact Gram's reduction carries over:
+        integral LLL rounds mu and tests Lovasz's condition, both invariant
+        under scaling, so U stays and the reduced Gram scales by factor."""
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("scale factor must be positive")
         ent = tuple(tuple(e * factor for e in row) for row in self.entries)
-        return GramMatrix(ent, self.exact)
+        if not self.exact:
+            return GramMatrix(ent, False)
+        red = self.reduction
+        reduced = [[e * factor for e in row] for row in red.reduced]
+        return GramMatrix(ent, True, lattice.Reduced([list(r) for r in ent], reduced, red.u))
 
 
 @dataclass(frozen=True)
@@ -229,6 +238,18 @@ def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fracti
     )
 
 
+def _pair_groups(found, group_of):
+    """(coords, group) for each listed vector, in listing order.  A listing
+    is sorted and closed under negation, so the mirror of its i-th vector
+    is its (N-1-i)-th; both fall in the group of beta = alpha*conj(alpha),
+    as beta(-alpha) = beta(alpha), so group_of(coords) runs once per +-
+    pair, on the first half of the listing."""
+    n = len(found)
+    firsts = [group_of(coords) for coords, _ in found[: (n + 1) // 2]]
+    for i, (coords, _) in enumerate(found):
+        yield coords, firsts[min(i, n - 1 - i)]
+
+
 def superset_search(field, ws, kappa, red, radius, prec, budget):
     """({beta: (weighted norm enclosure, coordinates)}, nodes) over every
     vector of the reduced lower form `red` within `radius`, grouped by the
@@ -238,14 +259,17 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
     alpha only through beta, so one weighted_norm certifies each group."""
     cands, nodes = lattice.enumerate_short(red, radius, budget)
     groups = {}
-    for coords, _ in cands:
+
+    def group_of(coords):
         a = _basis_element(field, kappa, coords)
         beta = a.times_conj()
         group = groups.get(beta)
         if group is None:
-            groups[beta] = (weighted_norm(field, a, ws, prec, beta), [coords])
-        else:
-            group[1].append(coords)
+            group = groups[beta] = (weighted_norm(field, a, ws, prec, beta), [])
+        return group[1]
+
+    for coords, members in _pair_groups(cands, group_of):
+        members.append(coords)
     return groups, nodes
 
 
@@ -453,10 +477,13 @@ def characteristic_set_E(
     found, _ = lattice.enumerate_short(g.reduction, radius, budget)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once
-    groups: dict[tuple[int, ...], list[FieldElement]] = {}
-    for coords, _ in found:
-        a = FieldElement(field, coords)
-        groups.setdefault(a.times_conj().coords, []).append(a)
+    groups: dict[FieldElement, list[FieldElement]] = {}
+
+    def group_of(coords):
+        return groups.setdefault(FieldElement(field, coords).times_conj(), [])
+
+    for coords, members in _pair_groups(found, group_of):
+        members.append(FieldElement(field, coords))
     chamber = _Chamber(field, basis)
     origin = (0,) * (k - 1)
     elements = []
@@ -464,7 +491,7 @@ def characteristic_set_E(
         n_abs = abs(field_norm(members[0]))
         if Fraction(n_abs) > bound.hi:
             continue
-        exps = _chamber_exponents(chamber, members[0], FieldElement(field, beta), n_abs, prec)
+        exps = _chamber_exponents(chamber, members[0], beta, n_abs, prec)
         if exps == origin:
             elements.extend(members)
     elements.sort(key=lambda e: e.coords)
@@ -605,7 +632,7 @@ def craig_circulant(n_ambient: int, r: int) -> GramMatrix:
     n = n_ambient
     if n < 2 or not is_prime(n + 1):
         raise NonPrimeConductorError(
-            f"circulant construction needs a prime ambient+1, got {n + 1}"
+            f"circulant construction needs n >= 2 with n + 1 prime, got n = {n}"
         )
     if r < 0:
         raise InputError("circulant exponent must be nonnegative")

@@ -110,6 +110,13 @@ def test_seed_flag_is_gone():
     assert "unrecognized arguments: --seed" in proc.stderr
 
 
+def test_circulant_rank_1_names_the_real_condition():
+    proc = run_cli("theta", "--circulant", "1,0", "--max-norm", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "needs n >= 2 with n + 1 prime, got n = 1" in proc.stderr
+
+
 def test_minima_bad_weights():
     proc = run_cli("minima", "--cyclotomic", "5", "--weights", "0,1")
     assert proc.returncode == 2

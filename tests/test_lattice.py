@@ -265,6 +265,35 @@ def test_integer_fincke_pohst_equals_fraction_reference(g, scale, include_zero):
     )
 
 
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    pd_grams(),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=12), st.just(2)),
+)
+def test_theta_counts_equal_a_count_over_the_listing(g, scale):
+    """theta_counts counts the half-space descent; the listing holds every
+    vector.  Radii run from -3/2 to 6 times the shortest reduced vector."""
+    reduced, _ = lll_reduce(g)
+    radius = scale * min(reduced[i][i] for i in range(len(g)))
+    listed: dict[Fraction, int] = {}
+    for _, q in enumerate_short(g, radius, include_zero=True)[0]:
+        listed[q] = listed.get(q, 0) + 1
+    assert theta_counts(g, radius) == sorted(listed.items())
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    pd_grams(),
+    st.builds(Fraction, st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)),
+)
+def test_lll_commutes_with_scaling(g, c):
+    """Integral LLL rounds mu and tests Lovasz's condition, both homogeneous
+    in the Gram: c * G reduces by the same U to c times the reduced Gram."""
+    reduced, u = lll_reduce(g)
+    scaled = [[c * x for x in row] for row in g]
+    assert lll_reduce(scaled) == ([[c * x for x in row] for row in reduced], u)
+
+
 def test_round_half_even_matches_fraction_round():
     for den in range(1, 9):
         for num in range(-40, 41):

@@ -14,7 +14,7 @@ from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import log_sigma, representatives
 from cmsvp.errors import InputError, NotPositiveDefiniteError
-from cmsvp.field import CMField, exact_divide, field_norm, is_unit, trace
+from cmsvp.field import CMField, FieldElement, exact_divide, field_norm, is_unit, trace
 from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
@@ -287,6 +287,66 @@ def test_each_command_reduces_its_gram_once(command, monkeypatch, capsys):
     monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
     assert cli.main(command.split()) == 0
     assert len(calls) == 1
+
+
+def test_set_e_multiplies_out_beta_once_per_pair(monkeypatch, capsys):
+    """Set E at p = 7 lists 168 candidates, 84 +- pairs, and computes
+    beta = a conj(a) once per pair: the times_conj calls between the
+    listing and the chamber set-up are the grouping's."""
+    products, listed, at = [], [], {}
+    real_times_conj, real_enumerate, real_chamber = FieldElement.times_conj, lattice.enumerate_short, svp._Chamber
+
+    def counting_times_conj(self):
+        products.append(1)
+        return real_times_conj(self)
+
+    def counting_enumerate(*args):
+        found, nodes = real_enumerate(*args)
+        listed.append(len(found))
+        at["listed"] = len(products)
+        return found, nodes
+
+    def counting_chamber(*args):
+        at["chamber"] = len(products)
+        return real_chamber(*args)
+
+    monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
+    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(svp, "_Chamber", counting_chamber)
+    assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 14
+    assert listed == [168]
+    assert at["chamber"] - at["listed"] == 84
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_a_scaled_exact_gram_carries_its_reduction(p):
+    """GramMatrix.scaled keeps U and scales the reduced Gram, which is what
+    a fresh reduction of the scaled Gram gives (the verify-craig theta
+    check's Gram and its circulant model)."""
+    field = CMField(p)
+    for r in range(3):
+        for g in (craig_circulant(p - 1, r), gram_matrix(field, None, cli._one_minus_zeta_power(field, r))):
+            scaled = g.scaled(Fraction(2, p))
+            assert scaled.reduction == lattice.reduce(scaled.rows())
+            assert scaled.reduction.u is g.reduction.u
+
+
+def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
+    """Each leg reduces the field Gram of its minimal vectors, the circulant
+    Gram and the field Gram of its theta check; the scaled copy of the
+    last reuses its reduction."""
+    calls = []
+    real_lll = lattice.lll_reduce
+
+    def counting_lll(g):
+        calls.append(len(g))
+        return real_lll(g)
+
+    monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
+    assert cli.main(["verify-craig", "-p", "7", "-r", "1..6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert len(calls) == 18
 
 
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):

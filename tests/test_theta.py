@@ -10,10 +10,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from cmsvp import lattice, svp
+from cmsvp import lattice, svp, theta
 from cmsvp.embeddings import representatives, sigma
 from cmsvp.errors import InputError
-from cmsvp.field import CMField
+from cmsvp.field import CMField, FieldElement
 from cmsvp.svp import GramMatrix, craig_circulant, gram_matrix, minimal_vectors
 from cmsvp.theta import (
     cusp_extract,
@@ -149,6 +149,52 @@ def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
     mu, count = cusp_extract(CMField(5), (3, 1))
     assert (mu.lo, mu.hi) == SKEW5_CUSP_MU and count == 10
     assert len(lower_forms) == len(reductions) == 4
+
+
+def test_theta_prefix_lists_no_vectors(monkeypatch):
+    """Theta counting walks one vector per +- pair and never asks for the
+    full listing."""
+    g = craig_circulant(6, 1)
+    listed: dict[Fraction, int] = {}
+    for _, q in lattice.enumerate_short(g.reduction, Fraction(6), include_zero=True)[0]:
+        listed[q] = listed.get(q, 0) + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta counting listed vectors")
+
+    monkeypatch.setattr(lattice, "enumerate_short", refuse)
+    assert theta_prefix(g, 6).norm_counts() == listed
+
+
+def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
+    """The superset search lists alpha and -alpha; beta = alpha*conj(alpha)
+    is computed for one of them."""
+    listed, products, searched = [], [], []
+    real_enumerate, real_search = lattice.enumerate_short, theta.superset_search
+    real_times_conj = FieldElement.times_conj
+
+    def counting_enumerate(*args):
+        found, nodes = real_enumerate(*args)
+        listed.append(len(found))
+        return found, nodes
+
+    def counting_times_conj(self):
+        products.append(1)
+        return real_times_conj(self)
+
+    def counting_search(*args):
+        before = len(products)
+        result = real_search(*args)
+        searched.append(len(products) - before)
+        return result
+
+    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
+    monkeypatch.setattr(theta, "superset_search", counting_search)
+    sample = psi_truncated(f5, (3, 1), 2)
+    assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
+    assert len(listed) == len(searched) == 1
+    assert listed[0] % 2 == 0 and searched[0] == listed[0] // 2
 
 
 def test_psi_validation(f5):
