@@ -26,7 +26,6 @@ from .interval import (
     PrecisionConfig,
     RealInterval,
     cos2pi,
-    interval_sum,
     log_interval,
 )
 
@@ -48,8 +47,9 @@ def _cos_table(n: int, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]
     return den, lo, hi
 
 
-def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
-    """Enclosures of sum_j x_j cos(2*pi*j*m/n) for each representative m.
+def _sigma_numerators(n: int, coords, bits: int) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(lo, hi), ...]): the enclosure of sum_j x_j cos(2*pi*j*m/n) is
+    [lo/D, hi/D] for each representative m.
 
     Each endpoint is one integer dot product over the cosine numerators,
     taking lo or hi by the sign of x_j, so it is exactly the interval sum
@@ -68,17 +68,32 @@ def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
             else:
                 lo += c * cos_hi[r]
                 hi += c * cos_lo[r]
-        out.append(RealInterval(Fraction(lo, den), Fraction(hi, den)))
-    return out
+        out.append((lo, hi))
+    return den, out
 
 
-def _certified_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
-    """_sigma_sum at the first rung of prec's ladder where every enclosure
-    meets the relative radius target REL_RADIUS."""
+def _as_intervals(den: int, sums) -> tuple[RealInterval, ...]:
+    return tuple(RealInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in sums)
+
+
+def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
+    """_sigma_numerators as intervals."""
+    return list(_as_intervals(*_sigma_numerators(n, coords, bits)))
+
+
+def _certified_numerators(n: int, coords, prec: PrecisionConfig) -> tuple[int, list[tuple[int, int]]]:
+    """_sigma_numerators at the first rung of prec's ladder where every
+    enclosure meets the relative radius target REL_RADIUS.
+
+    The target is RealInterval.relative_radius() <= REL_RADIUS on
+    [lo/D, hi/D], which is the integer comparison
+    (hi - lo) * den(REL_RADIUS) <= 2 * num(REL_RADIUS) * max(D, |lo|, |hi|).
+    """
+    rn, rd = REL_RADIUS.numerator, REL_RADIUS.denominator
     for cur in prec.ladder():
-        vals = _sigma_sum(n, coords, cur.bits)
-        if all(v.relative_radius() <= REL_RADIUS for v in vals):
-            return tuple(vals)
+        den, sums = _sigma_numerators(n, coords, cur.bits)
+        if all((hi - lo) * rd <= 2 * rn * max(den, -lo, hi) for lo, hi in sums):
+            return den, sums
     raise PrecisionError(f"sigma: radius target missed at {cur.bits} bits")
 
 
@@ -96,7 +111,17 @@ def sigma(
     """
     if beta is None:
         beta = a.times_conj()
-    return _certified_sigma(field.conductor, beta.coords, prec)
+    return _as_intervals(*_certified_numerators(field.conductor, beta.coords, prec))
+
+
+def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(W, lo, hi): weight m lies in [lo[m]/W, hi[m]/W] over one common
+    denominator W; a rational weight has lo[m] = hi[m]."""
+    ends = [(w.lo, w.hi) if isinstance(w, RealInterval) else (w, w) for w in ws]
+    den = math.lcm(*(x.denominator for pair in ends for x in pair))
+    lo = tuple(a.numerator * (den // a.denominator) for a, _ in ends)
+    hi = tuple(b.numerator * (den // b.denominator) for _, b in ends)
+    return den, lo, hi
 
 
 def weighted_norm(
@@ -106,13 +131,28 @@ def weighted_norm(
     prec: PrecisionConfig = DEFAULT_PRECISION,
     beta: FieldElement | None = None,
 ) -> RealInterval:
-    """Enclosure of the weighted norm sum_j x_j sigma_j(a*abar); `beta` is
-    a*abar when the caller already has it."""
+    """Enclosure of the weighted norm sum_m w_m sigma_m(a*abar); `beta` is
+    a*abar when the caller already has it.
+
+    Exactly interval_sum(w_m * sigma_m) of the certified sigma enclosures,
+    with one integer sum per endpoint: as every weight is positive, the
+    lower end takes the smallest product w * sigma_lo, which uses the lower
+    weight where sigma_lo >= 0 and the upper one where it is negative, and
+    the upper end symmetrically.
+    """
     w = normalize_weights(field, weights)
     if a.is_zero():
         return RealInterval.point(0)
-    vals = sigma(field, a, prec, beta)
-    return interval_sum(x * v for x, v in zip(w, vals))
+    if beta is None:
+        beta = a.times_conj()
+    den, sums = _certified_numerators(field.conductor, beta.coords, prec)
+    wden, w_lo, w_hi = _weight_numerators(w)
+    lo = hi = 0
+    for (s_lo, s_hi), wl, wh in zip(sums, w_lo, w_hi):
+        lo += (wl if s_lo >= 0 else wh) * s_lo
+        hi += (wh if s_hi >= 0 else wl) * s_hi
+    scale = den * wden
+    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def sigma_real(
@@ -122,7 +162,7 @@ def sigma_real(
     as sigma's are."""
     if x != x.conj():
         raise ValueError("sigma_real needs a conjugation-fixed element")
-    return _certified_sigma(field.conductor, x.coords, prec)
+    return _as_intervals(*_certified_numerators(field.conductor, x.coords, prec))
 
 
 def log_sigma(

@@ -20,37 +20,16 @@ from .errors import BudgetExceededError, NotPositiveDefiniteError
 
 DEFAULT_BUDGET = 10**8
 LLL_DELTA = Fraction(99, 100)
-# enumerate_short refuses up front when the Gaussian-heuristic node count
-# exceeds the budget by this factor; the exact node counter stays the guard.
+# The half-space descent refuses up front when the Gaussian-heuristic node
+# count exceeds the budget by this factor; the exact node counter stays the
+# guard.
 REFUSE_MARGIN = 100
-# enumerate_short lists at most this many vectors: it refuses up front when
-# the Gaussian heuristic expects more, and stops when its exact count passes
-# the limit.  set-e and the superset search peak at about 330 bytes per
-# listed vector, so a run at the cap stays near 1.4 GB.
+# The descent finds at most this many vectors, counting both of each +-v
+# pair: it refuses up front when the Gaussian heuristic expects more, and
+# stops when its exact count passes the limit.  A full listing
+# (enumerate_short) costs about 330 bytes per vector, so a run at the cap
+# stays near 1.4 GB; set-e holds one vector per pair (53 MB peak at p = 11).
 MAX_LISTED = 4 * 10**6
-
-
-def ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower-triangular L and positive diagonal D."""
-    n = len(g)
-    l = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        l[i][i] = Fraction(1)
-        for j in range(i):
-            s = Fraction(g[i][j])
-            for t in range(j):
-                s -= l[i][t] * l[j][t] * d[t]
-            l[i][j] = s / d[j]
-        s = Fraction(g[i][i])
-        for t in range(i):
-            s -= l[i][t] * l[i][t] * d[t]
-        if s <= 0:
-            raise NotPositiveDefiniteError(
-                f"pivot {i} of the LDL decomposition is {s}"
-            )
-        d[i] = s
-    return l, d
 
 
 def is_positive_definite(g: list[list[Fraction]]) -> bool:
@@ -249,6 +228,27 @@ def _half_space(
     return half, s, nodes
 
 
+def _basis_map(u: list[list[int]]):
+    """The map from reduced coordinates back to the Gram's own basis:
+    coords -> coords . U."""
+    u_cols = list(zip(*u))
+    return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
+
+
+def half_space_vectors(
+    g: Reduced, radius: Fraction, budget: int = DEFAULT_BUDGET
+) -> tuple[list[tuple[int, ...]], int]:
+    """One vector of each +-v pair with q(v) <= radius, zero excluded, in
+    the Gram's own basis and in descent order; and the nodes visited.
+
+    For a search that needs each pair once, and not the values: the
+    listing of enumerate_short without its mirrors, values and sort.
+    """
+    half, _, nodes = _half_space(g.reduced, Fraction(radius), budget)
+    in_basis = _basis_map(g.u)
+    return [in_basis(coords) for coords, _ in half], nodes
+
+
 def enumerate_short(
     g: list[list[Fraction]] | Reduced,
     radius: Fraction,
@@ -270,13 +270,12 @@ def enumerate_short(
         out.append(((0,) * len(reduced), Fraction(0)))
     # one Fraction per distinct value, shared by all its vectors
     values: dict[int, Fraction] = {}
-    u_cols = list(zip(*u))
+    in_basis = _basis_map(u)
     for coords, m in half:
         val = values.get(m)
         if val is None:
             val = values[m] = Fraction(m, s)
-        # map back to the original basis: v = coords . U
-        orig = tuple(sum(map(mul, coords, col)) for col in u_cols)
+        orig = in_basis(coords)
         neg = tuple(-t for t in orig)
         out.append((orig, val))
         out.append((neg, val))

@@ -238,38 +238,23 @@ def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fracti
     )
 
 
-def _pair_groups(found, group_of):
-    """(coords, group) for each listed vector, in listing order.  A listing
-    is sorted and closed under negation, so the mirror of its i-th vector
-    is its (N-1-i)-th; both fall in the group of beta = alpha*conj(alpha),
-    as beta(-alpha) = beta(alpha), so group_of(coords) runs once per +-
-    pair, on the first half of the listing."""
-    n = len(found)
-    firsts = [group_of(coords) for coords, _ in found[: (n + 1) // 2]]
-    for i, (coords, _) in enumerate(found):
-        yield coords, firsts[min(i, n - 1 - i)]
-
-
 def superset_search(field, ws, kappa, red, radius, prec, budget):
-    """({beta: (weighted norm enclosure, coordinates)}, nodes) over every
+    """({beta: (weighted norm enclosure, members)}, nodes) over every
     vector of the reduced lower form `red` within `radius`, grouped by the
-    exact value beta = alpha*conj(alpha), groups in lexicographic order of
-    their first member.  As the lower form bounds the form from below, the
-    groups hold every vector of weighted norm <= radius; the norm depends on
-    alpha only through beta, so one weighted_norm certifies each group."""
-    cands, nodes = lattice.enumerate_short(red, radius, budget)
+    exact value beta = alpha*conj(alpha).  As the lower form bounds the form
+    from below, the groups hold every vector of weighted norm <= radius; the
+    norm depends on alpha only through beta, so one weighted_norm certifies
+    each group.  Members are one vector of each +-alpha pair, as both have
+    the same beta: a group stands for twice as many vectors."""
+    vectors, nodes = lattice.half_space_vectors(red, radius, budget)
     groups = {}
-
-    def group_of(coords):
+    for coords in vectors:
         a = _basis_element(field, kappa, coords)
         beta = a.times_conj()
         group = groups.get(beta)
         if group is None:
             group = groups[beta] = (weighted_norm(field, a, ws, prec, beta), [])
-        return group[1]
-
-    for coords, members in _pair_groups(cands, group_of):
-        members.append(coords)
+        group[1].append(coords)
     return groups, nodes
 
 
@@ -306,8 +291,9 @@ def _interval_minimum(field, ws, kappa, prec, budget):
         m_hi = min(v.hi for v, _ in groups.values())
         alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
-            value, coords = alive[0]
-            return value, tuple(coords), radius, nodes
+            value, members = alive[0]
+            coords = members + [tuple(-x for x in c) for c in members]
+            return value, tuple(sorted(coords)), radius, nodes
     raise PrecisionError(
         f"_interval_minimum: minimum cluster did not separate at {cur.bits} bits; "
         "weights may tie distinct values exactly"
@@ -474,16 +460,14 @@ def characteristic_set_E(
     q_max = max(_equal_weight_q(field, v) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     g = gram_matrix(field, None, None, prec)
-    found, _ = lattice.enumerate_short(g.reduction, radius, budget)
+    vectors, _ = lattice.half_space_vectors(g.reduction, radius, budget)
     # the norm and the chamber coordinates depend on a only through
-    # beta = a conj(a), so each group of candidates is tested once
+    # beta = a conj(a), so each group of candidates is tested once; a group
+    # holds one a of each +-a pair
     groups: dict[FieldElement, list[FieldElement]] = {}
-
-    def group_of(coords):
-        return groups.setdefault(FieldElement(field, coords).times_conj(), [])
-
-    for coords, members in _pair_groups(found, group_of):
-        members.append(FieldElement(field, coords))
+    for coords in vectors:
+        a = FieldElement(field, coords)
+        groups.setdefault(a.times_conj(), []).append(a)
     chamber = _Chamber(field, basis)
     origin = (0,) * (k - 1)
     elements = []
@@ -494,6 +478,7 @@ def characteristic_set_E(
         exps = _chamber_exponents(chamber, members[0], beta, n_abs, prec)
         if exps == origin:
             elements.extend(members)
+            elements.extend(-a for a in members)
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
 

@@ -137,8 +137,14 @@ def _tail_bound(
 
 
 def _pivot_floor(reduced) -> Fraction:
-    """Smallest LDL pivot of a reduced Gram: the tail bound's delta."""
-    return min(lattice.ldl(reduced)[1])
+    """Smallest LDL pivot of a reduced Gram: the tail bound's delta.
+
+    Pivot i is the ratio of consecutive leading minors of the Gram, so over
+    the integral Gram s * reduced with leading minors d it is
+    d[i+1] / (s d[i])."""
+    s, a = lattice._integer_gram(reduced)
+    d, _ = lattice._integral_gso(a)
+    return min(Fraction(d[i + 1], s * d[i]) for i in range(len(a)))
 
 
 def _initial_radius(dim: int, delta: Fraction, mu_ub: Fraction, t: Fraction, bits: int) -> Fraction:
@@ -226,7 +232,7 @@ def psi_truncated(
     radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
     groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
     terms = [RealInterval.point(1)]
-    terms.extend(Fraction(len(c)) * _term(v, t, bits) for v, c in groups.values())
+    terms.extend(Fraction(2 * len(c)) * _term(v, t, bits) for v, c in groups.values())
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
 
 
@@ -244,7 +250,7 @@ def _excess_data(field, ws, mv, prec, budget):
     groups, _ = superset_search(field, ws, None, red, cutoff, prec, budget)
     a0 = field.element(mv.vectors[0])
     beta0 = a0.times_conj()
-    beyond = [(v.lo, len(c)) for b, (v, c) in groups.items() if b != beta0]
+    beyond = [(v.lo, 2 * len(c)) for b, (v, c) in groups.items() if b != beta0]
     return beyond, cutoff, delta
 
 

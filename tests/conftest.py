@@ -1,5 +1,6 @@
-"""Shared fixtures: random Gram generation, an exhaustive box-search
-oracle, and the acceptance summary printed after the run."""
+"""Shared fixtures: random Gram generation, a Fraction LDL and an
+exhaustive box-search oracle, and the acceptance summary printed after the
+run."""
 
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from cmsvp.errors import NotPositiveDefiniteError
 from cmsvp.field import CMField
 
 
@@ -47,6 +49,29 @@ def _inverse_diagonal(g: list[list[int]]) -> list[Fraction]:
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return [a[i][n + i] for i in range(n)]
+
+
+def ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """G = L D L^T with unit lower-triangular L and positive diagonal D, in
+    Fraction arithmetic: the reference for the pivots that the package reads
+    off the integral Gram-Schmidt minors."""
+    n = len(g)
+    l = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for i in range(n):
+        l[i][i] = Fraction(1)
+        for j in range(i):
+            s = Fraction(g[i][j])
+            for t in range(j):
+                s -= l[i][t] * l[j][t] * d[t]
+            l[i][j] = s / d[j]
+        s = Fraction(g[i][i])
+        for t in range(i):
+            s -= l[i][t] * l[i][t] * d[t]
+        if s <= 0:
+            raise NotPositiveDefiniteError(f"pivot {i} of the LDL decomposition is {s}")
+        d[i] = s
+    return l, d
 
 
 def box_short_vectors(g: list[list[int]], radius) -> set:

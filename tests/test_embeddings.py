@@ -205,3 +205,81 @@ def test_the_top_rung_raises_naming_its_site_and_bits(f5):
         sigma(f5, a, prec)
     with pytest.raises(PrecisionError, match="log_sigma: .* at 4096 bits"):
         log_sigma(f5, a, prec)
+
+
+def _reference_weighted_norm(field, a, weights, prec, beta=None):
+    """interval_sum(w_m * sigma_m) over the term-by-term sigma enclosures,
+    certified by RealInterval.relative_radius on each rung of the ladder."""
+    ws = normalize_weights(field, weights)
+    if a.is_zero():
+        return RealInterval.point(0)
+    if beta is None:
+        beta = a * a.conj()
+    for cur in prec.ladder():
+        vals = _reference_sigma_sum(field.conductor, beta.coords, cur.bits)
+        if all(v.relative_radius() <= REL_RADIUS for v in vals):
+            return interval_sum(w * v for w, v in zip(ws, vals))
+    raise PrecisionError(f"sigma: radius target missed at {cur.bits} bits")
+
+
+def _weight_vectors(field, rng):
+    """A rational, an interval and a mixed weight vector."""
+    k = field.k
+    rational = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 7)) for _ in range(k))
+    # sigma images of an element are certified positive, irrational weights
+    a = _random_element(field, rng)
+    while a.is_zero():
+        a = _random_element(field, rng)
+    intervals = sigma(field, a)
+    mixed = tuple(w if m % 2 else r for m, (w, r) in enumerate(zip(intervals, rational)))
+    return rational, intervals, mixed
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("conductor", [5, 7, 11, 12, 13, 15, 17, 20])
+def test_weighted_norm_equals_the_interval_sum_of_weighted_sigmas(conductor, bits):
+    field = CMField(conductor)
+    rng = random.Random(conductor * 7919 + bits)
+    prec = PrecisionConfig(bits)
+    elements = [field.zero(), field.one()] + [_random_element(field, rng, span) for span in (1, 4, 10**12)]
+    for ws in _weight_vectors(field, rng):
+        for a in elements:
+            got = weighted_norm(field, a, ws, prec)
+            assert got == _reference_weighted_norm(field, a, ws, prec)
+            assert weighted_norm(field, a, ws, prec, a.times_conj()) == got
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_weighted_norm_on_a_sigma_enclosure_straddling_zero(f5, bits):
+    """beta = u^100 conj(u^100) has one embedding near 2^-139: its certified
+    enclosure straddles 0 from 53, 128 and 256 bits, so the lower end takes
+    the upper interval weight there, and u^40 climbs the ladder from 53
+    bits."""
+    prec = PrecisionConfig(bits)
+    a = _unit_power(f5, 100)
+    assert any(v.lo < 0 < v.hi for v in sigma(f5, a, prec))
+    weights = (
+        (Fraction(3), Fraction(1, 7)),
+        (RealInterval(Fraction(2), Fraction(3)), RealInterval(Fraction(1, 5), Fraction(1, 4))),
+        (Fraction(5), RealInterval(Fraction(1, 3), Fraction(1, 2))),
+    )
+    # zeta + zeta^-1 is conjugation-fixed with one negative embedding: as a
+    # beta it puts both ends of one enclosure below 0, where the upper end
+    # takes the lower interval weight
+    negative = f5.zeta(1) + f5.zeta(-1)
+    assert any(v.hi < 0 for v in sigma_real(f5, negative, prec))
+    for ws in weights:
+        for b in (a, _unit_power(f5, 40)):
+            assert weighted_norm(f5, b, ws, prec) == _reference_weighted_norm(f5, b, ws, prec)
+        got = weighted_norm(f5, f5.one(), ws, prec, negative)
+        assert got == _reference_weighted_norm(f5, f5.one(), ws, prec, negative)
+
+
+def test_weighted_norm_raises_at_the_top_rung_as_the_reference_does(f5):
+    a = _unit_power(f5, 3000)
+    prec = PrecisionConfig(MAX_BITS // 2)
+    for ws in ((Fraction(1), Fraction(2)), (RealInterval(Fraction(1), Fraction(2)), Fraction(3))):
+        with pytest.raises(PrecisionError, match="sigma: radius target missed at 4096 bits"):
+            _reference_weighted_norm(f5, a, ws, prec)
+        with pytest.raises(PrecisionError, match="sigma: radius target missed at 4096 bits"):
+            weighted_norm(f5, a, ws, prec)

@@ -18,13 +18,12 @@ from cmsvp.lattice import (
     _round_half_even,
     enumerate_short,
     is_positive_definite,
-    ldl,
     lll_reduce,
     minimum_shell,
     theta_counts,
 )
 
-from conftest import box_short_vectors, int_det, random_int_gram
+from conftest import box_short_vectors, int_det, ldl, random_int_gram
 
 
 def _frac(g):

@@ -12,13 +12,14 @@ import pytest
 
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
-from cmsvp.embeddings import log_sigma, representatives
+from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma
 from cmsvp.errors import InputError, NotPositiveDefiniteError
 from cmsvp.field import CMField, FieldElement, exact_divide, field_norm, is_unit, trace
 from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
     det_interval,
+    interval_sum,
     log_interval,
     root_interval,
 )
@@ -121,6 +122,63 @@ def test_minimal_vectors_skew_weights_n7(f7):
     assert mv.mu.lo - Fraction(1, 10**6) <= Fraction(q_min) <= mv.mu.hi + Fraction(1, 10**6)
     assert set(mv.vectors) == vectors
     assert all(is_unit(f7.element(v)) for v in mv.vectors)
+
+
+def _reference_superset(field, ws, kappa, red, radius, prec, budget=lattice.DEFAULT_BUDGET):
+    """The superset search on enumerate_short's full listing: every listed
+    vector, both of each +- pair, grouped by beta, each group certified by
+    interval_sum(w_m * sigma_m)."""
+    found, nodes = lattice.enumerate_short(red, radius, budget)
+    groups = {}
+    for coords, _ in found:
+        a = svp._basis_element(field, kappa, coords)
+        beta = a.times_conj()
+        if beta not in groups:
+            vals = sigma(field, a, prec, beta)
+            groups[beta] = (interval_sum(w * v for w, v in zip(ws, vals)), [])
+        groups[beta][1].append(coords)
+    return groups, nodes
+
+
+@pytest.mark.parametrize(
+    "p, weights",
+    [(5, (3, 1)), (5, (1, Fraction(1, 10**8))), (7, (1, 10, 100)), (7, (2, 1, 1)), (11, (1, 2, 3, 4, 5))],
+)
+@pytest.mark.parametrize("ideal", [False, True])
+def test_superset_search_on_the_half_space_equals_the_full_listing(p, weights, ideal):
+    """Same beta keys and enclosures as a search over enumerate_short's
+    listing, with one member of each +- pair: half the members, whose
+    mirrors are the other half."""
+    field = CMField(p)
+    prec = PrecisionConfig()
+    ws = normalize_weights(field, weights)
+    kappa = field.one() - field.zeta(1) if ideal else None
+    red = gram_matrix(field, ws, kappa, prec).reduction
+    radius = 3 * svp.basis_minimum(field, ws, kappa, red.u, prec)
+    groups, nodes = svp.superset_search(field, ws, kappa, red, radius, prec, lattice.DEFAULT_BUDGET)
+    ref, ref_nodes = _reference_superset(field, ws, kappa, red, radius, prec)
+    assert nodes == ref_nodes
+    assert list(groups) and set(groups) == set(ref)
+    for beta, (value, members) in groups.items():
+        ref_value, ref_members = ref[beta]
+        assert value == ref_value
+        assert 2 * len(members) == len(ref_members)
+        mirrors = [tuple(-x for x in c) for c in members]
+        assert sorted(members + mirrors) == ref_members
+
+
+@pytest.mark.parametrize(
+    "p, weights, ideal_exp",
+    [(5, (3, 1), 0), (5, (1, Fraction(1, 10**8)), 1), (7, (1, 10, 100), 0), (7, (3, 1, 2), 2), (11, (1, 4, 16, 64, 256), 0)],
+)
+def test_skew_minimal_vectors_are_sorted_and_closed_under_negation(p, weights, ideal_exp):
+    field = CMField(p)
+    kappa = cli._one_minus_zeta_power(field, ideal_exp) if ideal_exp else None
+    mv = minimal_vectors(field, weights, kappa)
+    assert isinstance(mv.mu, RealInterval) and mv.count > 0
+    assert list(mv.vectors) == sorted(mv.vectors)
+    assert len(set(mv.vectors)) == mv.count
+    assert {tuple(-x for x in v) for v in mv.vectors} == set(mv.vectors)
 
 
 def test_enumerate_short_gram_wrapper(f5):
@@ -290,32 +348,33 @@ def test_each_command_reduces_its_gram_once(command, monkeypatch, capsys):
 
 
 def test_set_e_multiplies_out_beta_once_per_pair(monkeypatch, capsys):
-    """Set E at p = 7 lists 168 candidates, 84 +- pairs, and computes
-    beta = a conj(a) once per pair: the times_conj calls between the
-    listing and the chamber set-up are the grouping's."""
+    """Set E at p = 7 walks 84 +- pairs, 168 candidates, on the half-space
+    descent and computes beta = a conj(a) once per pair: the times_conj
+    calls between the descent and the chamber set-up are the grouping's."""
     products, listed, at = [], [], {}
-    real_times_conj, real_enumerate, real_chamber = FieldElement.times_conj, lattice.enumerate_short, svp._Chamber
+    real_times_conj, real_half_space, real_chamber = FieldElement.times_conj, lattice._half_space, svp._Chamber
 
     def counting_times_conj(self):
         products.append(1)
         return real_times_conj(self)
 
-    def counting_enumerate(*args):
-        found, nodes = real_enumerate(*args)
-        listed.append(len(found))
+    def counting_half_space(*args):
+        half, s, nodes = real_half_space(*args)
+        listed.append(len(half))
         at["listed"] = len(products)
-        return found, nodes
+        return half, s, nodes
 
     def counting_chamber(*args):
         at["chamber"] = len(products)
         return real_chamber(*args)
 
     monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
-    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(lattice, "_half_space", counting_half_space)
     monkeypatch.setattr(svp, "_Chamber", counting_chamber)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
-    assert listed == [168]
+    # 84 pairs = 168 candidates
+    assert listed == [84]
     assert at["chamber"] - at["listed"] == 84
 
 
@@ -350,15 +409,16 @@ def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
 
 
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
-    """Set E at p = 7 tests each beta = a conj(a) once: 168 candidates fall
-    into 11 groups, each gets one exact norm, and each chamber attempt one
-    log_sigma against one adjugate of the unit log matrix per precision."""
+    """Set E at p = 7 tests each beta = a conj(a) once: 168 candidates, 84
+    +- pairs on the half-space descent, fall into 11 groups, each gets one
+    exact norm, and each chamber attempt one log_sigma against one adjugate
+    of the unit log matrix per precision."""
     field = CMField(7)
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
-    logged, dets, divides, norms, candidates, attempts = [], [], [], [], [], []
+    logged, dets, divides, norms, pairs, attempts = [], [], [], [], [], []
     real_log, real_divide, real_norm = svp.log_sigma, svp.exact_divide, svp.field_norm
-    real_det, real_enumerate = interval.det_interval, lattice.enumerate_short
+    real_det, real_half_space = interval.det_interval, lattice._half_space
     real_coordinates = svp._Chamber.coordinates
 
     def counting_log(field, a, prec, beta=None):
@@ -377,10 +437,10 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         norms.append(1)
         return real_norm(a)
 
-    def counting_enumerate(*args):
-        found, nodes = real_enumerate(*args)
-        candidates.append(len(found))
-        return found, nodes
+    def counting_half_space(*args):
+        half, s, nodes = real_half_space(*args)
+        pairs.append(len(half))
+        return half, s, nodes
 
     def counting_coordinates(self, ys, prec):
         attempts.append(prec.bits)
@@ -392,11 +452,12 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     monkeypatch.setattr(interval, "det_interval", counting_det)
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
     monkeypatch.setattr(svp, "field_norm", counting_norm)
-    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(lattice, "_half_space", counting_half_space)
     monkeypatch.setattr(svp._Chamber, "coordinates", counting_coordinates)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
-    assert candidates == [168]
+    # 84 pairs = 168 candidates
+    assert pairs == [84]
     # one exact norm per beta group
     assert len(norms) == 11
     # each chamber attempt logs only its beta; the generators are logged

@@ -4,6 +4,7 @@ High-precision reference values below were produced by direct mpmath
 summation (50 digits) over independently enumerated norm shells.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -16,12 +17,15 @@ from cmsvp.errors import InputError
 from cmsvp.field import CMField, FieldElement
 from cmsvp.svp import GramMatrix, craig_circulant, gram_matrix, minimal_vectors
 from cmsvp.theta import (
+    _pivot_floor,
     cusp_extract,
     psi_truncated,
     same_counts,
     theta_prefix,
     theta_sum,
 )
+
+from conftest import ldl, random_int_gram
 
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
@@ -167,16 +171,17 @@ def test_theta_prefix_lists_no_vectors(monkeypatch):
 
 
 def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
-    """The superset search lists alpha and -alpha; beta = alpha*conj(alpha)
-    is computed for one of them."""
+    """The superset search walks one alpha of each +-alpha pair on the
+    half-space descent; beta = alpha*conj(alpha) is computed once per
+    pair."""
     listed, products, searched = [], [], []
-    real_enumerate, real_search = lattice.enumerate_short, theta.superset_search
+    real_half_space, real_search = lattice._half_space, theta.superset_search
     real_times_conj = FieldElement.times_conj
 
-    def counting_enumerate(*args):
-        found, nodes = real_enumerate(*args)
-        listed.append(len(found))
-        return found, nodes
+    def counting_half_space(*args):
+        half, s, nodes = real_half_space(*args)
+        listed.append(len(half))
+        return half, s, nodes
 
     def counting_times_conj(self):
         products.append(1)
@@ -188,13 +193,14 @@ def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
         searched.append(len(products) - before)
         return result
 
-    monkeypatch.setattr(lattice, "enumerate_short", counting_enumerate)
+    monkeypatch.setattr(lattice, "_half_space", counting_half_space)
     monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
     monkeypatch.setattr(theta, "superset_search", counting_search)
     sample = psi_truncated(f5, (3, 1), 2)
     assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
     assert len(listed) == len(searched) == 1
-    assert listed[0] % 2 == 0 and searched[0] == listed[0] // 2
+    # listed[0] pairs stand for 2 * listed[0] candidates; one beta per pair
+    assert listed[0] > 0 and searched[0] == listed[0]
 
 
 def test_psi_validation(f5):
@@ -260,3 +266,26 @@ def test_cusp_extract_skew_weights(f5):
     assert mu.overlaps(ground.mu)
     assert (mu.lo, mu.hi) == SKEW5_CUSP_MU
     assert count == 10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_pivot_floor_is_the_smallest_ldl_pivot_of_reduced_field_grams(p):
+    """The pivots read off the integral Gram-Schmidt minors are the Fraction
+    LDL pivots: on the exact field Gram, a skewed lower form and an ideal's
+    Gram."""
+    field = CMField(p)
+    skew = tuple(range(1, field.k + 1))
+    kappa = field.one() - field.zeta(1)
+    for g in (gram_matrix(field), gram_matrix(field, skew), gram_matrix(field, None, kappa)):
+        reduced = g.reduction.reduced
+        assert _pivot_floor(reduced) == min(ldl(reduced)[1])
+
+
+def test_pivot_floor_is_the_smallest_ldl_pivot_of_random_grams():
+    rng = random.Random(53)
+    for _ in range(40):
+        dim = rng.randint(1, 7)
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        g = [[scale * x for x in row] for row in random_int_gram(rng, dim, entry=3, max_diag=40)]
+        for m in (g, lattice.reduce(g).reduced):
+            assert _pivot_floor(m) == min(ldl(m)[1])
