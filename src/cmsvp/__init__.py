@@ -29,7 +29,6 @@ from .svp import (
     characteristic_set_E,
     craig_circulant,
     gram_matrix,
-    hull_consistency,
     minimal_vectors,
     reduce_to_chamber,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "exact_divide",
     "field_norm",
     "gram_matrix",
-    "hull_consistency",
     "ideal_bound",
     "is_unit",
     "load_unit_basis",

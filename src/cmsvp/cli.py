@@ -41,7 +41,15 @@ from .errors import (
     SelfTestError,
 )
 from .field import CMField, is_prime, is_unit
-from .interval import PrecisionConfig, RealInterval, decimal_str, interval_json
+from .interval import (
+    DEFAULT_PRECISION,
+    MAX_BITS,
+    MIN_BITS,
+    PrecisionConfig,
+    RealInterval,
+    decimal_str,
+    interval_json,
+)
 from .units import UnitBasis, cyclotomic_unit_basis, load_unit_basis
 
 EXIT_OK = 0
@@ -110,8 +118,6 @@ def _weights_from(args):
 def _kappa_from(field: CMField, args):
     """Ideal generator from --ideal-exp r (kappa = (1 - zeta)^r) or
     --ideal-gen coords; None when neither is given or r = 0."""
-    if args.ideal_exp is not None and args.ideal_gen is not None:
-        raise InputError("--ideal-exp and --ideal-gen are mutually exclusive")
     if args.ideal_exp is not None:
         r = args.ideal_exp
         if r < 0:
@@ -135,13 +141,6 @@ def _one_minus_zeta_power(field: CMField, r: int):
     for _ in range(r - 1):
         kappa = kappa * base
     return kappa
-
-
-def _prec_from(args) -> PrecisionConfig:
-    try:
-        return PrecisionConfig(bits=args.bits)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +175,11 @@ def _bound_payload(report: BoundReport) -> dict:
 def cmd_bound(args) -> int:
     field = _field_from(args)
     basis = _basis_from(field, args)
-    prec = _prec_from(args)
     kappa = _kappa_from(field, args)
     if kappa is None:
-        report = theorem_bound(field, basis, prec)
+        report = theorem_bound(field, basis, args.prec)
     else:
-        report = ideal_bound(field, basis, kappa, prec)
+        report = ideal_bound(field, basis, kappa, args.prec)
     if is_prime(field.conductor):
         report = with_verdict(report, norm_gap_verdict(report, field.conductor))
     lines = [
@@ -204,10 +202,9 @@ def cmd_bound(args) -> int:
 
 def cmd_minima(args) -> int:
     field = _field_from(args)
-    prec = _prec_from(args)
     w = _weights_from(args)
     kappa = _kappa_from(field, args)
-    mv = svp.minimal_vectors(field, w, kappa, prec, args.budget)
+    mv = svp.minimal_vectors(field, w, kappa, args.prec, args.budget)
     lines = [
         f"mu {_fmt_mu(mv.mu)}",
         f"count {mv.count}  radius {mv.radius}  nodes {mv.nodes}",
@@ -220,9 +217,8 @@ def cmd_minima(args) -> int:
 def cmd_set_e(args) -> int:
     field = _field_from(args)
     basis = _basis_from(field, args)
-    prec = _prec_from(args)
-    report = theorem_bound(field, basis, prec)
-    ch = svp.characteristic_set_E(field, basis, report, prec, args.budget)
+    report = theorem_bound(field, basis, args.prec)
+    ch = svp.characteristic_set_E(field, basis, report, args.prec, args.budget)
     lines = [f"size {ch.size}  norm bound {_fmt(report.bound, 25)}"]
     lines.extend("  " + ",".join(str(c) for c in e.coords) for e in ch.elements)
     _emit({"command": "set-e", **ch.to_json()}, lines, args.json)
@@ -241,8 +237,6 @@ def _parse_circulant(text: str) -> tuple[int, int]:
 
 
 def cmd_theta(args) -> int:
-    if args.circulant is not None and args.cyclotomic is not None:
-        raise InputError("--circulant and --cyclotomic are mutually exclusive")
     max_norm = _rational(args.max_norm, "--max-norm value")
     if args.circulant is not None:
         n, r = _parse_circulant(args.circulant)
@@ -250,8 +244,7 @@ def cmd_theta(args) -> int:
         source = f"circulant {n},{r}"
     else:
         field = _field_from(args)
-        prec = _prec_from(args)
-        g = svp.gram_matrix(field, _weights_from(args), _kappa_from(field, args), prec)
+        g = svp.gram_matrix(field, _weights_from(args), _kappa_from(field, args), args.prec)
         if not g.exact:
             raise InputError("theta counting needs equal rational weights")
         source = f"cyclotomic {field.conductor}"
@@ -263,12 +256,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    if args.ideal_exp is not None or args.ideal_gen is not None:
-        raise InputError("psi sums over O_F; --ideal-exp and --ideal-gen are not supported")
     field = _field_from(args)
-    prec = _prec_from(args)
     t = _rational(args.t, "--t value")
-    sample = theta.psi_truncated(field, _weights_from(args), t, prec, args.budget)
+    sample = theta.psi_truncated(field, _weights_from(args), t, args.prec, args.budget)
     enc = sample.enclosure()
     lines = [
         f"t {sample.t}  truncation radius {sample.radius}",
@@ -330,8 +320,7 @@ def cmd_verify_craig(args) -> int:
     r_lo, r_hi = _parse_r_range(args.r)
     field = CMField(p)
     basis = cyclotomic_unit_basis(field)
-    prec = _prec_from(args)
-    report = theorem_bound(field, basis, prec)
+    report = theorem_bound(field, basis, args.prec)
     verdict = norm_gap_verdict(report, p)
     lines = [
         f"p {p}  bound {_fmt(report.bound, 25)}  verdict {verdict.value}",
@@ -354,7 +343,7 @@ def cmd_verify_craig(args) -> int:
     checks = []
     all_ok = True
     for r in range(r_lo, r_hi + 1):
-        check, check_lines, ok = _craig_check(field, p, r, prec, args.budget)
+        check, check_lines, ok = _craig_check(field, p, r, args.prec, args.budget)
         checks.append(check)
         lines.extend(check_lines)
         all_ok = all_ok and ok
@@ -376,38 +365,80 @@ def _node_budget(text: str) -> int:
     return int(text)
 
 
+def _precision(text: str) -> PrecisionConfig:
+    """--bits value: the starting precision, checked against its range."""
+    try:
+        return PrecisionConfig(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from {MIN_BITS} to {MAX_BITS} bits, got {text!r}"
+        ) from exc
+
+
+def _add_cyclotomic(container) -> None:
+    container.add_argument("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
-    common.add_argument("--units", metavar="FILE", help="unit-basis file")
-    common.add_argument("--weights", metavar="CSV", help="comma-separated positive rationals")
-    common.add_argument("--ideal-exp", type=int, metavar="R", help="ideal (1 - zeta)^R")
-    common.add_argument("--ideal-gen", metavar="COORDS", help="ideal generator coordinates")
-    common.add_argument("--bits", type=int, default=128, metavar="B", help="working precision bits")
-    common.add_argument(
+    """One parser per command, holding exactly the flags its cmd_* reads,
+    so a flag the command would ignore exits 2."""
+
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
+
+    run = parent()
+    run.add_argument(
+        "--bits", dest="prec", type=_precision, default=DEFAULT_PRECISION, metavar="B",
+        help="working precision bits",
+    )
+    run.add_argument("--json", action="store_true", help="machine-readable output")
+    budget = parent()
+    budget.add_argument(
         "--budget", type=_node_budget, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
     )
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    field = parent()
+    _add_cyclotomic(field)
+    units = parent()
+    units.add_argument("--units", metavar="FILE", help="unit-basis file")
+    weights = parent()
+    weights.add_argument("--weights", metavar="CSV", help="comma-separated positive rationals")
+    ideal = parent()
+    gen = ideal.add_mutually_exclusive_group()
+    gen.add_argument("--ideal-exp", type=int, metavar="R", help="ideal (1 - zeta)^R")
+    gen.add_argument("--ideal-gen", metavar="COORDS", help="ideal generator coordinates")
 
     parser = argparse.ArgumentParser(prog="cmsvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("bound", parents=[common], help="certified norm bound").set_defaults(func=cmd_bound)
-    sub.add_parser("minima", parents=[common], help="exact minimal vectors").set_defaults(func=cmd_minima)
+    sub.add_parser(
+        "bound", parents=[field, units, ideal, run], help="certified norm bound"
+    ).set_defaults(func=cmd_bound)
+    sub.add_parser(
+        "minima", parents=[field, weights, ideal, run, budget], help="exact minimal vectors"
+    ).set_defaults(func=cmd_minima)
 
-    vc = sub.add_parser("verify-craig", parents=[common], help="full verification pipeline")
+    vc = sub.add_parser("verify-craig", parents=[run, budget], help="full verification pipeline")
     vc.add_argument("-p", type=int, required=True, help="prime conductor")
     vc.add_argument("-r", default="0..2", metavar="RANGE", help="exponent range, e.g. 0..3 or 1")
     vc.set_defaults(func=cmd_verify_craig)
 
-    sub.add_parser("set-e", parents=[common], help="characteristic set E").set_defaults(func=cmd_set_e)
+    sub.add_parser(
+        "set-e", parents=[field, units, run, budget], help="characteristic set E"
+    ).set_defaults(func=cmd_set_e)
 
-    th = sub.add_parser("theta", parents=[common], help="exact theta coefficients")
+    source = parent()
+    lattice_source = source.add_mutually_exclusive_group()
+    _add_cyclotomic(lattice_source)
+    lattice_source.add_argument("--circulant", metavar="N,R", help="circulant Gram instead of a field")
+    th = sub.add_parser(
+        "theta", parents=[source, weights, ideal, run, budget], help="exact theta coefficients"
+    )
     th.add_argument("--max-norm", default="12", metavar="M", help="count vectors with norm <= M")
-    th.add_argument("--circulant", metavar="N,R", help="circulant Gram instead of a field")
     th.set_defaults(func=cmd_theta)
 
-    ps = sub.add_parser("psi", parents=[common], help="truncated psi with certified tail")
+    ps = sub.add_parser(
+        "psi", parents=[field, weights, run, budget], help="truncated psi with certified tail"
+    )
     ps.add_argument("--t", required=True, metavar="T", help="imaginary-axis parameter")
     ps.set_defaults(func=cmd_psi)
 

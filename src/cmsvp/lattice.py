@@ -32,14 +32,6 @@ REFUSE_MARGIN = 100
 MAX_LISTED = 4 * 10**6
 
 
-def is_positive_definite(g: list[list[Fraction]]) -> bool:
-    try:
-        _integral_gso(_integer_gram(g)[1])
-        return True
-    except NotPositiveDefiniteError:
-        return False
-
-
 def _integer_gram(g, den: int = 1) -> tuple[int, list[list[int]]]:
     """(s, s * g as an integer matrix), s the lcm of den and g's denominators."""
     g = [[Fraction(x) for x in row] for row in g]
@@ -250,27 +242,20 @@ def half_space_vectors(
 
 
 def enumerate_short(
-    g: list[list[Fraction]] | Reduced,
-    radius: Fraction,
-    budget: int = DEFAULT_BUDGET,
-    include_zero: bool = False,
+    g: Reduced, radius: Fraction, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[tuple[tuple[int, ...], Fraction]], int]:
-    """All lattice vectors v with q(v) <= radius, exactly.
+    """All nonzero lattice vectors v with q(v) <= radius, exactly.
 
     Vectors come in +-v pairs; both are listed.  Returns (sorted list of
     (coordinates, value) pairs, nodes visited).  Coordinates refer to the
     Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
-    vectors, expected or found, raise BudgetExceededError.  A raw Gram is
-    reduced on entry; a Reduced is used as it is.
+    vectors, expected or found, raise BudgetExceededError.
     """
-    _, reduced, u = g if isinstance(g, Reduced) else reduce(g)
-    half, s, nodes = _half_space(reduced, Fraction(radius), budget)
+    half, s, nodes = _half_space(g.reduced, Fraction(radius), budget)
     out: list[tuple[tuple[int, ...], Fraction]] = []
-    if include_zero:
-        out.append(((0,) * len(reduced), Fraction(0)))
     # one Fraction per distinct value, shared by all its vectors
     values: dict[int, Fraction] = {}
-    in_basis = _basis_map(u)
+    in_basis = _basis_map(g.u)
     for coords, m in half:
         val = values.get(m)
         if val is None:
@@ -284,30 +269,28 @@ def enumerate_short(
 
 
 def minimum_shell(
-    g: list[list[Fraction]] | Reduced, budget: int = DEFAULT_BUDGET
+    g: Reduced, budget: int = DEFAULT_BUDGET
 ) -> tuple[Fraction, list[tuple[int, ...]], Fraction, int]:
     """(minimum q, minimizers, search radius, nodes) for an exact Gram.
 
     The search radius is the smallest diagonal entry of the LLL-reduced
     Gram, which always contains a nonzero vector.
     """
-    red = g if isinstance(g, Reduced) else reduce(g)
-    radius = min(red.reduced[i][i] for i in range(len(red.reduced)))
-    vectors, nodes = enumerate_short(red, radius, budget)
+    radius = min(g.reduced[i][i] for i in range(len(g.reduced)))
+    vectors, nodes = enumerate_short(g, radius, budget)
     mu = min(v for _, v in vectors)
     mins = sorted(c for c, v in vectors if v == mu)
     return mu, mins, radius, nodes
 
 
 def theta_counts(
-    g: list[list[Fraction]] | Reduced, max_norm: Fraction, budget: int = DEFAULT_BUDGET
+    g: Reduced, max_norm: Fraction, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Fraction, int]]:
     """Sorted (q, count) pairs for q <= max_norm, including q = 0.
 
     Counted on the half-space descent: each value found there stands for
     a +-v pair, and the zero vector counts once."""
-    reduced = g.reduced if isinstance(g, Reduced) else reduce(g).reduced
-    half, s, _ = _half_space(reduced, Fraction(max_norm), budget)
+    half, s, _ = _half_space(g.reduced, Fraction(max_norm), budget)
     counts = {0: 1}
     for _, m in half:
         counts[m] = counts.get(m, 0) + 2

@@ -11,15 +11,13 @@ into a Gram matrix, and answers questions about short vectors exactly:
   certified interval evaluation, with exact algebraic tie-breaking.
 
 On top of the enumerator sit the finite characteristic set E (norm bound
-plus the half-open fundamental chamber in log-unit coordinates), a convex
-hull check for minimizer images, and the circulant Craig lattice Grams used
-for cross-checking.
+plus the half-open fundamental chamber in log-unit coordinates) and the
+circulant Craig lattice Grams used for cross-checking.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -28,7 +26,6 @@ from . import lattice
 from .embeddings import (
     log_sigma,
     normalize_weights,
-    sigma,
     sigma_real,
     weighted_norm,
     weights_are_equal_rational,
@@ -147,7 +144,10 @@ class CharacteristicSetE:
 
 
 def _basis_element(field: CMField, kappa, coords) -> FieldElement:
-    a = field.element(coords)
+    """kappa times the element with coordinates coords, or that element
+    when kappa is None.  coords is a tuple of field.degree ints already,
+    so it is not validated again."""
+    a = FieldElement(field, coords)
     return a if kappa is None else kappa * a
 
 
@@ -233,7 +233,7 @@ def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fracti
     """Smallest certified upper end of the weighted norm over the rows of U:
     a radius that holds at least one nonzero vector of the form."""
     return min(
-        weighted_norm(field, _basis_element(field, kappa, row), ws, prec).hi
+        weighted_norm(field, _basis_element(field, kappa, tuple(row)), ws, prec).hi
         for row in u
     )
 
@@ -256,29 +256,6 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
             group = groups[beta] = (weighted_norm(field, a, ws, prec, beta), [])
         group[1].append(coords)
     return groups, nodes
-
-
-def enumerate_short(
-    g: GramMatrix,
-    radius,
-    budget: int = lattice.DEFAULT_BUDGET,
-) -> ShortVectorSet:
-    """Exhaustive short-vector search on an exact Gram.
-
-    Finds every nonzero vector with form value <= radius and returns the
-    minimum with all its attaining vectors.
-    """
-    if not g.exact:
-        raise InputError("exact enumeration needs an exact-rational Gram")
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise InputError("enumeration radius must be positive")
-    found, nodes = lattice.enumerate_short(g.reduction, radius, budget)
-    if not found:
-        return ShortVectorSet(None, (), radius, nodes)
-    mu = min(v for _, v in found)
-    mins = tuple(sorted(c for c, v in found if v == mu))
-    return ShortVectorSet(mu, mins, radius, nodes)
 
 
 def _interval_minimum(field, ws, kappa, prec, budget):
@@ -481,127 +458,6 @@ def characteristic_set_E(
             elements.extend(-a for a in members)
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
-
-
-def _simplex_lp(points: list[tuple[Fraction, ...]], target_index: int) -> Fraction:
-    """max t with some |h|_inf <= 1 satisfying h.(x - x*) >= t for all x.
-
-    Exact rational simplex method with Bland's rule.  The optimum is 0 when
-    x* lies on the hull boundary and negative when it is interior.
-    """
-    k = len(points[0])
-    star = points[target_index]
-    diffs = [tuple(x - s for x, s in zip(p, star)) for p in points]
-    ncols = 2 * k + 2  # h+ , h-, t+, t-
-    rows = []
-    rhs = []
-    for d in diffs:
-        rows.append([-x for x in d] + [x for x in d] + [Fraction(1), Fraction(-1)])
-        rhs.append(Fraction(0))
-    for i in range(2 * k):
-        row = [Fraction(0)] * ncols
-        row[i] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    obj = [Fraction(0)] * ncols
-    obj[-2] = Fraction(1)
-    obj[-1] = Fraction(-1)
-
-    m = len(rows)
-    total = ncols + m
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    cost = [-x for x in obj] + [Fraction(0)] * m + [Fraction(0)]
-    basic = list(range(ncols, ncols + m))
-    while True:
-        enter = next((j for j in range(total) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basic[i] < basic[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise InputError("hull LP unbounded; degenerate input")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tab[leave])]
-        basic[leave] = enter
-    value = Fraction(0)
-    for i, b in enumerate(basic):
-        if b == ncols - 2:
-            value += tab[i][total]
-        elif b == ncols - 1:
-            value -= tab[i][total]
-    return value
-
-
-def hull_check(
-    field: CMField,
-    w,
-    sample_radius=Fraction(3),
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-    budget: int = lattice.DEFAULT_BUDGET,
-) -> bool:
-    """Do all weighted-norm minimizers map to the hull boundary of the
-    enumerated Sigma images?  Heuristic: an exact LP on the midpoints of the
-    Sigma enclosures, accepted within 2*k*(largest enclosure width)."""
-    if field.k not in (2, 3):
-        raise InputError("hull check is implemented for k in {2, 3}")
-    ws = normalize_weights(field, w)
-    mv = minimal_vectors(field, ws, None, prec, budget)
-    radius = sample_radius * (mv.mu.hi if isinstance(mv.mu, RealInterval) else mv.mu)
-    red = gram_matrix(field, ws, None, prec).reduction
-    groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
-    images: dict[FieldElement, tuple] = {}
-    max_width = Fraction(0)
-    for beta, (value, coords) in groups.items():
-        if value.lo > radius:
-            continue
-        vals = sigma(field, field.element(coords[0]), prec, beta)
-        max_width = max(max_width, *(v.width for v in vals))
-        images[beta] = tuple(v.mid for v in vals)
-    tol = field.k * max_width
-    a0 = field.element(mv.vectors[0])
-    t_opt = _simplex_lp(list(images.values()), list(images).index(a0.times_conj()))
-    return t_opt >= -2 * tol
-
-
-def hull_consistency(
-    field: CMField,
-    sample_radius=Fraction(3),
-    trials: int = 3,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-    seed: int = 0,
-    weights_list=None,
-) -> bool:
-    """hull_check over several weight vectors: equal weights first, then
-    seeded random positive rationals (or an explicit list).  Heuristic, as
-    each hull_check verdict is."""
-    if weights_list is None:
-        rng = random.Random(seed)
-        weights_list = [tuple(Fraction(1) for _ in range(field.k))]
-        while len(weights_list) < trials:
-            weights_list.append(
-                tuple(
-                    Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                    for _ in range(field.k)
-                )
-            )
-    return all(
-        hull_check(field, ws, sample_radius, prec) for ws in weights_list
-    )
 
 
 def craig_circulant(n_ambient: int, r: int) -> GramMatrix:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from cmsvp.bound import Verdict, norm_gap_verdict, theorem_bound
 from cmsvp.field import CMField, exact_divide, field_norm, is_unit
 from cmsvp.interval import RealInterval
-from cmsvp.lattice import enumerate_short
+from cmsvp.lattice import enumerate_short, reduce
 from cmsvp.svp import (
     characteristic_set_E,
     craig_circulant,
@@ -134,7 +134,7 @@ def test_criterion_6_enumeration_matches_box_search():
         dim = rng.randint(2, 6)
         g = random_int_gram(rng, dim)
         radius = Fraction(rng.randint(min(g[i][i] for i in range(dim)), 10))
-        found, _ = enumerate_short([[Fraction(x) for x in row] for row in g], radius)
+        found, _ = enumerate_short(reduce([[Fraction(x) for x in row] for row in g]), radius)
         ours = {tuple(v) for v, _ in found}
         assert ours == box_short_vectors(g, radius), (g, radius)
         instances += 1

@@ -157,6 +157,14 @@ def test_bits_floor():
     assert proc.returncode == 2
 
 
+def test_out_of_range_bits_exit_2_on_a_command_that_needs_no_precision():
+    """A circulant theta never reads the precision; --bits is checked when
+    it is parsed all the same."""
+    proc = run_cli("theta", "--circulant", "4,1", "--max-norm", "8", "--bits", "7")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "4096 bits" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_bits_above_the_ladder_top_exit_2_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "cmsvp", "bound", "--cyclotomic", "5", "--bits", "8192"],
@@ -295,7 +303,55 @@ def test_psi_with_a_tiny_t_fails_on_precision_without_a_traceback():
 def test_psi_refuses_ideals(flag):
     proc = run_cli("psi", "--cyclotomic", "5", "--t", "1", *flag)
     assert proc.returncode == 2
-    assert proc.stdout == "" and "not supported" in proc.stderr
+    assert proc.stdout == "" and "unrecognized arguments" in proc.stderr
+
+
+# flags that some commands read and the others refuse, each with a value
+FORMERLY_COMMON = {
+    "--cyclotomic": ["7"],
+    "--units": ["units.txt"],
+    "--weights": ["1,2"],
+    "--ideal-exp": ["1"],
+    "--ideal-gen": ["1,1,0,0"],
+    "--bits": ["256"],
+    "--budget": ["1000"],
+    "--json": [],
+}
+# each command's required inputs, and the formerly common flags its cmd_* reads
+COMMANDS = {
+    "bound": (
+        ["--cyclotomic", "5"],
+        {"--cyclotomic", "--units", "--ideal-exp", "--ideal-gen", "--bits", "--json"},
+    ),
+    "minima": (
+        ["--cyclotomic", "5"],
+        {"--cyclotomic", "--weights", "--ideal-exp", "--ideal-gen", "--bits", "--budget", "--json"},
+    ),
+    "set-e": (["--cyclotomic", "5"], {"--cyclotomic", "--units", "--bits", "--budget", "--json"}),
+    "theta": (
+        ["--cyclotomic", "5"],
+        {"--cyclotomic", "--weights", "--ideal-exp", "--ideal-gen", "--bits", "--budget", "--json"},
+    ),
+    "psi": (["--cyclotomic", "5", "--t", "1"], {"--cyclotomic", "--weights", "--bits", "--budget", "--json"}),
+    "verify-craig": (["-p", "5", "-r", "1"], {"--bits", "--budget", "--json"}),
+}
+
+
+@pytest.mark.parametrize("flag", list(FORMERLY_COMMON))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, capsys):
+    base, reads = COMMANDS[command]
+    argv = [command, *base, flag, *FORMERLY_COMMON[flag]]
+    if flag in reads:
+        parser = cli._build_parser()
+        assert vars(parser.parse_args(argv)) != vars(parser.parse_args([command, *base]))
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("budget", ["-5", "many"])

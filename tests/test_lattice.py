@@ -17,9 +17,9 @@ from cmsvp.lattice import (
     LLL_DELTA,
     _round_half_even,
     enumerate_short,
-    is_positive_definite,
     lll_reduce,
     minimum_shell,
+    reduce,
     theta_counts,
 )
 
@@ -28,6 +28,14 @@ from conftest import box_short_vectors, int_det, ldl, random_int_gram
 
 def _frac(g):
     return [[Fraction(x) for x in row] for row in g]
+
+
+def _listing_with_zero(red, radius):
+    """enumerate_short's listing of a reduced Gram with the zero vector
+    added in its lexicographic place."""
+    found, nodes = enumerate_short(red, radius)
+    zero = ((0,) * len(red.gram), Fraction(0))
+    return sorted([zero, *found], key=lambda p: p[0]), nodes
 
 
 def test_ldl_reconstructs():
@@ -49,7 +57,8 @@ def test_ldl_rejects_indefinite():
         ldl(_frac([[1, 2], [2, 1]]))
     with pytest.raises(NotPositiveDefiniteError):
         ldl(_frac([[0, 0], [0, 1]]))
-    assert not is_positive_definite(_frac([[1, 2], [2, 1]]))
+    with pytest.raises(NotPositiveDefiniteError):
+        reduce(_frac([[1, 2], [2, 1]]))
 
 
 def test_lll_unimodular_and_det_preserving():
@@ -60,13 +69,14 @@ def test_lll_unimodular_and_det_preserving():
         reduced, u = lll_reduce(g)
         assert abs(int_det(u)) == 1
         assert int_det(reduced) == int_det(g)
-        assert is_positive_definite(reduced)
+        # succeeds: the reduced Gram is positive definite
+        red = reduce(reduced)
         # the quadratic form's minimum is basis-invariant
-        assert minimum_shell(g)[0] == minimum_shell(reduced)[0]
+        assert minimum_shell(reduce(g))[0] == minimum_shell(red)[0]
 
 
 def test_enumerate_z2():
-    found, nodes = enumerate_short(_frac([[1, 0], [0, 1]]), Fraction(4))
+    found, nodes = enumerate_short(reduce(_frac([[1, 0], [0, 1]])), Fraction(4))
     by_norm = {}
     for v, q in found:
         by_norm.setdefault(q, set()).add(v)
@@ -78,9 +88,11 @@ def test_enumerate_z2():
 
 
 def test_enumerate_include_zero():
-    with_zero, _ = enumerate_short(_frac([[2]]), Fraction(2), include_zero=True)
+    """The listing excludes zero; a caller that wants it adds it."""
+    red = reduce(_frac([[2]]))
+    with_zero, _ = _listing_with_zero(red, Fraction(2))
     assert ((0,), Fraction(0)) in with_zero
-    without, _ = enumerate_short(_frac([[2]]), Fraction(2))
+    without, _ = enumerate_short(red, Fraction(2))
     assert ((0,), Fraction(0)) not in without
 
 
@@ -90,12 +102,12 @@ def test_enumerate_matches_box_oracle():
         dim = rng.randint(2, 5)
         g = random_int_gram(rng, dim)
         radius = Fraction(rng.randint(2, 10))
-        found, _ = enumerate_short(_frac(g), radius)
+        found, _ = enumerate_short(reduce(_frac(g)), radius)
         assert {tuple(v) for v, _ in found} == box_short_vectors(g, radius)
 
 
 def test_enumerate_budget():
-    g = _frac([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    g = reduce(_frac([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]))
     with pytest.raises(BudgetExceededError):
         enumerate_short(g, Fraction(6), budget=3)
 
@@ -104,7 +116,7 @@ def test_enumerate_listing_limit(monkeypatch):
     """Z^4 within norm 2 holds 32 nonzero vectors where the Gaussian
     heuristic expects 19.7: a limit of 20 passes the up-front estimate and
     stops at the exact count, a limit of 19 refuses up front."""
-    g = _frac([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    g = reduce(_frac([[1 if i == j else 0 for j in range(4)] for i in range(4)]))
     assert len(enumerate_short(g, Fraction(2))[0]) == 32
     monkeypatch.setattr(lattice, "MAX_LISTED", 20)
     with pytest.raises(BudgetExceededError, match="exceeded the budget of 20 listed vectors"):
@@ -115,16 +127,17 @@ def test_enumerate_listing_limit(monkeypatch):
 
 
 def test_minimum_shell():
-    mu, mins, _, _ = minimum_shell(_frac([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    mu, mins, _, _ = minimum_shell(reduce(_frac([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
     assert mu == 1
     assert len(mins) == 6
-    mu, mins, _, _ = minimum_shell(_frac([[2, 1], [1, 2]]))
+    mu, mins, _, _ = minimum_shell(reduce(_frac([[2, 1], [1, 2]])))
     assert mu == 2
     assert len(mins) == 6  # hexagonal lattice kissing number
 
 
 def test_theta_counts_z4():
-    counts = theta_counts(_frac([[1 if i == j else 0 for j in range(4)] for i in range(4)]), Fraction(4))
+    z4 = reduce(_frac([[1 if i == j else 0 for j in range(4)] for i in range(4)]))
+    counts = theta_counts(z4, Fraction(4))
     assert counts == [
         (Fraction(0), 1),
         (Fraction(1), 8),
@@ -135,7 +148,7 @@ def test_theta_counts_z4():
 
 
 def test_theta_counts_fractional_grid():
-    counts = theta_counts(_frac([[Fraction(1, 2)]]), Fraction(2))
+    counts = theta_counts(reduce(_frac([[Fraction(1, 2)]])), Fraction(2))
     assert counts == [(Fraction(0), 1), (Fraction(1, 2), 2), (Fraction(2), 2)]
 
 
@@ -259,9 +272,9 @@ def test_integer_fincke_pohst_equals_fraction_reference(g, scale, include_zero):
     # radii up to 6 times the shortest reduced basis vector keep the trees small
     reduced, _ = lll_reference(g)
     radius = scale * min(reduced[i][i] for i in range(len(g)))
-    assert enumerate_short(g, radius, include_zero=include_zero) == enumerate_reference(
-        g, radius, include_zero
-    )
+    red = reduce(g)
+    found = _listing_with_zero(red, radius) if include_zero else enumerate_short(red, radius)
+    assert found == enumerate_reference(g, radius, include_zero)
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -272,12 +285,12 @@ def test_integer_fincke_pohst_equals_fraction_reference(g, scale, include_zero):
 def test_theta_counts_equal_a_count_over_the_listing(g, scale):
     """theta_counts counts the half-space descent; the listing holds every
     vector.  Radii run from -3/2 to 6 times the shortest reduced vector."""
-    reduced, _ = lll_reduce(g)
-    radius = scale * min(reduced[i][i] for i in range(len(g)))
+    red = reduce(g)
+    radius = scale * min(red.reduced[i][i] for i in range(len(g)))
     listed: dict[Fraction, int] = {}
-    for _, q in enumerate_short(g, radius, include_zero=True)[0]:
+    for _, q in _listing_with_zero(red, radius)[0]:
         listed[q] = listed.get(q, 0) + 1
-    assert theta_counts(g, radius) == sorted(listed.items())
+    assert theta_counts(red, radius) == sorted(listed.items())
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -327,7 +340,7 @@ def test_integer_kernels_reject_non_positive_definite(g):
     with pytest.raises(NotPositiveDefiniteError):
         lll_reduce(g)
     with pytest.raises(NotPositiveDefiniteError):
-        enumerate_short(g, Fraction(3))
+        reduce(g)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

@@ -1,5 +1,5 @@
 """Field-aware enumeration: Gram construction, minima, chamber reduction,
-characteristic sets, hull checks, circulant lattices."""
+characteristic sets, circulant lattices."""
 
 import hashlib
 import json
@@ -27,10 +27,7 @@ from cmsvp.svp import (
     GramMatrix,
     characteristic_set_E,
     craig_circulant,
-    enumerate_short,
     gram_matrix,
-    hull_check,
-    hull_consistency,
     minimal_vectors,
     reduce_to_chamber,
 )
@@ -169,7 +166,14 @@ def test_superset_search_on_the_half_space_equals_the_full_listing(p, weights, i
 
 @pytest.mark.parametrize(
     "p, weights, ideal_exp",
-    [(5, (3, 1), 0), (5, (1, Fraction(1, 10**8)), 1), (7, (1, 10, 100), 0), (7, (3, 1, 2), 2), (11, (1, 4, 16, 64, 256), 0)],
+    [
+        (5, (3, 1), 0),
+        (5, (1, Fraction(1, 10**8)), 1),
+        (7, (1, 10, 100), 0),
+        (7, (3, 1, 2), 2),
+        (11, (1, 4, 16, 64, 256), 0),
+        (7, (1, 2, 3), 0),
+    ],
 )
 def test_skew_minimal_vectors_are_sorted_and_closed_under_negation(p, weights, ideal_exp):
     field = CMField(p)
@@ -179,17 +183,6 @@ def test_skew_minimal_vectors_are_sorted_and_closed_under_negation(p, weights, i
     assert list(mv.vectors) == sorted(mv.vectors)
     assert len(set(mv.vectors)) == mv.count
     assert {tuple(-x for x in v) for v in mv.vectors} == set(mv.vectors)
-
-
-def test_enumerate_short_gram_wrapper(f5):
-    svs = enumerate_short(craig_circulant(4, 1), Fraction(2))
-    assert svs.mu == Fraction(2)
-    assert svs.count == 20
-    assert svs.nodes > 0
-    with pytest.raises(InputError):
-        enumerate_short(gram_matrix(f5, (Fraction(3), Fraction(1))), Fraction(2))
-    with pytest.raises(InputError):
-        enumerate_short(craig_circulant(4, 1), Fraction(-1))
 
 
 def test_short_vector_set_json(f5):
@@ -230,50 +223,6 @@ def test_reduce_to_chamber_inverts_unit_multiplication(f5, f7):
             assert eta == torsion
 
 
-def test_hull_consistency(f5, f7):
-    assert hull_consistency(f5, trials=3)
-    assert hull_consistency(f7, trials=2)
-    # single verdicts, equal and skew weights
-    assert hull_check(f5, None)
-    assert hull_check(f5, (Fraction(3), Fraction(1)))
-    assert hull_check(f7, None)
-    assert hull_check(f7, (Fraction(1), Fraction(2), Fraction(3)))
-
-
-def test_hull_check_certifies_each_beta_once(f5, monkeypatch):
-    """hull_check's own search evaluates weighted_norm once per distinct
-    alpha*conj(alpha), not once per enumerated candidate."""
-    w = (Fraction(3), Fraction(1))
-    certified = []
-    real_norm = svp.weighted_norm
-
-    def counting_norm(field, a, ws, prec, beta=None):
-        certified.append(a * a.conj())
-        return real_norm(field, a, ws, prec, beta)
-
-    monkeypatch.setattr(svp, "weighted_norm", counting_norm)
-    mv = minimal_vectors(f5, w)
-    mv_calls = len(certified)
-    certified.clear()
-    assert hull_check(f5, w)
-    # hull_check runs minimal_vectors first, then its own search
-    own = certified[mv_calls:]
-    low = gram_matrix(f5, w).reduction
-    cands, _ = lattice.enumerate_short(low, 3 * mv.mu.hi)
-    betas = set()
-    for coords, _ in cands:
-        a = f5.element(coords)
-        betas.add(a * a.conj())
-    assert len(own) == len(set(own)) == len(betas) < len(cands)
-    assert set(own) == betas
-
-
-def test_hull_check_requires_small_k():
-    field = CMField(11)
-    with pytest.raises(InputError):
-        hull_consistency(field, trials=1)
-
-
 def test_craig_circulant_r0_is_dual_root_lattice():
     g = craig_circulant(4, 0)
     assert g.exact
@@ -302,9 +251,9 @@ def test_craig_circulant_validation():
 def test_craig_minima():
     from cmsvp.lattice import minimum_shell
 
-    mu, mins, _, _ = minimum_shell(craig_circulant(4, 2).rows())
+    mu, mins, _, _ = minimum_shell(lattice.reduce(craig_circulant(4, 2).rows()))
     assert (mu, len(mins)) == (Fraction(4), 10)
-    mu, mins, _, _ = minimum_shell(craig_circulant(6, 1).rows())
+    mu, mins, _, _ = minimum_shell(lattice.reduce(craig_circulant(6, 1).rows()))
     assert (mu, len(mins)) == (Fraction(2), 42)
 
 
@@ -548,7 +497,8 @@ def _reference_set_e(field, basis, report, prec):
     bound = report.bound
     q_max = max(Fraction(trace(v * v.conj()), 2) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
-    found, _ = lattice.enumerate_short(gram_matrix(field, None, None, prec).rows(), radius)
+    gram = lattice.reduce(gram_matrix(field, None, None, prec).rows())
+    found, _ = lattice.enumerate_short(gram, radius)
     gens = basis.generators
 
     def exponents(a, n_abs):
