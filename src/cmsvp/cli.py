@@ -30,6 +30,7 @@ from .bound import (
     theorem_bound,
     with_verdict,
 )
+from .embeddings import normalize_weights, weights_are_equal_rational
 from .errors import (
     BudgetExceededError,
     CmsvpError,
@@ -244,9 +245,10 @@ def cmd_theta(args) -> int:
         source = f"circulant {n},{r}"
     else:
         field = _field_from(args)
-        g = svp.gram_matrix(field, _weights_from(args), _kappa_from(field, args), args.prec)
-        if not g.exact:
+        w, kappa = _weights_from(args), _kappa_from(field, args)
+        if not weights_are_equal_rational(normalize_weights(field, w)):
             raise InputError("theta counting needs equal rational weights")
+        g = svp.gram_matrix(field, w, kappa)
         source = f"cyclotomic {field.conductor}"
     tp = theta.theta_prefix(g, max_norm, args.budget)
     lines = [f"{source}  scale {tp.scale}"]
@@ -386,12 +388,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def parent():
         return argparse.ArgumentParser(add_help=False)
 
+    out = parent()
+    out.add_argument("--json", action="store_true", help="machine-readable output")
     run = parent()
     run.add_argument(
         "--bits", dest="prec", type=_precision, default=DEFAULT_PRECISION, metavar="B",
         help="working precision bits",
     )
-    run.add_argument("--json", action="store_true", help="machine-readable output")
     budget = parent()
     budget.add_argument(
         "--budget", type=_node_budget, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
@@ -411,19 +414,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
-        "bound", parents=[field, units, ideal, run], help="certified norm bound"
+        "bound", parents=[field, units, ideal, run, out], help="certified norm bound"
     ).set_defaults(func=cmd_bound)
     sub.add_parser(
-        "minima", parents=[field, weights, ideal, run, budget], help="exact minimal vectors"
+        "minima", parents=[field, weights, ideal, run, out, budget], help="exact minimal vectors"
     ).set_defaults(func=cmd_minima)
 
-    vc = sub.add_parser("verify-craig", parents=[run, budget], help="full verification pipeline")
+    vc = sub.add_parser("verify-craig", parents=[run, out, budget], help="full verification pipeline")
     vc.add_argument("-p", type=int, required=True, help="prime conductor")
     vc.add_argument("-r", default="0..2", metavar="RANGE", help="exponent range, e.g. 0..3 or 1")
     vc.set_defaults(func=cmd_verify_craig)
 
     sub.add_parser(
-        "set-e", parents=[field, units, run, budget], help="characteristic set E"
+        "set-e", parents=[field, units, run, out, budget], help="characteristic set E"
     ).set_defaults(func=cmd_set_e)
 
     source = parent()
@@ -431,13 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_cyclotomic(lattice_source)
     lattice_source.add_argument("--circulant", metavar="N,R", help="circulant Gram instead of a field")
     th = sub.add_parser(
-        "theta", parents=[source, weights, ideal, run, budget], help="exact theta coefficients"
+        "theta", parents=[source, weights, ideal, out, budget], help="exact theta coefficients"
     )
     th.add_argument("--max-norm", default="12", metavar="M", help="count vectors with norm <= M")
     th.set_defaults(func=cmd_theta)
 
     ps = sub.add_parser(
-        "psi", parents=[field, weights, run, budget], help="truncated psi with certified tail"
+        "psi", parents=[field, weights, run, out, budget], help="truncated psi with certified tail"
     )
     ps.add_argument("--t", required=True, metavar="T", help="imaginary-axis parameter")
     ps.set_defaults(func=cmd_psi)

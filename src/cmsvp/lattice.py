@@ -28,7 +28,9 @@ REFUSE_MARGIN = 100
 # pair: it refuses up front when the Gaussian heuristic expects more, and
 # stops when its exact count passes the limit.  A full listing
 # (enumerate_short) costs about 330 bytes per vector, so a run at the cap
-# stays near 1.4 GB; set-e holds one vector per pair (53 MB peak at p = 11).
+# stays near 1.4 GB.  The beta grouping of set-e and the skew searches holds
+# one vector per pair and its key, about 270 bytes per pair at its peak, 135
+# per listed vector (set-e at p = 11 peaks at 50 MB in all).
 MAX_LISTED = 4 * 10**6
 
 
@@ -225,20 +227,6 @@ def _basis_map(u: list[list[int]]):
     coords -> coords . U."""
     u_cols = list(zip(*u))
     return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
-
-
-def half_space_vectors(
-    g: Reduced, radius: Fraction, budget: int = DEFAULT_BUDGET
-) -> tuple[list[tuple[int, ...]], int]:
-    """One vector of each +-v pair with q(v) <= radius, zero excluded, in
-    the Gram's own basis and in descent order; and the nodes visited.
-
-    For a search that needs each pair once, and not the values: the
-    listing of enumerate_short without its mirrors, values and sort.
-    """
-    half, _, nodes = _half_space(g.reduced, Fraction(radius), budget)
-    in_basis = _basis_map(g.u)
-    return [in_basis(coords) for coords, _ in half], nodes
 
 
 def enumerate_short(

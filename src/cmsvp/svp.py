@@ -21,6 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from . import lattice
 from .embeddings import (
@@ -39,6 +40,7 @@ from .errors import (
 from .field import (
     CMField,
     FieldElement,
+    _poly_divide_exact,
     exact_divide,
     field_norm,
     is_prime,
@@ -238,6 +240,80 @@ def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fracti
     )
 
 
+def _beta_keys(field: CMField, kappa, u, xs) -> tuple[list[int], int]:
+    """One integer key per vector x of reduced coordinates, equal for two
+    vectors exactly when their alpha = kappa * (x . U) have the same
+    beta = alpha*conj(alpha); and the digit width b of the keys.
+
+    Kronecker substitution in Z[z]/(z^n - 1), n the conductor: that ring
+    is, over Q, the product of the fields Q(zeta_e), e | n.  Psi =
+    (z^n - 1)/Phi_n vanishes on every factor but Q(zeta_n), so with b_i
+    row i of U as a polynomial, s = sum_i x_i (kappa b_i Psi mod z^n - 1)
+    is (alpha Psi(zeta), 0, ..., 0) and s(z) s(1/z) mod z^n - 1 is
+    (beta Psi(zeta) Psi(1/zeta), 0, ..., 0): it determines beta and is
+    determined by it.  Each polynomial is packed as sum_e c_e 2^(b e), so
+    one big-integer product of the packs of s(z) and s(1/z) gives the
+    2n - 1 coefficients of the product as balanced base-2^b digits, and
+    adding its top n digits to its bottom n folds it mod z^n - 1.  With A
+    a bound on every coefficient of s, taken from the largest |x_i| of
+    the listing, no coefficient exceeds n A^2 in absolute value, so
+    b = bitlen(n A^2) + 2 keeps every digit exact and the folded integer
+    is the balanced packing of s(z) s(1/z) mod z^n - 1."""
+    n = field.conductor
+    psi = _poly_divide_exact([-1] + [0] * (n - 1) + [1], list(field.polynomial))
+    k_psi = psi if kappa is None else _cyclic_product(kappa.coords, psi, n)
+    rows = [_cyclic_product(row, k_psi, n) for row in u]
+    tops = [max(max(col), -min(col)) for col in zip(*xs)]
+    a_bound = max(sum(t * abs(row[e]) for t, row in zip(tops, rows)) for e in range(n))
+    b = (n * a_bound * a_bound).bit_length() + 2
+    packs = [sum(c << (b * e) for e, c in enumerate(row)) for row in rows]
+    conj_packs = [sum(row[-e] << (b * e) for e in range(n)) for row in rows]
+    width = b * n
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    keys = []
+    for x in xs:
+        prod = sum(map(mul, x, packs)) * sum(map(mul, x, conj_packs))
+        low, high = prod & mask, prod >> width
+        if low >= half:
+            # the balanced digits of the bottom n: low - 2^width, carry 1
+            low -= mask + 1
+            high += 1
+        keys.append(low + high)
+    return keys, b
+
+
+def _cyclic_product(a, b, n: int) -> list[int]:
+    """a(z) b(z) mod z^n - 1, for ascending coefficient sequences."""
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[(i + j) % n] += ai * bj
+    return out
+
+
+def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
+    """({beta: (alpha, members)}, nodes) over one vector of each +-pair of
+    the reduced lower form `red` within `radius`, grouped by the exact
+    beta = alpha*conj(alpha) of alpha = kappa * vector.  Members are
+    reduced coordinates in descent order; lattice._basis_map(red.u) maps
+    them to the Gram's own basis.  alpha is the first member's, the one
+    vector mapped through U and multiplied out."""
+    half, _, nodes = lattice._half_space(red.reduced, Fraction(radius), budget)
+    xs = [x for x, _ in half]
+    keys, _ = _beta_keys(field, kappa, red.u, xs)
+    by_key: dict[int, list[tuple[int, ...]]] = {}
+    for key, x in zip(keys, xs):
+        by_key.setdefault(key, []).append(x)
+    to_basis = lattice._basis_map(red.u)
+    groups = {}
+    for members in by_key.values():
+        a = _basis_element(field, kappa, to_basis(members[0]))
+        groups[a.times_conj()] = (a, members)
+    return groups, nodes
+
+
 def superset_search(field, ws, kappa, red, radius, prec, budget):
     """({beta: (weighted norm enclosure, members)}, nodes) over every
     vector of the reduced lower form `red` within `radius`, grouped by the
@@ -245,17 +321,13 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
     from below, the groups hold every vector of weighted norm <= radius; the
     norm depends on alpha only through beta, so one weighted_norm certifies
     each group.  Members are one vector of each +-alpha pair, as both have
-    the same beta: a group stands for twice as many vectors."""
-    vectors, nodes = lattice.half_space_vectors(red, radius, budget)
-    groups = {}
-    for coords in vectors:
-        a = _basis_element(field, kappa, coords)
-        beta = a.times_conj()
-        group = groups.get(beta)
-        if group is None:
-            group = groups[beta] = (weighted_norm(field, a, ws, prec, beta), [])
-        group[1].append(coords)
-    return groups, nodes
+    the same beta: a group stands for twice as many vectors.  They are
+    reduced coordinates (see _beta_groups)."""
+    groups, nodes = _beta_groups(field, kappa, red, radius, budget)
+    return {
+        beta: (weighted_norm(field, a, ws, prec, beta), members)
+        for beta, (a, members) in groups.items()
+    }, nodes
 
 
 def _interval_minimum(field, ws, kappa, prec, budget):
@@ -269,7 +341,8 @@ def _interval_minimum(field, ws, kappa, prec, budget):
         alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
             value, members = alive[0]
-            coords = members + [tuple(-x for x in c) for c in members]
+            coords = list(map(lattice._basis_map(red.u), members))
+            coords += [tuple(-x for x in c) for c in coords]
             return value, tuple(sorted(coords)), radius, nodes
     raise PrecisionError(
         f"_interval_minimum: minimum cluster did not separate at {cur.bits} bits; "
@@ -436,26 +509,25 @@ def characteristic_set_E(
     k = field.k
     q_max = max(_equal_weight_q(field, v) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
-    g = gram_matrix(field, None, None, prec)
-    vectors, _ = lattice.half_space_vectors(g.reduction, radius, budget)
+    red = gram_matrix(field, None, None, prec).reduction
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair
-    groups: dict[FieldElement, list[FieldElement]] = {}
-    for coords in vectors:
-        a = FieldElement(field, coords)
-        groups.setdefault(a.times_conj(), []).append(a)
+    groups, _ = _beta_groups(field, None, red, radius, budget)
+    to_basis = lattice._basis_map(red.u)
     chamber = _Chamber(field, basis)
     origin = (0,) * (k - 1)
     elements = []
-    for beta, members in groups.items():
-        n_abs = abs(field_norm(members[0]))
+    for beta, (a, members) in groups.items():
+        n_abs = abs(field_norm(a))
         if Fraction(n_abs) > bound.hi:
             continue
-        exps = _chamber_exponents(chamber, members[0], beta, n_abs, prec)
+        exps = _chamber_exponents(chamber, a, beta, n_abs, prec)
         if exps == origin:
-            elements.extend(members)
-            elements.extend(-a for a in members)
+            for x in members:
+                coords = to_basis(x)
+                elements.append(FieldElement(field, coords))
+                elements.append(FieldElement(field, tuple(-c for c in coords)))
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
 

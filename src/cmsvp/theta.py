@@ -174,12 +174,13 @@ def _grow_radius(
     raise BudgetExceededError(budget)
 
 
-def _term(q, t: Fraction, bits: int) -> RealInterval:
+def _term(q, pi_t: RealInterval, bits: int) -> RealInterval:
+    """exp(-pi t q), given pi_t = pi * t, computed once per sum."""
     if isinstance(q, RealInterval):
-        return exp_interval(-(pi_interval(bits) * t * q), bits)
+        return exp_interval(-(pi_t * q), bits)
     if q == 0:
         return RealInterval.point(1)
-    return exp_interval(-(pi_interval(bits) * t * Fraction(q)), bits)
+    return exp_interval(-(pi_t * Fraction(q)), bits)
 
 
 def theta_sum(
@@ -200,7 +201,8 @@ def theta_sum(
     mu_ub = min(reduced[i][i] for i in range(len(reduced)))
     radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
     counts = lattice.theta_counts(g.reduction, radius, budget)
-    value = interval_sum(Fraction(c) * _term(q, t, bits) for q, c in counts)
+    pi_t = pi_interval(bits) * t
+    value = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in counts)
     return PsiSample(None, t, radius, value, tail)
 
 
@@ -231,8 +233,9 @@ def psi_truncated(
     mu_ub = basis_minimum(field, ws, None, red.u, prec)
     radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
     groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
+    pi_t = pi_interval(bits) * t
     terms = [RealInterval.point(1)]
-    terms.extend(Fraction(2 * len(c)) * _term(v, t, bits) for v, c in groups.values())
+    terms.extend(Fraction(2 * len(c)) * _term(v, pi_t, bits) for v, c in groups.values())
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
 
 
@@ -255,8 +258,9 @@ def _excess_data(field, ws, mv, prec, budget):
 
 
 def _excess_upper(beyond, cutoff, delta, dim, t, bits) -> Fraction:
+    pi_t = pi_interval(bits) * t
     total = interval_sum(
-        Fraction(c) * _term(q, t, bits) for q, c in beyond
+        Fraction(c) * _term(q, pi_t, bits) for q, c in beyond
     ) if beyond else RealInterval.point(0)
     tail = _tail_bound(dim, delta, cutoff, t, bits)
     return (total + tail).hi

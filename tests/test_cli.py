@@ -158,9 +158,9 @@ def test_bits_floor():
 
 
 def test_out_of_range_bits_exit_2_on_a_command_that_needs_no_precision():
-    """A circulant theta never reads the precision; --bits is checked when
-    it is parsed all the same."""
-    proc = run_cli("theta", "--circulant", "4,1", "--max-norm", "8", "--bits", "7")
+    """An equal-weight minimum never reads the precision; --bits is checked
+    when it is parsed all the same."""
+    proc = run_cli("minima", "--cyclotomic", "5", "--bits", "7")
     assert proc.returncode == 2
     assert proc.stdout == "" and "4096 bits" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -212,6 +212,19 @@ def test_theta_circulant_golden():
 def test_theta_conflicting_sources():
     proc = run_cli("theta", "--circulant", "4,1", "--cyclotomic", "5")
     assert proc.returncode == 2
+
+
+def test_theta_refuses_unequal_weights_before_building_a_gram(monkeypatch, capsys):
+    """Unequal weights give an interval Gram that theta cannot count on;
+    it is refused before one is built and reduced."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta built a Gram for unequal weights")
+
+    monkeypatch.setattr(cli.svp, "gram_matrix", refuse)
+    assert cli.main(["theta", "--cyclotomic", "7", "--weights", "1,2,3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "theta counting needs equal rational weights" in err
 
 
 def test_psi_deterministic_bytes():
@@ -330,7 +343,7 @@ COMMANDS = {
     "set-e": (["--cyclotomic", "5"], {"--cyclotomic", "--units", "--bits", "--budget", "--json"}),
     "theta": (
         ["--cyclotomic", "5"],
-        {"--cyclotomic", "--weights", "--ideal-exp", "--ideal-gen", "--bits", "--budget", "--json"},
+        {"--cyclotomic", "--weights", "--ideal-exp", "--ideal-gen", "--budget", "--json"},
     ),
     "psi": (["--cyclotomic", "5", "--t", "1"], {"--cyclotomic", "--weights", "--bits", "--budget", "--json"}),
     "verify-craig": (["-p", "5", "-r", "1"], {"--bits", "--budget", "--json"}),

@@ -9,12 +9,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma
 from cmsvp.errors import InputError, NotPositiveDefiniteError
-from cmsvp.field import CMField, FieldElement, exact_divide, field_norm, is_unit, trace
+from cmsvp.field import (
+    CMField,
+    FieldElement,
+    cyclotomic_polynomial,
+    exact_divide,
+    field_norm,
+    is_unit,
+    trace,
+)
 from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
@@ -139,13 +149,23 @@ def _reference_superset(field, ws, kappa, red, radius, prec, budget=lattice.DEFA
 
 @pytest.mark.parametrize(
     "p, weights",
-    [(5, (3, 1)), (5, (1, Fraction(1, 10**8))), (7, (1, 10, 100)), (7, (2, 1, 1)), (11, (1, 2, 3, 4, 5))],
+    [
+        (5, (3, 1)),
+        (5, (1, Fraction(1, 10**8))),
+        (7, (1, 10, 100)),
+        (7, (2, 1, 1)),
+        (11, (1, 2, 3, 4, 5)),
+        (12, (1, 2)),
+        (15, (1, 2, 3, 4)),
+        (13, (1, 2, 4, 8, 16, 32)),
+    ],
 )
 @pytest.mark.parametrize("ideal", [False, True])
 def test_superset_search_on_the_half_space_equals_the_full_listing(p, weights, ideal):
     """Same beta keys and enclosures as a search over enumerate_short's
     listing, with one member of each +- pair: half the members, whose
-    mirrors are the other half."""
+    mirrors are the other half, once mapped from reduced coordinates to
+    the Gram's basis."""
     field = CMField(p)
     prec = PrecisionConfig()
     ws = normalize_weights(field, weights)
@@ -156,12 +176,114 @@ def test_superset_search_on_the_half_space_equals_the_full_listing(p, weights, i
     ref, ref_nodes = _reference_superset(field, ws, kappa, red, radius, prec)
     assert nodes == ref_nodes
     assert list(groups) and set(groups) == set(ref)
+    to_basis = lattice._basis_map(red.u)
     for beta, (value, members) in groups.items():
         ref_value, ref_members = ref[beta]
         assert value == ref_value
         assert 2 * len(members) == len(ref_members)
+        members = [to_basis(c) for c in members]
         mirrors = [tuple(-x for x in c) for c in members]
         assert sorted(members + mirrors) == ref_members
+
+
+def _unimodular_inverse(u):
+    """The integer inverse of a unimodular matrix, by exact elimination."""
+    d = len(u)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(u)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(d):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    assert all(v.denominator == 1 for row in a for v in row)
+    return [[int(v) for v in row[d:]] for row in a]
+
+
+def _balanced_digits(key, b, n):
+    """The n base-2^b digits in [-2^(b-1), 2^(b-1)) of an integer that has
+    exactly n of them."""
+    out = []
+    for _ in range(n):
+        digit = key & ((1 << b) - 1)
+        if digit >= 1 << (b - 1):
+            digit -= 1 << b
+        out.append(digit)
+        key = (key - digit) >> b
+    assert key == 0
+    return out
+
+
+def _autocorrelation_mod(field, alpha_poly):
+    """s(z) s(1/z) mod z^n - 1 for s = alpha_poly * prod_{e | n, e < n}
+    Phi_e mod z^n - 1, by schoolbook products."""
+    n = field.conductor
+    s = list(alpha_poly)
+    for e in range(1, n):
+        if n % e == 0:
+            phi = cyclotomic_polynomial(e)
+            s = [sum(s[i] * phi[j - i] for i in range(len(s)) if 0 <= j - i < len(phi))
+                 for j in range(len(s) + len(phi) - 1)]
+    folded = [0] * n
+    for e, c in enumerate(s):
+        folded[e % n] += c
+    return [sum(folded[i] * folded[(i - e) % n] for i in range(n)) for e in range(n)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("ideal", ["none", "one minus zeta", "drawn"])
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 12, 13, 15, 16, 20, 21])
+def test_packed_beta_keys_group_as_times_conj(n, ideal, data):
+    """_beta_keys gives two vectors the same key exactly when their
+    alpha = kappa * (x . U) have the same beta = alpha*conj(alpha): the
+    torsion multiples and the conjugate of alpha share its key, a second
+    drawn vector groups with them as times_conj says, and each key is the
+    exact balanced packing of s(z) s(1/z) mod z^n - 1.  Coordinates up to
+    10^12 make the digit width large."""
+    field = CMField(n)
+    d = field.degree
+    if ideal == "none":
+        kappa = None
+    elif ideal == "one minus zeta":
+        kappa = field.one() - field.zeta(1)
+    else:
+        # gamma + zeta^m conj(gamma): an ideal that conjugation fixes, so
+        # conj(alpha) lies in it too
+        gamma = field.element(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        kappa = gamma + field.zeta(data.draw(st.integers(0, n - 1))) * gamma.conj()
+        assume(not kappa.is_zero())
+    u = gram_matrix(field, None, kappa).reduction.u
+    one = field.one() if kappa is None else kappa
+    unit = exact_divide(one.conj(), one)  # conj(kappa) = unit * kappa
+    coords = st.lists(st.integers(-10**12, 10**12), min_size=d, max_size=d)
+    x, y = (tuple(data.draw(coords)) for _ in range(2))
+    assume(any(x) and any(y))
+    to_basis, to_reduced = lattice._basis_map(u), lattice._basis_map(_unimodular_inverse(u))
+
+    def times_kappa(v):
+        return v if kappa is None else kappa * v
+
+    b = field.element(to_basis(x))
+    mates = [field.zeta(j) * b for j in range(1, n)] + [-b, unit * b.conj()]
+    pool = [x, y] + [to_reduced(m.coords) for m in mates]
+    keys, width = svp._beta_keys(field, kappa, u, pool)
+    assert all(key == keys[0] for key in keys[2:])
+    betas = [times_kappa(field.element(to_basis(v))).times_conj() for v in pool]
+    assert betas[2:] == [betas[0]] * len(mates)
+    assert (keys[0] == keys[1]) == (betas[0] == betas[1])
+    for v, key in zip((x, y), keys):
+        alpha = times_kappa(field.element(to_basis(v)))
+        assert _balanced_digits(key, width, n) == _autocorrelation_mod(field, alpha.coords)
+    # alone in its listing, a vector gets the tightest digit width; the
+    # rows of U alone come closest to the coefficient bound
+    rows = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    for v in [x] + rows:
+        [key], width = svp._beta_keys(field, kappa, u, [v])
+        alpha = times_kappa(field.element(to_basis(v)))
+        assert _balanced_digits(key, width, n) == _autocorrelation_mod(field, alpha.coords)
 
 
 @pytest.mark.parametrize(
@@ -296,10 +418,11 @@ def test_each_command_reduces_its_gram_once(command, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_set_e_multiplies_out_beta_once_per_pair(monkeypatch, capsys):
+def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
     """Set E at p = 7 walks 84 +- pairs, 168 candidates, on the half-space
-    descent and computes beta = a conj(a) once per pair: the times_conj
-    calls between the descent and the chamber set-up are the grouping's."""
+    descent, which fall into 11 groups of equal beta = a conj(a); beta is
+    multiplied out once per group: the times_conj calls between the
+    descent and the chamber set-up are the grouping's."""
     products, listed, at = [], [], {}
     real_times_conj, real_half_space, real_chamber = FieldElement.times_conj, lattice._half_space, svp._Chamber
 
@@ -324,7 +447,7 @@ def test_set_e_multiplies_out_beta_once_per_pair(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["size"] == 14
     # 84 pairs = 168 candidates
     assert listed == [84]
-    assert at["chamber"] - at["listed"] == 84
+    assert at["chamber"] - at["listed"] == 11
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -171,11 +171,11 @@ def test_theta_prefix_lists_no_vectors(monkeypatch):
     assert theta_prefix(g, 6).norm_counts() == listed
 
 
-def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
+def test_skew_psi_multiplies_out_beta_once_per_group(f5, monkeypatch):
     """The superset search walks one alpha of each +-alpha pair on the
-    half-space descent; beta = alpha*conj(alpha) is computed once per
-    pair."""
-    listed, products, searched = [], [], []
+    half-space descent and groups them by beta = alpha*conj(alpha), which
+    is multiplied out once per group."""
+    listed, products, searched, groups = [], [], [], []
     real_half_space, real_search = lattice._half_space, theta.superset_search
     real_times_conj = FieldElement.times_conj
 
@@ -192,6 +192,7 @@ def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
         before = len(products)
         result = real_search(*args)
         searched.append(len(products) - before)
+        groups.append(len(result[0]))
         return result
 
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
@@ -200,8 +201,8 @@ def test_skew_psi_multiplies_out_beta_once_per_pair(f5, monkeypatch):
     sample = psi_truncated(f5, (3, 1), 2)
     assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
     assert len(listed) == len(searched) == 1
-    # listed[0] pairs stand for 2 * listed[0] candidates; one beta per pair
-    assert listed[0] > 0 and searched[0] == listed[0]
+    # listed[0] pairs stand for 2 * listed[0] candidates; one beta per group
+    assert listed[0] > groups[0] > 0 and searched == groups
 
 
 def test_psi_validation(f5):
