@@ -73,11 +73,13 @@ def _fmt_mu(mu) -> str:
     return str(mu)
 
 
-def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
+def _emit(payload: dict, text, as_json: bool) -> None:
+    """Print payload as one JSON line under --json, else the lines that
+    text() yields; the text lines are built only then."""
     if as_json:
         print(json.dumps({"schema": "1", **payload}, sort_keys=True, separators=(",", ":")))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
@@ -183,21 +185,22 @@ def cmd_bound(args) -> int:
         report = ideal_bound(field, basis, kappa, args.prec)
     if is_prime(field.conductor):
         report = with_verdict(report, norm_gap_verdict(report, field.conductor))
-    lines = [
-        f"conductor {report.conductor}  k {report.k}  basis {report.basis_provenance}",
-        f"bound {_fmt(report.bound, 25)}",
-    ]
-    for s in report.simplices:
-        lines.append(f"simplex {s.perm}: value {_fmt(s.value, 25)}")
-        lines.append(f"  det A {_fmt(s.det_a)}")
-        for l, b in enumerate(s.det_b):
-            lines.append(f"  det B_{l} {_fmt(b)}")
-    if report.ideal_norm is not None:
-        lines.append(f"ideal norm {report.ideal_norm}")
-        lines.append(f"ideal bound {_fmt(report.ideal_bound, 25)}")
-    if report.verdict is not None:
-        lines.append(f"verdict {report.verdict.value}")
-    _emit(_bound_payload(report), lines, args.json)
+
+    def text():
+        yield f"conductor {report.conductor}  k {report.k}  basis {report.basis_provenance}"
+        yield f"bound {_fmt(report.bound, 25)}"
+        for s in report.simplices:
+            yield f"simplex {s.perm}: value {_fmt(s.value, 25)}"
+            yield f"  det A {_fmt(s.det_a)}"
+            for l, b in enumerate(s.det_b):
+                yield f"  det B_{l} {_fmt(b)}"
+        if report.ideal_norm is not None:
+            yield f"ideal norm {report.ideal_norm}"
+            yield f"ideal bound {_fmt(report.ideal_bound, 25)}"
+        if report.verdict is not None:
+            yield f"verdict {report.verdict.value}"
+
+    _emit(_bound_payload(report), text, args.json)
     return EXIT_OK
 
 
@@ -206,12 +209,13 @@ def cmd_minima(args) -> int:
     w = _weights_from(args)
     kappa = _kappa_from(field, args)
     mv = svp.minimal_vectors(field, w, kappa, args.prec, args.budget)
-    lines = [
-        f"mu {_fmt_mu(mv.mu)}",
-        f"count {mv.count}  radius {mv.radius}  nodes {mv.nodes}",
-    ]
-    lines.extend("  " + ",".join(str(c) for c in v) for v in mv.vectors)
-    _emit({"command": "minima", **mv.to_json()}, lines, args.json)
+
+    def text():
+        yield f"mu {_fmt_mu(mv.mu)}"
+        yield f"count {mv.count}  radius {mv.radius}  nodes {mv.nodes}"
+        yield from ("  " + ",".join(str(c) for c in v) for v in mv.vectors)
+
+    _emit({"command": "minima", **mv.to_json()}, text, args.json)
     return EXIT_OK
 
 
@@ -220,9 +224,12 @@ def cmd_set_e(args) -> int:
     basis = _basis_from(field, args)
     report = theorem_bound(field, basis, args.prec)
     ch = svp.characteristic_set_E(field, basis, report, args.prec, args.budget)
-    lines = [f"size {ch.size}  norm bound {_fmt(report.bound, 25)}"]
-    lines.extend("  " + ",".join(str(c) for c in e.coords) for e in ch.elements)
-    _emit({"command": "set-e", **ch.to_json()}, lines, args.json)
+
+    def text():
+        yield f"size {ch.size}  norm bound {_fmt(report.bound, 25)}"
+        yield from ("  " + ",".join(str(c) for c in e.coords) for e in ch.elements)
+
+    _emit({"command": "set-e", **ch.to_json()}, text, args.json)
     return EXIT_OK
 
 
@@ -251,9 +258,12 @@ def cmd_theta(args) -> int:
         g = svp.gram_matrix(field, w, kappa)
         source = f"cyclotomic {field.conductor}"
     tp = theta.theta_prefix(g, max_norm, args.budget)
-    lines = [f"{source}  scale {tp.scale}"]
-    lines.extend(f"  norm {m * tp.scale}: {c}" for m, c in tp.coefficients)
-    _emit({"command": "theta", **tp.to_json()}, lines, args.json)
+
+    def text():
+        yield f"{source}  scale {tp.scale}"
+        yield from (f"  norm {m * tp.scale}: {c}" for m, c in tp.coefficients)
+
+    _emit({"command": "theta", **tp.to_json()}, text, args.json)
     return EXIT_OK
 
 
@@ -261,14 +271,14 @@ def cmd_psi(args) -> int:
     field = _field_from(args)
     t = _rational(args.t, "--t value")
     sample = theta.psi_truncated(field, _weights_from(args), t, args.prec, args.budget)
-    enc = sample.enclosure()
-    lines = [
-        f"t {sample.t}  truncation radius {sample.radius}",
-        f"value {_fmt(sample.value, 40)}",
-        f"tail  [0, {decimal_str(sample.tail.hi, 40, 'ceil')}]",
-        f"enclosure {_fmt(enc, 40)}",
-    ]
-    _emit({"command": "psi", **sample.to_json()}, lines, args.json)
+
+    def text():
+        yield f"t {sample.t}  truncation radius {sample.radius}"
+        yield f"value {_fmt(sample.value, 40)}"
+        yield f"tail  [0, {decimal_str(sample.tail.hi, 40, 'ceil')}]"
+        yield f"enclosure {_fmt(sample.enclosure(), 40)}"
+
+    _emit({"command": "psi", **sample.to_json()}, text, args.json)
     return EXIT_OK
 
 
@@ -286,9 +296,10 @@ def _parse_r_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, list[str], bool]:
+def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, object]:
     """One verify-craig leg: enumerate, factor out (1 - zeta)^r, cross-check
-    theta counts against the circulant model (A_(p-1)^* at r = 0)."""
+    theta counts against the circulant model (A_(p-1)^* at r = 0).  Returns
+    the leg's JSON record and its minimum."""
     kappa = _one_minus_zeta_power(field, r)
     mv = svp.minimal_vectors(field, None, kappa, prec, budget)
     # a minimal vector is alpha = kappa * v with v its coordinates in the
@@ -298,21 +309,15 @@ def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, li
     gi = svp.gram_matrix(field, None, kappa, prec).scaled(Fraction(2, p))
     ti = theta.theta_prefix(gi, THETA_CHECK_NORM, budget)
     match = theta.same_counts(tc, ti)
-    ok = factored and match
     check = {
         "r": r,
         "mu": str(mv.mu) if not isinstance(mv.mu, RealInterval) else interval_json(mv.mu),
         "count": mv.count,
         "factorization": "pass" if factored else "fail",
         "theta": "pass" if match else "fail",
-        "status": "pass" if ok else "fail",
+        "status": "pass" if factored and match else "fail",
     }
-    line = (
-        f"r={r}: mu {_fmt_mu(mv.mu)}  count {mv.count}  "
-        f"factorization {'PASS' if factored else 'FAIL'}  "
-        f"theta {'PASS' if match else 'FAIL'}  {'PASS' if ok else 'FAIL'}"
-    )
-    return check, [line], ok
+    return check, mv.mu
 
 
 def cmd_verify_craig(args) -> int:
@@ -324,36 +329,39 @@ def cmd_verify_craig(args) -> int:
     basis = cyclotomic_unit_basis(field)
     report = theorem_bound(field, basis, args.prec)
     verdict = norm_gap_verdict(report, p)
-    lines = [
-        f"p {p}  bound {_fmt(report.bound, 25)}  verdict {verdict.value}",
-    ]
+    legs = []
+    if verdict is Verdict.INCONCLUSIVE:
+        status = "inconclusive"
+    else:
+        legs = [_craig_check(field, p, r, args.prec, args.budget) for r in range(r_lo, r_hi + 1)]
+        status = "pass" if all(check["status"] == "pass" for check, _ in legs) else "fail"
     payload = {
         "command": "verify-craig",
         "p": p,
         "bound": interval_json(report.bound),
         "verdict": verdict.value,
+        "checks": [check for check, _ in legs],
+        "status": status,
     }
-    if verdict is Verdict.INCONCLUSIVE:
-        lines.append(
-            "bound does not separate units from higher-norm elements; "
-            "minimal-vector checks are not certified for this conductor"
-        )
-        payload["checks"] = []
-        payload["status"] = "inconclusive"
-        _emit(payload, lines, args.json)
-        return EXIT_OK
-    checks = []
-    all_ok = True
-    for r in range(r_lo, r_hi + 1):
-        check, check_lines, ok = _craig_check(field, p, r, args.prec, args.budget)
-        checks.append(check)
-        lines.extend(check_lines)
-        all_ok = all_ok and ok
-    payload["checks"] = checks
-    payload["status"] = "pass" if all_ok else "fail"
-    lines.append("all checks PASS" if all_ok else "FAIL")
-    _emit(payload, lines, args.json)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+
+    def text():
+        yield f"p {p}  bound {_fmt(report.bound, 25)}  verdict {verdict.value}"
+        if status == "inconclusive":
+            yield (
+                "bound does not separate units from higher-norm elements; "
+                "minimal-vector checks are not certified for this conductor"
+            )
+            return
+        for check, mu in legs:
+            yield (
+                f"r={check['r']}: mu {_fmt_mu(mu)}  count {check['count']}  "
+                f"factorization {check['factorization'].upper()}  "
+                f"theta {check['theta'].upper()}  {check['status'].upper()}"
+            )
+        yield "all checks PASS" if status == "pass" else "FAIL"
+
+    _emit(payload, text, args.json)
+    return EXIT_VERIFY_FAIL if status == "fail" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

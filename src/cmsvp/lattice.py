@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import exp, isqrt, lcm, lgamma, log, pi
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, NotPositiveDefiniteError
@@ -167,20 +167,29 @@ def _half_space(
     one vector of each +-v pair with q(v) <= radius, zero excluded.
 
     Returns (list of (reduced coordinates, m), s, nodes visited), with
-    q(v) = m / s for the integer m.  More than MAX_LISTED vectors, counting
-    both of each pair, expected or found, raise BudgetExceededError.
+    q(v) = m / s for the integer m.  More than budget nodes raise
+    BudgetExceededError, and so do more than MAX_LISTED vectors, counting
+    both of each pair, expected or found; when the walk would pass both
+    limits, the one it passes first is reported.
 
     The descent runs on s * (reduced Gram), s = lcm of the denominators of
     the radius and the reduced Gram, and carries e = d[level+1] times the
     unspent scaled radius as an integer.  With c = -sum_{j>level}
     lam[j][level] x_j, a coordinate x is admissible iff
-    (x d[level+1] - c)^2 <= e d[level].
+    (x d[level+1] - c)^2 <= e d[level].  Each call sums the part of its
+    children's c that comes from above its own level once, so a child's c
+    costs one product.  Levels 1 and 0 run in one loop: each x_1 takes its
+    whole range of x_0, the leaves, at once, counts their nodes together
+    and puts the coordinates above level 1, built once per call, after
+    each leaf's (x_0, x_1).
     """
     n = len(reduced)
     s, a = _integer_gram(reduced, radius.denominator)
     d, lam = _integral_gso(a)
     top = radius.numerator * (s // radius.denominator)
-    if n and top > 0:
+    if not n or top < 0:
+        return [], s, 0
+    if top > 0:
         nodes_est, listed_est = _log_node_estimate(d, top)
         if nodes_est > log(REFUSE_MARGIN * max(budget, 1)):
             raise BudgetExceededError(budget, nodes_est / log(10))
@@ -190,43 +199,119 @@ def _half_space(
     x = [0] * n
     nodes = 0
 
-    def descend(level: int, e: int, nonzero_seen: bool):
+    def descend(level: int, e: int, c: int, nonzero_seen: bool):
+        """Levels >= 2: one node per admissible x_level."""
         nonlocal nodes
-        dl, dh = d[level], d[level + 1]
-        big = e * dl
-        c = 0
-        for j in range(level + 1, n):
-            c -= lam[j][level] * x[j]
+        dh = d[level + 1]
+        big = e * d[level]
         h = isqrt(big)
         lo = -((h - c) // dh)
         hi = (c + h) // dh
         if not nonzero_seen and lo < 0:
             # restrict to the canonical half-space: topmost nonzero coord > 0
             lo = 0
+        below = level - 1
+        base = 0
+        for j in range(level + 1, n):
+            base -= lam[j][below] * x[j]
+        step = lam[level][below]
         for xv in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
+                # every bottom call so far has checked the listing cap
                 raise BudgetExceededError(budget)
             x[level] = xv
             t = xv * dh - c
             rest = (big - t * t) // dh
-            if level:
-                descend(level - 1, rest, nonzero_seen or xv != 0)
-            elif nonzero_seen or xv:
-                half.append((tuple(x), top - rest))
-                if 2 * len(half) > MAX_LISTED:
-                    raise BudgetExceededError(MAX_LISTED, what="listed vectors")
+            if below > 1:
+                descend(below, rest, base - step * xv, nonzero_seen or xv != 0)
+            else:
+                bottom(rest, base - step * xv, nonzero_seen or xv != 0)
 
-    if n and top >= 0:
-        descend(n - 1, d[n] * top, False)
+    def bottom(e: int, c: int, nonzero_seen: bool):
+        """Levels 1 and 0: each admissible x_1 and its range of x_0."""
+        nonlocal nodes
+        d1, d2 = d[1], d[2]
+        big = e * d1
+        h = isqrt(big)
+        lo = -((h - c) // d2)
+        hi = (c + h) // d2
+        if not nonzero_seen and lo < 0:
+            lo = 0
+        tail = tuple(x[2:])
+        base = 0
+        for j in range(2, n):
+            base -= lam[j][0] * x[j]
+        step = lam[1][0]
+        append = half.append
+        for x1 in range(lo, hi + 1):
+            t = x1 * d2 - c
+            rest = (big - t * t) // d2
+            # level 0, where d[0] = 1: x_0 d1 - c0 = u with u^2 <= rest
+            c0 = base - step * x1
+            h0 = isqrt(rest)
+            lo0 = -((h0 - c0) // d1)
+            hi0 = (c0 + h0) // d1
+            first = lo0
+            if not (x1 or nonzero_seen):
+                # c0 = 0 here, so lo0 <= 0 <= hi0: the zero vector is a
+                # node but no leaf
+                lo0, first = 0, 1
+            before = nodes
+            nodes += hi0 - lo0 + 2  # x_1's node and its leaves'; hi0 >= lo0 - 1
+            if nodes > budget:
+                # the walk lists the leaves before the node past the budget;
+                # if they pass the listing cap, that refusal comes first
+                last = min(hi0, lo0 + budget - before - 2)
+                if 2 * (len(half) + max(last - first + 1, 0)) > MAX_LISTED:
+                    raise BudgetExceededError(MAX_LISTED, what="listed vectors")
+                raise BudgetExceededError(budget)
+            if first <= hi0:
+                head = (x1,) + tail
+                u = first * d1 - c0
+                for x0 in range(first, hi0 + 1):
+                    append(((x0,) + head, top - (rest - u * u) // d1))
+                    u += d1
+        if 2 * len(half) > MAX_LISTED:
+            raise BudgetExceededError(MAX_LISTED, what="listed vectors")
+
+    if n == 1:
+        # one level: the nodes x_0 = 0, ..., hi, and x_0 > 0 lists
+        # d[1] x_0^2; the up-front estimate, 2 sqrt(top / d[1]) vectors,
+        # already bounds the listing
+        hi = isqrt(d[1] * top) // d[1]
+        nodes = hi + 1
+        if nodes > budget:
+            raise BudgetExceededError(budget)
+        half = [((x0,), d[1] * x0 * x0) for x0 in range(1, hi + 1)]
+    elif n == 2:
+        bottom(d[2] * top, 0, False)
+    else:
+        descend(n - 1, d[n] * top, 0, False)
     return half, s, nodes
 
 
-def _basis_map(u: list[list[int]]):
-    """The map from reduced coordinates back to the Gram's own basis:
-    coords -> coords . U."""
-    u_cols = list(zip(*u))
-    return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
+def _to_basis(u: list[list[int]], xs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each vector x of reduced coordinates in xs mapped back to the Gram's
+    own basis: x . U.
+
+    Row i of U is packed as the integer sum_j u_ij 2^(b j), so x . U is
+    the base-2^b digits of one sum of products sum_i x_i pack_i.  With
+    A_j = sum_i |u_ij| max|x_i| over the batch, b = bitlen(max_j A_j) + 1
+    puts every coordinate in (-2^(b-1), 2^(b-1)), so after adding
+    2^(b-1) to every digit each digit lies in [0, 2^b) and is read off
+    with no carries, less 2^(b-1)."""
+    if not xs:
+        return []
+    tops = [max(max(col), -min(col)) for col in zip(*xs)]
+    b = max(sum(t * abs(c) for t, c in zip(tops, col)) for col in zip(*u)).bit_length() + 1
+    shifts = range(0, b * len(u[0]), b)
+    packs = [sum(c << k for c, k in zip(row, shifts)) for row in u]
+    half = 1 << (b - 1)
+    bias = sum(half << k for k in shifts)
+    mask = (1 << b) - 1
+    packed = [sum(map(mul, x, packs), bias) for x in xs]
+    return list(zip(*[[((v >> k) & mask) - half for v in packed] for k in shifts]))
 
 
 def enumerate_short(
@@ -243,15 +328,12 @@ def enumerate_short(
     out: list[tuple[tuple[int, ...], Fraction]] = []
     # one Fraction per distinct value, shared by all its vectors
     values: dict[int, Fraction] = {}
-    in_basis = _basis_map(g.u)
-    for coords, m in half:
+    for orig, (_, m) in zip(_to_basis(g.u, [c for c, _ in half]), half):
         val = values.get(m)
         if val is None:
             val = values[m] = Fraction(m, s)
-        orig = in_basis(coords)
-        neg = tuple(-t for t in orig)
         out.append((orig, val))
-        out.append((neg, val))
+        out.append((tuple(map(neg, orig)), val))
     out.sort(key=lambda p: p[0])
     return out, nodes
 

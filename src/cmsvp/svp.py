@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from . import lattice
@@ -195,9 +195,14 @@ def gram_matrix(
 def _floor_form(g: GramMatrix) -> lattice.Reduced:
     """LLL-reduced rational lower form of a Gram; an exact Gram is its own.
 
-    Midpoints are quantized to QUANTIZE_BITS fractional bits so downstream
-    exact arithmetic stays cheap; the lower form subtracts dim*eps from the
-    diagonal, which dominates the symmetric error matrix by Gershgorin.
+    Midpoints are quantized to QUANTIZE_BITS fractional bits, and the lower
+    form subtracts dim*eps from the diagonal, which dominates the symmetric
+    error matrix by Gershgorin.  Only the off-diagonal entries stay on the
+    2^-bits grid: eps, the largest distance from a quantized midpoint to an
+    interval endpoint, carries the endpoints' own denominators onto the
+    diagonal, so the integral Gram of the lower form has the endpoints'
+    scale (at 128 bits, skewed psi at p = 11 descends with pivots d of up
+    to 1,325 bits).
     When the Gram's smallest eigenvalue is below that slack (very skewed
     weights), the lower form is not positive definite and the fractional
     bits double, up to the bit length of the midpoints' own denominators,
@@ -297,19 +302,19 @@ def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     """({beta: (alpha, members)}, nodes) over one vector of each +-pair of
     the reduced lower form `red` within `radius`, grouped by the exact
     beta = alpha*conj(alpha) of alpha = kappa * vector.  Members are
-    reduced coordinates in descent order; lattice._basis_map(red.u) maps
-    them to the Gram's own basis.  alpha is the first member's, the one
-    vector mapped through U and multiplied out."""
+    reduced coordinates in descent order; lattice._to_basis(red.u, ...)
+    maps them to the Gram's own basis.  alpha is the first member's, the
+    one vector of each group mapped through U and multiplied out."""
     half, _, nodes = lattice._half_space(red.reduced, Fraction(radius), budget)
     xs = [x for x, _ in half]
     keys, _ = _beta_keys(field, kappa, red.u, xs)
     by_key: dict[int, list[tuple[int, ...]]] = {}
     for key, x in zip(keys, xs):
         by_key.setdefault(key, []).append(x)
-    to_basis = lattice._basis_map(red.u)
+    firsts = lattice._to_basis(red.u, [members[0] for members in by_key.values()])
     groups = {}
-    for members in by_key.values():
-        a = _basis_element(field, kappa, to_basis(members[0]))
+    for coords, members in zip(firsts, by_key.values()):
+        a = _basis_element(field, kappa, coords)
         groups[a.times_conj()] = (a, members)
     return groups, nodes
 
@@ -341,7 +346,7 @@ def _interval_minimum(field, ws, kappa, prec, budget):
         alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
             value, members = alive[0]
-            coords = list(map(lattice._basis_map(red.u), members))
+            coords = lattice._to_basis(red.u, members)
             coords += [tuple(-x for x in c) for c in coords]
             return value, tuple(sorted(coords)), radius, nodes
     raise PrecisionError(
@@ -510,24 +515,29 @@ def characteristic_set_E(
     q_max = max(_equal_weight_q(field, v) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     red = gram_matrix(field, None, None, prec).reduction
+    # q(v) is a multiple of 1/s, s the lcm of the reduced Gram's
+    # denominators, so the radius floored onto that grid lists the same
+    # vectors, and the descent's integers lose the root's long denominator
+    s = lcm(*(e.denominator for row in red.reduced for e in row))
+    radius = Fraction(radius.numerator * s // radius.denominator, s)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair
     groups, _ = _beta_groups(field, None, red, radius, budget)
-    to_basis = lattice._basis_map(red.u)
     chamber = _Chamber(field, basis)
     origin = (0,) * (k - 1)
-    elements = []
+    accepted = []
     for beta, (a, members) in groups.items():
         n_abs = abs(field_norm(a))
         if Fraction(n_abs) > bound.hi:
             continue
         exps = _chamber_exponents(chamber, a, beta, n_abs, prec)
         if exps == origin:
-            for x in members:
-                coords = to_basis(x)
-                elements.append(FieldElement(field, coords))
-                elements.append(FieldElement(field, tuple(-c for c in coords)))
+            accepted.extend(members)
+    elements = []
+    for coords in lattice._to_basis(red.u, accepted):
+        elements.append(FieldElement(field, coords))
+        elements.append(FieldElement(field, tuple(-c for c in coords)))
     elements.sort(key=lambda e: e.coords)
     return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lattice
-from .embeddings import normalize_weights, weights_are_equal_rational
+from .embeddings import normalize_weights
 from .errors import BudgetExceededError, InputError, PrecisionError, SelfTestError
 from .field import CMField
 from .interval import (
@@ -223,12 +223,17 @@ def psi_truncated(
     t = Fraction(t)
     if t <= 0:
         raise InputError("t must be positive")
-    if weights_are_equal_rational(ws):
-        g = gram_matrix(field, ws, None, prec)
+    return _psi_sample(field, ws, gram_matrix(field, ws, None, prec), t, prec, budget)
+
+
+def _psi_sample(field, ws, g: GramMatrix, t: Fraction, prec, budget) -> PsiSample:
+    """psi_truncated on g, the Gram of O_F under the weights ws, already
+    built at prec."""
+    if g.exact:
         sample = theta_sum(g, t, prec, budget)
         return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
     bits = prec.bits
-    red = gram_matrix(field, ws, None, prec).reduction
+    red = g.reduction
     delta = _pivot_floor(red.reduced)
     mu_ub = basis_minimum(field, ws, None, red.u, prec)
     radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
@@ -239,10 +244,11 @@ def psi_truncated(
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
 
 
-def _excess_data(field, ws, mv, prec, budget):
-    """Certified upper-bound ingredients for the non-minimal part of psi:
-    (list of (value lower end, count) beyond the minimum, cutoff, pivot)."""
-    red = gram_matrix(field, ws, None, prec).reduction
+def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
+    """Certified upper-bound ingredients for the non-minimal part of psi
+    on g, the Gram of O_F under the weights ws: (list of (value lower end,
+    count) beyond the minimum, cutoff, pivot)."""
+    red = g.reduction
     delta = _pivot_floor(red.reduced)
     if not isinstance(mv.mu, RealInterval):
         cutoff = 3 * mv.mu
@@ -285,7 +291,8 @@ def cusp_extract(
     mu0, n0 = mv.mu, mv.count
     mu_hi = mu0.hi if isinstance(mu0, RealInterval) else Fraction(mu0)
     mu_lo = mu0.lo if isinstance(mu0, RealInterval) else Fraction(mu0)
-    beyond, cutoff, delta = _excess_data(field, ws, mv, prec, budget)
+    g = gram_matrix(field, ws, None, prec)
+    beyond, cutoff, delta = _excess_data(field, ws, g, mv, prec, budget)
     pi = pi_interval(bits)
 
     def delta_hat(t: Fraction) -> Fraction:
@@ -303,8 +310,8 @@ def cusp_extract(
     t2 = 2 * t1
     d1 = delta_hat(t1)
     d2 = delta_hat(t2)
-    s1 = psi_truncated(field, ws, t1, prec, budget).enclosure()
-    s2 = psi_truncated(field, ws, t2, prec, budget).enclosure()
+    s1 = _psi_sample(field, ws, g, t1, prec, budget).enclosure()
+    s2 = _psi_sample(field, ws, g, t2, prec, budget).enclosure()
     slope = (log_interval(s1 - 1, bits) - log_interval(s2 - 1, bits)) / (pi * t1)
     widen_lo = (log_interval(RealInterval.point(1 + d1), bits) / (pi * t1)).hi
     widen_hi = (log_interval(RealInterval.point(1 + d2), bits) / (pi * t1)).hi

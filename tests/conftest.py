@@ -1,15 +1,18 @@
-"""Shared fixtures: random Gram generation, a Fraction LDL and an
-exhaustive box-search oracle, and the acceptance summary printed after the
+"""Shared fixtures: random Gram generation, a Fraction LDL, an exhaustive
+box-search oracle, node-by-node references for the half-space descent and
+the map back through U, and the acceptance summary printed after the
 run."""
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log
+from operator import mul
 
 import numpy as np
 import pytest
 
-from cmsvp.errors import NotPositiveDefiniteError
+from cmsvp import lattice
+from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.field import CMField
 
 
@@ -118,6 +121,64 @@ def random_int_gram(rng, dim: int, entry: int = 2, max_diag: int = 10) -> list[l
             volume *= 2 * (isqrt(side.numerator // side.denominator) + 1) + 1
         if volume <= 2 * 10**6:
             return g
+
+
+def reference_half_space(reduced, radius: Fraction, budget: int):
+    """lattice._half_space one node at a time: every call recomputes its
+    center from the coordinates above it, and every node is counted and
+    checked against the budget, and every vector against
+    lattice.MAX_LISTED, as it is reached."""
+    n = len(reduced)
+    s, a = lattice._integer_gram(reduced, radius.denominator)
+    d, lam = lattice._integral_gso(a)
+    top = radius.numerator * (s // radius.denominator)
+    cap = lattice.MAX_LISTED
+    if n and top > 0:
+        nodes_est, listed_est = lattice._log_node_estimate(d, top)
+        if nodes_est > log(lattice.REFUSE_MARGIN * max(budget, 1)):
+            raise BudgetExceededError(budget, nodes_est / log(10))
+        if listed_est > log(cap):
+            raise BudgetExceededError(cap, listed_est / log(10), "listed vectors")
+    half = []
+    x = [0] * n
+    nodes = 0
+
+    def descend(level, e, nonzero_seen):
+        nonlocal nodes
+        dl, dh = d[level], d[level + 1]
+        big = e * dl
+        c = 0
+        for j in range(level + 1, n):
+            c -= lam[j][level] * x[j]
+        h = isqrt(big)
+        lo = -((h - c) // dh)
+        hi = (c + h) // dh
+        if not nonzero_seen and lo < 0:
+            lo = 0
+        for xv in range(lo, hi + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(budget)
+            x[level] = xv
+            t = xv * dh - c
+            rest = (big - t * t) // dh
+            if level:
+                descend(level - 1, rest, nonzero_seen or xv != 0)
+            elif nonzero_seen or xv:
+                half.append((tuple(x), top - rest))
+                if 2 * len(half) > cap:
+                    raise BudgetExceededError(cap, what="listed vectors")
+
+    if n and top >= 0:
+        descend(n - 1, d[n] * top, False)
+    return half, s, nodes
+
+
+def reference_basis_map(u):
+    """The map from reduced coordinates to the Gram's own basis, one
+    coordinate sum at a time: coords -> coords . U."""
+    u_cols = list(zip(*u))
+    return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
 
 
 @pytest.fixture(scope="session")

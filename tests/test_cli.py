@@ -1,5 +1,6 @@
 """Exit-code contract, JSON schema, and byte determinism of the CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -372,3 +373,39 @@ def test_bad_budget_exits_2(budget):
     proc = run_cli("minima", "--cyclotomic", "5", "--budget", budget)
     assert proc.returncode == 2
     assert proc.stdout == "" and "--budget" in proc.stderr
+
+
+# sha256 of each command's text output, as printed before the text lines
+# were built lazily; the p = 11 verify-craig run is the Inconclusive path
+TEXT_OUTPUTS = [
+    ("bound --cyclotomic 5", "7285a8fef8f00226fbc30736c910e7065a34755cff9bc9b5e3448eb8711cce45"),
+    ("bound --cyclotomic 7 --ideal-exp 1", "7c1da3550d593c91cd85bd45f36a568c139bf8799600492a46669045ad47b016"),
+    ("minima --cyclotomic 7 --weights 1,2,3", "0255e75f6f94229d6acc7f497dbe451f7ed801d94075b6e8e4e2004d003f25d3"),
+    ("minima --cyclotomic 9 --ideal-exp 1", "f745cd21ee3438a46a498e5b064c79857cb8914d5f9d649c3a98a66e92cfe05c"),
+    ("set-e --cyclotomic 7", "5af9db34a5cffaf40b1addfaeb06774f51d0ccf9c7713ab7b28b1fa1e95aad4b"),
+    ("theta --circulant 4,1 --max-norm 8", "cab1424871388cb83e7b8d0f5feea2341989a7ff0f40902cec0ba11f44c450a7"),
+    ("psi --cyclotomic 5 --t 1", "f7eb679d707f728b8b0c6a1719b81766e392ca264acf99bc6fe53f94a9c1c927"),
+    ("psi --cyclotomic 7 --t 1 --weights 1,2,3", "3d07ff159b29fc450e3999a7c7d0ccb65f3d8144cb4dad699ea8514974bc4aa0"),
+    ("verify-craig -p 5 -r 0..2", "4bffd7aa20e65c3a4888809391cae8bc20836a60f3d977375f8cbdf6c02e3884"),
+    ("verify-craig -p 11 -r 0..1", "19c31fb9fd42c487811c47da82646b5ecfa60a817c6daf9528f181b36d61bc83"),
+]
+
+
+@pytest.mark.parametrize("command, digest", TEXT_OUTPUTS)
+def test_text_output_bytes_are_pinned(command, digest, capsys):
+    assert cli.main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [c for c, _ in TEXT_OUTPUTS])
+def test_json_output_formats_no_text_line(command, monkeypatch, capsys):
+    """Under --json the text lines are never built: the decimal formatting
+    that only they use is not called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text line was formatted under --json")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    monkeypatch.setattr(cli, "_fmt_mu", refuse)
+    assert cli.main(command.split() + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == "1"

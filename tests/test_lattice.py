@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmsvp import cli, lattice
+from cmsvp import cli, lattice, svp
+from cmsvp.embeddings import normalize_weights
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
+from cmsvp.field import CMField
+from cmsvp.interval import PrecisionConfig
 from cmsvp.lattice import (
     LLL_DELTA,
     _round_half_even,
@@ -23,7 +26,14 @@ from cmsvp.lattice import (
     theta_counts,
 )
 
-from conftest import box_short_vectors, int_det, ldl, random_int_gram
+from conftest import (
+    box_short_vectors,
+    int_det,
+    ldl,
+    random_int_gram,
+    reference_basis_map,
+    reference_half_space,
+)
 
 
 def _frac(g):
@@ -362,3 +372,130 @@ def test_enumeration_json_is_byte_identical_to_stored_reference(command, capsys)
     out = capsys.readouterr().out
     assert rc == ref["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
+
+
+def _outcome(f, *args):
+    """f(*args), or the refusal's message when it raises BudgetExceededError."""
+    try:
+        return f(*args)
+    except BudgetExceededError as exc:
+        return ("refused", str(exc))
+
+
+def _same_descent(reduced, radius, budgets):
+    """The descent and the node-by-node reference agree, result or refusal,
+    at each budget and at one on each side of the reference's node count."""
+    ref = _outcome(reference_half_space, reduced, radius, 10**5)
+    assert _outcome(lattice._half_space, reduced, radius, 10**5) == ref
+    if ref[0] != "refused":
+        budgets = {*budgets, ref[2] - 1, ref[2]}
+    for budget in budgets:
+        if budget >= 0:
+            want = _outcome(reference_half_space, reduced, radius, budget)
+            assert _outcome(lattice._half_space, reduced, radius, budget) == want
+    return ref
+
+
+@st.composite
+def descent_grams(draw):
+    """A reduced rational Gram of dimension 1 to 12, G = L D L^T with small
+    rational L and positive D before the reduction."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    l = [
+        [draw(small_fractions) if j < i else Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    d = [draw(pivots) for _ in range(n)]
+    g = [[sum(l[i][t] * d[t] * l[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
+    return reduce(g).reduced
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(
+    descent_grams(),
+    st.builds(Fraction, st.integers(min_value=-2, max_value=10), st.integers(min_value=1, max_value=4)),
+    st.integers(min_value=0, max_value=400),
+)
+def test_half_space_equals_the_node_by_node_reference(reduced, scale, budget):
+    """Same vectors in the same order, same m, s and node count as a
+    descent that recomputes every center and checks every node; the same
+    refusal, with the same message, at budgets on both sides of the node
+    count.  Radii run up to 5/2 times the shortest reduced vector."""
+    radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
+    _same_descent(reduced, radius, [budget, 0, 1])
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    descent_grams(),
+    st.integers(min_value=2**127, max_value=2**128),
+    st.integers(min_value=0, max_value=8),
+)
+def test_half_space_equals_the_reference_at_128_bit_radii(reduced, den, scale):
+    """Radii with 128-bit denominators, up to twice the shortest reduced
+    vector, as the skewed forms and set E use."""
+    radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
+    radius = Fraction(radius.numerator * den // radius.denominator + 1, den)
+    _same_descent(reduced, radius, [])
+
+
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(descent_grams(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2))
+def test_half_space_listing_cap_equals_the_reference(reduced, scale, slack):
+    """With MAX_LISTED at, just below or well below twice the vectors
+    found, the descent lists or refuses as the reference does, also where
+    the node budget runs out near the same point of the walk."""
+    radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 2
+    half, _, nodes = reference_half_space(reduced, radius, 10**5)
+    saved = lattice.MAX_LISTED
+    try:
+        for cap in {max(2 * len(half) - slack, 1), len(half) + slack + 1, 1 + slack}:
+            lattice.MAX_LISTED = cap
+            _same_descent(reduced, radius, [nodes - slack - 1, nodes // 2])
+    finally:
+        lattice.MAX_LISTED = saved
+
+
+@pytest.mark.parametrize(
+    "p, weights, ideal",
+    [(5, (3, 1), False), (7, (1, 10, 100), True), (7, (2, 1, 1), False), (11, (1, 2, 3, 4, 5), False)],
+)
+@pytest.mark.parametrize("scale", [1, 2])
+def test_half_space_on_skewed_lower_forms_equals_the_reference(p, weights, ideal, scale):
+    """The skewed lower forms of the superset search, whose pivots run to
+    hundreds of bits, at the basis_minimum radius and twice it."""
+    field, prec = CMField(p), PrecisionConfig()
+    ws = normalize_weights(field, weights)
+    kappa = field.one() - field.zeta(1) if ideal else None
+    red = svp.gram_matrix(field, ws, kappa, prec).reduction
+    radius = scale * svp.basis_minimum(field, ws, kappa, red.u, prec)
+    half, _, nodes = _same_descent(red.reduced, radius, [1, 17])
+    assert half and nodes > len(half)
+
+
+def _column_extremes(u, top):
+    """For each column j of u, the vector with coordinates top * sign(u_ij):
+    its image x . U attains the digit bound of _to_basis at j."""
+    return [tuple(top if row[j] >= 0 else -top for row in u) for j in range(len(u[0]))]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(data=st.data())
+def test_to_basis_equals_the_coordinate_sums(data):
+    """_to_basis equals the map one coordinate sum at a time, on integer
+    matrices of dimension 1 to 16 and coordinates up to 10^12, also on
+    batches whose coordinates reach the digit bound."""
+    n = data.draw(st.integers(min_value=1, max_value=16))
+    entry = data.draw(st.sampled_from([1, 3, 10**6]))
+    u = [data.draw(st.lists(st.integers(-entry, entry), min_size=n, max_size=n)) for _ in range(n)]
+    top = data.draw(st.sampled_from([1, 7, 10**12]))
+    coords = st.lists(st.integers(-top, top), min_size=n, max_size=n).map(tuple)
+    xs = data.draw(st.lists(coords, min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        xs += _column_extremes(u, top)
+    to_basis = reference_basis_map(u)
+    assert lattice._to_basis(u, xs) == [to_basis(x) for x in xs]
+
+
+def test_to_basis_of_an_empty_batch_is_empty():
+    assert lattice._to_basis([[1, 0], [2, 1]], []) == []

@@ -135,8 +135,9 @@ def test_psi_leading_term(f5):
 
 
 def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
-    """Four Grams (minimum, excess data, two psi samples): one lower form
-    and one LLL reduction each."""
+    """Two Grams, each built once: minimal_vectors' own, and one that the
+    excess data and both psi samples share; one lower form and one LLL
+    reduction each."""
     lower_forms, reductions = [], []
     real_floor, real_lll = svp._floor_form, lattice.lll_reduce
 
@@ -152,7 +153,7 @@ def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
     monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
     mu, count = cusp_extract(CMField(5), (3, 1))
     assert (mu.lo, mu.hi) == SKEW5_CUSP_MU and count == 10
-    assert len(lower_forms) == len(reductions) == 4
+    assert len(lower_forms) == len(reductions) == 2
 
 
 def test_theta_prefix_lists_no_vectors(monkeypatch):
