@@ -385,80 +385,81 @@ def _precision(text: str) -> PrecisionConfig:
         ) from exc
 
 
-def _add_cyclotomic(container) -> None:
-    container.add_argument("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
+def _flag(*names: str, **keywords) -> tuple:
+    """One flag of _FLAG_SETS: its names and add_argument keywords."""
+    return names, keywords
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_CYCLOTOMIC = _flag("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
+
+# Named sets of flags; the sets in _EXCLUSIVE are mutually exclusive groups.
+_FLAG_SETS = {
+    "field": [_CYCLOTOMIC],
+    "source": [_CYCLOTOMIC, _flag("--circulant", metavar="N,R", help="circulant Gram instead of a field")],
+    "units": [_flag("--units", metavar="FILE", help="unit-basis file")],
+    "weights": [_flag("--weights", metavar="CSV", help="comma-separated positive rationals")],
+    "ideal": [
+        _flag("--ideal-exp", type=int, metavar="R", help="ideal (1 - zeta)^R"),
+        _flag("--ideal-gen", metavar="COORDS", help="ideal generator coordinates"),
+    ],
+    "run": [
+        _flag(
+            "--bits", dest="prec", type=_precision, default=DEFAULT_PRECISION, metavar="B",
+            help="working precision bits",
+        )
+    ],
+    "out": [_flag("--json", action="store_true", help="machine-readable output")],
+    "budget": [
+        _flag(
+            "--budget", type=_node_budget, default=lattice.DEFAULT_BUDGET, metavar="N",
+            help="enumeration node budget",
+        )
+    ],
+    "craig": [
+        _flag("-p", type=int, required=True, help="prime conductor"),
+        _flag("-r", default="0..2", metavar="RANGE", help="exponent range, e.g. 0..3 or 1"),
+    ],
+    "max-norm": [_flag("--max-norm", default="12", metavar="M", help="count vectors with norm <= M")],
+    "t": [_flag("--t", required=True, metavar="T", help="imaginary-axis parameter")],
+}
+_EXCLUSIVE = {"source", "ideal"}
+
+# Each command's help, function and flag sets, in the order of its usage line.
+_COMMANDS = {
+    "bound": ("certified norm bound", cmd_bound, ("field", "units", "ideal", "run", "out")),
+    "minima": ("exact minimal vectors", cmd_minima, ("field", "weights", "ideal", "run", "out", "budget")),
+    "verify-craig": ("full verification pipeline", cmd_verify_craig, ("run", "out", "budget", "craig")),
+    "set-e": ("characteristic set E", cmd_set_e, ("field", "units", "run", "out", "budget")),
+    "theta": (
+        "exact theta coefficients", cmd_theta, ("source", "weights", "ideal", "out", "budget", "max-norm")
+    ),
+    "psi": ("truncated psi with certified tail", cmd_psi, ("field", "weights", "run", "out", "budget", "t")),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """One parser per command, holding exactly the flags its cmd_* reads,
-    so a flag the command would ignore exits 2."""
-
-    def parent():
-        return argparse.ArgumentParser(add_help=False)
-
-    out = parent()
-    out.add_argument("--json", action="store_true", help="machine-readable output")
-    run = parent()
-    run.add_argument(
-        "--bits", dest="prec", type=_precision, default=DEFAULT_PRECISION, metavar="B",
-        help="working precision bits",
-    )
-    budget = parent()
-    budget.add_argument(
-        "--budget", type=_node_budget, default=lattice.DEFAULT_BUDGET, metavar="N", help="enumeration node budget"
-    )
-    field = parent()
-    _add_cyclotomic(field)
-    units = parent()
-    units.add_argument("--units", metavar="FILE", help="unit-basis file")
-    weights = parent()
-    weights.add_argument("--weights", metavar="CSV", help="comma-separated positive rationals")
-    ideal = parent()
-    gen = ideal.add_mutually_exclusive_group()
-    gen.add_argument("--ideal-exp", type=int, metavar="R", help="ideal (1 - zeta)^R")
-    gen.add_argument("--ideal-gen", metavar="COORDS", help="ideal generator coordinates")
-
+    so a flag the command would ignore exits 2.  Only the parser of
+    `command` gets its flags when `command` names one; otherwise every
+    parser does, for the top-level help and errors."""
     parser = argparse.ArgumentParser(prog="cmsvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "bound", parents=[field, units, ideal, run, out], help="certified norm bound"
-    ).set_defaults(func=cmd_bound)
-    sub.add_parser(
-        "minima", parents=[field, weights, ideal, run, out, budget], help="exact minimal vectors"
-    ).set_defaults(func=cmd_minima)
-
-    vc = sub.add_parser("verify-craig", parents=[run, out, budget], help="full verification pipeline")
-    vc.add_argument("-p", type=int, required=True, help="prime conductor")
-    vc.add_argument("-r", default="0..2", metavar="RANGE", help="exponent range, e.g. 0..3 or 1")
-    vc.set_defaults(func=cmd_verify_craig)
-
-    sub.add_parser(
-        "set-e", parents=[field, units, run, out, budget], help="characteristic set E"
-    ).set_defaults(func=cmd_set_e)
-
-    source = parent()
-    lattice_source = source.add_mutually_exclusive_group()
-    _add_cyclotomic(lattice_source)
-    lattice_source.add_argument("--circulant", metavar="N,R", help="circulant Gram instead of a field")
-    th = sub.add_parser(
-        "theta", parents=[source, weights, ideal, out, budget], help="exact theta coefficients"
-    )
-    th.add_argument("--max-norm", default="12", metavar="M", help="count vectors with norm <= M")
-    th.set_defaults(func=cmd_theta)
-
-    ps = sub.add_parser(
-        "psi", parents=[field, weights, run, out, budget], help="truncated psi with certified tail"
-    )
-    ps.add_argument("--t", required=True, metavar="T", help="imaginary-axis parameter")
-    ps.set_defaults(func=cmd_psi)
-
+    for name, (help_text, func, sets) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
+        if command in _COMMANDS and command != name:
+            continue
+        for key in sets:
+            target = cmd.add_mutually_exclusive_group() if key in _EXCLUSIVE else cmd
+            for names, keywords in _FLAG_SETS[key]:
+                target.add_argument(*names, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -124,6 +124,27 @@ def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]
     return den, lo, hi
 
 
+def _weighted_sum(n: int, coords, wnum, prec: PrecisionConfig) -> RealInterval:
+    """Enclosure of sum_m w_m sigma_m(x) for the conjugation-fixed element
+    x with coordinates coords, given wnum = _weight_numerators(w) of
+    positive weights w.
+
+    Exactly interval_sum(w_m * sigma_m) of the certified sigma enclosures,
+    with one integer sum per endpoint: as every weight is positive, the
+    lower end takes the smallest product w * sigma_lo, which uses the lower
+    weight where sigma_lo >= 0 and the upper one where it is negative, and
+    the upper end symmetrically.
+    """
+    den, sums = _certified_numerators(n, coords, prec)
+    wden, w_lo, w_hi = wnum
+    lo = hi = 0
+    for (s_lo, s_hi), wl, wh in zip(sums, w_lo, w_hi):
+        lo += (wl if s_lo >= 0 else wh) * s_lo
+        hi += (wh if s_hi >= 0 else wl) * s_hi
+    scale = den * wden
+    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
+
+
 def weighted_norm(
     field: CMField,
     a: FieldElement,
@@ -132,27 +153,13 @@ def weighted_norm(
     beta: FieldElement | None = None,
 ) -> RealInterval:
     """Enclosure of the weighted norm sum_m w_m sigma_m(a*abar); `beta` is
-    a*abar when the caller already has it.
-
-    Exactly interval_sum(w_m * sigma_m) of the certified sigma enclosures,
-    with one integer sum per endpoint: as every weight is positive, the
-    lower end takes the smallest product w * sigma_lo, which uses the lower
-    weight where sigma_lo >= 0 and the upper one where it is negative, and
-    the upper end symmetrically.
-    """
+    a*abar when the caller already has it.  See _weighted_sum."""
     w = normalize_weights(field, weights)
     if a.is_zero():
         return RealInterval.point(0)
     if beta is None:
         beta = a.times_conj()
-    den, sums = _certified_numerators(field.conductor, beta.coords, prec)
-    wden, w_lo, w_hi = _weight_numerators(w)
-    lo = hi = 0
-    for (s_lo, s_hi), wl, wh in zip(sums, w_lo, w_hi):
-        lo += (wl if s_lo >= 0 else wh) * s_lo
-        hi += (wh if s_hi >= 0 else wl) * s_hi
-    scale = den * wden
-    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
+    return _weighted_sum(field.conductor, beta.coords, _weight_numerators(w), prec)
 
 
 def sigma_real(

@@ -74,10 +74,17 @@ def _fraction_from_mpf_raw(raw) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _iv_from_fractions(lo: Fraction, hi: Fraction, ctx):
-    a = mpmath.make_mpf(from_rational(lo.numerator, lo.denominator, ctx.prec, round_floor))
-    b = mpmath.make_mpf(from_rational(hi.numerator, hi.denominator, ctx.prec, round_ceiling))
+def _iv_from_ratios(lo_num: int, lo_den: int, hi_num: int, hi_den: int, ctx):
+    """[lo_num / lo_den, hi_num / hi_den] rounded outward, denominators
+    positive; from_rational rounds the exact quotient, so the ratios need
+    not be reduced."""
+    a = mpmath.make_mpf(from_rational(lo_num, lo_den, ctx.prec, round_floor))
+    b = mpmath.make_mpf(from_rational(hi_num, hi_den, ctx.prec, round_ceiling))
     return ctx.mpf([a, b])
+
+
+def _iv_from_fractions(lo: Fraction, hi: Fraction, ctx):
+    return _iv_from_ratios(lo.numerator, lo.denominator, hi.numerator, hi.denominator, ctx)
 
 
 @dataclass(frozen=True)
@@ -268,6 +275,13 @@ def exp_interval(x, bits: int) -> RealInterval:
     x = _coerce(x)
     ctx = _ctx(bits)
     return RealInterval.from_mpiv(ctx.exp(_iv_from_fractions(x.lo, x.hi, ctx)))
+
+
+def exp_of_ratios(lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int) -> RealInterval:
+    """exp_interval of [lo_num / lo_den, hi_num / hi_den], denominators
+    positive, with no Fraction built or reduced on the way."""
+    ctx = _ctx(bits)
+    return RealInterval.from_mpiv(ctx.exp(_iv_from_ratios(lo_num, lo_den, hi_num, hi_den, ctx)))
 
 
 def log_interval(x, bits: int) -> RealInterval:

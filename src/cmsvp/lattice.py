@@ -11,8 +11,11 @@ exact, so every emitted vector and every omission is certain.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from math import exp, isqrt, lcm, lgamma, log, pi
+from itertools import accumulate
+from math import exp, gcd, isqrt, lcm, lgamma, log, pi
 from operator import mul, neg
 from typing import NamedTuple
 
@@ -76,11 +79,15 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def lll_reduce(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[list[int]]]:
+def lll_reduce(
+    g: list[list[Fraction]],
+) -> tuple[list[list[int]], int, list[list[int]], list[int], list[list[int]]]:
     """Gram-space LLL reduction with parameter LLL_DELTA.
 
-    Returns (reduced Gram, unimodular transform U) with
-    reduced = U G U^T; U has integer entries and determinant +-1.
+    Returns (U, s, a, d, lam): the unimodular integer transform U, the
+    scale s, the lcm of g's denominators, and the integer Gram
+    a = s U G U^T of the reduced basis with its integral Gram-Schmidt data
+    (d, lam), which the reduction keeps exact through every step.
     """
     n = len(g)
     dn, dd = LLL_DELTA.numerator, LLL_DELTA.denominator
@@ -126,15 +133,65 @@ def lll_reduce(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[list
             li[k - 1] = (b * t + m * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return [[Fraction(x, s) for x in row] for row in a], u
+    return u, s, a, d, lam
+
+
+def _scaled_gso(d: list[int], lam: list[list[int]], num: int, den: int):
+    """Integral Gram-Schmidt data of (num/den) a from those (d, lam) of a,
+    for an integer Gram a that (num/den) a keeps integral: mu does not
+    change, so d[k] takes the factor (num/den)^k and lam[i][j] the factor
+    (num/den)^(j+1), and every division is exact."""
+    nums = [num**k for k in range(len(d))]
+    dens = [den**k for k in range(len(d))]
+    return (
+        [x * p // q for x, p, q in zip(d, nums, dens)],
+        [[x * p // q for x, p, q in zip(row, nums[1:], dens[1:])] for row in lam],
+    )
 
 
 class Reduced(NamedTuple):
-    """A rational Gram with its LLL reduction: reduced = U gram U^T."""
+    """A rational Gram with its LLL reduction, as integers: U gram U^T =
+    a / s for the integer Gram a of the reduced basis, with its integral
+    Gram-Schmidt data (d, lam).  The scale s is the lcm of the reduced
+    Gram's denominators (the input's too, as U is unimodular), so equal
+    reductions are equal records."""
 
     gram: list[list[Fraction]]
-    reduced: list[list[Fraction]]
     u: list[list[int]]
+    s: int
+    a: list[list[int]]
+    d: list[int]
+    lam: list[list[int]]
+
+    @property
+    def reduced(self) -> list[list[Fraction]]:
+        """The reduced Gram U gram U^T."""
+        return [[Fraction(x, self.s) for x in row] for row in self.a]
+
+    def min_diagonal(self) -> Fraction:
+        """The smallest diagonal entry of the reduced Gram: the value of
+        its shortest basis vector."""
+        return Fraction(min(row[i] for i, row in enumerate(self.a)), self.s)
+
+    def scaled(self, factor: Fraction) -> "Reduced":
+        """The reduction of factor * gram, factor > 0.  Integral LLL rounds
+        mu and tests Lovasz's condition, both invariant under scaling, so
+        U stays; with G the gcd of a's entries, the canonical scale is
+        s q / g and the integer Gram is (p / g) a, g = gcd(s q, p G) for
+        factor = p / q."""
+        p, q = factor.numerator, factor.denominator
+        g = gcd(self.s * q, p * gcd(*(x for row in self.a for x in row)))
+        c = gcd(p, g)
+        num, den = p // c, g // c
+        d, lam = _scaled_gso(self.d, self.lam, num, den)
+        return Reduced(
+            [[x * factor for x in row] for row in self.gram],
+            self.u,
+            self.s * q // g,
+            [[x * num // den for x in row] for row in self.a],
+            d,
+            lam,
+        )
 
 
 def reduce(g: list[list[Fraction]]) -> Reduced:
@@ -160,42 +217,82 @@ def _log_node_estimate(d: list[int], top: int) -> tuple[float, float]:
     return peak + log(sum(exp(t - peak) for t in terms)), terms[-1]
 
 
-def _half_space(
-    reduced: list[list[Fraction]], radius: Fraction, budget: int
-) -> tuple[list[tuple[tuple[int, ...], int]], int, int]:
-    """Fincke-Pohst descent over the canonical half-space of a reduced Gram:
+class Leaves:
+    """The vectors a half-space descent finds, in descent order, without a
+    coordinate tuple per vector.
+
+    values[i] is vector i's integer m and firsts[i] its coordinate x_0;
+    rows holds (head, count) for each run of consecutive vectors that share
+    head = (x_1, ..., x_(n-1)), which is one x_1 of the descent's bottom
+    loop and its range of x_0."""
+
+    __slots__ = ("values", "firsts", "rows", "_ends")
+
+    def __init__(self, values: list[int], firsts: list[int], rows: list[tuple[tuple[int, ...], int]]):
+        self.values, self.firsts, self.rows = values, firsts, rows
+        self._ends: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def coords(self, indices=None) -> list[tuple[int, ...]]:
+        """Reduced coordinates of the vectors at indices, or of all of them
+        in descent order."""
+        firsts = self.firsts
+        if indices is None:
+            out: list[tuple[int, ...]] = []
+            pos = 0
+            for head, count in self.rows:
+                out.extend([(x0,) + head for x0 in firsts[pos : pos + count]])
+                pos += count
+            return out
+        if self._ends is None:
+            self._ends = list(accumulate(count for _, count in self.rows))
+        ends, rows = self._ends, self.rows
+        return [(firsts[i],) + rows[bisect_right(ends, i)][0] for i in indices]
+
+
+def _half_space(red: Reduced, radius: Fraction, budget: int) -> tuple[Leaves, int, int]:
+    """Fincke-Pohst descent over the canonical half-space of a reduction:
     one vector of each +-v pair with q(v) <= radius, zero excluded.
 
-    Returns (list of (reduced coordinates, m), s, nodes visited), with
-    q(v) = m / s for the integer m.  More than budget nodes raise
-    BudgetExceededError, and so do more than MAX_LISTED vectors, counting
-    both of each pair, expected or found; when the walk would pass both
-    limits, the one it passes first is reported.
+    Returns (Leaves of the vectors in reduced coordinates, s, nodes
+    visited), with q(v) = m / s for each vector's integer m.  More than
+    budget nodes raise BudgetExceededError, and so do more than MAX_LISTED
+    vectors, counting both of each pair, expected or found; when the walk
+    would pass both limits, the one it passes first is reported.
 
     The descent runs on s * (reduced Gram), s = lcm of the denominators of
-    the radius and the reduced Gram, and carries e = d[level+1] times the
-    unspent scaled radius as an integer.  With c = -sum_{j>level}
-    lam[j][level] x_j, a coordinate x is admissible iff
+    the radius and the reduced Gram: the reduction's integer Gram a times
+    f = r / gcd(red.s, r) for the radius denominator r, whose integral
+    Gram-Schmidt data are red's scaled by _scaled_gso.  It carries e =
+    d[level+1] times the unspent scaled radius as an integer.  With c =
+    -sum_{j>level} lam[j][level] x_j, a coordinate x is admissible iff
     (x d[level+1] - c)^2 <= e d[level].  Each call sums the part of its
     children's c that comes from above its own level once, so a child's c
     costs one product.  Levels 1 and 0 run in one loop: each x_1 takes its
     whole range of x_0, the leaves, at once, counts their nodes together
-    and puts the coordinates above level 1, built once per call, after
-    each leaf's (x_0, x_1).
+    and records them as one row.
     """
-    n = len(reduced)
-    s, a = _integer_gram(reduced, radius.denominator)
-    d, lam = _integral_gso(a)
+    n = len(red.u)
+    s, d, lam = red.s, red.d, red.lam
+    f = radius.denominator // gcd(s, radius.denominator)
+    if f > 1:
+        s *= f
+        d, lam = _scaled_gso(d, lam, f, 1)
     top = radius.numerator * (s // radius.denominator)
+    values: list[int] = []
+    firsts: list[int] = []
+    rows: list[tuple[tuple[int, ...], int]] = []
+    leaves = Leaves(values, firsts, rows)
     if not n or top < 0:
-        return [], s, 0
+        return leaves, s, 0
     if top > 0:
         nodes_est, listed_est = _log_node_estimate(d, top)
         if nodes_est > log(REFUSE_MARGIN * max(budget, 1)):
             raise BudgetExceededError(budget, nodes_est / log(10))
         if listed_est > log(MAX_LISTED):
             raise BudgetExceededError(MAX_LISTED, listed_est / log(10), "listed vectors")
-    half: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
     nodes = 0
 
@@ -243,7 +340,7 @@ def _half_space(
         for j in range(2, n):
             base -= lam[j][0] * x[j]
         step = lam[1][0]
-        append = half.append
+        append = values.append
         for x1 in range(lo, hi + 1):
             t = x1 * d2 - c
             rest = (big - t * t) // d2
@@ -263,16 +360,17 @@ def _half_space(
                 # the walk lists the leaves before the node past the budget;
                 # if they pass the listing cap, that refusal comes first
                 last = min(hi0, lo0 + budget - before - 2)
-                if 2 * (len(half) + max(last - first + 1, 0)) > MAX_LISTED:
+                if 2 * (len(values) + max(last - first + 1, 0)) > MAX_LISTED:
                     raise BudgetExceededError(MAX_LISTED, what="listed vectors")
                 raise BudgetExceededError(budget)
             if first <= hi0:
-                head = (x1,) + tail
+                rows.append(((x1,) + tail, hi0 - first + 1))
+                firsts.extend(range(first, hi0 + 1))
                 u = first * d1 - c0
-                for x0 in range(first, hi0 + 1):
-                    append(((x0,) + head, top - (rest - u * u) // d1))
+                for _ in range(first, hi0 + 1):
+                    append(top - (rest - u * u) // d1)
                     u += d1
-        if 2 * len(half) > MAX_LISTED:
+        if 2 * len(values) > MAX_LISTED:
             raise BudgetExceededError(MAX_LISTED, what="listed vectors")
 
     if n == 1:
@@ -283,12 +381,15 @@ def _half_space(
         nodes = hi + 1
         if nodes > budget:
             raise BudgetExceededError(budget)
-        half = [((x0,), d[1] * x0 * x0) for x0 in range(1, hi + 1)]
+        values.extend(d[1] * x0 * x0 for x0 in range(1, hi + 1))
+        firsts.extend(range(1, hi + 1))
+        if hi:
+            rows.append(((), hi))
     elif n == 2:
         bottom(d[2] * top, 0, False)
     else:
         descend(n - 1, d[n] * top, 0, False)
-    return half, s, nodes
+    return leaves, s, nodes
 
 
 def _to_basis(u: list[list[int]], xs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -324,11 +425,11 @@ def enumerate_short(
     Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
     vectors, expected or found, raise BudgetExceededError.
     """
-    half, s, nodes = _half_space(g.reduced, Fraction(radius), budget)
+    leaves, s, nodes = _half_space(g, Fraction(radius), budget)
     out: list[tuple[tuple[int, ...], Fraction]] = []
     # one Fraction per distinct value, shared by all its vectors
     values: dict[int, Fraction] = {}
-    for orig, (_, m) in zip(_to_basis(g.u, [c for c, _ in half]), half):
+    for orig, m in zip(_to_basis(g.u, leaves.coords()), leaves.values):
         val = values.get(m)
         if val is None:
             val = values[m] = Fraction(m, s)
@@ -346,7 +447,7 @@ def minimum_shell(
     The search radius is the smallest diagonal entry of the LLL-reduced
     Gram, which always contains a nonzero vector.
     """
-    radius = min(g.reduced[i][i] for i in range(len(g.reduced)))
+    radius = g.min_diagonal()
     vectors, nodes = enumerate_short(g, radius, budget)
     mu = min(v for _, v in vectors)
     mins = sorted(c for c, v in vectors if v == mu)
@@ -358,10 +459,9 @@ def theta_counts(
 ) -> list[tuple[Fraction, int]]:
     """Sorted (q, count) pairs for q <= max_norm, including q = 0.
 
-    Counted on the half-space descent: each value found there stands for
-    a +-v pair, and the zero vector counts once."""
-    half, s, _ = _half_space(g.reduced, Fraction(max_norm), budget)
-    counts = {0: 1}
-    for _, m in half:
-        counts[m] = counts.get(m, 0) + 2
-    return [(Fraction(m, s), c) for m, c in sorted(counts.items())]
+    Counted on the values of the half-space descent, with no coordinates:
+    each value found there stands for a +-v pair, and the zero vector
+    counts once."""
+    leaves, s, _ = _half_space(g, Fraction(max_norm), budget)
+    counts = Counter(leaves.values)
+    return [(Fraction(0), 1)] + [(Fraction(m, s), 2 * c) for m, c in sorted(counts.items())]

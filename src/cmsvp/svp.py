@@ -20,15 +20,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from . import lattice
 from .embeddings import (
+    _weight_numerators,
+    _weighted_sum,
     log_sigma,
     normalize_weights,
-    sigma_real,
-    weighted_norm,
     weights_are_equal_rational,
 )
 from .errors import (
@@ -88,18 +88,15 @@ class GramMatrix:
         return [list(r) for r in self.entries]
 
     def scaled(self, factor) -> "GramMatrix":
-        """factor times this Gram.  An exact Gram's reduction carries over:
-        integral LLL rounds mu and tests Lovasz's condition, both invariant
-        under scaling, so U stays and the reduced Gram scales by factor."""
+        """factor times this Gram.  An exact Gram's reduction carries over
+        (lattice.Reduced.scaled)."""
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("scale factor must be positive")
-        ent = tuple(tuple(e * factor for e in row) for row in self.entries)
         if not self.exact:
-            return GramMatrix(ent, False)
-        red = self.reduction
-        reduced = [[e * factor for e in row] for row in red.reduced]
-        return GramMatrix(ent, True, lattice.Reduced([list(r) for r in ent], reduced, red.u))
+            return GramMatrix(tuple(tuple(e * factor for e in row) for row in self.entries), False)
+        red = self.reduction.scaled(factor)
+        return GramMatrix(tuple(map(tuple, red.gram)), True, red)
 
 
 @dataclass(frozen=True)
@@ -175,13 +172,11 @@ def gram_matrix(
         t = [w0 * Fraction(trace(kk * field.zeta(j)), 2) for j in range(d)]
         ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
         return GramMatrix(ent, True)
+    wnum = _weight_numerators(ws)
+    # entry j is sum_m w_m sigma_m(kk (zeta^j + zeta^-j)) / 2
+    elems = [(kk * (field.zeta(j) + field.zeta(-j))).coords for j in range(d)]
     for cur in prec.ladder():
-        t = []
-        for j in range(d):
-            elem = kk * (field.zeta(j) + field.zeta(-j))
-            vals = sigma_real(field, elem, cur)
-            total = sum((x * v for x, v in zip(ws, vals)), RealInterval.point(0))
-            t.append(total * Fraction(1, 2))
+        t = [_weighted_sum(field.conductor, x, wnum, cur) * Fraction(1, 2) for x in elems]
         ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
         try:
             return GramMatrix(ent, False)
@@ -197,7 +192,9 @@ def _floor_form(g: GramMatrix) -> lattice.Reduced:
 
     Midpoints are quantized to QUANTIZE_BITS fractional bits, and the lower
     form subtracts dim*eps from the diagonal, which dominates the symmetric
-    error matrix by Gershgorin.  Only the off-diagonal entries stay on the
+    error matrix by Gershgorin.  Midpoints, quanta and eps are taken once
+    per distinct entry (d of the d^2 entries of a Gram from gram_matrix,
+    which is Toeplitz).  Only the off-diagonal entries stay on the
     2^-bits grid: eps, the largest distance from a quantized midpoint to an
     interval endpoint, carries the endpoints' own denominators onto the
     diagonal, so the integral Gram of the lower form has the endpoints'
@@ -210,8 +207,8 @@ def _floor_form(g: GramMatrix) -> lattice.Reduced:
     """
     if g.exact:
         return lattice.reduce(g.rows())
-    mids = [[e.mid for e in row] for row in g.entries]
-    finest = max(m.denominator for row in mids for m in row).bit_length()
+    mids = {e: e.mid for e in {e for row in g.entries for e in row}}
+    finest = max(m.denominator for m in mids.values()).bit_length()
     bits = QUANTIZE_BITS
     while True:
         try:
@@ -222,33 +219,35 @@ def _floor_form(g: GramMatrix) -> lattice.Reduced:
             bits *= 2
 
 
-def _quantized_floor_form(g: GramMatrix, mids, bits: int):
+def _quantized_floor_form(g: GramMatrix, mids: dict, bits: int):
+    """The lower form at 2^-bits, given the midpoint of each distinct
+    entry."""
     d = g.dimension
     q = 1 << bits
-    mid = [[Fraction(round(m * q), q) for m in row] for row in mids]
-    eps = Fraction(0)
+    quantized = {e: Fraction(round(m * q), q) for e, m in mids.items()}
+    eps = max(max(e.hi - m, m - e.lo) for e, m in quantized.items())
+    out = [[quantized[e] for e in row] for row in g.entries]
     for i in range(d):
-        for j in range(d):
-            e = g.entries[i][j]
-            eps = max(eps, e.hi - mid[i][j], mid[i][j] - e.lo)
-    for i in range(d):
-        mid[i][i] -= d * eps
-    return mid
+        out[i][i] -= d * eps
+    return out
 
 
 def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fraction:
     """Smallest certified upper end of the weighted norm over the rows of U:
     a radius that holds at least one nonzero vector of the form."""
+    wnum = _weight_numerators(ws)
     return min(
-        weighted_norm(field, _basis_element(field, kappa, tuple(row)), ws, prec).hi
+        _weighted_sum(
+            field.conductor, _basis_element(field, kappa, tuple(row)).times_conj().coords, wnum, prec
+        ).hi
         for row in u
     )
 
 
-def _beta_keys(field: CMField, kappa, u, xs) -> tuple[list[int], int]:
-    """One integer key per vector x of reduced coordinates, equal for two
-    vectors exactly when their alpha = kappa * (x . U) have the same
-    beta = alpha*conj(alpha); and the digit width b of the keys.
+def _beta_keys(field: CMField, kappa, u, leaves: lattice.Leaves) -> tuple[list[int], int]:
+    """One integer key per vector x of reduced coordinates in leaves, equal
+    for two vectors exactly when their alpha = kappa * (x . U) have the
+    same beta = alpha*conj(alpha); and the digit width b of the keys.
 
     Kronecker substitution in Z[z]/(z^n - 1), n the conductor: that ring
     is, over Q, the product of the fields Q(zeta_e), e | n.  Psi =
@@ -263,28 +262,39 @@ def _beta_keys(field: CMField, kappa, u, xs) -> tuple[list[int], int]:
     a bound on every coefficient of s, taken from the largest |x_i| of
     the listing, no coefficient exceeds n A^2 in absolute value, so
     b = bitlen(n A^2) + 2 keeps every digit exact and the folded integer
-    is the balanced packing of s(z) s(1/z) mod z^n - 1."""
+    is the balanced packing of s(z) s(1/z) mod z^n - 1.  The packs of s
+    and of its conjugate sum the head (x_1, ..., x_(d-1)) of each row of
+    leaves once, and each vector adds x_0 times the packs of row 0 of U."""
     n = field.conductor
     psi = _poly_divide_exact([-1] + [0] * (n - 1) + [1], list(field.polynomial))
     k_psi = psi if kappa is None else _cyclic_product(kappa.coords, psi, n)
     rows = [_cyclic_product(row, k_psi, n) for row in u]
-    tops = [max(max(col), -min(col)) for col in zip(*xs)]
+    firsts = leaves.firsts
+    heads = [head for head, _ in leaves.rows]
+    cols = [firsts, *zip(*heads)] if firsts else []
+    tops = [max(max(col), -min(col)) for col in cols]
     a_bound = max(sum(t * abs(row[e]) for t, row in zip(tops, rows)) for e in range(n))
     b = (n * a_bound * a_bound).bit_length() + 2
     packs = [sum(c << (b * e) for e, c in enumerate(row)) for row in rows]
     conj_packs = [sum(row[-e] << (b * e) for e in range(n)) for row in rows]
+    p0, c0 = packs[0], conj_packs[0]
+    packs, conj_packs = packs[1:], conj_packs[1:]
     width = b * n
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     keys = []
-    for x in xs:
-        prod = sum(map(mul, x, packs)) * sum(map(mul, x, conj_packs))
-        low, high = prod & mask, prod >> width
-        if low >= half:
-            # the balanced digits of the bottom n: low - 2^width, carry 1
-            low -= mask + 1
-            high += 1
-        keys.append(low + high)
+    pos = 0
+    for head, count in leaves.rows:
+        h, hc = sum(map(mul, head, packs)), sum(map(mul, head, conj_packs))
+        for x0 in firsts[pos : pos + count]:
+            prod = (x0 * p0 + h) * (x0 * c0 + hc)
+            low, high = prod & mask, prod >> width
+            if low >= half:
+                # the balanced digits of the bottom n: low - 2^width, carry 1
+                low -= mask + 1
+                high += 1
+            keys.append(low + high)
+        pos += count
     return keys, b
 
 
@@ -298,24 +308,41 @@ def _cyclic_product(a, b, n: int) -> list[int]:
     return out
 
 
+class _Members:
+    """The vectors of one beta group, as indices into the Leaves of a
+    half-space descent: len() is the number of +-pairs, and iterating
+    builds their reduced coordinates, in descent order, only then."""
+
+    __slots__ = ("leaves", "indices")
+
+    def __init__(self, leaves: lattice.Leaves, indices: list[int]):
+        self.leaves, self.indices = leaves, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        return iter(self.leaves.coords(self.indices))
+
+
 def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     """({beta: (alpha, members)}, nodes) over one vector of each +-pair of
     the reduced lower form `red` within `radius`, grouped by the exact
-    beta = alpha*conj(alpha) of alpha = kappa * vector.  Members are
-    reduced coordinates in descent order; lattice._to_basis(red.u, ...)
-    maps them to the Gram's own basis.  alpha is the first member's, the
-    one vector of each group mapped through U and multiplied out."""
-    half, _, nodes = lattice._half_space(red.reduced, Fraction(radius), budget)
-    xs = [x for x, _ in half]
-    keys, _ = _beta_keys(field, kappa, red.u, xs)
-    by_key: dict[int, list[tuple[int, ...]]] = {}
-    for key, x in zip(keys, xs):
-        by_key.setdefault(key, []).append(x)
-    firsts = lattice._to_basis(red.u, [members[0] for members in by_key.values()])
+    beta = alpha*conj(alpha) of alpha = kappa * vector.  Members iterate
+    as reduced coordinates in descent order (see _Members);
+    lattice._to_basis(red.u, ...) maps them to the Gram's own basis.
+    alpha is the first member's, the one vector of each group mapped
+    through U and multiplied out."""
+    leaves, _, nodes = lattice._half_space(red, Fraction(radius), budget)
+    keys, _ = _beta_keys(field, kappa, red.u, leaves)
+    by_key: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    reps = lattice._to_basis(red.u, leaves.coords([indices[0] for indices in by_key.values()]))
     groups = {}
-    for coords, members in zip(firsts, by_key.values()):
+    for coords, indices in zip(reps, by_key.values()):
         a = _basis_element(field, kappa, coords)
-        groups[a.times_conj()] = (a, members)
+        groups[a.times_conj()] = (a, _Members(leaves, indices))
     return groups, nodes
 
 
@@ -324,14 +351,16 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
     vector of the reduced lower form `red` within `radius`, grouped by the
     exact value beta = alpha*conj(alpha).  As the lower form bounds the form
     from below, the groups hold every vector of weighted norm <= radius; the
-    norm depends on alpha only through beta, so one weighted_norm certifies
-    each group.  Members are one vector of each +-alpha pair, as both have
-    the same beta: a group stands for twice as many vectors.  They are
-    reduced coordinates (see _beta_groups)."""
+    norm depends on alpha only through beta, so one weighted sum of beta's
+    sigmas, over weight numerators taken once per search, certifies each
+    group.  Members are one vector of each +-alpha pair, as both have the
+    same beta: a group stands for twice as many vectors.  They are reduced
+    coordinates (see _beta_groups)."""
     groups, nodes = _beta_groups(field, kappa, red, radius, budget)
+    n, wnum = field.conductor, _weight_numerators(ws)
     return {
-        beta: (weighted_norm(field, a, ws, prec, beta), members)
-        for beta, (a, members) in groups.items()
+        beta: (_weighted_sum(n, beta.coords, wnum, prec), members)
+        for beta, (_, members) in groups.items()
     }, nodes
 
 
@@ -346,7 +375,7 @@ def _interval_minimum(field, ws, kappa, prec, budget):
         alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
         if len(alive) == 1:
             value, members = alive[0]
-            coords = lattice._to_basis(red.u, members)
+            coords = lattice._to_basis(red.u, list(members))
             coords += [tuple(-x for x in c) for c in coords]
             return value, tuple(sorted(coords)), radius, nodes
     raise PrecisionError(
@@ -518,7 +547,7 @@ def characteristic_set_E(
     # q(v) is a multiple of 1/s, s the lcm of the reduced Gram's
     # denominators, so the radius floored onto that grid lists the same
     # vectors, and the descent's integers lose the root's long denominator
-    s = lcm(*(e.denominator for row in red.reduced for e in row))
+    s = red.s
     radius = Fraction(radius.numerator * s // radius.denominator, s)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once; a group

@@ -28,6 +28,7 @@ from .interval import (
     PrecisionConfig,
     RealInterval,
     exp_interval,
+    exp_of_ratios,
     interval_json,
     interval_sum,
     log_interval,
@@ -136,15 +137,14 @@ def _tail_bound(
     return top / slab
 
 
-def _pivot_floor(reduced) -> Fraction:
+def _pivot_floor(red: lattice.Reduced) -> Fraction:
     """Smallest LDL pivot of a reduced Gram: the tail bound's delta.
 
     Pivot i is the ratio of consecutive leading minors of the Gram, so over
-    the integral Gram s * reduced with leading minors d it is
-    d[i+1] / (s d[i])."""
-    s, a = lattice._integer_gram(reduced)
-    d, _ = lattice._integral_gso(a)
-    return min(Fraction(d[i + 1], s * d[i]) for i in range(len(a)))
+    the reduction's integral Gram a = s * reduced with leading minors d it
+    is d[i+1] / (s d[i])."""
+    d, s = red.d, red.s
+    return min(Fraction(d[i + 1], s * d[i]) for i in range(len(d) - 1))
 
 
 def _initial_radius(dim: int, delta: Fraction, mu_ub: Fraction, t: Fraction, bits: int) -> Fraction:
@@ -174,13 +174,40 @@ def _grow_radius(
     raise BudgetExceededError(budget)
 
 
-def _term(q, pi_t: RealInterval, bits: int) -> RealInterval:
-    """exp(-pi t q), given pi_t = pi * t, computed once per sum."""
+def _pi_t(t: Fraction, bits: int) -> tuple[int, int, int, int]:
+    """pi * t for t > 0 as the numerators and denominators of its lower
+    and upper ends, unreduced."""
+    pi = pi_interval(bits)
+    return (
+        pi.lo.numerator * t.numerator,
+        pi.lo.denominator * t.denominator,
+        pi.hi.numerator * t.numerator,
+        pi.hi.denominator * t.denominator,
+    )
+
+
+def _term(q, pi_t: tuple[int, int, int, int], bits: int) -> RealInterval:
+    """exp(-pi t q) for a value q > 0, or an enclosure q of one, given
+    pi_t = _pi_t(t, bits), computed once per sum.  The exponent's ends are
+    those of -(pi t * q) in interval arithmetic, as unreduced integer
+    ratios: the lower end -(pi t)_hi q_hi, the upper -(pi t)_lo q_lo, or
+    -(pi t)_hi q_lo where q_lo < 0."""
     if isinstance(q, RealInterval):
-        return exp_interval(-(pi_t * q), bits)
-    if q == 0:
+        q_lo, q_hi = q.lo, q.hi
+    elif q == 0:
         return RealInterval.point(1)
-    return exp_interval(-(pi_t * Fraction(q)), bits)
+    else:
+        q_lo = q_hi = q
+    lo_num, lo_den, hi_num, hi_den = pi_t
+    if q_lo < 0:
+        lo_num, lo_den = hi_num, hi_den
+    return exp_of_ratios(
+        -hi_num * q_hi.numerator,
+        hi_den * q_hi.denominator,
+        -lo_num * q_lo.numerator,
+        lo_den * q_lo.denominator,
+        bits,
+    )
 
 
 def theta_sum(
@@ -196,12 +223,12 @@ def theta_sum(
     if t <= 0:
         raise InputError("t must be positive")
     bits = prec.bits
-    reduced = g.reduction.reduced
-    delta = _pivot_floor(reduced)
-    mu_ub = min(reduced[i][i] for i in range(len(reduced)))
+    red = g.reduction
+    delta = _pivot_floor(red)
+    mu_ub = red.min_diagonal()
     radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
-    counts = lattice.theta_counts(g.reduction, radius, budget)
-    pi_t = pi_interval(bits) * t
+    counts = lattice.theta_counts(red, radius, budget)
+    pi_t = _pi_t(t, bits)
     value = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in counts)
     return PsiSample(None, t, radius, value, tail)
 
@@ -234,11 +261,11 @@ def _psi_sample(field, ws, g: GramMatrix, t: Fraction, prec, budget) -> PsiSampl
         return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
     bits = prec.bits
     red = g.reduction
-    delta = _pivot_floor(red.reduced)
+    delta = _pivot_floor(red)
     mu_ub = basis_minimum(field, ws, None, red.u, prec)
     radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
     groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
-    pi_t = pi_interval(bits) * t
+    pi_t = _pi_t(t, bits)
     terms = [RealInterval.point(1)]
     terms.extend(Fraction(2 * len(c)) * _term(v, pi_t, bits) for v, c in groups.values())
     return PsiSample(ws, t, radius, interval_sum(terms), tail)
@@ -249,7 +276,7 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
     on g, the Gram of O_F under the weights ws: (list of (value lower end,
     count) beyond the minimum, cutoff, pivot)."""
     red = g.reduction
-    delta = _pivot_floor(red.reduced)
+    delta = _pivot_floor(red)
     if not isinstance(mv.mu, RealInterval):
         cutoff = 3 * mv.mu
         shells = lattice.theta_counts(red, cutoff, budget)
@@ -264,7 +291,7 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
 
 
 def _excess_upper(beyond, cutoff, delta, dim, t, bits) -> Fraction:
-    pi_t = pi_interval(bits) * t
+    pi_t = _pi_t(t, bits)
     total = interval_sum(
         Fraction(c) * _term(q, pi_t, bits) for q, c in beyond
     ) if beyond else RealInterval.point(0)

@@ -1,7 +1,7 @@
 """Shared fixtures: random Gram generation, a Fraction LDL, an exhaustive
 box-search oracle, node-by-node references for the half-space descent and
-the map back through U, and the acceptance summary printed after the
-run."""
+the map back through U, adapters between the descent's leaf record and
+coordinate lists, and the acceptance summary printed after the run."""
 
 import re
 from fractions import Fraction
@@ -172,6 +172,29 @@ def reference_half_space(reduced, radius: Fraction, budget: int):
     if n and top >= 0:
         descend(n - 1, d[n] * top, False)
     return half, s, nodes
+
+
+def half_space_listing(red, radius: Fraction, budget: int):
+    """lattice._half_space(red, radius, budget) as reference_half_space
+    returns it: (list of (reduced coordinates, m), s, nodes)."""
+    leaves, s, nodes = lattice._half_space(red, radius, budget)
+    return list(zip(leaves.coords(), leaves.values)), s, nodes
+
+
+def leaves_of(xs) -> lattice.Leaves:
+    """A lattice.Leaves holding the reduced coordinates xs in order, one
+    row each, with every value 0."""
+    return lattice.Leaves([0] * len(xs), [x[0] for x in xs], [(tuple(x[1:]), 1) for x in xs])
+
+
+def own_record(g) -> lattice.Reduced:
+    """The integral record of g with U = I, as if g were its own
+    reduction: s the lcm of g's denominators, a = s g, and the integral
+    Gram-Schmidt data of a."""
+    s, a = lattice._integer_gram(g)
+    d, lam = lattice._integral_gso(a)
+    n = len(g)
+    return lattice.Reduced(g, [[int(i == j) for j in range(n)] for i in range(n)], s, a, d, lam)
 
 
 def reference_basis_map(u):

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ from cmsvp.lattice import (
 
 from conftest import (
     box_short_vectors,
+    half_space_listing,
     int_det,
     ldl,
     random_int_gram,
@@ -38,6 +39,12 @@ from conftest import (
 
 def _frac(g):
     return [[Fraction(x) for x in row] for row in g]
+
+
+def _lll(g):
+    """lll_reduce(g) as (reduced Gram, U)."""
+    red = lattice.Reduced(g, *lll_reduce(g))
+    return red.reduced, red.u
 
 
 def _listing_with_zero(red, radius):
@@ -76,7 +83,7 @@ def test_lll_unimodular_and_det_preserving():
     for _ in range(10):
         dim = rng.randint(2, 6)
         g = _frac(random_int_gram(rng, dim, entry=3, max_diag=40))
-        reduced, u = lll_reduce(g)
+        reduced, u = _lll(g)
         assert abs(int_det(u)) == 1
         assert int_det(reduced) == int_det(g)
         # succeeds: the reduced Gram is positive definite
@@ -269,7 +276,7 @@ def pd_grams(draw):
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(pd_grams())
 def test_integral_lll_equals_fraction_reference(g):
-    assert lll_reduce(g) == lll_reference(g)
+    assert _lll(g) == lll_reference(g)
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -311,9 +318,9 @@ def test_theta_counts_equal_a_count_over_the_listing(g, scale):
 def test_lll_commutes_with_scaling(g, c):
     """Integral LLL rounds mu and tests Lovasz's condition, both homogeneous
     in the Gram: c * G reduces by the same U to c times the reduced Gram."""
-    reduced, u = lll_reduce(g)
+    reduced, u = _lll(g)
     scaled = [[c * x for x in row] for row in g]
-    assert lll_reduce(scaled) == ([[c * x for x in row] for row in reduced], u)
+    assert _lll(scaled) == ([[c * x for x in row] for row in reduced], u)
 
 
 def test_round_half_even_matches_fraction_round():
@@ -336,7 +343,7 @@ def test_round_half_even_matches_fraction_round():
 def test_size_reduction_rounds_ties_to_even(mu, r):
     # b_1 . b_0 = mu |b_0|^2 and |b_1|^2 large: one size-reduction step, no swap
     g = [[Fraction(2), 2 * mu], [2 * mu, Fraction(40)]]
-    reduced, u = lll_reduce(g)
+    reduced, u = _lll(g)
     assert u == [[1, 0], [-r, 1]]
     assert (reduced, u) == lll_reference(g)
 
@@ -382,32 +389,37 @@ def _outcome(f, *args):
         return ("refused", str(exc))
 
 
-def _same_descent(reduced, radius, budgets):
+def _same_descent(red, radius, budgets):
     """The descent and the node-by-node reference agree, result or refusal,
     at each budget and at one on each side of the reference's node count."""
+    reduced = red.reduced
     ref = _outcome(reference_half_space, reduced, radius, 10**5)
-    assert _outcome(lattice._half_space, reduced, radius, 10**5) == ref
+    assert _outcome(half_space_listing, red, radius, 10**5) == ref
     if ref[0] != "refused":
         budgets = {*budgets, ref[2] - 1, ref[2]}
     for budget in budgets:
         if budget >= 0:
             want = _outcome(reference_half_space, reduced, radius, budget)
-            assert _outcome(lattice._half_space, reduced, radius, budget) == want
+            assert _outcome(half_space_listing, red, radius, budget) == want
     return ref
 
 
 @st.composite
-def descent_grams(draw):
-    """A reduced rational Gram of dimension 1 to 12, G = L D L^T with small
-    rational L and positive D before the reduction."""
+def rational_grams(draw):
+    """A rational Gram of dimension 1 to 12, G = L D L^T with small
+    rational L and positive D."""
     n = draw(st.integers(min_value=1, max_value=12))
     l = [
         [draw(small_fractions) if j < i else Fraction(int(i == j)) for j in range(n)]
         for i in range(n)
     ]
     d = [draw(pivots) for _ in range(n)]
-    g = [[sum(l[i][t] * d[t] * l[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
-    return reduce(g).reduced
+    return [[sum(l[i][t] * d[t] * l[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+def descent_grams():
+    """The reduction of a rational_grams Gram."""
+    return rational_grams().map(reduce)
 
 
 @settings(deadline=None, derandomize=True, max_examples=120)
@@ -416,13 +428,14 @@ def descent_grams(draw):
     st.builds(Fraction, st.integers(min_value=-2, max_value=10), st.integers(min_value=1, max_value=4)),
     st.integers(min_value=0, max_value=400),
 )
-def test_half_space_equals_the_node_by_node_reference(reduced, scale, budget):
+def test_half_space_equals_the_node_by_node_reference(red, scale, budget):
     """Same vectors in the same order, same m, s and node count as a
     descent that recomputes every center and checks every node; the same
     refusal, with the same message, at budgets on both sides of the node
     count.  Radii run up to 5/2 times the shortest reduced vector."""
+    reduced = red.reduced
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
-    _same_descent(reduced, radius, [budget, 0, 1])
+    _same_descent(red, radius, [budget, 0, 1])
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -431,27 +444,29 @@ def test_half_space_equals_the_node_by_node_reference(reduced, scale, budget):
     st.integers(min_value=2**127, max_value=2**128),
     st.integers(min_value=0, max_value=8),
 )
-def test_half_space_equals_the_reference_at_128_bit_radii(reduced, den, scale):
+def test_half_space_equals_the_reference_at_128_bit_radii(red, den, scale):
     """Radii with 128-bit denominators, up to twice the shortest reduced
     vector, as the skewed forms and set E use."""
+    reduced = red.reduced
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
     radius = Fraction(radius.numerator * den // radius.denominator + 1, den)
-    _same_descent(reduced, radius, [])
+    _same_descent(red, radius, [])
 
 
 @settings(deadline=None, derandomize=True, max_examples=50)
 @given(descent_grams(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2))
-def test_half_space_listing_cap_equals_the_reference(reduced, scale, slack):
+def test_half_space_listing_cap_equals_the_reference(red, scale, slack):
     """With MAX_LISTED at, just below or well below twice the vectors
     found, the descent lists or refuses as the reference does, also where
     the node budget runs out near the same point of the walk."""
+    reduced = red.reduced
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 2
     half, _, nodes = reference_half_space(reduced, radius, 10**5)
     saved = lattice.MAX_LISTED
     try:
         for cap in {max(2 * len(half) - slack, 1), len(half) + slack + 1, 1 + slack}:
             lattice.MAX_LISTED = cap
-            _same_descent(reduced, radius, [nodes - slack - 1, nodes // 2])
+            _same_descent(red, radius, [nodes - slack - 1, nodes // 2])
     finally:
         lattice.MAX_LISTED = saved
 
@@ -469,7 +484,7 @@ def test_half_space_on_skewed_lower_forms_equals_the_reference(p, weights, ideal
     kappa = field.one() - field.zeta(1) if ideal else None
     red = svp.gram_matrix(field, ws, kappa, prec).reduction
     radius = scale * svp.basis_minimum(field, ws, kappa, red.u, prec)
-    half, _, nodes = _same_descent(red.reduced, radius, [1, 17])
+    half, _, nodes = _same_descent(red, radius, [1, 17])
     assert half and nodes > len(half)
 
 
@@ -499,3 +514,38 @@ def test_to_basis_equals_the_coordinate_sums(data):
 
 def test_to_basis_of_an_empty_batch_is_empty():
     assert lattice._to_basis([[1, 0], [2, 1]], []) == []
+
+
+def _integral_data(reduced, den=1):
+    """(s, a, d, lam) of a reduced Gram from scratch: its integer Gram at
+    s = lcm of den and its denominators, and that Gram's integral
+    Gram-Schmidt data."""
+    s, a = lattice._integer_gram(reduced, den)
+    return (s, a, *lattice._integral_gso(a))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    rational_grams(),
+    st.builds(Fraction, st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_reduction_record_is_the_integral_data_of_its_reduced_gram(g, factor, den):
+    """The record that LLL ends with is the integer Gram and integral
+    Gram-Schmidt data of the reduced Gram at the lcm of its denominators;
+    scaling by p/q keeps that true, and equals reducing the scaled Gram;
+    the descent's rescale for a radius denominator r, which divides s or
+    not, equals the data at lcm(s, r)."""
+    red = reduce(g)
+    assert (red.s, red.a, red.d, red.lam) == _integral_data(red.reduced)
+    scaled = red.scaled(factor)
+    assert scaled == reduce([[factor * x for x in row] for row in g])
+    assert scaled.u is red.u
+    assert (scaled.s, scaled.a, scaled.d, scaled.lam) == _integral_data(scaled.reduced)
+    for rec in (red, scaled):
+        for r in (den, gcd(rec.s, den), rec.s, 2 * rec.s * den):
+            f = r // gcd(rec.s, r)
+            s, _, d, lam = _integral_data(rec.reduced, r)
+            assert (rec.s * f, *lattice._scaled_gso(rec.d, rec.lam, f, 1)) == (s, d, lam)
+            radius = Fraction(rec.min_diagonal() * r * 3 // 2, r)
+            _same_descent(rec, radius, [])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
-from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma
+from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma, sigma_real
 from cmsvp.errors import InputError, NotPositiveDefiniteError
 from cmsvp.field import (
     CMField,
@@ -42,7 +42,7 @@ from cmsvp.svp import (
     reduce_to_chamber,
 )
 from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices
-from conftest import reference_basis_map
+from conftest import leaves_of, reference_basis_map
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -270,7 +270,7 @@ def test_packed_beta_keys_group_as_times_conj(n, ideal, data):
     b = field.element(to_basis(x))
     mates = [field.zeta(j) * b for j in range(1, n)] + [-b, unit * b.conj()]
     pool = [x, y] + [to_reduced(m.coords) for m in mates]
-    keys, width = svp._beta_keys(field, kappa, u, pool)
+    keys, width = svp._beta_keys(field, kappa, u, leaves_of(pool))
     assert all(key == keys[0] for key in keys[2:])
     betas = [times_kappa(field.element(to_basis(v))).times_conj() for v in pool]
     assert betas[2:] == [betas[0]] * len(mates)
@@ -282,7 +282,7 @@ def test_packed_beta_keys_group_as_times_conj(n, ideal, data):
     # rows of U alone come closest to the coefficient bound
     rows = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     for v in [x] + rows:
-        [key], width = svp._beta_keys(field, kappa, u, [v])
+        [key], width = svp._beta_keys(field, kappa, u, leaves_of([v]))
         alpha = times_kappa(field.element(to_basis(v)))
         assert _balanced_digits(key, width, n) == _autocorrelation_mod(field, alpha.coords)
 
@@ -575,6 +575,80 @@ def test_reduce_to_chamber_divides_once_per_generator(f7, monkeypatch):
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
     assert reduce_to_chamber(f7, basis, w) == (f7.zeta(3), (3, -1))
     assert len(divides) == 2
+
+
+def _reference_interval_entries(field, ws, kappa, prec):
+    """The interval Gram's entries by RealInterval arithmetic: entry j is
+    the interval sum of w_m * sigma_m(kk (zeta^j + zeta^-j)), halved."""
+    d = field.degree
+    kk = field.one() if kappa is None else kappa.times_conj()
+    t = []
+    for j in range(d):
+        vals = sigma_real(field, kk * (field.zeta(j) + field.zeta(-j)), prec)
+        total = sum((x * v for x, v in zip(ws, vals)), RealInterval.point(0))
+        t.append(total * Fraction(1, 2))
+    return tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
+
+
+def _reference_floor_form(entries):
+    """(reduction, bits) of the lower form over all d^2 entries: each
+    midpoint quantized to 2^-bits, eps the largest distance from one to an
+    endpoint of its entry, dim * eps off the diagonal; the bits double
+    until the form reduces, up to the midpoints' own bit length."""
+    d = len(entries)
+    mids = [[e.mid for e in row] for row in entries]
+    finest = max(m.denominator for row in mids for m in row).bit_length()
+    bits = svp.QUANTIZE_BITS
+    while True:
+        q = 1 << bits
+        low = [[Fraction(round(m * q), q) for m in row] for row in mids]
+        eps = Fraction(0)
+        for i in range(d):
+            for j in range(d):
+                e = entries[i][j]
+                eps = max(eps, e.hi - low[i][j], low[i][j] - e.lo)
+        for i in range(d):
+            low[i][i] -= d * eps
+        try:
+            return lattice.reduce(low), bits
+        except NotPositiveDefiniteError:
+            if bits >= finest:
+                raise
+            bits *= 2
+
+
+def _interval_weights(k):
+    """k positive interval weights of different widths."""
+    return tuple(
+        RealInterval(Fraction(2 * m + 1, m + 1), Fraction(2 * m + 1, m + 1) + Fraction(1, 2 ** (60 + 7 * m)))
+        for m in range(k)
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("kind", ["rational", "interval"])
+@pytest.mark.parametrize("ideal", [False, True])
+def test_interval_gram_and_lower_form_equal_the_interval_arithmetic(p, kind, ideal):
+    """gram_matrix's entries from the integer sigma-numerator kernel equal
+    the interval sums of weighted sigmas, and the lower form taken once per
+    distinct entry equals the one taken over all d^2 entries."""
+    field, prec = CMField(p), PrecisionConfig()
+    ws = tuple(range(1, field.k + 1)) if kind == "rational" else _interval_weights(field.k)
+    ws = normalize_weights(field, ws)
+    kappa = field.one() - field.zeta(1) if ideal else None
+    g = gram_matrix(field, ws, kappa, prec)
+    assert g.entries == _reference_interval_entries(field, ws, kappa, prec)
+    assert g.reduction == _reference_floor_form(g.entries)[0]
+
+
+def test_lower_form_doubles_its_bits_as_the_reference_does(f5):
+    """At weights 1 and 10^-8 the 24-bit lower form is not positive
+    definite: the doubled quantum gives the reference's lower form."""
+    ws = normalize_weights(f5, (1, Fraction(1, 10**8)))
+    g = gram_matrix(f5, ws)
+    assert g.entries == _reference_interval_entries(f5, ws, None, PrecisionConfig())
+    red, bits = _reference_floor_form(g.entries)
+    assert bits > svp.QUANTIZE_BITS and g.reduction == red
 
 
 def test_skewed_weights_refine_the_floor_form_quantum(f5):
