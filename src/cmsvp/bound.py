@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .embeddings import sigma
+from .embeddings import _sigma_at
 from .errors import DegenerateSimplexError, InputError, SimplexBudgetError
 from .field import CMField, FieldElement, field_norm, is_prime
 from .interval import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     RealInterval,
+    climb,
     det_interval,
     interval_max,
     interval_prod,
@@ -74,20 +75,21 @@ def simplex_data(
     sigmas: dict | None = None,
 ) -> SimplexData:
     """Certified simplex data at the first rung of the precision ladder
-    where no minor determinant contains zero; DegenerateSimplexError when
-    one still does at the top rung.
+    where its Sigma rows are certified and no minor determinant contains
+    zero; DegenerateSimplexError when one still does at the top rung.
 
     `sigmas` maps (bits, vertex coordinates) to Sigma rows, so simplices
     that share a vertex evaluate Sigma once per rung.
     """
     sigmas = {} if sigmas is None else sigmas
     k = field.k
-    for cur in prec.ladder():
+
+    def attempt(cur):
         rows = []
         for v in delta.vertices:
             key = (cur.bits, v.coords)
             if key not in sigmas:
-                sigmas[key] = sigma(field, v, cur)
+                sigmas[key] = _sigma_at(field.conductor, v.times_conj().coords, cur)
             rows.append(sigmas[key])
         det_a = det_interval(rows)
         diff = [
@@ -96,10 +98,12 @@ def simplex_data(
         ]
         det_bs = minor_intervals(diff)
         zero = [l for l, db in enumerate(det_bs) if db.contains_zero()]
-        if not zero:
-            value = abs((det_a / k) ** k / interval_prod(det_bs))
-            return SimplexData(delta.perm, delta.vertices, det_a, tuple(det_bs), value)
-    raise DegenerateSimplexError(delta.perm, zero[0], cur.bits)
+        if zero:
+            raise DegenerateSimplexError(delta.perm, zero[0], cur.bits)
+        value = abs((det_a / k) ** k / interval_prod(det_bs))
+        return SimplexData(delta.perm, delta.vertices, det_a, tuple(det_bs), value)
+
+    return climb(prec, attempt)
 
 
 def theorem_bound(

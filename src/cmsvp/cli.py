@@ -247,6 +247,8 @@ def _parse_circulant(text: str) -> tuple[int, int]:
 def cmd_theta(args) -> int:
     max_norm = _rational(args.max_norm, "--max-norm value")
     if args.circulant is not None:
+        if args.weights is not None or args.ideal_exp is not None or args.ideal_gen is not None:
+            raise InputError("--circulant takes no --weights, --ideal-exp or --ideal-gen")
         n, r = _parse_circulant(args.circulant)
         g = svp.craig_circulant(n, r)
         source = f"circulant {n},{r}"

@@ -25,6 +25,7 @@ from .interval import (
     REL_RADIUS,
     PrecisionConfig,
     RealInterval,
+    climb,
     cos2pi,
     log_interval,
 )
@@ -82,36 +83,35 @@ def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
 
 
 def _certified_numerators(n: int, coords, prec: PrecisionConfig) -> tuple[int, list[tuple[int, int]]]:
-    """_sigma_numerators at the first rung of prec's ladder where every
-    enclosure meets the relative radius target REL_RADIUS.
+    """_sigma_numerators at prec's bits, or PrecisionError when an
+    enclosure misses the relative radius target REL_RADIUS.
 
     The target is RealInterval.relative_radius() <= REL_RADIUS on
     [lo/D, hi/D], which is the integer comparison
     (hi - lo) * den(REL_RADIUS) <= 2 * num(REL_RADIUS) * max(D, |lo|, |hi|).
     """
     rn, rd = REL_RADIUS.numerator, REL_RADIUS.denominator
-    for cur in prec.ladder():
-        den, sums = _sigma_numerators(n, coords, cur.bits)
-        if all((hi - lo) * rd <= 2 * rn * max(den, -lo, hi) for lo, hi in sums):
-            return den, sums
-    raise PrecisionError(f"sigma: radius target missed at {cur.bits} bits")
+    den, sums = _sigma_numerators(n, coords, prec.bits)
+    if not all((hi - lo) * rd <= 2 * rn * max(den, -lo, hi) for lo, hi in sums):
+        raise PrecisionError(f"sigma: radius target missed at {prec.bits} bits")
+    return den, sums
+
+
+def _sigma_at(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
+    """_certified_numerators as intervals."""
+    return _as_intervals(*_certified_numerators(n, coords, prec))
 
 
 def sigma(
-    field: CMField,
-    a: FieldElement,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-    beta: FieldElement | None = None,
+    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
 ) -> tuple[RealInterval, ...]:
     """Certified enclosures of (sigma_1(a*abar), ..., sigma_k(a*abar)).
 
-    `beta` is a*abar when the caller already has it.  Climbs the precision
-    ladder until every enclosure meets the relative radius target, and
-    raises PrecisionError when its top rung misses.
+    Climbs the precision ladder until every enclosure meets the relative
+    radius target, and raises PrecisionError when its top rung misses.
     """
-    if beta is None:
-        beta = a.times_conj()
-    return _as_intervals(*_certified_numerators(field.conductor, beta.coords, prec))
+    coords = a.times_conj().coords
+    return climb(prec, lambda cur: _sigma_at(field.conductor, coords, cur))
 
 
 def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -125,9 +125,9 @@ def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]
 
 
 def _weighted_sum(n: int, coords, wnum, prec: PrecisionConfig) -> RealInterval:
-    """Enclosure of sum_m w_m sigma_m(x) for the conjugation-fixed element
-    x with coordinates coords, given wnum = _weight_numerators(w) of
-    positive weights w.
+    """Enclosure of sum_m w_m sigma_m(x) at prec's bits, for the
+    conjugation-fixed element x with coordinates coords, given
+    wnum = _weight_numerators(w) of positive weights w.
 
     Exactly interval_sum(w_m * sigma_m) of the certified sigma enclosures,
     with one integer sum per endpoint: as every weight is positive, the
@@ -159,34 +159,26 @@ def weighted_norm(
         return RealInterval.point(0)
     if beta is None:
         beta = a.times_conj()
-    return _weighted_sum(field.conductor, beta.coords, _weight_numerators(w), prec)
+    wnum = _weight_numerators(w)
+    return climb(prec, lambda cur: _weighted_sum(field.conductor, beta.coords, wnum, cur))
 
 
-def sigma_real(
-    field: CMField, x: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
-) -> tuple[RealInterval, ...]:
-    """Enclosures of sigma_m(x) for a conjugation-fixed element x, certified
-    as sigma's are."""
-    if x != x.conj():
-        raise ValueError("sigma_real needs a conjugation-fixed element")
-    return _as_intervals(*_certified_numerators(field.conductor, x.coords, prec))
+def _log_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
+    """Enclosures of log sigma_j(x) at prec's bits for the conjugation-fixed
+    element x with coordinates coords, or PrecisionError when a sigma
+    enclosure is not certifiably positive."""
+    vals = _sigma_sum(n, coords, prec.bits)
+    if not all(v.lo > 0 for v in vals):
+        raise PrecisionError(f"log_sigma: enclosure not certifiably positive at {prec.bits} bits")
+    return tuple(log_interval(v, prec.bits) for v in vals)
 
 
 def log_sigma(
-    field: CMField,
-    a: FieldElement,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-    beta: FieldElement | None = None,
+    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
 ) -> tuple[RealInterval, ...]:
-    """Enclosures of log sigma_j(a*abar); requires a != 0.  `beta` is
-    a*abar when the caller already has it."""
-    if beta is None:
-        beta = a.times_conj()
-    for cur in prec.ladder():
-        vals = _sigma_sum(field.conductor, beta.coords, cur.bits)
-        if all(v.lo > 0 for v in vals):
-            return tuple(log_interval(v, cur.bits) for v in vals)
-    raise PrecisionError(f"log_sigma: enclosure not certifiably positive at {cur.bits} bits")
+    """Enclosures of log sigma_j(a*abar); requires a != 0."""
+    coords = a.times_conj().coords
+    return climb(prec, lambda cur: _log_sigma(field.conductor, coords, cur))
 
 
 def normalize_weights(field: CMField, weights) -> tuple:

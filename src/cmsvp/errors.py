@@ -34,8 +34,8 @@ class DegenerateSimplexError(CmsvpError):
 
 
 class PrecisionError(CmsvpError):
-    """Interval arithmetic failed to certify a result at the top rung of the
-    precision ladder (`PrecisionConfig.ladder`)."""
+    """Interval arithmetic failed to certify a result at its bits; through
+    `interval.climb` the caller sees it only from the ladder's top rung."""
 
 
 class BudgetExceededError(CmsvpError):

@@ -24,7 +24,7 @@ from mpmath.libmp import (
     to_rational,
 )
 
-from .errors import PrecisionError
+from .errors import DegenerateSimplexError, DependentUnitsError, NotPositiveDefiniteError, PrecisionError
 
 MIN_BITS = 53
 # the top of every precision ladder; at 4096 bits `bound --cyclotomic 11`
@@ -37,8 +37,9 @@ class PrecisionConfig:
     """Working binary precision and the certified-radius target.
 
     `bits` is the mantissa size handed to mpmath for irrational leaves.
-    A computation that misses its certification target climbs `ladder()`,
-    and raises PrecisionError when its top rung misses too.
+    A certified result that misses its target climbs `ladder()` whole, in
+    `climb` at its public function, over kernels that take exactly the bits
+    they are given: a start below 128 bits moves each result up one rung.
     """
 
     bits: int = 128
@@ -58,6 +59,23 @@ class PrecisionConfig:
 DEFAULT_PRECISION = PrecisionConfig()
 
 REL_RADIUS = Fraction(1, 2**64)
+
+MISSES = (PrecisionError, NotPositiveDefiniteError, DegenerateSimplexError, DependentUnitsError)
+
+
+def climb(prec: PrecisionConfig, attempt):
+    """attempt(cur) at the first rung cur of prec.ladder() where it raises
+    none of MISSES, the errors by which a kernel misses its target at the
+    bits it is given; the top rung's miss is raised unchanged.  This is the
+    only loop over the rungs: each certified result climbs here once, at
+    its public function, and no attempt starts another climb."""
+    *lower, top = prec.ladder()
+    for cur in lower:
+        try:
+            return attempt(cur)
+        except MISSES:
+            pass
+    return attempt(top)
 
 
 @functools.lru_cache(maxsize=None)

@@ -37,10 +37,10 @@ REFUSE_MARGIN = 100
 MAX_LISTED = 4 * 10**6
 
 
-def _integer_gram(g, den: int = 1) -> tuple[int, list[list[int]]]:
-    """(s, s * g as an integer matrix), s the lcm of den and g's denominators."""
+def _integer_gram(g) -> tuple[int, list[list[int]]]:
+    """(s, s * g as an integer matrix), s the lcm of g's denominators."""
     g = [[Fraction(x) for x in row] for row in g]
-    s = lcm(den, *(x.denominator for row in g for x in row))
+    s = lcm(*(x.denominator for row in g for x in row))
     return s, [[x.numerator * (s // x.denominator) for x in row] for row in g]
 
 
@@ -162,11 +162,6 @@ class Reduced(NamedTuple):
     a: list[list[int]]
     d: list[int]
     lam: list[list[int]]
-
-    @property
-    def reduced(self) -> list[list[Fraction]]:
-        """The reduced Gram U gram U^T."""
-        return [[Fraction(x, self.s) for x in row] for row in self.a]
 
     def min_diagonal(self) -> Fraction:
         """The smallest diagonal entry of the reduced Gram: the value of

@@ -25,9 +25,9 @@ from operator import mul
 
 from . import lattice
 from .embeddings import (
+    _log_sigma,
     _weight_numerators,
     _weighted_sum,
-    log_sigma,
     normalize_weights,
     weights_are_equal_rational,
 )
@@ -51,6 +51,7 @@ from .interval import (
     PrecisionConfig,
     RealInterval,
     adjugate,
+    climb,
     interval_json,
     interval_sum,
     log_interval,
@@ -128,7 +129,6 @@ class CharacteristicSetE:
     """Finite chamber representatives: bounded norm, log coordinates in [0,1)."""
 
     elements: tuple[FieldElement, ...]
-    log_matrix: tuple[tuple[RealInterval, ...], ...]
     norm_bound: RealInterval
 
     @property
@@ -163,6 +163,11 @@ def gram_matrix(
     definiteness is certified in both cases.
     """
     ws = normalize_weights(field, w)
+    return climb(prec, lambda cur: _gram(field, ws, kappa, cur))
+
+
+def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix:
+    """gram_matrix at prec's bits, for normalized weights ws."""
     if kappa is not None and kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
     d = field.degree
@@ -175,16 +180,14 @@ def gram_matrix(
     wnum = _weight_numerators(ws)
     # entry j is sum_m w_m sigma_m(kk (zeta^j + zeta^-j)) / 2
     elems = [(kk * (field.zeta(j) + field.zeta(-j))).coords for j in range(d)]
-    for cur in prec.ladder():
-        t = [_weighted_sum(field.conductor, x, wnum, cur) * Fraction(1, 2) for x in elems]
-        ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
-        try:
-            return GramMatrix(ent, False)
-        except NotPositiveDefiniteError:
-            pass
-    raise NotPositiveDefiniteError(
-        f"gram_matrix: interval Gram not certified positive definite at {cur.bits} bits"
-    )
+    t = [_weighted_sum(field.conductor, x, wnum, prec) * Fraction(1, 2) for x in elems]
+    ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
+    try:
+        return GramMatrix(ent, False)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(
+            f"gram_matrix: interval Gram not certified positive definite at {prec.bits} bits"
+        ) from exc
 
 
 def _floor_form(g: GramMatrix) -> lattice.Reduced:
@@ -364,24 +367,23 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
     }, nodes
 
 
-def _interval_minimum(field, ws, kappa, prec, budget):
-    """Minimum cluster for interval weights: the superset search from the
-    best reduced basis vector's norm, kept when one group separates."""
-    for cur in prec.ladder():
-        red = gram_matrix(field, ws, kappa, cur).reduction
-        radius = basis_minimum(field, ws, kappa, red.u, cur)
-        groups, nodes = superset_search(field, ws, kappa, red, radius, cur, budget)
-        m_hi = min(v.hi for v, _ in groups.values())
-        alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
-        if len(alive) == 1:
-            value, members = alive[0]
-            coords = lattice._to_basis(red.u, list(members))
-            coords += [tuple(-x for x in c) for c in coords]
-            return value, tuple(sorted(coords)), radius, nodes
-    raise PrecisionError(
-        f"_interval_minimum: minimum cluster did not separate at {cur.bits} bits; "
-        "weights may tie distinct values exactly"
-    )
+def _interval_minimum(field, ws, kappa, red, prec, budget):
+    """Minimum cluster for interval weights on the reduction `red` of their
+    Gram at prec's bits: the superset search from the best reduced basis
+    vector's norm, kept when one group separates."""
+    radius = basis_minimum(field, ws, kappa, red.u, prec)
+    groups, nodes = superset_search(field, ws, kappa, red, radius, prec, budget)
+    m_hi = min(v.hi for v, _ in groups.values())
+    alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
+    if len(alive) != 1:
+        raise PrecisionError(
+            f"_interval_minimum: minimum cluster did not separate at {prec.bits} bits; "
+            "weights may tie distinct values exactly"
+        )
+    value, members = alive[0]
+    coords = lattice._to_basis(red.u, list(members))
+    coords += [tuple(-x for x in c) for c in coords]
+    return value, tuple(sorted(coords)), radius, nodes
 
 
 def minimal_vectors(
@@ -397,12 +399,16 @@ def minimal_vectors(
     so the result is the true minimum shell.
     """
     ws = normalize_weights(field, w)
-    if weights_are_equal_rational(ws):
-        g = gram_matrix(field, ws, kappa, prec)
+    return climb(prec, lambda cur: _minimal_vectors(field, ws, kappa, cur, budget))
+
+
+def _minimal_vectors(field, ws, kappa, prec, budget) -> ShortVectorSet:
+    """minimal_vectors at prec's bits, for normalized weights ws."""
+    g = _gram(field, ws, kappa, prec)
+    if g.exact:
         mu, mins, radius, nodes = lattice.minimum_shell(g.reduction, budget)
         return ShortVectorSet(mu, tuple(mins), radius, nodes)
-    mu, mins, radius, nodes = _interval_minimum(field, ws, kappa, prec, budget)
-    return ShortVectorSet(mu, mins, radius, nodes)
+    return ShortVectorSet(*_interval_minimum(field, ws, kappa, g.reduction, prec, budget))
 
 
 def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
@@ -434,31 +440,19 @@ class _Chamber:
         self.beta_inverses = tuple(v.times_conj() for v in self.inverses)
         self._logs: dict[int, tuple] = {}
 
-    def _log_data(self, prec: PrecisionConfig) -> tuple:
-        """(log rows L^T, cofactors of L, det L) at this precision."""
-        data = self._logs.get(prec.bits)
-        if data is None:
-            k1 = len(self.generators)
-            rows = tuple(
-                tuple(log_sigma(self.field, g, prec, beta)[:k1])
-                for g, beta in zip(self.generators, self.betas)
-            )
-            cofactors, det = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
-            data = self._logs[prec.bits] = (rows, cofactors, det)
-        return data
-
-    def log_rows(self, prec: PrecisionConfig) -> tuple[tuple[RealInterval, ...], ...]:
-        return self._log_data(prec)[0]
-
     def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
         """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1:
-        c_j = sum_m ys[m] C[m][j] / det L."""
-        _, cofactors, det = self._log_data(prec)
+        c_j = sum_m ys[m] C[m][j] / det L, with the cofactors C and det L
+        taken once per precision."""
+        k1 = len(self.generators)
+        if prec.bits not in self._logs:
+            rows = [_log_sigma(self.field.conductor, beta.coords, prec)[:k1] for beta in self.betas]
+            self._logs[prec.bits] = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
+        cofactors, det = self._logs[prec.bits]
         if det.contains_zero():
             raise PrecisionError(
                 f"_Chamber: unit log matrix determinant contains zero at {prec.bits} bits"
             )
-        k1 = len(cofactors)
         return [
             interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
             for j in range(k1)
@@ -477,12 +471,12 @@ class _Chamber:
 
 def _chamber_exponents(
     chamber: _Chamber,
-    w: FieldElement,
     beta: FieldElement,
     n_abs: int,
     prec: PrecisionConfig,
 ) -> tuple[int, ...]:
-    """Integer exponents a with w / prod g_j^a_j in the fundamental chamber.
+    """Integer exponents a with w / prod g_j^a_j in the fundamental chamber,
+    at the first rung of the precision ladder that decides them.
 
     beta = w conj(w) and n_abs = |N(w)| > 0; everything here depends on w
     only through them.  Chamber coordinates c solve sum_j c_j log
@@ -493,8 +487,9 @@ def _chamber_exponents(
     """
     field = chamber.field
     k1 = len(chamber.generators)
-    for cur in prec.ladder():
-        ys = log_sigma(field, w, cur, beta)
+
+    def attempt(cur):
+        ys = _log_sigma(field.conductor, beta.coords, cur)
         shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
         c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
         floors = [cj.lo.numerator // cj.lo.denominator for cj in c]
@@ -504,9 +499,11 @@ def _chamber_exponents(
         if chamber.on_wall(beta, guess):
             # exactly on a wall lattice point: c == guess, floor == guess
             return guess
-    raise PrecisionError(
-        f"_chamber_exponents: chamber coordinates not separated from a wall at {cur.bits} bits"
-    )
+        raise PrecisionError(
+            f"_chamber_exponents: chamber coordinates not separated from a wall at {cur.bits} bits"
+        )
+
+    return climb(prec, attempt)
 
 
 def reduce_to_chamber(
@@ -520,7 +517,7 @@ def reduce_to_chamber(
     if n_abs == 0:
         raise InputError("chamber reduction needs a nonzero element")
     chamber = _Chamber(field, basis)
-    exps = _chamber_exponents(chamber, w, w.times_conj(), n_abs, prec)
+    exps = _chamber_exponents(chamber, w.times_conj(), n_abs, prec)
     return chamber.divide_out(w, exps), exps
 
 
@@ -560,7 +557,7 @@ def characteristic_set_E(
         n_abs = abs(field_norm(a))
         if Fraction(n_abs) > bound.hi:
             continue
-        exps = _chamber_exponents(chamber, a, beta, n_abs, prec)
+        exps = _chamber_exponents(chamber, beta, n_abs, prec)
         if exps == origin:
             accepted.extend(members)
     elements = []
@@ -568,7 +565,7 @@ def characteristic_set_E(
         elements.append(FieldElement(field, coords))
         elements.append(FieldElement(field, tuple(-c for c in coords)))
     elements.sort(key=lambda e: e.coords)
-    return CharacteristicSetE(tuple(elements), chamber.log_rows(prec), bound)
+    return CharacteristicSetE(tuple(elements), bound)
 
 
 def craig_circulant(n_ambient: int, r: int) -> GramMatrix:

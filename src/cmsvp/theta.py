@@ -20,13 +20,14 @@ from fractions import Fraction
 from math import lcm
 
 from . import lattice
-from .embeddings import normalize_weights
+from .embeddings import normalize_weights, weights_are_equal_rational
 from .errors import BudgetExceededError, InputError, PrecisionError, SelfTestError
 from .field import CMField
 from .interval import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     RealInterval,
+    climb,
     exp_interval,
     exp_of_ratios,
     interval_json,
@@ -35,8 +36,7 @@ from .interval import (
     pi_interval,
     root_interval,
 )
-from .svp import GramMatrix, gram_matrix, minimal_vectors
-from .svp import basis_minimum, superset_search
+from .svp import GramMatrix, _gram, _minimal_vectors, basis_minimum, superset_search
 
 TAIL_REL = Fraction(1, 2**40)
 MAX_RADIUS_STEPS = 200
@@ -242,20 +242,23 @@ def psi_truncated(
 ) -> PsiSample:
     """Certified truncation of psi at z_j = t i x_j.
 
-    Equal rational weights reduce to the exact theta sum of the O_F Gram;
-    general weights run the superset search on the rational lower form and
-    evaluate each algebraic orbit by certified intervals.
+    Equal rational weights reduce to the exact theta sum of the O_F Gram,
+    at prec's bits; general weights run the superset search on the rational
+    lower form and evaluate each algebraic orbit by certified intervals, and
+    the whole sample climbs the precision ladder.
     """
     ws = normalize_weights(field, w)
     t = Fraction(t)
     if t <= 0:
         raise InputError("t must be positive")
-    return _psi_sample(field, ws, gram_matrix(field, ws, None, prec), t, prec, budget)
+    if weights_are_equal_rational(ws):
+        return _psi_sample(field, ws, _gram(field, ws, None, prec), t, prec, budget)
+    return climb(prec, lambda cur: _psi_sample(field, ws, _gram(field, ws, None, cur), t, cur, budget))
 
 
 def _psi_sample(field, ws, g: GramMatrix, t: Fraction, prec, budget) -> PsiSample:
-    """psi_truncated on g, the Gram of O_F under the weights ws, already
-    built at prec."""
+    """psi_truncated at prec's bits on g, the Gram of O_F under the weights
+    ws, already built there."""
     if g.exact:
         sample = theta_sum(g, t, prec, budget)
         return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
@@ -313,12 +316,17 @@ def cusp_extract(
     ground truth and disagreement raises SelfTestError.
     """
     ws = normalize_weights(field, w)
+    return climb(prec, lambda cur: _cusp_extract(field, ws, cur, budget))
+
+
+def _cusp_extract(field: CMField, ws: tuple, prec: PrecisionConfig, budget: int):
+    """cusp_extract at prec's bits, for normalized weights ws."""
     bits = prec.bits
-    mv = minimal_vectors(field, ws, None, prec, budget)
+    mv = _minimal_vectors(field, ws, None, prec, budget)
     mu0, n0 = mv.mu, mv.count
     mu_hi = mu0.hi if isinstance(mu0, RealInterval) else Fraction(mu0)
     mu_lo = mu0.lo if isinstance(mu0, RealInterval) else Fraction(mu0)
-    g = gram_matrix(field, ws, None, prec)
+    g = _gram(field, ws, None, prec)
     beyond, cutoff, delta = _excess_data(field, ws, g, mv, prec, budget)
     pi = pi_interval(bits)
 

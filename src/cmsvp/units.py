@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import DependentUnitsError, InputError, NonPrimeConductorError
 from .field import CMField, FieldElement, exact_divide, is_unit, is_prime
-from .interval import DEFAULT_PRECISION, PrecisionConfig, det_interval
-from .embeddings import log_sigma
+from .interval import DEFAULT_PRECISION, PrecisionConfig, climb, det_interval
+from .embeddings import _log_sigma
 
 BUILTIN_CYCLOTOMIC = "builtin-cyclotomic"
 USER_SUPPLIED = "user-supplied"
@@ -94,14 +94,16 @@ def independence_certificate(
     k1 = len(generators)
     if k1 == 0:
         return
-    for cur in prec.ladder():
-        d = det_interval([log_sigma(field, gj, cur)[:k1] for gj in generators])
-        if not d.contains_zero():
-            return
-    raise DependentUnitsError(
-        "independence_certificate: unit generators are not certifiably independent "
-        f"(log matrix determinant interval contains zero at {cur.bits} bits)"
-    )
+    betas = [g.times_conj().coords for g in generators]
+
+    def attempt(cur):
+        if det_interval([_log_sigma(field.conductor, b, cur)[:k1] for b in betas]).contains_zero():
+            raise DependentUnitsError(
+                "independence_certificate: unit generators are not certifiably independent "
+                f"(log matrix determinant interval contains zero at {cur.bits} bits)"
+            )
+
+    climb(prec, attempt)
 
 
 def load_unit_basis(field: CMField, path) -> UnitBasis:

@@ -1,19 +1,44 @@
 """Shared fixtures: random Gram generation, a Fraction LDL, an exhaustive
 box-search oracle, node-by-node references for the half-space descent and
 the map back through U, adapters between the descent's leaf record and
-coordinate lists, and the acceptance summary printed after the run."""
+coordinate lists, Fraction views of the package's integer records, and the
+acceptance summary printed after the run."""
 
 import re
 from fractions import Fraction
-from math import isqrt, log
+from math import gcd, isqrt, log
 from operator import mul
 
 import numpy as np
 import pytest
 
 from cmsvp import lattice
+from cmsvp.embeddings import _as_intervals, _certified_numerators
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.field import CMField
+from cmsvp.interval import DEFAULT_PRECISION, climb
+
+
+def reduced_gram(red: lattice.Reduced) -> list[list[Fraction]]:
+    """The reduced Gram U gram U^T of a reduction, a / s."""
+    return [[Fraction(x, red.s) for x in row] for row in red.a]
+
+
+def integer_gram(g, den: int) -> tuple[int, list[list[int]]]:
+    """(s, s * g as an integer matrix), s the lcm of den and g's
+    denominators: lattice._integer_gram's record rescaled onto den."""
+    s, a = lattice._integer_gram(g)
+    f = den // gcd(s, den)
+    return s * f, [[x * f for x in row] for row in a]
+
+
+def sigma_real(field, x, prec=DEFAULT_PRECISION):
+    """Enclosures of sigma_m(x) for a conjugation-fixed element x: the
+    certified numerators of x itself, climbed as sigma climbs."""
+    if x != x.conj():
+        raise ValueError("sigma_real needs a conjugation-fixed element")
+    n = field.conductor
+    return climb(prec, lambda cur: _as_intervals(*_certified_numerators(n, x.coords, cur)))
 
 
 def int_det(m: list[list[int]]) -> Fraction:
@@ -129,7 +154,7 @@ def reference_half_space(reduced, radius: Fraction, budget: int):
     checked against the budget, and every vector against
     lattice.MAX_LISTED, as it is reached."""
     n = len(reduced)
-    s, a = lattice._integer_gram(reduced, radius.denominator)
+    s, a = integer_gram(reduced, radius.denominator)
     d, lam = lattice._integral_gso(a)
     top = radius.numerator * (s // radius.denominator)
     cap = lattice.MAX_LISTED

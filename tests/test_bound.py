@@ -93,17 +93,17 @@ def test_theorem_bound_evaluates_sigma_once_per_vertex(monkeypatch):
     field = CMField(11)
     basis = cyclotomic_unit_basis(field)
     evaluated = []
-    real_sigma = bound.sigma
+    real_sigma = bound._sigma_at
 
-    def counting_sigma(field, a, prec):
-        evaluated.append(a.coords)
-        return real_sigma(field, a, prec)
+    def counting_sigma(n, coords, prec):
+        evaluated.append(coords)
+        return real_sigma(n, coords, prec)
 
-    monkeypatch.setattr(bound, "sigma", counting_sigma)
+    monkeypatch.setattr(bound, "_sigma_at", counting_sigma)
     report = theorem_bound(field, basis)
     assert len(report.simplices) == 24
     assert len(evaluated) == 2 ** (field.k - 1) == 16
-    assert set(evaluated) == {v.coords for v in fundamental_domain_vertices(basis)}
+    assert set(evaluated) == {v.times_conj().coords for v in fundamental_domain_vertices(basis)}
 
 
 @pytest.mark.parametrize(

@@ -368,6 +368,24 @@ def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, capsys):
     assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", list(FORMERLY_COMMON))
+def test_theta_on_a_circulant_accepts_exactly_the_flags_it_reads(flag, capsys):
+    """A circulant Gram has no field, so of the formerly common flags
+    theta --circulant reads only --budget and --json; the weights and
+    ideals that theta reads for a field exit 2 like every other."""
+    argv = ["theta", "--circulant", "4,1", "--max-norm", "4", flag, *FORMERLY_COMMON[flag]]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if flag in ("--budget", "--json"):
+        assert code == 0 and out and err == ""
+        return
+    assert code == 2 and out == ""
+    assert err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("budget", ["-5", "many"])
 def test_bad_budget_exits_2(budget):
     proc = run_cli("minima", "--cyclotomic", "5", "--budget", budget)

@@ -13,7 +13,6 @@ from cmsvp.embeddings import (
     normalize_weights,
     representatives,
     sigma,
-    sigma_real,
     weighted_norm,
     weights_are_equal_rational,
 )
@@ -30,6 +29,7 @@ from cmsvp.interval import (
     interval_sum,
 )
 from cmsvp.units import cyclotomic_unit_basis
+from conftest import sigma_real
 
 
 def _random_element(field, rng, span=4):

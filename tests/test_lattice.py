@@ -30,8 +30,10 @@ from conftest import (
     box_short_vectors,
     half_space_listing,
     int_det,
+    integer_gram,
     ldl,
     random_int_gram,
+    reduced_gram,
     reference_basis_map,
     reference_half_space,
 )
@@ -44,7 +46,7 @@ def _frac(g):
 def _lll(g):
     """lll_reduce(g) as (reduced Gram, U)."""
     red = lattice.Reduced(g, *lll_reduce(g))
-    return red.reduced, red.u
+    return reduced_gram(red), red.u
 
 
 def _listing_with_zero(red, radius):
@@ -303,7 +305,7 @@ def test_theta_counts_equal_a_count_over_the_listing(g, scale):
     """theta_counts counts the half-space descent; the listing holds every
     vector.  Radii run from -3/2 to 6 times the shortest reduced vector."""
     red = reduce(g)
-    radius = scale * min(red.reduced[i][i] for i in range(len(g)))
+    radius = scale * min(reduced_gram(red)[i][i] for i in range(len(g)))
     listed: dict[Fraction, int] = {}
     for _, q in _listing_with_zero(red, radius)[0]:
         listed[q] = listed.get(q, 0) + 1
@@ -392,7 +394,7 @@ def _outcome(f, *args):
 def _same_descent(red, radius, budgets):
     """The descent and the node-by-node reference agree, result or refusal,
     at each budget and at one on each side of the reference's node count."""
-    reduced = red.reduced
+    reduced = reduced_gram(red)
     ref = _outcome(reference_half_space, reduced, radius, 10**5)
     assert _outcome(half_space_listing, red, radius, 10**5) == ref
     if ref[0] != "refused":
@@ -433,7 +435,7 @@ def test_half_space_equals_the_node_by_node_reference(red, scale, budget):
     descent that recomputes every center and checks every node; the same
     refusal, with the same message, at budgets on both sides of the node
     count.  Radii run up to 5/2 times the shortest reduced vector."""
-    reduced = red.reduced
+    reduced = reduced_gram(red)
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
     _same_descent(red, radius, [budget, 0, 1])
 
@@ -447,7 +449,7 @@ def test_half_space_equals_the_node_by_node_reference(red, scale, budget):
 def test_half_space_equals_the_reference_at_128_bit_radii(red, den, scale):
     """Radii with 128-bit denominators, up to twice the shortest reduced
     vector, as the skewed forms and set E use."""
-    reduced = red.reduced
+    reduced = reduced_gram(red)
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
     radius = Fraction(radius.numerator * den // radius.denominator + 1, den)
     _same_descent(red, radius, [])
@@ -459,7 +461,7 @@ def test_half_space_listing_cap_equals_the_reference(red, scale, slack):
     """With MAX_LISTED at, just below or well below twice the vectors
     found, the descent lists or refuses as the reference does, also where
     the node budget runs out near the same point of the walk."""
-    reduced = red.reduced
+    reduced = reduced_gram(red)
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 2
     half, _, nodes = reference_half_space(reduced, radius, 10**5)
     saved = lattice.MAX_LISTED
@@ -520,7 +522,7 @@ def _integral_data(reduced, den=1):
     """(s, a, d, lam) of a reduced Gram from scratch: its integer Gram at
     s = lcm of den and its denominators, and that Gram's integral
     Gram-Schmidt data."""
-    s, a = lattice._integer_gram(reduced, den)
+    s, a = integer_gram(reduced, den)
     return (s, a, *lattice._integral_gso(a))
 
 
@@ -537,15 +539,15 @@ def test_reduction_record_is_the_integral_data_of_its_reduced_gram(g, factor, de
     the descent's rescale for a radius denominator r, which divides s or
     not, equals the data at lcm(s, r)."""
     red = reduce(g)
-    assert (red.s, red.a, red.d, red.lam) == _integral_data(red.reduced)
+    assert (red.s, red.a, red.d, red.lam) == _integral_data(reduced_gram(red))
     scaled = red.scaled(factor)
     assert scaled == reduce([[factor * x for x in row] for row in g])
     assert scaled.u is red.u
-    assert (scaled.s, scaled.a, scaled.d, scaled.lam) == _integral_data(scaled.reduced)
+    assert (scaled.s, scaled.a, scaled.d, scaled.lam) == _integral_data(reduced_gram(scaled))
     for rec in (red, scaled):
         for r in (den, gcd(rec.s, den), rec.s, 2 * rec.s * den):
             f = r // gcd(rec.s, r)
-            s, _, d, lam = _integral_data(rec.reduced, r)
+            s, _, d, lam = _integral_data(reduced_gram(rec), r)
             assert (rec.s * f, *lattice._scaled_gso(rec.d, rec.lam, f, 1)) == (s, d, lam)
             radius = Fraction(rec.min_diagonal() * r * 3 // 2, r)
             _same_descent(rec, radius, [])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
-from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma, sigma_real
+from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma
 from cmsvp.errors import InputError, NotPositiveDefiniteError
 from cmsvp.field import (
     CMField,
@@ -42,7 +42,7 @@ from cmsvp.svp import (
     reduce_to_chamber,
 )
 from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices
-from conftest import leaves_of, reference_basis_map
+from conftest import leaves_of, reference_basis_map, sigma_real
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -142,7 +142,7 @@ def _reference_superset(field, ws, kappa, red, radius, prec, budget=lattice.DEFA
         a = svp._basis_element(field, kappa, coords)
         beta = a.times_conj()
         if beta not in groups:
-            vals = sigma(field, a, prec, beta)
+            vals = sigma(field, a, prec)
             groups[beta] = (interval_sum(w * v for w, v in zip(ws, vals)), [])
         groups[beta][1].append(coords)
     return groups, nodes
@@ -490,13 +490,13 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
     logged, dets, divides, norms, pairs, attempts = [], [], [], [], [], []
-    real_log, real_divide, real_norm = svp.log_sigma, svp.exact_divide, svp.field_norm
+    real_log, real_divide, real_norm = svp._log_sigma, svp.exact_divide, svp.field_norm
     real_det, real_half_space = interval.det_interval, lattice._half_space
     real_coordinates = svp._Chamber.coordinates
 
-    def counting_log(field, a, prec, beta=None):
+    def counting_log(n, coords, prec):
         logged.append(prec.bits)
-        return real_log(field, a, prec, beta)
+        return real_log(n, coords, prec)
 
     def counting_det(m):
         dets.append(len(m))
@@ -519,7 +519,7 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         attempts.append(prec.bits)
         return real_coordinates(self, ys, prec)
 
-    monkeypatch.setattr(svp, "log_sigma", counting_log)
+    monkeypatch.setattr(svp, "_log_sigma", counting_log)
     # interval.adjugate looks det_interval up in its own module; the bound
     # engine binds its own name and is not counted
     monkeypatch.setattr(interval, "det_interval", counting_det)

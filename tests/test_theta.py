@@ -25,7 +25,7 @@ from cmsvp.theta import (
     theta_sum,
 )
 
-from conftest import ldl, own_record, random_int_gram
+from conftest import ldl, own_record, random_int_gram, reduced_gram
 
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
@@ -280,7 +280,7 @@ def test_pivot_floor_is_the_smallest_ldl_pivot_of_reduced_field_grams(p):
     skew = tuple(range(1, field.k + 1))
     kappa = field.one() - field.zeta(1)
     for g in (gram_matrix(field), gram_matrix(field, skew), gram_matrix(field, None, kappa)):
-        assert _pivot_floor(g.reduction) == min(ldl(g.reduction.reduced)[1])
+        assert _pivot_floor(g.reduction) == min(ldl(reduced_gram(g.reduction))[1])
 
 
 def test_pivot_floor_is_the_smallest_ldl_pivot_of_random_grams():
@@ -290,4 +290,4 @@ def test_pivot_floor_is_the_smallest_ldl_pivot_of_random_grams():
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         g = [[scale * x for x in row] for row in random_int_gram(rng, dim, entry=3, max_diag=40)]
         for red in (own_record(g), lattice.reduce(g)):
-            assert _pivot_floor(red) == min(ldl(red.reduced)[1])
+            assert _pivot_floor(red) == min(ldl(reduced_gram(red))[1])
