@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .field import CMField, FieldElement
+from .field import CMField, FieldElement, representatives
 from .interval import (
     DEFAULT_PRECISION,
     REL_RADIUS,
@@ -29,12 +29,6 @@ from .interval import (
     cos2pi,
     log_interval,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def representatives(n: int) -> tuple[int, ...]:
-    """Exponent representatives of the k conjugate pairs, ascending."""
-    return tuple(m for m in range(1, n // 2 + 1) if math.gcd(m, n) == 1)
 
 
 @functools.lru_cache(maxsize=None)

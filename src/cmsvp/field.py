@@ -1,15 +1,16 @@
 """Exact arithmetic in the ring of integers Z[zeta_n] of a cyclotomic field.
 
 Elements are integer coordinate vectors in the power basis 1, zeta, ...,
-zeta^(d-1) with d = phi(n).  All operations -- multiplication, complex
-conjugation, norm, trace, exact division -- are carried out over Python
-integers and Fractions, with no floating point anywhere.
+zeta^(d-1) with d = phi(n).  All operations -- multiplication, the Galois
+action sigma_h: zeta -> zeta^h (conjugation is sigma_(-1)), norm, trace,
+exact division by the divisor's conjugates -- are carried out over Python
+integers, with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 from operator import mul
 
 from .errors import InputError
@@ -72,6 +73,12 @@ def euler_phi(n: int) -> int:
     if m > 1:
         out -= out // m
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def representatives(n: int) -> tuple[int, ...]:
+    """Exponent representatives of the k conjugate pairs, ascending."""
+    return tuple(m for m in range(1, n // 2 + 1) if math.gcd(m, n) == 1)
 
 
 def is_prime(n: int) -> bool:
@@ -257,20 +264,27 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def conj(self) -> "FieldElement":
-        """Complex conjugation: zeta -> zeta^(-1), so c_j zeta^j goes to
-        c_j zeta^(n-j).  For prime n every such power but zeta^(n-1) is a
-        basis vector."""
+    def galois(self, h: int) -> "FieldElement":
+        """sigma_h: zeta -> zeta^h for h coprime to the conductor n, so
+        c_j zeta^j goes to c_j zeta^(hj mod n), read off the zeta-power
+        table.  For prime n every such power but zeta^(n-1) is a basis
+        vector."""
         field = self.field
         n = field.conductor
+        if math.gcd(h, n) != 1:
+            raise InputError(f"sigma_{h} is not an automorphism of Q(zeta_{n})")
         rows = field._zeta_powers
         out = [0] * field.degree
         for j, c in enumerate(self.coords):
             if c:
-                for t, r in enumerate(rows[-j % n]):
+                for t, r in enumerate(rows[h * j % n]):
                     if r:
                         out[t] += c * r
         return FieldElement(field, tuple(out))
+
+    def conj(self) -> "FieldElement":
+        """Complex conjugation, sigma_(-1): zeta -> zeta^(-1)."""
+        return self.galois(-1)
 
     def times_conj(self) -> "FieldElement":
         """alpha * conj(alpha) from the cyclic autocorrelation of the
@@ -354,37 +368,23 @@ def is_unit(a: FieldElement) -> bool:
 
 
 def exact_divide(a: FieldElement, b: FieldElement) -> FieldElement:
-    """The unique x in O_F with x*b = a; raises InputError if none exists."""
+    """The unique x in O_F with x*b = a; raises InputError if none exists.
+
+    With beta = b conj(b) and P the product of sigma_h(beta) over the pair
+    representatives h != 1, beta P is N(b), all of b's conjugates
+    multiplied: x = a conj(b) P / N(b)."""
     if b.is_zero():
         raise InputError("division by zero element")
     field = a.field
-    d = field.degree
-    m = mult_matrix(b)
-    # Gaussian elimination over Fractions
-    aug = [[Fraction(m[i][j]) for j in range(d)] + [Fraction(a.coords[i])] for i in range(d)]
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise InputError("element is not divisible (singular system)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    coords = []
-    for i in range(d):
-        v = aug[i][d]
-        if v.denominator != 1:
-            raise InputError("element is not divisible in the ring of integers")
-        coords.append(int(v))
-    x = field.element(coords)
+    beta = b.times_conj()
+    p = field.one()
+    for h in representatives(field.conductor)[1:]:
+        p = p * beta.galois(h)
+    norm = (beta * p).coords[0]
+    num = a * b.conj() * p
+    if any(c % norm for c in num.coords):
+        raise InputError("element is not divisible in the ring of integers")
+    x = FieldElement(field, tuple(c // norm for c in num.coords))
     if not (x * b) == a:
         raise InputError("division check failed")
     return x
-

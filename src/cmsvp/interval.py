@@ -30,6 +30,9 @@ MIN_BITS = 53
 # the top of every precision ladder; at 4096 bits `bound --cyclotomic 11`
 # still finishes, in about 70 s on a 2-CPU x86-64 VM
 MAX_BITS = 4096
+# the most bits of exp(-pi t mu), mu the first shell, that a psi or theta
+# sum accepts; at it `psi --cyclotomic 5` takes 0.5 s on a 2-CPU x86-64 VM
+MAX_EXPONENT_BITS = 150_000
 
 
 @dataclass(frozen=True)
@@ -456,19 +459,15 @@ def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
 
 def adjugate(m: list[list[RealInterval]]) -> tuple[list[list[RealInterval]], RealInterval]:
     """(C, det m) for a square interval matrix m, C[i][j] the cofactor
-    (-1)^(i+j) det_interval(m without row i and column j).
+    (-1)^(i+j) det_interval(m without row i and column j): row i's minors
+    are minor_intervals of m without row i, one shared expansion.
 
     m x = y solves as x_j = sum_i y_i C[i][j] / det m: Cramer's rule with
     the replaced column expanded, so one adjugate serves every right-hand
     side and the interval expression still encloses the exact solution.
     """
-    n = len(m)
     cofactors = []
-    for i in range(n):
-        rows = [row for r, row in enumerate(m) if r != i]
-        out = []
-        for j in range(n):
-            minor = det_interval([[x for c, x in enumerate(row) if c != j] for row in rows])
-            out.append(-minor if (i + j) % 2 else minor)
-        cofactors.append(out)
+    for i in range(len(m)):
+        minors = minor_intervals(m[:i] + m[i + 1 :])
+        cofactors.append([-x if (i + j) % 2 else x for j, x in enumerate(minors)])
     return cofactors, det_interval(m)

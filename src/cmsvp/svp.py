@@ -399,12 +399,14 @@ def minimal_vectors(
     so the result is the true minimum shell.
     """
     ws = normalize_weights(field, w)
-    return climb(prec, lambda cur: _minimal_vectors(field, ws, kappa, cur, budget))
+    return climb(
+        prec, lambda cur: _minimal_vectors(field, ws, kappa, _gram(field, ws, kappa, cur), cur, budget)
+    )
 
 
-def _minimal_vectors(field, ws, kappa, prec, budget) -> ShortVectorSet:
-    """minimal_vectors at prec's bits, for normalized weights ws."""
-    g = _gram(field, ws, kappa, prec)
+def _minimal_vectors(field, ws, kappa, g: GramMatrix, prec, budget) -> ShortVectorSet:
+    """minimal_vectors at prec's bits on g, the Gram of the weights ws on
+    O_F or the ideal, already built there."""
     if g.exact:
         mu, mins, radius, nodes = lattice.minimum_shell(g.reduction, budget)
         return ShortVectorSet(mu, tuple(mins), radius, nodes)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, log
 
 from . import lattice
 from .embeddings import normalize_weights, weights_are_equal_rational
@@ -25,6 +25,7 @@ from .errors import BudgetExceededError, InputError, PrecisionError, SelfTestErr
 from .field import CMField
 from .interval import (
     DEFAULT_PRECISION,
+    MAX_EXPONENT_BITS,
     PrecisionConfig,
     RealInterval,
     climb,
@@ -162,8 +163,11 @@ def _grow_radius(
     budget: int,
 ) -> tuple[Fraction, RealInterval]:
     """Smallest tried radius whose certified tail drops below TAIL_REL times
-    exp(-pi t mu), the first-shell scale."""
+    exp(-pi t mu), the first-shell scale.  Refuses, before any exponential,
+    a t at which exp(-pi t mu) needs more than MAX_EXPONENT_BITS bits."""
     pi = pi_interval(bits)
+    if pi.hi * t * mu_ub > MAX_EXPONENT_BITS * log(2):
+        raise InputError(f"t is too large: exp(-pi t mu) needs more than {MAX_EXPONENT_BITS} bits")
     target = (TAIL_REL * exp_interval(-(pi * t * mu_ub), bits)).lo
     r = _initial_radius(dim, delta, mu_ub, t, bits)
     for _ in range(MAX_RADIUS_STEPS):
@@ -222,15 +226,7 @@ def theta_sum(
     t = Fraction(t)
     if t <= 0:
         raise InputError("t must be positive")
-    bits = prec.bits
-    red = g.reduction
-    delta = _pivot_floor(red)
-    mu_ub = red.min_diagonal()
-    radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
-    counts = lattice.theta_counts(red, radius, budget)
-    pi_t = _pi_t(t, bits)
-    value = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in counts)
-    return PsiSample(None, t, radius, value, tail)
+    return _psi_sample(None, None, g, t, prec, budget)
 
 
 def psi_truncated(
@@ -258,20 +254,21 @@ def psi_truncated(
 
 def _psi_sample(field, ws, g: GramMatrix, t: Fraction, prec, budget) -> PsiSample:
     """psi_truncated at prec's bits on g, the Gram of O_F under the weights
-    ws, already built there."""
-    if g.exact:
-        sample = theta_sum(g, t, prec, budget)
-        return PsiSample(ws, t, sample.radius, sample.value, sample.tail)
+    ws, already built there; on an exact Gram, g's theta sum (field and ws
+    may be None), over its theta counts rather than superset groups."""
     bits = prec.bits
     red = g.reduction
     delta = _pivot_floor(red)
-    mu_ub = basis_minimum(field, ws, None, red.u, prec)
-    radius, tail = _grow_radius(field.degree, delta, mu_ub, t, bits, budget)
-    groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
+    mu_ub = red.min_diagonal() if g.exact else basis_minimum(field, ws, None, red.u, prec)
+    radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
+    if g.exact:
+        shells = lattice.theta_counts(red, radius, budget)
+    else:
+        groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
+        shells = [(0, 1), *((v, 2 * len(c)) for v, c in groups.values())]
     pi_t = _pi_t(t, bits)
-    terms = [RealInterval.point(1)]
-    terms.extend(Fraction(2 * len(c)) * _term(v, pi_t, bits) for v, c in groups.values())
-    return PsiSample(ws, t, radius, interval_sum(terms), tail)
+    value = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in shells)
+    return PsiSample(ws, t, radius, value, tail)
 
 
 def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
@@ -295,9 +292,7 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
 
 def _excess_upper(beyond, cutoff, delta, dim, t, bits) -> Fraction:
     pi_t = _pi_t(t, bits)
-    total = interval_sum(
-        Fraction(c) * _term(q, pi_t, bits) for q, c in beyond
-    ) if beyond else RealInterval.point(0)
+    total = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in beyond)
     tail = _tail_bound(dim, delta, cutoff, t, bits)
     return (total + tail).hi
 
@@ -322,11 +317,11 @@ def cusp_extract(
 def _cusp_extract(field: CMField, ws: tuple, prec: PrecisionConfig, budget: int):
     """cusp_extract at prec's bits, for normalized weights ws."""
     bits = prec.bits
-    mv = _minimal_vectors(field, ws, None, prec, budget)
+    g = _gram(field, ws, None, prec)
+    mv = _minimal_vectors(field, ws, None, g, prec, budget)
     mu0, n0 = mv.mu, mv.count
     mu_hi = mu0.hi if isinstance(mu0, RealInterval) else Fraction(mu0)
     mu_lo = mu0.lo if isinstance(mu0, RealInterval) else Fraction(mu0)
-    g = _gram(field, ws, None, prec)
     beyond, cutoff, delta = _excess_data(field, ws, g, mv, prec, budget)
     pi = pi_interval(bits)
 

@@ -56,8 +56,9 @@ def smallest_primitive_root(p: int) -> int:
 def cyclotomic_unit_basis(field: CMField) -> UnitBasis:
     """Built-in cyclotomic-unit basis for prime conductor p >= 5.
 
-    Generators are sigma^j((1 - zeta^g)/(1 - zeta)) for j = 0..k-2, where
-    sigma: zeta -> zeta^g and g is the smallest primitive root mod p.
+    Generators are sigma^j(u), u = (1 - zeta^g)/(1 - zeta), for
+    j = 0..k-2, where sigma: zeta -> zeta^g and g is the smallest primitive
+    root mod p: one division, then the Galois orbit, sigma^j = sigma_(g^j).
     Torsion order is 2p.
     """
     p = field.conductor
@@ -67,16 +68,10 @@ def cyclotomic_unit_basis(field: CMField) -> UnitBasis:
         )
     g = smallest_primitive_root(p)
     one = field.one()
-    gens = []
-    e = 1
-    for _ in range(field.k - 1):
-        num = one - field.zeta(e * g)
-        den = one - field.zeta(e)
-        u = exact_divide(num, den)
-        if not is_unit(u):
-            raise InputError("internal error: cyclotomic unit fails the norm check")
-        gens.append(u)
-        e = (e * g) % p
+    u = exact_divide(one - field.zeta(g), one - field.zeta(1))
+    if not is_unit(u):
+        raise InputError("internal error: cyclotomic unit fails the norm check")
+    gens = [u.galois(pow(g, j, p)) for j in range(field.k - 1)]
     return UnitBasis(field, tuple(gens), 2 * p, BUILTIN_CYCLOTOMIC)
 
 

@@ -1,8 +1,8 @@
-"""Shared fixtures: random Gram generation, a Fraction LDL, an exhaustive
-box-search oracle, node-by-node references for the half-space descent and
-the map back through U, adapters between the descent's leaf record and
-coordinate lists, Fraction views of the package's integer records, and the
-acceptance summary printed after the run."""
+"""Shared fixtures: random Gram generation, a Fraction LDL, a Gauss-Jordan
+division oracle, an exhaustive box-search oracle, node-by-node references
+for the half-space descent and the map back through U, adapters between the
+descent's leaf record and coordinate lists, Fraction views of the package's
+integer records, and the acceptance summary printed after the run."""
 
 import re
 from fractions import Fraction
@@ -15,7 +15,7 @@ import pytest
 from cmsvp import lattice
 from cmsvp.embeddings import _as_intervals, _certified_numerators
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
-from cmsvp.field import CMField
+from cmsvp.field import CMField, mult_matrix
 from cmsvp.interval import DEFAULT_PRECISION, climb
 
 
@@ -58,6 +58,26 @@ def int_det(m: list[list[int]]) -> Fraction:
             for j in range(c, n):
                 a[r][j] -= f * a[c][j]
     return det
+
+
+def gauss_jordan_quotient(a, b) -> tuple[Fraction, ...]:
+    """The coordinates of a / b in Q(zeta_n), b nonzero, by Gauss-Jordan
+    elimination over Fractions on the multiplication matrix of b: the
+    oracle for field.exact_divide, which divides in O_F when every
+    coordinate is an integer."""
+    d = a.field.degree
+    m = mult_matrix(b)
+    aug = [[Fraction(x) for x in m[i]] + [Fraction(a.coords[i])] for i in range(d)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return tuple(row[d] for row in aug)
 
 
 def _inverse_diagonal(g: list[list[int]]) -> list[Fraction]:

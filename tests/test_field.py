@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmsvp import cli, field
@@ -21,8 +21,11 @@ from cmsvp.field import (
     field_norm,
     is_prime,
     is_unit,
+    representatives,
     trace,
 )
+
+from conftest import gauss_jordan_quotient
 
 
 def _random_element(field, rng, span=5):
@@ -328,3 +331,89 @@ def test_times_conj_equals_the_product_with_the_conjugate(seed, span, sparsity):
         )
         assert a.times_conj() == a * a.conj(), n
     assert CMField(7).zero().times_conj() == CMField(7).zero()
+
+
+# -- the Galois action and exact division on top of it
+
+GALOIS_CONDUCTORS = [5, 7, 8, 9, 12, 15, 16, 20, 21]
+
+
+@st.composite
+def galois_cases(draw):
+    """A conductor, two elements of its field and two exponents coprime to
+    it, each drawn as a unit class then shifted by a multiple of n."""
+    n = draw(st.sampled_from(GALOIS_CONDUCTORS))
+    fld = CMField(n)
+    coords = st.lists(st.integers(-4, 4), min_size=fld.degree, max_size=fld.degree)
+    units = [h for h in range(1, n) if gcd(h, n) == 1]
+    h1, h2 = (draw(st.sampled_from(units)) + n * draw(st.integers(-2, 2)) for _ in range(2))
+    return fld, fld.element(draw(coords)), fld.element(draw(coords)), h1, h2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(galois_cases())
+def test_galois_is_a_ring_automorphism_composing_by_exponent(case):
+    """sigma_h is multiplicative and additive, sigma_h sigma_h' =
+    sigma_(hh'), and conj is sigma_(-1), term by term the zeta^(-j) loop."""
+    fld, a, b, h1, h2 = case
+    assert (a * b).galois(h1) == a.galois(h1) * b.galois(h1)
+    assert (a + b).galois(h1) == a.galois(h1) + b.galois(h1)
+    assert a.galois(h2).galois(h1) == a.galois(h1 * h2)
+    assert fld.zeta(1).galois(h1) == fld.zeta(h1)
+    assert a.galois(1) == a
+    powers = [fld.zeta(m).coords for m in range(fld.conductor)]
+    assert a.conj() == a.galois(-1) == a.galois(fld.conductor - 1)
+    assert a.conj().coords == _reference_conj(fld, powers, a.coords)
+
+
+def test_galois_refuses_an_exponent_sharing_a_factor_with_the_conductor():
+    with pytest.raises(InputError):
+        CMField(12).one().galois(3)
+    with pytest.raises(InputError):
+        CMField(7).one().galois(0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(galois_cases())
+def test_exact_divide_matches_gauss_jordan(case):
+    _, a, b, _, _ = case
+    assume(not b.is_zero())
+    assert gauss_jordan_quotient(a * b, b) == a.coords
+    assert exact_divide(a * b, b) == a
+    quotient = gauss_jordan_quotient(a, b)
+    if all(q.denominator == 1 for q in quotient):
+        assert exact_divide(a, b).coords == quotient
+    else:
+        with pytest.raises(InputError):
+            exact_divide(a, b)
+
+
+@pytest.mark.parametrize("n", GALOIS_CONDUCTORS)
+def test_exact_divide_refuses_zero_and_non_divisors(n):
+    fld = CMField(n)
+    one, z = fld.one(), fld.zeta(1)
+    with pytest.raises(InputError):
+        exact_divide(one, fld.zero())
+    with pytest.raises(InputError):
+        exact_divide(one, one * 2)
+    with pytest.raises(InputError):
+        exact_divide(one + z, one * 2)
+    # 1 - zeta has norm p when n is a power of the prime p, and is a unit
+    # otherwise
+    d = one - z
+    assert field_norm(d) == {5: 5, 7: 7, 8: 2, 9: 3, 16: 2}.get(n, 1)
+    if is_unit(d):
+        assert exact_divide(one, d) * d == one
+    else:
+        with pytest.raises(InputError):
+            exact_divide(one, d)
+    assert exact_divide(one, z) == fld.zeta(-1)
+
+
+def test_representatives_pick_one_exponent_of_each_conjugate_pair():
+    for n in GALOIS_CONDUCTORS:
+        reps = representatives(n)
+        assert len(reps) == CMField(n).k
+        classes = {frozenset({m % n, -m % n}) for m in reps}
+        assert len(classes) == len(reps)
+        assert set().union(*classes) == {h for h in range(1, n) if gcd(h, n) == 1}

@@ -237,6 +237,23 @@ def test_minor_intervals_equal_det_interval_per_minor(rows):
     assert minor_intervals(rows) == expected
 
 
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n)))
+def test_adjugate_equals_det_interval_per_minor(m):
+    """The cofactors from one shared expansion per deleted row are the
+    enclosures of each minor's own det_interval."""
+    n = len(m)
+    expected = [
+        [
+            (-1) ** (i + j)
+            * det_interval([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert adjugate(m) == (expected, det_interval(m))
+
+
 def exact_solve(m, rhs):
     """Gauss-Jordan over Fractions; None when m is singular."""
     n = len(m)

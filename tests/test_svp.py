@@ -485,13 +485,15 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     """Set E at p = 7 tests each beta = a conj(a) once: 168 candidates, 84
     +- pairs on the half-space descent, fall into 11 groups, each gets one
     exact norm, and each chamber attempt one log_sigma against one adjugate
-    of the unit log matrix per precision."""
+    of the unit log matrix per precision: k - 1 shared cofactor expansions,
+    one per deleted row, and one for the determinant."""
     field = CMField(7)
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
-    logged, dets, divides, norms, pairs, attempts = [], [], [], [], [], []
+    logged, expansions, divides, norms, pairs, attempts = [], [], [], [], [], []
     real_log, real_divide, real_norm = svp._log_sigma, svp.exact_divide, svp.field_norm
-    real_det, real_half_space = interval.det_interval, lattice._half_space
+    real_det, real_minors = interval.det_interval, interval.minor_intervals
+    real_half_space = lattice._half_space
     real_coordinates = svp._Chamber.coordinates
 
     def counting_log(n, coords, prec):
@@ -499,8 +501,12 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         return real_log(n, coords, prec)
 
     def counting_det(m):
-        dets.append(len(m))
+        expansions.append(len(m))
         return real_det(m)
+
+    def counting_minors(rows):
+        expansions.append(len(rows))
+        return real_minors(rows)
 
     def counting_divide(a, b):
         divides.append(1)
@@ -520,9 +526,10 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         return real_coordinates(self, ys, prec)
 
     monkeypatch.setattr(svp, "_log_sigma", counting_log)
-    # interval.adjugate looks det_interval up in its own module; the bound
-    # engine binds its own name and is not counted
+    # interval.adjugate looks det_interval and minor_intervals up in its own
+    # module; the bound engine binds its own names and is not counted
     monkeypatch.setattr(interval, "det_interval", counting_det)
+    monkeypatch.setattr(interval, "minor_intervals", counting_minors)
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
     monkeypatch.setattr(svp, "field_norm", counting_norm)
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
@@ -537,11 +544,13 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     # once at each precision tried
     precisions = len(set(logged))
     assert len(logged) == len(attempts) + gens * precisions
-    # det L and its (k-1)^2 cofactor minors, once per precision
-    assert len(dets) == (1 + k1 * k1) * precisions
+    # det L and one expansion per deleted row for its (k-1)^2 cofactor
+    # minors, once per precision
+    assert expansions == [k1 - 1] * k1 + [k1]
+    assert len(expansions) == (1 + k1) * precisions
     # at p = 7 every attempt separates at the base precision: 7 of the 11
     # groups are within the norm bound
-    assert (precisions, len(attempts), len(logged), len(dets)) == (1, 7, 9, 5)
+    assert (precisions, len(attempts), len(logged), len(expansions)) == (1, 7, 9, 3)
     # one division per generator, for its inverse
     assert len(divides) == gens
 

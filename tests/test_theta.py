@@ -5,13 +5,14 @@ summation (50 digits) over independently enumerated norm shells.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from cmsvp import lattice, svp, theta
+from cmsvp import cli, lattice, svp, theta
 from cmsvp.embeddings import representatives, sigma
 from cmsvp.errors import InputError
 from cmsvp.field import CMField, FieldElement
@@ -135,9 +136,8 @@ def test_psi_leading_term(f5):
 
 
 def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
-    """Two Grams, each built once: minimal_vectors' own, and one that the
-    excess data and both psi samples share; one lower form and one LLL
-    reduction each."""
+    """One Gram, built once, that the minimum, the excess data and both psi
+    samples share: one lower form and one LLL reduction."""
     lower_forms, reductions = [], []
     real_floor, real_lll = svp._floor_form, lattice.lll_reduce
 
@@ -153,7 +153,7 @@ def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
     monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
     mu, count = cusp_extract(CMField(5), (3, 1))
     assert (mu.lo, mu.hi) == SKEW5_CUSP_MU and count == 10
-    assert len(lower_forms) == len(reductions) == 2
+    assert len(lower_forms) == len(reductions) == 1
 
 
 def test_theta_prefix_lists_no_vectors(monkeypatch):
@@ -211,6 +211,28 @@ def test_psi_validation(f5):
         psi_truncated(f5, None, 0)
     with pytest.raises(InputError):
         psi_truncated(f5, None, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("weights", ["1,1", "1,2"])
+def test_psi_refuses_a_huge_t_at_once(weights, capsys):
+    """At t = 10^9 the terms' exact endpoints would carry about 10^10 bits;
+    the run exits 2 before any exponential."""
+    start = time.perf_counter()
+    rc = cli.main(["psi", "--cyclotomic", "5", "--t", "1e9", "--weights", weights])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: t is too large") and "Traceback" not in err
+
+
+def test_psi_exponent_limit_reads_the_first_shell(f5, monkeypatch):
+    """Equal weights on Q(zeta_5) have mu = 2, so exp(-pi t mu) needs
+    2 pi t / ln 2, about 9.06 t, bits: 10 bits admit t = 1 and refuse t = 2."""
+    monkeypatch.setattr(theta, "MAX_EXPONENT_BITS", 10)
+    assert psi_truncated(f5, None, 1).value.lo > 1
+    with pytest.raises(InputError, match="more than 10 bits"):
+        psi_truncated(f5, None, 2)
+    with pytest.raises(InputError, match="more than 10 bits"):
+        theta_sum(gram_matrix(f5, None), 2)
 
 
 def test_psi_interval_weights_against_float_oracle(f5):

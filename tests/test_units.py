@@ -3,7 +3,7 @@
 import pytest
 
 from cmsvp.errors import DependentUnitsError, InputError, NonPrimeConductorError
-from cmsvp.field import CMField, field_norm, is_unit
+from cmsvp.field import CMField, exact_divide, field_norm, is_prime, is_unit
 from cmsvp.units import (
     BUILTIN_CYCLOTOMIC,
     USER_SUPPLIED,
@@ -30,6 +30,22 @@ def test_builtin_basis(f5, f7):
         assert len(basis.generators) == field.k - 1
         assert all(is_unit(g) for g in basis.generators)
         assert basis.torsion == 2 * field.conductor
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_builtin_basis_is_the_galois_orbit_of_one_quotient(p):
+    """sigma_g^j((1 - zeta^g)/(1 - zeta)) is the quotient
+    (1 - zeta^(eg))/(1 - zeta^e), e = g^j mod p, each a unit."""
+    field = CMField(p)
+    g = smallest_primitive_root(p)
+    one = field.one()
+    quotients = []
+    for j in range(field.k - 1):
+        e = pow(g, j, p)
+        quotients.append(exact_divide(one - field.zeta(e * g), one - field.zeta(e)))
+    gens = cyclotomic_unit_basis(field).generators
+    assert gens == tuple(quotients)
+    assert all(is_unit(u) for u in gens)
 
 
 def test_builtin_basis_requires_prime():
