@@ -439,29 +439,35 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """One parser per command, holding exactly the flags its cmd_* reads,
-    so a flag the command would ignore exits 2.  Only the parser of
-    `command` gets its flags when `command` names one; otherwise every
-    parser does, for the top-level help and errors."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the flags that command name's cmd_* reads, and no
+    others, so a flag the command would ignore exits 2."""
+    parser.set_defaults(command=name, func=_COMMANDS[name][1])
+    for key in _COMMANDS[name][2]:
+        target = parser.add_mutually_exclusive_group() if key in _EXCLUSIVE else parser
+        for names, keywords in _FLAG_SETS[key]:
+            target.add_argument(*names, **keywords)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the top-level help and for a
+    missing or unknown command."""
     parser = argparse.ArgumentParser(prog="cmsvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, sets) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=func)
-        if command in _COMMANDS and command != name:
-            continue
-        for key in sets:
-            target = cmd.add_mutually_exclusive_group() if key in _EXCLUSIVE else cmd
-            for names, keywords in _FLAG_SETS[key]:
-                target.add_argument(*names, **keywords)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        # only the running command's parser: its errors start "cmsvp <name>:"
+        args = _add_command(argparse.ArgumentParser(prog=f"cmsvp {argv[0]}"), argv[0]).parse_args(argv[1:])
+    else:
+        args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

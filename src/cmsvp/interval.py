@@ -3,26 +3,20 @@
 The working representation is a closed interval [lo, hi] whose endpoints are
 `fractions.Fraction` values, so every ring operation (+, -, *, integer
 powers, division by an interval excluding zero) is carried out exactly with
-no rounding step at all.  Irrational leaves -- pi, cos, sin, exp, log, k-th
-roots -- are obtained from mpmath's interval context at a configurable
-binary precision and converted to exact dyadic endpoints, which keeps the
-enclosure property end to end.
+no rounding step at all.  Irrational leaves -- pi, cos, exp, log, k-th
+roots -- come from the outward-rounded interval functions of
+`mpmath.libmp` at a configurable binary precision and are converted to
+exact dyadic endpoints, which keeps the enclosure property end to end.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import (
-    from_rational,
-    round_ceiling,
-    round_floor,
-    to_rational,
-)
+from mpmath.libmp import from_int, from_rational, mpf_exp, mpf_log, round_ceiling, round_floor, to_rational
+from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_mul, mpi_pi
 
 from .errors import DegenerateSimplexError, DependentUnitsError, NotPositiveDefiniteError, PrecisionError
 
@@ -31,7 +25,7 @@ MIN_BITS = 53
 # still finishes, in about 70 s on a 2-CPU x86-64 VM
 MAX_BITS = 4096
 # the most bits of exp(-pi t mu), mu the first shell, that a psi or theta
-# sum accepts; at it `psi --cyclotomic 5` takes 0.5 s on a 2-CPU x86-64 VM
+# sum accepts; at it `psi --cyclotomic 5` takes 0.3 s on a 2-CPU x86-64 VM
 MAX_EXPONENT_BITS = 150_000
 
 
@@ -39,7 +33,8 @@ MAX_EXPONENT_BITS = 150_000
 class PrecisionConfig:
     """Working binary precision and the certified-radius target.
 
-    `bits` is the mantissa size handed to mpmath for irrational leaves.
+    `bits` is the mantissa size of the mpmath.libmp functions that give
+    the irrational leaves.
     A certified result that misses its target climbs `ladder()` whole, in
     `climb` at its public function, over kernels that take exactly the bits
     they are given: a start below 128 bits moves each result up one rung.
@@ -81,33 +76,6 @@ def climb(prec: PrecisionConfig, attempt):
     return attempt(top)
 
 
-@functools.lru_cache(maxsize=None)
-def _ctx(bits: int):
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = bits
-    return ctx
-
-
-def _fraction_from_mpf_raw(raw) -> Fraction:
-    p, q = to_rational(raw)
-    # int() strips gmpy2.mpz when mpmath runs on the gmpy backend; mpz-backed
-    # Fractions break mixed arithmetic elsewhere
-    return Fraction(int(p), int(q))
-
-
-def _iv_from_ratios(lo_num: int, lo_den: int, hi_num: int, hi_den: int, ctx):
-    """[lo_num / lo_den, hi_num / hi_den] rounded outward, denominators
-    positive; from_rational rounds the exact quotient, so the ratios need
-    not be reduced."""
-    a = mpmath.make_mpf(from_rational(lo_num, lo_den, ctx.prec, round_floor))
-    b = mpmath.make_mpf(from_rational(hi_num, hi_den, ctx.prec, round_ceiling))
-    return ctx.mpf([a, b])
-
-
-def _iv_from_fractions(lo: Fraction, hi: Fraction, ctx):
-    return _iv_from_ratios(lo.numerator, lo.denominator, hi.numerator, hi.denominator, ctx)
-
-
 @dataclass(frozen=True)
 class RealInterval:
     """Closed interval with exact rational endpoints, lo <= hi."""
@@ -123,11 +91,6 @@ class RealInterval:
     def point(x) -> "RealInterval":
         f = Fraction(x)
         return RealInterval(f, f)
-
-    @staticmethod
-    def from_mpiv(x) -> "RealInterval":
-        a, b = x._mpi_
-        return RealInterval(_fraction_from_mpf_raw(a), _fraction_from_mpf_raw(b))
 
     @property
     def mid(self) -> Fraction:
@@ -254,14 +217,25 @@ ZERO = RealInterval.point(0)
 ONE = RealInterval.point(1)
 
 
+def _exact_sum(xs: list[Fraction]) -> Fraction:
+    """sum(xs), exactly.  The terms whose denominators are powers of two,
+    as every leaf endpoint's are, add as integers over the largest such
+    power, with no gcd per term; any other term adds as a Fraction."""
+    shift = max((x.denominator.bit_length() - 1 for x in xs if x.denominator.bit_count() == 1), default=0)
+    num = 0
+    rest = Fraction(0)
+    for x in xs:
+        den = x.denominator
+        if den.bit_count() == 1:
+            num += x.numerator << (shift + 1 - den.bit_length())
+        else:
+            rest += x
+    return Fraction(num, 1 << shift) + rest
+
+
 def interval_sum(items) -> RealInterval:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for it in items:
-        it = _coerce(it)
-        lo += it.lo
-        hi += it.hi
-    return RealInterval(lo, hi)
+    items = [_coerce(it) for it in items]
+    return RealInterval(_exact_sum([it.lo for it in items]), _exact_sum([it.hi for it in items]))
 
 
 def interval_prod(items) -> RealInterval:
@@ -278,39 +252,60 @@ def interval_max(items) -> RealInterval:
 
 
 # ---------------------------------------------------------------------------
-# irrational leaves via mpmath interval contexts
+# irrational leaves: the outward-rounded functions of mpmath.libmp at the
+# given bits, on binary endpoints rounded outward from the exact input
+
+
+def _from_mpi(x) -> RealInterval:
+    """The exact RealInterval of an mpmath.libmp interval (a, b)."""
+    # int() strips gmpy2.mpz when mpmath runs on the gmpy backend; mpz-backed
+    # Fractions break mixed arithmetic elsewhere
+    (p, q), (r, s) = to_rational(x[0]), to_rational(x[1])
+    return RealInterval(Fraction(int(p), int(q)), Fraction(int(r), int(s)))
+
+
+def _int_point(n: int, bits: int):
+    """The integer n as an mpmath.libmp interval, rounded outward to bits."""
+    return from_int(n, bits, round_floor), from_int(n, bits, round_ceiling)
 
 
 def cos2pi(num: int, den: int, bits: int) -> RealInterval:
-    """Enclosure of cos(2*pi*num/den)."""
-    ctx = _ctx(bits)
-    val = ctx.cos(2 * ctx.pi * ctx.mpf(num) / den)
-    return RealInterval.from_mpiv(val)
+    """Enclosure of cos(2*pi*num/den): mpi_cos of ((2 * pi) * num) / den,
+    each step rounded outward to bits."""
+    angle = mpi_mul(mpi_mul(_int_point(2, bits), mpi_pi(bits), bits), _int_point(num, bits), bits)
+    return _from_mpi(mpi_cos(mpi_div(angle, _int_point(den, bits), bits), bits))
 
 
 def pi_interval(bits: int) -> RealInterval:
-    return RealInterval.from_mpiv(_ctx(bits).pi)
+    return _from_mpi(mpi_pi(bits))
+
+
+def _increasing(f, lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int) -> RealInterval:
+    """Enclosure of f on [lo_num / lo_den, hi_num / hi_den], f an
+    increasing mpmath.libmp function (mpf_exp, mpf_log), denominators
+    positive; from_rational rounds the exact quotient outward, so the
+    ratios need not be reduced."""
+    lo = f(from_rational(lo_num, lo_den, bits, round_floor), bits, round_floor)
+    hi = f(from_rational(hi_num, hi_den, bits, round_ceiling), bits, round_ceiling)
+    return _from_mpi((lo, hi))
 
 
 def exp_interval(x, bits: int) -> RealInterval:
     x = _coerce(x)
-    ctx = _ctx(bits)
-    return RealInterval.from_mpiv(ctx.exp(_iv_from_fractions(x.lo, x.hi, ctx)))
+    return _increasing(mpf_exp, x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, bits)
 
 
 def exp_of_ratios(lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int) -> RealInterval:
     """exp_interval of [lo_num / lo_den, hi_num / hi_den], denominators
     positive, with no Fraction built or reduced on the way."""
-    ctx = _ctx(bits)
-    return RealInterval.from_mpiv(ctx.exp(_iv_from_ratios(lo_num, lo_den, hi_num, hi_den, ctx)))
+    return _increasing(mpf_exp, lo_num, lo_den, hi_num, hi_den, bits)
 
 
 def log_interval(x, bits: int) -> RealInterval:
     x = _coerce(x)
     if x.lo <= 0:
         raise ValueError("log of an interval touching (-inf, 0]")
-    ctx = _ctx(bits)
-    return RealInterval.from_mpiv(ctx.log(_iv_from_fractions(x.lo, x.hi, ctx)))
+    return _increasing(mpf_log, x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, bits)
 
 
 def root_interval(x, k: int, bits: int) -> RealInterval:

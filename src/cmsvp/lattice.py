@@ -219,7 +219,8 @@ class Leaves:
     values[i] is vector i's integer m and firsts[i] its coordinate x_0;
     rows holds (head, count) for each run of consecutive vectors that share
     head = (x_1, ..., x_(n-1)), which is one x_1 of the descent's bottom
-    loop and its range of x_0."""
+    loop and its range of x_0.  A descent run for values only leaves
+    firsts and rows empty."""
 
     __slots__ = ("values", "firsts", "rows", "_ends")
 
@@ -247,12 +248,16 @@ class Leaves:
         return [(firsts[i],) + rows[bisect_right(ends, i)][0] for i in indices]
 
 
-def _half_space(red: Reduced, radius: Fraction, budget: int) -> tuple[Leaves, int, int]:
+def _half_space(
+    red: Reduced, radius: Fraction, budget: int, coords: bool = True
+) -> tuple[Leaves, int, int]:
     """Fincke-Pohst descent over the canonical half-space of a reduction:
     one vector of each +-v pair with q(v) <= radius, zero excluded.
 
     Returns (Leaves of the vectors in reduced coordinates, s, nodes
-    visited), with q(v) = m / s for each vector's integer m.  More than
+    visited), with q(v) = m / s for each vector's integer m; with coords
+    false the Leaves hold the values alone, and the walk, its nodes and
+    its refusals are the same.  More than
     budget nodes raise BudgetExceededError, and so do more than MAX_LISTED
     vectors, counting both of each pair, expected or found; when the walk
     would pass both limits, the one it passes first is reported.
@@ -330,7 +335,8 @@ def _half_space(red: Reduced, radius: Fraction, budget: int) -> tuple[Leaves, in
         hi = (c + h) // d2
         if not nonzero_seen and lo < 0:
             lo = 0
-        tail = tuple(x[2:])
+        if coords:
+            tail = tuple(x[2:])
         base = 0
         for j in range(2, n):
             base -= lam[j][0] * x[j]
@@ -359,8 +365,9 @@ def _half_space(red: Reduced, radius: Fraction, budget: int) -> tuple[Leaves, in
                     raise BudgetExceededError(MAX_LISTED, what="listed vectors")
                 raise BudgetExceededError(budget)
             if first <= hi0:
-                rows.append(((x1,) + tail, hi0 - first + 1))
-                firsts.extend(range(first, hi0 + 1))
+                if coords:
+                    rows.append(((x1,) + tail, hi0 - first + 1))
+                    firsts.extend(range(first, hi0 + 1))
                 u = first * d1 - c0
                 for _ in range(first, hi0 + 1):
                     append(top - (rest - u * u) // d1)
@@ -377,8 +384,8 @@ def _half_space(red: Reduced, radius: Fraction, budget: int) -> tuple[Leaves, in
         if nodes > budget:
             raise BudgetExceededError(budget)
         values.extend(d[1] * x0 * x0 for x0 in range(1, hi + 1))
-        firsts.extend(range(1, hi + 1))
-        if hi:
+        if coords and hi:
+            firsts.extend(range(1, hi + 1))
             rows.append(((), hi))
     elif n == 2:
         bottom(d[2] * top, 0, False)
@@ -457,6 +464,6 @@ def theta_counts(
     Counted on the values of the half-space descent, with no coordinates:
     each value found there stands for a +-v pair, and the zero vector
     counts once."""
-    leaves, s, _ = _half_space(g, Fraction(max_norm), budget)
+    leaves, s, _ = _half_space(g, Fraction(max_norm), budget, coords=False)
     counts = Counter(leaves.values)
     return [(Fraction(0), 1)] + [(Fraction(m, s), 2 * c) for m, c in sorted(counts.items())]

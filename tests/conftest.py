@@ -1,22 +1,26 @@
 """Shared fixtures: random Gram generation, a Fraction LDL, a Gauss-Jordan
-division oracle, an exhaustive box-search oracle, node-by-node references
-for the half-space descent and the map back through U, adapters between the
+division oracle, mpmath's interval context as the oracle of the irrational
+leaves, an exhaustive box-search oracle, node-by-node references for the
+half-space descent and the map back through U, adapters between the
 descent's leaf record and coordinate lists, Fraction views of the package's
 integer records, and the acceptance summary printed after the run."""
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, isqrt, log
 from operator import mul
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from cmsvp import lattice
 from cmsvp.embeddings import _as_intervals, _certified_numerators
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.field import CMField, mult_matrix
-from cmsvp.interval import DEFAULT_PRECISION, climb
+from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb
 
 
 def reduced_gram(red: lattice.Reduced) -> list[list[Fraction]]:
@@ -78,6 +82,55 @@ def gauss_jordan_quotient(a, b) -> tuple[Fraction, ...]:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return tuple(row[d] for row in aug)
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_context(bits: int):
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = bits
+    return ctx
+
+
+def _from_mpiv(x) -> RealInterval:
+    return RealInterval(*(Fraction(*map(int, to_rational(end))) for end in x._mpi_))
+
+
+def _context_interval(lo: Fraction, hi: Fraction, ctx):
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    a = mpmath.make_mpf(from_rational(lo.numerator, lo.denominator, ctx.prec, round_floor))
+    b = mpmath.make_mpf(from_rational(hi.numerator, hi.denominator, ctx.prec, round_ceiling))
+    return ctx.mpf([a, b])
+
+
+def context_cos2pi(num: int, den: int, bits: int) -> RealInterval:
+    """cos(2 pi num / den) in mpmath's interval context at bits: the
+    oracle for interval.cos2pi, which calls the context's functions of
+    mpmath.libmp directly."""
+    ctx = _interval_context(bits)
+    return _from_mpiv(ctx.cos(2 * ctx.pi * ctx.mpf(num) / den))
+
+
+def context_pi(bits: int) -> RealInterval:
+    return _from_mpiv(_interval_context(bits).pi)
+
+
+def context_exp(x: RealInterval, bits: int) -> RealInterval:
+    ctx = _interval_context(bits)
+    return _from_mpiv(ctx.exp(_context_interval(x.lo, x.hi, ctx)))
+
+
+def context_log(x: RealInterval, bits: int) -> RealInterval:
+    ctx = _interval_context(bits)
+    return _from_mpiv(ctx.log(_context_interval(x.lo, x.hi, ctx)))
+
+
+def context_root(x: RealInterval, k: int, bits: int) -> RealInterval:
+    """x^(1/k) as exp(log(x) / k) in the interval context."""
+    if k == 1:
+        return x
+    log_x = context_log(x, bits)
+    return context_exp(RealInterval(log_x.lo / k, log_x.hi / k), bits)
 
 
 def _inverse_diagonal(g: list[list[int]]) -> list[Fraction]:

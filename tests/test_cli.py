@@ -1,5 +1,6 @@
 """Exit-code contract, JSON schema, and byte determinism of the CLI."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -353,19 +354,52 @@ COMMANDS = {
 
 @pytest.mark.parametrize("flag", list(FORMERLY_COMMON))
 @pytest.mark.parametrize("command", list(COMMANDS))
-def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, capsys):
+def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, monkeypatch, capsys):
+    """A flag the command reads parses, in main, to the namespace the
+    parser of every command gives, and main builds one parser for it; any
+    other flag exits 2 from the command's own parser."""
     base, reads = COMMANDS[command]
     argv = [command, *base, flag, *FORMERLY_COMMON[flag]]
     if flag in reads:
+        parsed = []
+        help_text, _, sets = cli._COMMANDS[command]
+        # the command itself records its namespace instead of running
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, lambda args: parsed.append(vars(args)) or 0, sets))
         parser = cli._build_parser()
-        assert vars(parser.parse_args(argv)) != vars(parser.parse_args([command, *base]))
+        full = vars(parser.parse_args(argv))
+        assert full != vars(parser.parse_args([command, *base]))
+        built, real_init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(argv) == 0
+        assert parsed == [full] and built == [f"cmsvp {command}"]
         return
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+    assert f"cmsvp {command}: error: unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
+def test_top_level_help_lists_every_command_and_an_unknown_command_exits_2(capsys):
+    assert set(COMMANDS) == set(cli._COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, (help_text, _, _) in cli._COMMANDS.items():
+        assert f"    {name}" in out and help_text in out
+    for argv in (["nosuch"], ["nosuch", "--json"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: cmsvp [-h]") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", list(FORMERLY_COMMON))

@@ -17,6 +17,7 @@ from cmsvp.interval import (
     det_cofactor,
     det_interval,
     exp_interval,
+    exp_of_ratios,
     interval_json,
     interval_max,
     interval_prod,
@@ -26,6 +27,8 @@ from cmsvp.interval import (
     pi_interval,
     root_interval,
 )
+
+from conftest import context_cos2pi, context_exp, context_log, context_pi, context_root
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=16
@@ -98,6 +101,57 @@ def test_transcendental_leaves_match_mpmath():
     cube = root_interval(RealInterval.point(8), 3, 128)
     assert cube.contains(2)
     assert cube.width < Fraction(1, 2**80)
+
+
+# the bits of the leaf oracle tests: the ladder's floor, its default start,
+# two middle rungs and its top
+ORACLE_BITS = [53, 128, 256, 1024, 4096]
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+def test_cos2pi_and_pi_equal_the_interval_context(bits):
+    """cos2pi and pi_interval call the functions of mpmath.libmp that the
+    interval context calls, so every endpoint is the context's.  At 4096
+    bits the sweep stops at den = 30: each cos there costs about 3 ms."""
+    assert pi_interval(bits) == context_pi(bits)
+    top = 30 if bits == 4096 else 130
+    for den in range(1, top + 1):
+        for num in range(den):
+            assert cos2pi(num, den, bits) == context_cos2pi(num, den, bits), (num, den)
+
+
+leaf_rationals = st.one_of(
+    st.fractions(min_value=Fraction(-60), max_value=Fraction(60), max_denominator=10**6),
+    # ends with 300-bit denominators, like the products of pi t and a value
+    # that psi's exponents carry
+    st.builds(
+        Fraction,
+        st.integers(min_value=-60 * 2**300, max_value=60 * 2**300),
+        st.sampled_from([2**300, 3**190]),
+    ),
+)
+
+
+@pytest.mark.parametrize("bits", ORACLE_BITS)
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    a=leaf_rationals,
+    b=leaf_rationals,
+    k=st.integers(min_value=1, max_value=6),
+    c=st.integers(min_value=1, max_value=99),
+)
+def test_exp_log_and_root_equal_the_interval_context(bits, a, b, k, c):
+    """exp_interval, exp_of_ratios (on ratios left unreduced by a factor c),
+    log_interval and root_interval give the interval context's endpoints."""
+    x = RealInterval(min(a, b), max(a, b))
+    want = context_exp(x, bits)
+    assert exp_interval(x, bits) == want
+    lo, hi = x.lo, x.hi
+    assert exp_of_ratios(c * lo.numerator, c * lo.denominator, c * hi.numerator, c * hi.denominator, bits) == want
+    assume(a and b)
+    pos = RealInterval(min(abs(a), abs(b)), max(abs(a), abs(b)))
+    assert log_interval(pos, bits) == context_log(pos, bits)
+    assert root_interval(pos, k, bits) == context_root(pos, k, bits)
 
 
 def test_log_rejects_nonpositive():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -471,6 +472,53 @@ def test_half_space_listing_cap_equals_the_reference(red, scale, slack):
             _same_descent(red, radius, [nodes - slack - 1, nodes // 2])
     finally:
         lattice.MAX_LISTED = saved
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    descent_grams(),
+    st.builds(Fraction, st.integers(min_value=-2, max_value=10), st.integers(min_value=1, max_value=4)),
+)
+def test_theta_counts_equal_the_listing_from_a_values_only_walk(red, scale):
+    """theta_counts is a Counter of enumerate_short's values, the zero
+    vector counted once, and its descent records no coordinates and visits
+    the listing's nodes.  Radii run up to 5/2 times the shortest reduced
+    vector."""
+    reduced = reduced_gram(red)
+    radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
+    found, nodes = enumerate_short(red, radius)
+    listed = Counter(q for _, q in found)
+    listed[Fraction(0)] = 1
+    assert theta_counts(red, radius) == sorted(listed.items())
+    leaves, _, counted_nodes = lattice._half_space(red, radius, lattice.DEFAULT_BUDGET, coords=False)
+    assert counted_nodes == nodes and leaves.firsts == [] and leaves.rows == []
+
+
+def _walk(red, radius, budget, coords):
+    """_half_space with or without coordinates, as (values, s, nodes)."""
+    leaves, s, nodes = lattice._half_space(red, radius, budget, coords=coords)
+    return leaves.values, s, nodes
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_values_only_walk_refuses_where_the_listing_does(seed, monkeypatch):
+    """With node budgets and listing caps on both sides of what the walk
+    needs, the values-only descent refuses at the same point, with the
+    same message, as the one that records coordinates, or finishes with
+    the same values and nodes."""
+    rng = random.Random(seed)
+    red = reduce(_frac(random_int_gram(rng, 1 + seed % 6)))
+    radius = 3 * red.min_diagonal()
+    values, _, nodes = _walk(red, radius, lattice.DEFAULT_BUDGET, True)
+    refusals = set()
+    for cap in {lattice.MAX_LISTED, 2 * len(values), 2 * len(values) - 1, len(values), 1}:
+        monkeypatch.setattr(lattice, "MAX_LISTED", cap)
+        for budget in {0, 1, nodes // 2, nodes - 1, nodes}:
+            want = _outcome(_walk, red, radius, budget, True)
+            assert _outcome(_walk, red, radius, budget, False) == want
+            if want[0] == "refused":
+                refusals.add("listed vectors" in want[1])
+    assert refusals == {True, False}
 
 
 @pytest.mark.parametrize(
