@@ -11,15 +11,20 @@ or degenerate simplex, 3 precision failure, 4 node or simplex budget
 exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 JSON output carries a "schema": "1" field and is byte-deterministic for
 a fixed configuration.
+
+A plain, valid command line is read straight from the flag table
+(_COMMANDS, _FLAG_SETS) without importing argparse; help, usage, errors,
+abbreviations and --flag=value go to an argparse parser built from the
+same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import lattice, svp, theta
 from .bound import (
@@ -41,7 +46,7 @@ from .errors import (
     PrecisionError,
     SelfTestError,
 )
-from .field import CMField, is_prime, is_unit
+from .field import CMField, field_norm, is_prime
 from .interval import (
     DEFAULT_PRECISION,
     MAX_BITS,
@@ -305,8 +310,11 @@ def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, ob
     kappa = _one_minus_zeta_power(field, r)
     mv = svp.minimal_vectors(field, None, kappa, prec, budget)
     # a minimal vector is alpha = kappa * v with v its coordinates in the
-    # basis kappa zeta^i, so alpha / kappa is v itself
-    factored = all(is_unit(field.element(coords)) for coords in mv.vectors)
+    # basis kappa zeta^i, so alpha / kappa is v itself; v is a unit iff
+    # N(v conj(v)) = N(v)^2 = 1, and the multiples +-zeta^k v share v conj(v),
+    # so one norm per distinct v conj(v) decides them all
+    betas = {field.element(coords).times_conj().coords for coords in mv.vectors}
+    factored = all(field_norm(field.element(beta)) == 1 for beta in betas)
     tc = theta.theta_prefix(svp.craig_circulant(p - 1, r), THETA_CHECK_NORM, budget)
     gi = svp.gram_matrix(field, None, kappa, prec).scaled(Fraction(2, p))
     ti = theta.theta_prefix(gi, THETA_CHECK_NORM, budget)
@@ -373,6 +381,8 @@ def cmd_verify_craig(args) -> int:
 def _node_budget(text: str) -> int:
     """--budget value: a nonnegative node count."""
     if not text.isdigit():
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a nonnegative node count, got {text!r}")
     return int(text)
 
@@ -382,14 +392,16 @@ def _precision(text: str) -> PrecisionConfig:
     try:
         return PrecisionConfig(int(text))
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected an integer from {MIN_BITS} to {MAX_BITS} bits, got {text!r}"
         ) from exc
 
 
-def _flag(*names: str, **keywords) -> tuple:
-    """One flag of _FLAG_SETS: its names and add_argument keywords."""
-    return names, keywords
+def _flag(name: str, **keywords) -> tuple:
+    """One flag of _FLAG_SETS: its name and add_argument keywords."""
+    return name, keywords
 
 
 _CYCLOTOMIC = _flag("--cyclotomic", type=int, metavar="N", help="cyclotomic conductor")
@@ -439,20 +451,97 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give parser the flags that command name's cmd_* reads, and no
-    others, so a flag the command would ignore exits 2."""
+def _command_flags(name: str) -> dict:
+    """Flag name -> (add_argument keywords, its set) for command name."""
+    return {flag: (keywords, key) for key in _COMMANDS[name][2] for flag, keywords in _FLAG_SETS[key]}
+
+
+def _is_value(token: str, flags: dict) -> bool:
+    """Whether token, after a flag that takes a value, is that value: any
+    token but a flag name of the command, -h or one starting with --, so
+    that -1,1,0,0 and -1/2 are values."""
+    return token not in flags and token != "-h" and not token.startswith("--")
+
+
+def _read_argv(argv: list):
+    """A namespace with the attributes argparse gives a plain, valid
+    command line, built from the flag table alone: exact flag names of the command, each at
+    most once and at most one of each exclusive set, each value flag
+    followed by its value (_is_value), every required flag present and
+    every type conversion succeeding.  None for any other line (help, an
+    abbreviation, --flag=value, a repeat, a conflict, a positional, --, a
+    bad value, a missing flag), which argparse then reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name, flags, given = argv[0], _command_flags(argv[0]), {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags or token in given:
+            return None
+        if "action" in flags[token][0]:  # store_true, the table's one action
+            given[token] = True
+            continue
+        value = next(tokens, None)
+        if value is None or not _is_value(value, flags):
+            return None
+        given[token] = value
+    sets = [key for flag, (_, key) in flags.items() if flag in given and key in _EXCLUSIVE]
+    if len(sets) != len(set(sets)):
+        return None
+    args = {"command": name, "func": _COMMANDS[name][1]}
+    for flag, (keywords, _) in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if "action" in keywords else None)
+        if isinstance(value, str) and "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except Exception:  # argparse reads the line again and reports it
+                return None
+        args[keywords.get("dest", flag.lstrip("-").replace("-", "_"))] = value
+    return SimpleNamespace(**args)
+
+
+def _joined(name: str, tokens: list) -> list:
+    """tokens with each value flag of command name and a value that starts
+    with - (_is_value) joined as --flag=value or -fvalue, which argparse
+    reads as that value; a bare value there would read as a flag."""
+    flags, out, i = _command_flags(name), [], 0
+    while i < len(tokens) and tokens[i] != "--":
+        token, value = tokens[i], tokens[i + 1] if i + 1 < len(tokens) else ""
+        if (
+            token in flags
+            and "action" not in flags[token][0]
+            and value.startswith("-")
+            and _is_value(value, flags)
+        ):
+            out.append(f"{token}={value}" if token.startswith("--") else token + value)
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out + tokens[i:]
+
+
+def _add_command(parser, name: str):
+    """Give argparse parser the flags that command name's cmd_* reads, and
+    no others, so a flag the command would ignore exits 2."""
     parser.set_defaults(command=name, func=_COMMANDS[name][1])
     for key in _COMMANDS[name][2]:
         target = parser.add_mutually_exclusive_group() if key in _EXCLUSIVE else parser
-        for names, keywords in _FLAG_SETS[key]:
-            target.add_argument(*names, **keywords)
+        for flag, keywords in _FLAG_SETS[key]:
+            target.add_argument(flag, **keywords)
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, for the top-level help and for a
-    missing or unknown command."""
+def _build_parser():
+    """The argparse parser of every command, for the top-level help and
+    for a missing or unknown command."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="cmsvp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
@@ -460,14 +549,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list):
+    """argparse's reading of argv, which prints help, usage and errors
+    and exits: the running command's parser alone when argv[0] names a
+    command (its errors start "cmsvp <name>:"), else every command's."""
+    if argv and argv[0] in _COMMANDS:
+        import argparse
+
+        parser = _add_command(argparse.ArgumentParser(prog=f"cmsvp {argv[0]}"), argv[0])
+        return parser.parse_args(_joined(argv[0], argv[1:]))
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the command that argv (default sys.argv[1:]) names and return
+    its exit code; a line the flag table cannot read alone goes to
+    argparse, which exits 0 after help and 2 on a bad line."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        # only the running command's parser: its errors start "cmsvp <name>:"
-        args = _add_command(argparse.ArgumentParser(prog=f"cmsvp {argv[0]}"), argv[0]).parse_args(argv[1:])
-    else:
-        args = _build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -210,26 +210,29 @@ def _floor_form(g: GramMatrix) -> lattice.Reduced:
     """
     if g.exact:
         return lattice.reduce(g.rows())
-    mids = {e: e.mid for e in {e for row in g.entries for e in row}}
+    # keyed by identity: the Toeplitz entries are shared objects, and hashing
+    # a RealInterval hashes its ~130-bit Fractions (a modular inverse each)
+    distinct = {id(e): e for row in g.entries for e in row}
+    mids = {k: e.mid for k, e in distinct.items()}
     finest = max(m.denominator for m in mids.values()).bit_length()
     bits = QUANTIZE_BITS
     while True:
         try:
-            return lattice.reduce(_quantized_floor_form(g, mids, bits))
+            return lattice.reduce(_quantized_floor_form(g, distinct, mids, bits))
         except NotPositiveDefiniteError:
             if bits >= finest:
                 raise
             bits *= 2
 
 
-def _quantized_floor_form(g: GramMatrix, mids: dict, bits: int):
-    """The lower form at 2^-bits, given the midpoint of each distinct
-    entry."""
+def _quantized_floor_form(g: GramMatrix, distinct: dict, mids: dict, bits: int):
+    """The lower form at 2^-bits, given each distinct entry and its
+    midpoint by the entry's id."""
     d = g.dimension
     q = 1 << bits
-    quantized = {e: Fraction(round(m * q), q) for e, m in mids.items()}
-    eps = max(max(e.hi - m, m - e.lo) for e, m in quantized.items())
-    out = [[quantized[e] for e in row] for row in g.entries]
+    quantized = {k: Fraction(round(m * q), q) for k, m in mids.items()}
+    eps = max(max(distinct[k].hi - m, m - distinct[k].lo) for k, m in quantized.items())
+    out = [[quantized[id(e)] for e in row] for row in g.entries]
     for i in range(d):
         out[i][i] -= d * eps
     return out

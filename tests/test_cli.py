@@ -1,15 +1,21 @@
 """Exit-code contract, JSON schema, and byte determinism of the CLI."""
 
 import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmsvp import cli
 from cmsvp.field import CMField
@@ -356,7 +362,8 @@ COMMANDS = {
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, monkeypatch, capsys):
     """A flag the command reads parses, in main, to the namespace the
-    parser of every command gives, and main builds one parser for it; any
+    parser of every command gives, and main builds no parser for it unless
+    it repeats a flag of base, which the command's own parser reads; any
     other flag exits 2 from the command's own parser."""
     base, reads = COMMANDS[command]
     argv = [command, *base, flag, *FORMERLY_COMMON[flag]]
@@ -376,7 +383,7 @@ def test_each_command_accepts_exactly_the_flags_it_reads(command, flag, monkeypa
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert cli.main(argv) == 0
-        assert parsed == [full] and built == [f"cmsvp {command}"]
+        assert parsed == [full] and built == ([f"cmsvp {command}"] if flag in base else [])
         return
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -461,3 +468,151 @@ def test_json_output_formats_no_text_line(command, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_fmt_mu", refuse)
     assert cli.main(command.split() + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out)["schema"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# the flag-table reader and its argparse fallback
+
+# values the reader takes after a value flag; some fail the flag's type
+PLAIN_VALUES = [
+    "5", "7", " 7", "0", "-5", "256", "10", "8192", "1000", "1,2", "-1,2", "1,1,0,0", "-1,1,0,0",
+    "1/2", "-1/2", "0..3", "4,1", "abc", "", "-", "-x",
+]
+# stray tokens: help, --, a positional, unknown flags and flags of other commands
+JUNK = ["--", "-h", "--help", "foo", "-x", "--nosuch", "--circulant", "--t", "-p", "--json"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line from the command's own flags, and whether it is
+    plain: exact flag names, each once, each value flag with a value."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = cli._command_flags(command)
+    names = sorted(flags)
+    required = [[f, "5"] for f in names if flags[f][0].get("required")] if draw(st.booleans()) else []
+    parts = [(True, tokens) for tokens in required]
+    mixed = draw(st.booleans())
+    kinds = ["plain", "equals", "abbrev", "bare", "flag-value", "junk"] if mixed else ["plain"]
+    for flag in draw(st.lists(st.sampled_from(names), max_size=5, unique=not mixed)):
+        takes_value = "action" not in flags[flag][0]
+        kind = draw(st.sampled_from(kinds))
+        value = draw(st.sampled_from(PLAIN_VALUES))
+        if kind == "plain":
+            parts.append((True, [flag, value] if takes_value else [flag]))
+        elif kind == "equals":
+            parts.append((False, [f"{flag}={value}" if flag.startswith("--") else flag + value]))
+        elif kind == "abbrev" and len(flag) > 3:
+            cut = draw(st.integers(3, len(flag) - 1))
+            parts.append((False, [flag[:cut], value] if takes_value else [flag[:cut]]))
+        elif kind == "bare" and takes_value:
+            parts.append((False, [flag]))
+        elif kind == "flag-value" and takes_value:
+            parts.append((False, [flag, draw(st.sampled_from(names + ["-h", "--json", "--nosuch"]))]))
+        else:
+            parts.append((False, [draw(st.sampled_from(JUNK))]))
+    order = draw(st.permutations(parts))
+    argv = [command] + [token for _, tokens in order for token in tokens]
+    named = [tokens[0] for _, tokens in order]
+    plain = all(ok for ok, _ in order) and len(named) == len(set(named))
+    return argv, plain
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_lines())
+def test_the_reader_and_argparse_agree(line):
+    """A namespace from the reader is the one argparse gives on the same
+    line (with its leading-minus values joined to their flags); a plain
+    line that argparse accepts, the reader accepts too."""
+    argv, plain = line
+    read = cli._read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._parse_args(argv))
+        except SystemExit:
+            parsed = None
+    if read is not None:
+        assert vars(read) == parsed, argv
+    elif plain:
+        assert parsed is None, argv
+
+
+def _benchmark_command_lines() -> list[list[str]]:
+    """Every command line of perfbench/workloads.py at every rotation, as
+    the benchmark runs it (with --json)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    specs = [op for ops in module.WORKLOADS.values() for op in ops]
+    assert len(specs) == 14
+    return [op.argv_for(r) + ["--json"] for op in specs for r in range(op.rotations)]
+
+
+def test_benchmark_command_lines_build_no_parser(monkeypatch):
+    parsed = []
+    for name, (help_text, _, sets) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, lambda args: parsed.append(vars(args)) or 0, sets))
+    built, real_init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    lines = _benchmark_command_lines()
+    for argv in lines:
+        assert cli.main(argv) == 0
+    assert built == []
+    assert parsed == [vars(cli._build_parser().parse_args(argv)) for argv in lines]
+
+
+@pytest.mark.parametrize(
+    "extra, loaded",
+    [([], "[]"), (["--json"], "['argparse', 'gettext', 'locale']")],
+)
+def test_a_valid_run_loads_no_argparse_gettext_or_locale(extra, loaded):
+    """A plain line never imports argparse, nor gettext and locale, which
+    its first message lookup imports; a repeated flag goes to argparse."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cmsvp.cli\n"
+        f"assert cmsvp.cli.main(['theta', '--circulant', '4,1', '--max-norm', '4', '--json', *{extra!r}]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
+
+
+@pytest.mark.parametrize("command", ["minima", "bound", "theta"])
+def test_a_value_with_a_leading_minus_reads_as_its_equals_form(command, capsys):
+    outputs = []
+    for gen in (["--ideal-gen", "-1,1,0,0"], ["--ideal-gen=-1,1,0,0"]):
+        assert cli.main([command, "--cyclotomic", "5", *gen, "--json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["minima", "--cyclotomic", "5", "--weights", "-1,2"], "weights must be positive"),
+        (["psi", "--cyclotomic", "5", "--t", "-1/2"], "t must be positive"),
+    ],
+)
+def test_a_negative_value_reaches_the_command(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_flag_after_a_value_flag_is_not_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minima", "--cyclotomic", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("cmsvp minima: error: argument --cyclotomic: expected one argument\n")
