@@ -25,7 +25,7 @@ MIN_BITS = 53
 # still finishes, in about 70 s on a 2-CPU x86-64 VM
 MAX_BITS = 4096
 # the most bits of exp(-pi t mu), mu the first shell, that a psi or theta
-# sum accepts; at it `psi --cyclotomic 5` takes 0.3 s on a 2-CPU x86-64 VM
+# sum accepts; at it `psi --cyclotomic 5` takes 0.2 s on a 2-CPU x86-64 VM
 MAX_EXPONENT_BITS = 150_000
 
 
@@ -217,20 +217,36 @@ ZERO = RealInterval.point(0)
 ONE = RealInterval.point(1)
 
 
+def _lowest(num: int, den: int) -> Fraction:
+    """num / den for coprime num and den > 0, built without the gcd that
+    Fraction's constructor takes, which on the dyadics of a psi sum at the
+    exponent limit, about 150,000 bits, costs milliseconds each."""
+    out = Fraction(0)
+    out._numerator, out._denominator = num, den
+    return out
+
+
+def _dyadic(num: int, shift: int) -> Fraction:
+    """num * 2^shift, in lowest terms by the trailing zeros of num."""
+    if shift >= 0:
+        return _lowest(num << shift, 1)
+    zeros = min(-shift, (num & -num).bit_length() - 1) if num else -shift
+    return _lowest(num >> zeros, 1 << (-shift - zeros))
+
+
+def _dyadic_sum(terms) -> Fraction:
+    """sum of m * 2^e over the (m, e) of terms, as one integer over the
+    smallest power of two."""
+    low = min((e for _, e in terms), default=0)
+    return _dyadic(sum(m << (e - low) for m, e in terms), low)
+
+
 def _exact_sum(xs: list[Fraction]) -> Fraction:
     """sum(xs), exactly.  The terms whose denominators are powers of two,
     as every leaf endpoint's are, add as integers over the largest such
-    power, with no gcd per term; any other term adds as a Fraction."""
-    shift = max((x.denominator.bit_length() - 1 for x in xs if x.denominator.bit_count() == 1), default=0)
-    num = 0
-    rest = Fraction(0)
-    for x in xs:
-        den = x.denominator
-        if den.bit_count() == 1:
-            num += x.numerator << (shift + 1 - den.bit_length())
-        else:
-            rest += x
-    return Fraction(num, 1 << shift) + rest
+    power, with no gcd; any other term adds as a Fraction."""
+    dyadic = [(x.numerator, 1 - x.denominator.bit_length()) for x in xs if x.denominator.bit_count() == 1]
+    return _dyadic_sum(dyadic) + sum((x for x in xs if x.denominator.bit_count() != 1), Fraction(0))
 
 
 def interval_sum(items) -> RealInterval:
@@ -257,11 +273,13 @@ def interval_max(items) -> RealInterval:
 
 
 def _from_mpi(x) -> RealInterval:
-    """The exact RealInterval of an mpmath.libmp interval (a, b)."""
+    """The exact RealInterval of an mpmath.libmp interval (a, b).  An mpf
+    is an odd mantissa times a power of two, or an integer, so the ratio
+    to_rational gives is in lowest terms already."""
     # int() strips gmpy2.mpz when mpmath runs on the gmpy backend; mpz-backed
     # Fractions break mixed arithmetic elsewhere
     (p, q), (r, s) = to_rational(x[0]), to_rational(x[1])
-    return RealInterval(Fraction(int(p), int(q)), Fraction(int(r), int(s)))
+    return RealInterval(_lowest(int(p), int(q)), _lowest(int(r), int(s)))
 
 
 def _int_point(n: int, bits: int):
@@ -295,10 +313,20 @@ def exp_interval(x, bits: int) -> RealInterval:
     return _increasing(mpf_exp, x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, bits)
 
 
-def exp_of_ratios(lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int) -> RealInterval:
-    """exp_interval of [lo_num / lo_den, hi_num / hi_den], denominators
-    positive, with no Fraction built or reduced on the way."""
-    return _increasing(mpf_exp, lo_num, lo_den, hi_num, hi_den, bits)
+def exp_sum(terms, bits: int) -> RealInterval:
+    """interval_sum(c * exp_interval([lo_num / lo_den, hi_num / hi_den]))
+    over the (c, lo_num, lo_den, hi_num, hi_den) of terms, counts c >= 0
+    and denominators positive, exactly, with no Fraction built or reduced
+    on the way: each end of mpf_exp stays a mantissa and an exponent, its
+    count multiplies the mantissa, and each end of the sum is one integer
+    over the smallest power of two."""
+    los, his = [], []
+    for c, lo_num, lo_den, hi_num, hi_den in terms:
+        _, m, e, _ = mpf_exp(from_rational(lo_num, lo_den, bits, round_floor), bits, round_floor)
+        los.append((c * int(m), e))
+        _, m, e, _ = mpf_exp(from_rational(hi_num, hi_den, bits, round_ceiling), bits, round_ceiling)
+        his.append((c * int(m), e))
+    return RealInterval(_dyadic_sum(los), _dyadic_sum(his))
 
 
 def log_interval(x, bits: int) -> RealInterval:

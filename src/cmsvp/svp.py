@@ -5,8 +5,11 @@ into a Gram matrix, and answers questions about short vectors exactly:
 
 - for equal rational weights the Gram is exact (half-trace form) and
   enumeration is exact integer arithmetic end to end;
-- for unequal or irrational weights the Gram has certified interval entries;
-  enumeration then runs on a rational lower form whose candidate set provably
+- for unequal or irrational weights the Gram is the exact one of a twisted
+  trace form Tr(omega a conj(a)), omega >> 0 in the real subfield, that
+  bounds the weighted norm from below up to a certified ratio r
+  (Bayer-Fluckiger, "Lattices and number fields", 1999); enumeration runs
+  on it in integers to the radius over r, so its candidate set provably
   contains every true short vector, and candidates are kept or discarded by
   certified interval evaluation, with exact algebraic tie-breaking.
 
@@ -25,7 +28,9 @@ from operator import mul
 
 from . import lattice
 from .embeddings import (
+    _cos_table,
     _log_sigma,
+    _sigma_numerators,
     _weight_numerators,
     _weighted_sum,
     normalize_weights,
@@ -34,7 +39,6 @@ from .embeddings import (
 from .errors import (
     InputError,
     NonPrimeConductorError,
-    NotPositiveDefiniteError,
     PrecisionError,
 )
 from .field import (
@@ -44,6 +48,7 @@ from .field import (
     exact_divide,
     field_norm,
     is_prime,
+    representatives,
     trace,
 )
 from .interval import (
@@ -59,27 +64,37 @@ from .interval import (
 )
 from .units import UnitBasis, fundamental_domain_vertices
 
-QUANTIZE_BITS = 24
+# the lower form's slack for unequal weights: omega's grid is fine enough
+# that each sigma_m(omega) is within DELTA/4 of w_m, relatively
+DELTA = Fraction(1, 1000)
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite Gram; exact rational or certified interval.
+    """Exact rational Gram of a positive-definite form, with its reduction.
 
-    Construction builds the rational lower form (see _floor_form) and
-    LLL-reduces it once into `reduction`, unless a reduction of the Gram
-    is passed in (as `scaled` does); the reduction certifies positive
-    definiteness, so a Gram that is not positive definite raises
+    For equal rational weights `entries` is the Gram of the weighted norm q
+    itself (`exact`).  For any other weights it is the Gram of the twisted
+    trace form q_omega(a) = Tr_K+(omega a conj(a)) of a totally positive
+    omega in K+ close to the weights (see _weight_element), and q >= ratio *
+    q_omega on every vector: a search for q <= R runs on q_omega <= R /
+    ratio, and psi's tail counts points through ratio times q_omega's
+    pivots.  `ratio` is 1 for an exact Gram.
+
+    Construction LLL-reduces the entries once into `reduction`, unless a
+    reduction is passed in (as `scaled` does); the reduction certifies
+    positive definiteness, so a Gram that is not positive definite raises
     NotPositiveDefiniteError here.  Every search on the Gram reuses it.
     """
 
-    entries: tuple[tuple, ...]
+    entries: tuple[tuple[Fraction, ...], ...]
     exact: bool
     reduction: lattice.Reduced | None = dataclasses.field(default=None, repr=False, compare=False)
+    ratio: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.reduction is None:
-            object.__setattr__(self, "reduction", _floor_form(self))
+            object.__setattr__(self, "reduction", lattice.reduce(self.rows()))
 
     @property
     def dimension(self) -> int:
@@ -89,15 +104,13 @@ class GramMatrix:
         return [list(r) for r in self.entries]
 
     def scaled(self, factor) -> "GramMatrix":
-        """factor times this Gram.  An exact Gram's reduction carries over
-        (lattice.Reduced.scaled)."""
+        """factor times this Gram, which bounds factor times the form by the
+        same ratio; the reduction carries over (lattice.Reduced.scaled)."""
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("scale factor must be positive")
-        if not self.exact:
-            return GramMatrix(tuple(tuple(e * factor for e in row) for row in self.entries), False)
         red = self.reduction.scaled(factor)
-        return GramMatrix(tuple(map(tuple, red.gram)), True, red)
+        return GramMatrix(tuple(map(tuple, red.gram)), self.exact, red, self.ratio)
 
 
 @dataclass(frozen=True)
@@ -158,84 +171,104 @@ def gram_matrix(
 ) -> GramMatrix:
     """Gram of the basis {kappa zeta^i} (or {zeta^i}) under the weighted norm.
 
-    Equal rational weights give exact entries w0 * Tr(kk~ zeta^(i-j)) / 2;
-    any other weights give certified interval entries.  Positive
-    definiteness is certified in both cases.
+    Equal rational weights give the exact entries w0 * Tr(kk~ zeta^(i-j)) /
+    2; any other weights give the exact lower form of GramMatrix, whose
+    weight element is certified at prec's bits.
     """
     ws = normalize_weights(field, w)
     return climb(prec, lambda cur: _gram(field, ws, kappa, cur))
 
 
 def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix:
-    """gram_matrix at prec's bits, for normalized weights ws."""
+    """gram_matrix at prec's bits, for normalized weights ws.
+
+    Both kinds are the twisted trace form of an omega = big / den with big
+    in Z[zeta]: entry (i, j) is Tr(omega kk~ zeta^(i-j)) / 2, so entry j
+    of the first row is Tr(big kk~ zeta^j) / (2 den).  Equal weights take
+    omega = w0 exactly."""
     if kappa is not None and kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
     d = field.degree
     kk = field.one() if kappa is None else kappa.times_conj()
-    if weights_are_equal_rational(ws):
-        w0 = ws[0]
-        t = [w0 * Fraction(trace(kk * field.zeta(j)), 2) for j in range(d)]
-        ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
-        return GramMatrix(ent, True)
-    wnum = _weight_numerators(ws)
-    # entry j is sum_m w_m sigma_m(kk (zeta^j + zeta^-j)) / 2
-    elems = [(kk * (field.zeta(j) + field.zeta(-j))).coords for j in range(d)]
-    t = [_weighted_sum(field.conductor, x, wnum, prec) * Fraction(1, 2) for x in elems]
+    exact = weights_are_equal_rational(ws)
+    if exact:
+        big, den, ratio = field.one() * ws[0].numerator, ws[0].denominator, Fraction(1)
+    else:
+        big, den, ratio = _weight_element(field, ws, prec)
+    x = big * kk
+    t = [Fraction(trace(x * field.zeta(j)), 2 * den) for j in range(d)]
     ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
-    try:
-        return GramMatrix(ent, False)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(
-            f"gram_matrix: interval Gram not certified positive definite at {prec.bits} bits"
-        ) from exc
+    return GramMatrix(ent, exact, ratio=ratio)
 
 
-def _floor_form(g: GramMatrix) -> lattice.Reduced:
-    """LLL-reduced rational lower form of a Gram; an exact Gram is its own.
+def _weight_element(field: CMField, ws: tuple, prec: PrecisionConfig) -> tuple[FieldElement, int, Fraction]:
+    """(big, den, r): omega = big / den in K+, big in Z[zeta] real, with
+    sigma_m(omega) > 0 and r sigma_m(omega) <= w_m for every m, certified
+    at prec's bits; an interval weight counts with its lower end.
 
-    Midpoints are quantized to QUANTIZE_BITS fractional bits, and the lower
-    form subtracts dim*eps from the diagonal, which dominates the symmetric
-    error matrix by Gershgorin.  Midpoints, quanta and eps are taken once
-    per distinct entry (d of the d^2 entries of a Gram from gram_matrix,
-    which is Toeplitz).  Only the off-diagonal entries stay on the
-    2^-bits grid: eps, the largest distance from a quantized midpoint to an
-    interval endpoint, carries the endpoints' own denominators onto the
-    diagonal, so the integral Gram of the lower form has the endpoints'
-    scale (at 128 bits, skewed psi at p = 11 descends with pivots d of up
-    to 1,325 bits).
-    When the Gram's smallest eigenvalue is below that slack (very skewed
-    weights), the lower form is not positive definite and the fractional
-    bits double, up to the bit length of the midpoints' own denominators,
-    past which a finer quantum cannot shrink eps any further.
+    omega = sum_j c_j theta_j on the basis theta_0 = 1, theta_j = zeta^j +
+    zeta^-j of O_K+, with c = C^-1 w rounded onto the 1/den grid (Babai's
+    rounding), C_mj = sigma_m(theta_j).  den is the least power of two
+    above 4k / (DELTA min w), so the rounding moves each sigma_m(omega) by
+    less than k / den <= DELTA w_m / 4, and r is at least 1 / (1 + DELTA /
+    4) up to the enclosures' width.  One sigma enclosure per embedding
+    certifies omega >> 0 and gives r, floored onto the 1/den^2 grid.  A
+    miss, an enclosure too wide for omega >> 0 and r >= 1 - DELTA, is a
+    precision miss: a finer grid scales the numerators and their
+    enclosures' width alike.
     """
-    if g.exact:
-        return lattice.reduce(g.rows())
-    # keyed by identity: the Toeplitz entries are shared objects, and hashing
-    # a RealInterval hashes its ~130-bit Fractions (a modular inverse each)
-    distinct = {id(e): e for row in g.entries for e in row}
-    mids = {k: e.mid for k, e in distinct.items()}
-    finest = max(m.denominator for m in mids.values()).bit_length()
-    bits = QUANTIZE_BITS
-    while True:
-        try:
-            return lattice.reduce(_quantized_floor_form(g, distinct, mids, bits))
-        except NotPositiveDefiniteError:
-            if bits >= finest:
-                raise
-            bits *= 2
+    n, k = field.conductor, field.k
+    lows = [w.lo if isinstance(w, RealInterval) else w for w in ws]
+    need = 4 * k / (DELTA * min(lows))
+    den = 1 << (need.numerator // need.denominator).bit_length()
+    nums = [round(x * den) for x in _cosine_solve(field, lows, den)]
+    # sigma_m(den omega) = nums_0 + sum_j 2 nums_j cos(2 pi j m / n)
+    sden, sums = _sigma_numerators(n, [nums[0]] + [2 * x for x in nums[1:]], prec.bits)
+    miss = PrecisionError(f"_weight_element: weight element not certified at {prec.bits} bits")
+    if not all(lo > 0 for lo, _ in sums):
+        raise miss
+    # w_m / sigma_m(omega) >= low_m den sden / hi_m
+    ratio = min(low * den * sden / hi for low, (_, hi) in zip(lows, sums))
+    if ratio < 1 - DELTA:
+        raise miss
+    grid = den * den
+    big = field.one() * nums[0]
+    for j in range(1, k):
+        big = big + (field.zeta(j) + field.zeta(-j)) * nums[j]
+    return big, den, Fraction(ratio.numerator * grid // ratio.denominator, grid)
 
 
-def _quantized_floor_form(g: GramMatrix, distinct: dict, mids: dict, bits: int):
-    """The lower form at 2^-bits, given each distinct entry and its
-    midpoint by the entry's id."""
-    d = g.dimension
-    q = 1 << bits
-    quantized = {k: Fraction(round(m * q), q) for k, m in mids.items()}
-    eps = max(max(distinct[k].hi - m, m - distinct[k].lo) for k, m in quantized.items())
-    out = [[quantized[id(e)] for e in row] for row in g.entries]
-    for i in range(d):
-        out[i][i] -= d * eps
-    return out
+def _cosine_solve(field: CMField, lows, den: int) -> list[Fraction]:
+    """c with C c = lows, C_mj = sigma_m(theta_j) = 2 cos(2 pi j m / n) for
+    j >= 1 and 1 for j = 0, off by far less than its grid 1/den.
+
+    c solves the normal equations T c = C^T lows, whose matrix T = C^T C
+    is the integer trace form Tr_K+(theta_i theta_j) of the basis, read off
+    the traces Tr(zeta^a) as theta_i theta_j = theta_(i+j) + theta_(i-j)
+    and Tr_K+(zeta^a + zeta^-a) = Tr(zeta^a); so only C^T lows is taken
+    on cosine midpoints, at bits that depend on the weights alone, and
+    every rung rounds the same c."""
+    n, k, zt = field.conductor, field.k, field._zeta_traces
+    top = max(lows)
+    bits = max(DEFAULT_PRECISION.bits, (den * k * k * (top.numerator // top.denominator + 1)).bit_length() + 64)
+    cden, cos_lo, cos_hi = _cos_table(n, bits)
+    reps = representatives(n)
+    rows = [[k] + [zt[j] for j in range(1, k)] + [sum(lows)]]
+    for i in range(1, k):
+        rhs = sum(low * (cos_lo[i * m % n] + cos_hi[i * m % n]) for m, low in zip(reps, lows)) / cden
+        rows.append([zt[i]] + [zt[i + j] + zt[abs(i - j)] for j in range(1, k)] + [rhs])
+    # Gauss-Jordan; T is the trace form of a basis, so it is invertible
+    for col in range(k):
+        piv = next(i for i in range(col, k) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        head = rows[col]
+        inv = Fraction(1, head[col])
+        head[:] = [x * inv for x in head]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                f = row[col]
+                row[:] = [x - f * y for x, y in zip(row, head)]
+    return [row[k] for row in rows]
 
 
 def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fraction:
@@ -352,17 +385,26 @@ def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     return groups, nodes
 
 
-def superset_search(field, ws, kappa, red, radius, prec, budget):
+def _on_grid(radius: Fraction, s: int) -> Fraction:
+    """radius floored onto the 1/s grid: a form with values in (1/s)Z has
+    the same vectors within both."""
+    return Fraction(radius.numerator * s // radius.denominator, s)
+
+
+def superset_search(field, ws, kappa, g: GramMatrix, radius, prec, budget):
     """({beta: (weighted norm enclosure, members)}, nodes) over every
-    vector of the reduced lower form `red` within `radius`, grouped by the
-    exact value beta = alpha*conj(alpha).  As the lower form bounds the form
-    from below, the groups hold every vector of weighted norm <= radius; the
-    norm depends on alpha only through beta, so one weighted sum of beta's
-    sigmas, over weight numerators taken once per search, certifies each
-    group.  Members are one vector of each +-alpha pair, as both have the
-    same beta: a group stands for twice as many vectors.  They are reduced
-    coordinates (see _beta_groups)."""
-    groups, nodes = _beta_groups(field, kappa, red, radius, budget)
+    vector of the Gram g's lower form within radius / g.ratio, grouped by
+    the exact value beta = alpha*conj(alpha).  As the form is at least
+    g.ratio times its lower form, the groups hold every vector of weighted
+    norm <= radius; the lower form takes values in (1/s)Z, s the scale of
+    its reduction, so the descent runs to radius / g.ratio floored onto
+    that grid.  The norm depends on alpha only through beta, so one
+    weighted sum of beta's sigmas, over weight numerators taken once per
+    search, certifies each group.  Members are one vector of each +-alpha
+    pair, as both have the same beta: a group stands for twice as many
+    vectors.  They are reduced coordinates (see _beta_groups)."""
+    red = g.reduction
+    groups, nodes = _beta_groups(field, kappa, red, _on_grid(Fraction(radius) / g.ratio, red.s), budget)
     n, wnum = field.conductor, _weight_numerators(ws)
     return {
         beta: (_weighted_sum(n, beta.coords, wnum, prec), members)
@@ -370,12 +412,13 @@ def superset_search(field, ws, kappa, red, radius, prec, budget):
     }, nodes
 
 
-def _interval_minimum(field, ws, kappa, red, prec, budget):
-    """Minimum cluster for interval weights on the reduction `red` of their
-    Gram at prec's bits: the superset search from the best reduced basis
-    vector's norm, kept when one group separates."""
+def _interval_minimum(field, ws, kappa, g: GramMatrix, prec, budget):
+    """Minimum cluster for unequal weights on their Gram g at prec's bits:
+    the superset search from the best reduced basis vector's norm, kept
+    when one group separates."""
+    red = g.reduction
     radius = basis_minimum(field, ws, kappa, red.u, prec)
-    groups, nodes = superset_search(field, ws, kappa, red, radius, prec, budget)
+    groups, nodes = superset_search(field, ws, kappa, g, radius, prec, budget)
     m_hi = min(v.hi for v, _ in groups.values())
     alive = [(v, c) for v, c in groups.values() if v.lo <= m_hi]
     if len(alive) != 1:
@@ -413,7 +456,7 @@ def _minimal_vectors(field, ws, kappa, g: GramMatrix, prec, budget) -> ShortVect
     if g.exact:
         mu, mins, radius, nodes = lattice.minimum_shell(g.reduction, budget)
         return ShortVectorSet(mu, tuple(mins), radius, nodes)
-    return ShortVectorSet(*_interval_minimum(field, ws, kappa, g.reduction, prec, budget))
+    return ShortVectorSet(*_interval_minimum(field, ws, kappa, g, prec, budget))
 
 
 def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
@@ -549,8 +592,7 @@ def characteristic_set_E(
     # q(v) is a multiple of 1/s, s the lcm of the reduced Gram's
     # denominators, so the radius floored onto that grid lists the same
     # vectors, and the descent's integers lose the root's long denominator
-    s = red.s
-    radius = Fraction(radius.numerator * s // radius.denominator, s)
+    radius = _on_grid(radius, red.s)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair

@@ -5,8 +5,9 @@ positive weights x and parameter t > 0 it is the sum of exp(-pi t q(alpha))
 over all alpha in O_F, q the weighted norm.  Truncation at radius R leaves a
 tail that is bounded by a geometric comparison: the number of lattice points
 with q <= s is at most (2 sqrt(s/delta) + 1)^d for the smallest LDL pivot
-delta of a reduced Gram, and for R >= delta with R + 1 >= d/(pi t) the slab
-sums telescope into
+delta of a reduced Gram of q, or r times that of a lower form q_omega with
+q >= r q_omega, and for R >= delta with R + 1 >= d/(pi t) the slab sums
+telescope into
 
     tail(R) <= 3^d ((R+1)/delta)^(d/2) e^(-pi t R) / (1 - e^(-pi t / 2)).
 
@@ -21,7 +22,7 @@ from math import lcm, log
 
 from . import lattice
 from .embeddings import normalize_weights, weights_are_equal_rational
-from .errors import BudgetExceededError, InputError, PrecisionError, SelfTestError
+from .errors import BudgetExceededError, InputError, SelfTestError
 from .field import CMField
 from .interval import (
     DEFAULT_PRECISION,
@@ -30,9 +31,8 @@ from .interval import (
     RealInterval,
     climb,
     exp_interval,
-    exp_of_ratios,
+    exp_sum,
     interval_json,
-    interval_sum,
     log_interval,
     pi_interval,
     root_interval,
@@ -134,7 +134,9 @@ def _tail_bound(
     top = Fraction(3**dim) * poly * e_main
     slab = 1 - e_half
     if slab.contains_zero():
-        raise PrecisionError(f"_tail_bound: 1 - exp(-pi t/2) contains 0 at {bits} bits")
+        # e^x >= 1 + x, so 1 - e^-x >= x / (1 + x) for x = pi t / 2
+        x = pi.lo * t / 2
+        slab = RealInterval(x / (1 + x), slab.hi)
     return top / slab
 
 
@@ -190,28 +192,29 @@ def _pi_t(t: Fraction, bits: int) -> tuple[int, int, int, int]:
     )
 
 
-def _term(q, pi_t: tuple[int, int, int, int], bits: int) -> RealInterval:
-    """exp(-pi t q) for a value q > 0, or an enclosure q of one, given
-    pi_t = _pi_t(t, bits), computed once per sum.  The exponent's ends are
-    those of -(pi t * q) in interval arithmetic, as unreduced integer
-    ratios: the lower end -(pi t)_hi q_hi, the upper -(pi t)_lo q_lo, or
-    -(pi t)_hi q_lo where q_lo < 0."""
+def _exponent(q, pi_t: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The ends of -pi t q for a value q >= 0, or an enclosure q of one,
+    given pi_t = _pi_t(t, bits), as unreduced integer ratios (lo_num,
+    lo_den, hi_num, hi_den): in interval arithmetic the lower end is
+    -(pi t)_hi q_hi, the upper -(pi t)_lo q_lo, or -(pi t)_hi q_lo where
+    q_lo < 0."""
     if isinstance(q, RealInterval):
         q_lo, q_hi = q.lo, q.hi
     elif q == 0:
-        return RealInterval.point(1)
+        return 0, 1, 0, 1
     else:
         q_lo = q_hi = q
     lo_num, lo_den, hi_num, hi_den = pi_t
     if q_lo < 0:
         lo_num, lo_den = hi_num, hi_den
-    return exp_of_ratios(
-        -hi_num * q_hi.numerator,
-        hi_den * q_hi.denominator,
-        -lo_num * q_lo.numerator,
-        lo_den * q_lo.denominator,
-        bits,
-    )
+    return -hi_num * q_hi.numerator, hi_den * q_hi.denominator, -lo_num * q_lo.numerator, lo_den * q_lo.denominator
+
+
+def _shell_sum(shells, t: Fraction, bits: int) -> RealInterval:
+    """Enclosure of the sum of c exp(-pi t q) over the (q, c) of shells,
+    with pi t taken once per sum (see _exponent)."""
+    pi_t = _pi_t(t, bits)
+    return exp_sum(((c, *_exponent(q, pi_t)) for q, c in shells), bits)
 
 
 def theta_sum(
@@ -239,9 +242,11 @@ def psi_truncated(
     """Certified truncation of psi at z_j = t i x_j.
 
     Equal rational weights reduce to the exact theta sum of the O_F Gram,
-    at prec's bits; general weights run the superset search on the rational
-    lower form and evaluate each algebraic orbit by certified intervals, and
-    the whole sample climbs the precision ladder.
+    at prec's bits; general weights run the superset search on the exact
+    lower form q_omega of their Gram (see svp.GramMatrix), whose pivots
+    times the Gram's ratio bound the tail, and evaluate each algebraic
+    orbit by certified intervals, and the whole sample climbs the precision
+    ladder.
     """
     ws = normalize_weights(field, w)
     t = Fraction(t)
@@ -258,17 +263,15 @@ def _psi_sample(field, ws, g: GramMatrix, t: Fraction, prec, budget) -> PsiSampl
     may be None), over its theta counts rather than superset groups."""
     bits = prec.bits
     red = g.reduction
-    delta = _pivot_floor(red)
+    delta = g.ratio * _pivot_floor(red)
     mu_ub = red.min_diagonal() if g.exact else basis_minimum(field, ws, None, red.u, prec)
     radius, tail = _grow_radius(g.dimension, delta, mu_ub, t, bits, budget)
     if g.exact:
         shells = lattice.theta_counts(red, radius, budget)
     else:
-        groups, _ = superset_search(field, ws, None, red, radius, prec, budget)
+        groups, _ = superset_search(field, ws, None, g, radius, prec, budget)
         shells = [(0, 1), *((v, 2 * len(c)) for v, c in groups.values())]
-    pi_t = _pi_t(t, bits)
-    value = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in shells)
-    return PsiSample(ws, t, radius, value, tail)
+    return PsiSample(ws, t, radius, _shell_sum(shells, t, bits), tail)
 
 
 def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
@@ -276,14 +279,14 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
     on g, the Gram of O_F under the weights ws: (list of (value lower end,
     count) beyond the minimum, cutoff, pivot)."""
     red = g.reduction
-    delta = _pivot_floor(red)
+    delta = g.ratio * _pivot_floor(red)
     if not isinstance(mv.mu, RealInterval):
         cutoff = 3 * mv.mu
         shells = lattice.theta_counts(red, cutoff, budget)
         beyond = [(Fraction(q), c) for q, c in shells if q > mv.mu]
         return beyond, cutoff, delta
     cutoff = 3 * mv.mu.hi
-    groups, _ = superset_search(field, ws, None, red, cutoff, prec, budget)
+    groups, _ = superset_search(field, ws, None, g, cutoff, prec, budget)
     a0 = field.element(mv.vectors[0])
     beta0 = a0.times_conj()
     beyond = [(v.lo, 2 * len(c)) for b, (v, c) in groups.items() if b != beta0]
@@ -291,8 +294,7 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
 
 
 def _excess_upper(beyond, cutoff, delta, dim, t, bits) -> Fraction:
-    pi_t = _pi_t(t, bits)
-    total = interval_sum(Fraction(c) * _term(q, pi_t, bits) for q, c in beyond)
+    total = _shell_sum(beyond, t, bits)
     tail = _tail_bound(dim, delta, cutoff, t, bits)
     return (total + tail).hi
 

@@ -3,21 +3,27 @@ division oracle, mpmath's interval context as the oracle of the irrational
 leaves, an exhaustive box-search oracle, node-by-node references for the
 half-space descent and the map back through U, adapters between the
 descent's leaf record and coordinate lists, Fraction views of the package's
-integer records, and the acceptance summary printed after the run."""
+integer records, the quantized interval lower form as the oracle of the
+exact lower form of unequal weights, perfbench's check of the benchmark's
+reference outputs, and the acceptance summary printed after the run."""
 
 import functools
+import importlib
+import json
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, log
 from operator import mul
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
-from cmsvp import lattice
-from cmsvp.embeddings import _as_intervals, _certified_numerators
+from cmsvp import lattice, svp, theta
+from cmsvp.embeddings import _as_intervals, _certified_numerators, _weight_numerators, _weighted_sum
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.field import CMField, mult_matrix
 from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb
@@ -300,6 +306,122 @@ def reference_basis_map(u):
     coordinate sum at a time: coords -> coords . U."""
     u_cols = list(zip(*u))
     return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
+
+
+# ---------------------------------------------------------------------------
+# the quantized interval lower form that unequal weights searched before the
+# exact twisted trace form: the oracle of svp's lower form
+
+ORACLE_QUANTIZE_BITS = 24
+
+
+def interval_gram_entries(field, ws, kappa, prec=DEFAULT_PRECISION):
+    """The certified interval Gram of the weights ws on {kappa zeta^i} at
+    prec's bits: entry j is sum_m w_m sigma_m(kk (zeta^j + zeta^-j)) / 2,
+    one integer weighted sum per distinct entry, shared by the Toeplitz
+    rows."""
+    d = field.degree
+    kk = field.one() if kappa is None else kappa.times_conj()
+    wnum = _weight_numerators(ws)
+    elems = [(kk * (field.zeta(j) + field.zeta(-j))).coords for j in range(d)]
+    t = [_weighted_sum(field.conductor, x, wnum, prec) * Fraction(1, 2) for x in elems]
+    return tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
+
+
+def quantized_floor_form(entries) -> tuple[lattice.Reduced, int]:
+    """(reduction, bits) of the rational lower form of an interval Gram:
+    midpoints quantized to 2^-bits, dim * eps off the diagonal for eps the
+    largest distance from a quantized midpoint to an endpoint of its entry
+    (Gershgorin), taken once per distinct entry object.  The bits start at
+    ORACLE_QUANTIZE_BITS and double while the form is not positive
+    definite, up to the bit length of the midpoints' own denominators."""
+    d = len(entries)
+    distinct = {id(e): e for row in entries for e in row}
+    mids = {k: e.mid for k, e in distinct.items()}
+    finest = max(m.denominator for m in mids.values()).bit_length()
+    bits = ORACLE_QUANTIZE_BITS
+    while True:
+        q = 1 << bits
+        quantized = {k: Fraction(round(m * q), q) for k, m in mids.items()}
+        eps = max(max(distinct[k].hi - m, m - distinct[k].lo) for k, m in quantized.items())
+        low = [[quantized[id(e)] for e in row] for row in entries]
+        for i in range(d):
+            low[i][i] -= d * eps
+        try:
+            return lattice.reduce(low), bits
+        except NotPositiveDefiniteError:
+            if bits >= finest:
+                raise
+            bits *= 2
+
+
+def interval_lower_form(field, ws, kappa, prec=DEFAULT_PRECISION):
+    """The oracle's Gram at prec's bits: its quantized lower form, which
+    bounds the weighted norm from below with ratio 1."""
+    red, _ = quantized_floor_form(interval_gram_entries(field, ws, kappa, prec))
+    return svp.GramMatrix(tuple(map(tuple, red.gram)), False, red)
+
+
+def oracle_minimal_vectors(field, ws, kappa=None, prec=DEFAULT_PRECISION, budget=lattice.DEFAULT_BUDGET):
+    """svp.minimal_vectors of unequal weights on the oracle's lower form."""
+    return climb(
+        prec, lambda cur: svp._minimal_vectors(field, ws, kappa, interval_lower_form(field, ws, kappa, cur), cur, budget)
+    )
+
+
+def oracle_psi(field, ws, t, prec=DEFAULT_PRECISION, budget=lattice.DEFAULT_BUDGET):
+    """theta.psi_truncated of unequal weights on the oracle's lower form."""
+    t = Fraction(t)
+    return climb(prec, lambda cur: theta._psi_sample(field, ws, interval_lower_form(field, ws, None, cur), t, cur, budget))
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's reference outputs, checked by perfbench's own code
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK_REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_modules():
+    """perfbench's refcheck and workloads modules, imported from its
+    directory, which stays off sys.path afterwards."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("refcheck"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def _enclosure_width(payload) -> Fraction:
+    value, tail = payload["value"], payload["tail"]
+    return Fraction(value["hi"]) + Fraction(tail["hi"]) - Fraction(value["lo"]) - Fraction(tail["lo"])
+
+
+def reference_mismatches(spec, rotation: int, rc: int, out: str) -> list[str]:
+    """perfbench's semantic check of a benchmark operation's --json output
+    at a rotation against its stored reference, plus exact count and
+    vectors, mu's bytes at rotation 0, whose output the reference stores,
+    and for psi an enclosure at most 1.001 times as wide as the
+    reference's."""
+    refcheck, _ = perfbench_modules()
+    ref = BENCHMARK_REFERENCE[spec.key]
+    want = refcheck.rotate_reference(ref["json"], spec.p, spec.weights, rotation)
+    errors = refcheck.compare({"rc": ref["rc"], "json": want}, rc, json.loads(out) if out else None)
+    if errors:
+        return errors
+    got = json.loads(out)
+    exact = ("count", "vectors", "mu") if rotation == 0 else ("count", "vectors")
+    errors += [f"{key}: {got[key]!r} != {want[key]!r}" for key in exact if got.get(key) != want.get(key)]
+    if "tail" in want and _enclosure_width(got) > Fraction(1001, 1000) * _enclosure_width(want):
+        errors.append(f"enclosure width {float(_enclosure_width(got)):.6g} above 1.001 times the reference's")
+    return errors
+
+
+def benchmark_spec(command: str):
+    """The benchmark operation whose rotation-0 command line is command."""
+    _, workloads = perfbench_modules()
+    return next(spec for specs in workloads.WORKLOADS.values() for spec in specs if spec.key == command)
 
 
 @pytest.fixture(scope="session")

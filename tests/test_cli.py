@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmsvp import cli
+from cmsvp import cli, interval, theta
 from cmsvp.field import CMField
 from cmsvp.interval import RealInterval
 from cmsvp.units import cyclotomic_unit_basis
@@ -311,13 +311,24 @@ def test_closed_stdout_exits_141_without_a_traceback(fmt):
     assert err == ""
 
 
-def test_psi_with_a_tiny_t_fails_on_precision_without_a_traceback():
+@pytest.mark.parametrize("weights", [[], ["--weights", "1,2"]], ids=["equal", "skewed"])
+def test_psi_with_a_tiny_t_refuses_on_budget_at_128_bits(weights, monkeypatch):
     """At 128 bits 1 - exp(-pi t/2) contains 0 for t = 1e-300; the tail
-    bound reports that as a precision failure."""
-    proc = run_cli("psi", "--cyclotomic", "5", "--t", "1e-300")
-    assert proc.returncode == 3
-    assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert "_tail_bound" in proc.stderr and "128 bits" in proc.stderr
+    bound takes the exact lower end x / (1 + x), x = pi t / 2, instead,
+    and the descent is refused on its node estimate, with no climb."""
+    rungs = []
+    real_climb = interval.climb
+
+    def recording(prec, attempt):
+        return real_climb(prec, lambda cur: rungs.append(cur.bits) or attempt(cur))
+
+    monkeypatch.setattr(theta, "climb", recording)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["psi", "--cyclotomic", "5", "--t", "1e-300", *weights])
+    assert rc == 4 and out.getvalue() == ""
+    assert err.getvalue().startswith("budget exceeded: enumeration refused before it started")
+    assert rungs == ([128] if weights else [])
 
 
 @pytest.mark.parametrize("flag", [["--ideal-exp", "2"], ["--ideal-gen", "1,1,0,0"]])
@@ -435,7 +446,9 @@ def test_bad_budget_exits_2(budget):
 
 
 # sha256 of each command's text output, as printed before the text lines
-# were built lazily; the p = 11 verify-craig run is the Inconclusive path
+# were built lazily; the p = 11 verify-craig run is the Inconclusive path.
+# The skewed psi run has no digest: its tail digits come from the lower
+# form, and test_skewed_psi_text_keeps_the_pinned_enclosure checks it
 TEXT_OUTPUTS = [
     ("bound --cyclotomic 5", "7285a8fef8f00226fbc30736c910e7065a34755cff9bc9b5e3448eb8711cce45"),
     ("bound --cyclotomic 7 --ideal-exp 1", "7c1da3550d593c91cd85bd45f36a568c139bf8799600492a46669045ad47b016"),
@@ -444,16 +457,41 @@ TEXT_OUTPUTS = [
     ("set-e --cyclotomic 7", "5af9db34a5cffaf40b1addfaeb06774f51d0ccf9c7713ab7b28b1fa1e95aad4b"),
     ("theta --circulant 4,1 --max-norm 8", "cab1424871388cb83e7b8d0f5feea2341989a7ff0f40902cec0ba11f44c450a7"),
     ("psi --cyclotomic 5 --t 1", "f7eb679d707f728b8b0c6a1719b81766e392ca264acf99bc6fe53f94a9c1c927"),
-    ("psi --cyclotomic 7 --t 1 --weights 1,2,3", "3d07ff159b29fc450e3999a7c7d0ccb65f3d8144cb4dad699ea8514974bc4aa0"),
+    ("psi --cyclotomic 7 --t 1 --weights 1,2,3", None),
     ("verify-craig -p 5 -r 0..2", "4bffd7aa20e65c3a4888809391cae8bc20836a60f3d977375f8cbdf6c02e3884"),
     ("verify-craig -p 11 -r 0..1", "19c31fb9fd42c487811c47da82646b5ecfa60a817c6daf9528f181b36d61bc83"),
 ]
 
 
-@pytest.mark.parametrize("command, digest", TEXT_OUTPUTS)
+@pytest.mark.parametrize("command, digest", [(c, d) for c, d in TEXT_OUTPUTS if d])
 def test_text_output_bytes_are_pinned(command, digest, capsys):
     assert cli.main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# the enclosure that psi --cyclotomic 7 --t 1 --weights 1,2,3 printed on the
+# quantized interval lower form
+SKEW7_PSI_T1 = (
+    Fraction("1.0000000963775020928299429918180391552255"),
+    Fraction("1.0000000963775020928299429918180935582208"),
+)
+
+
+def test_skewed_psi_text_keeps_the_pinned_enclosure(capsys):
+    """The text lines of a skewed psi run: t and its truncation radius, the
+    value, a tail from 0, and an enclosure that overlaps the one pinned on
+    the quantized interval lower form and is at most 1.001 times as wide;
+    value + tail is the enclosure."""
+    assert cli.main("psi --cyclotomic 7 --t 1 --weights 1,2,3".split()) == 0
+    head, value, tail, enclosure = capsys.readouterr().out.splitlines()
+    assert head.startswith("t 1  truncation radius ")
+    lo, hi = (Fraction(x) for x in enclosure.removeprefix("enclosure [").removesuffix("]").split(", "))
+    v_lo, v_hi = (Fraction(x) for x in value.removeprefix("value [").removesuffix("]").split(", "))
+    t_hi = Fraction(tail.removeprefix("tail  [0, ").removesuffix("]"))
+    assert lo == v_lo and v_hi + t_hi - Fraction(1, 10**40) <= hi <= v_hi + t_hi + Fraction(1, 10**40)
+    pin_lo, pin_hi = SKEW7_PSI_T1
+    assert lo <= pin_hi and pin_lo <= hi
+    assert hi - lo <= Fraction(1001, 1000) * (pin_hi - pin_lo)
 
 
 @pytest.mark.parametrize("command", [c for c, _ in TEXT_OUTPUTS])

@@ -1,6 +1,7 @@
 """Interval arithmetic: containment is preserved by every operation."""
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -17,7 +18,7 @@ from cmsvp.interval import (
     det_cofactor,
     det_interval,
     exp_interval,
-    exp_of_ratios,
+    exp_sum,
     interval_json,
     interval_max,
     interval_prod,
@@ -141,13 +142,14 @@ leaf_rationals = st.one_of(
     c=st.integers(min_value=1, max_value=99),
 )
 def test_exp_log_and_root_equal_the_interval_context(bits, a, b, k, c):
-    """exp_interval, exp_of_ratios (on ratios left unreduced by a factor c),
-    log_interval and root_interval give the interval context's endpoints."""
+    """exp_interval, exp_sum of one term (on ratios left unreduced by a
+    factor c), log_interval and root_interval give the interval context's
+    endpoints."""
     x = RealInterval(min(a, b), max(a, b))
     want = context_exp(x, bits)
     assert exp_interval(x, bits) == want
     lo, hi = x.lo, x.hi
-    assert exp_of_ratios(c * lo.numerator, c * lo.denominator, c * hi.numerator, c * hi.denominator, bits) == want
+    assert exp_sum([(1, c * lo.numerator, c * lo.denominator, c * hi.numerator, c * hi.denominator)], bits) == want
     assume(a and b)
     pos = RealInterval(min(abs(a), abs(b)), max(abs(a), abs(b)))
     assert log_interval(pos, bits) == context_log(pos, bits)
@@ -353,3 +355,27 @@ def test_adjugate_solve_encloses_the_exact_solution(system):
     # each row expands to the determinant
     for i, row in enumerate(rows):
         assert interval_sum(a * c for a, c in zip(row, cofactors[i])).overlaps(det)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    terms=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), leaf_rationals, leaf_rationals), min_size=0, max_size=8
+    ),
+    scale=st.sampled_from([1, 2**40, 3**30]),
+)
+def test_exp_sum_equals_the_interval_sum_of_counted_exponentials(bits, terms, scale):
+    """exp_sum's mantissa-and-shift sum is interval_sum(c * exp_interval)
+    exactly, Fraction for Fraction, with its endpoints in lowest terms; so
+    are the endpoints of every leaf and of interval_sum over dyadics."""
+    ivs = [(c, RealInterval(min(a, b), max(a, b))) for c, a, b in terms]
+    got = exp_sum(
+        [(c, x.lo.numerator * scale, x.lo.denominator * scale, x.hi.numerator, x.hi.denominator) for c, x in ivs], bits
+    )
+    want = sum((Fraction(c) * context_exp(x, bits) for c, x in ivs), RealInterval.point(0))
+    assert got == want
+    leaves = [exp_interval(x, bits) for _, x in ivs] + [cos2pi(1, 7, bits), pi_interval(bits)]
+    dyadic_sum = interval_sum(Fraction(c) * e for (c, _), e in zip(ivs, leaves))
+    for x in [got.lo, got.hi, dyadic_sum.lo, dyadic_sum.hi] + [e for iv in leaves for e in (iv.lo, iv.hi)]:
+        assert gcd(x.numerator, x.denominator) == 1 and x.denominator > 0

@@ -42,7 +42,19 @@ from cmsvp.svp import (
     reduce_to_chamber,
 )
 from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices
-from conftest import leaves_of, reference_basis_map, sigma_real
+from cmsvp.theta import psi_truncated
+from conftest import (
+    ORACLE_QUANTIZE_BITS,
+    benchmark_spec,
+    interval_gram_entries,
+    leaves_of,
+    oracle_minimal_vectors,
+    oracle_psi,
+    quantized_floor_form,
+    reference_basis_map,
+    reference_mismatches,
+    sigma_real,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -89,11 +101,14 @@ def test_gram_matrix_ideal(f5):
 
 
 def test_gram_matrix_interval_weights(f5):
+    """Unequal weights give the exact Gram of the lower form q_omega, whose
+    diagonal, Tr_K+(omega), is within DELTA of the weighted norm of each
+    zeta^i, 3 sigma_1(1) + sigma_2(1) = 4, and at most 4 / ratio."""
     g = gram_matrix(f5, (Fraction(3), Fraction(1)))
     assert not g.exact
-    # diagonal entries all equal 3 sigma_1(1) + sigma_2(1) = 4
+    assert all(isinstance(x, Fraction) for row in g.entries for x in row)
     for i in range(4):
-        assert g.entries[i][i].contains(4)
+        assert g.ratio * g.entries[i][i] <= 4 <= g.entries[i][i] * (1 + svp.DELTA)
 
 
 def test_minimal_vectors_equal_weights(f5, f7):
@@ -171,10 +186,14 @@ def test_superset_search_on_the_half_space_equals_the_full_listing(p, weights, i
     prec = PrecisionConfig()
     ws = normalize_weights(field, weights)
     kappa = field.one() - field.zeta(1) if ideal else None
-    red = gram_matrix(field, ws, kappa, prec).reduction
+    g = gram_matrix(field, ws, kappa, prec)
+    red = g.reduction
     radius = 3 * svp.basis_minimum(field, ws, kappa, red.u, prec)
-    groups, nodes = svp.superset_search(field, ws, kappa, red, radius, prec, lattice.DEFAULT_BUDGET)
-    ref, ref_nodes = _reference_superset(field, ws, kappa, red, radius, prec)
+    groups, nodes = svp.superset_search(field, ws, kappa, g, radius, prec, lattice.DEFAULT_BUDGET)
+    # the lower form's radius: radius / ratio, floored onto its 1/s grid
+    lower = radius / g.ratio
+    lower = Fraction(lower.numerator * red.s // lower.denominator, red.s)
+    ref, ref_nodes = _reference_superset(field, ws, kappa, red, lower, prec)
     assert nodes == ref_nodes
     assert list(groups) and set(groups) == set(ref)
     to_basis = reference_basis_map(red.u)
@@ -607,7 +626,7 @@ def _reference_floor_form(entries):
     d = len(entries)
     mids = [[e.mid for e in row] for row in entries]
     finest = max(m.denominator for row in mids for m in row).bit_length()
-    bits = svp.QUANTIZE_BITS
+    bits = ORACLE_QUANTIZE_BITS
     while True:
         q = 1 << bits
         low = [[Fraction(round(m * q), q) for m in row] for row in mids]
@@ -638,31 +657,33 @@ def _interval_weights(k):
 @pytest.mark.parametrize("kind", ["rational", "interval"])
 @pytest.mark.parametrize("ideal", [False, True])
 def test_interval_gram_and_lower_form_equal_the_interval_arithmetic(p, kind, ideal):
-    """gram_matrix's entries from the integer sigma-numerator kernel equal
-    the interval sums of weighted sigmas, and the lower form taken once per
-    distinct entry equals the one taken over all d^2 entries."""
+    """The oracle's interval Gram from the integer sigma-numerator kernel
+    equals the interval sums of weighted sigmas, and its lower form taken
+    once per distinct entry equals the one taken over all d^2 entries."""
     field, prec = CMField(p), PrecisionConfig()
     ws = tuple(range(1, field.k + 1)) if kind == "rational" else _interval_weights(field.k)
     ws = normalize_weights(field, ws)
     kappa = field.one() - field.zeta(1) if ideal else None
-    g = gram_matrix(field, ws, kappa, prec)
-    assert g.entries == _reference_interval_entries(field, ws, kappa, prec)
-    assert g.reduction == _reference_floor_form(g.entries)[0]
+    entries = interval_gram_entries(field, ws, kappa, prec)
+    assert entries == _reference_interval_entries(field, ws, kappa, prec)
+    assert quantized_floor_form(entries) == _reference_floor_form(entries)
 
 
 def test_lower_form_doubles_its_bits_as_the_reference_does(f5):
-    """At weights 1 and 10^-8 the 24-bit lower form is not positive
-    definite: the doubled quantum gives the reference's lower form."""
+    """At weights 1 and 10^-8 the oracle's 24-bit lower form is not
+    positive definite: the doubled quantum gives the reference's lower
+    form."""
     ws = normalize_weights(f5, (1, Fraction(1, 10**8)))
-    g = gram_matrix(f5, ws)
-    assert g.entries == _reference_interval_entries(f5, ws, None, PrecisionConfig())
-    red, bits = _reference_floor_form(g.entries)
-    assert bits > svp.QUANTIZE_BITS and g.reduction == red
+    entries = interval_gram_entries(f5, ws, None)
+    assert entries == _reference_interval_entries(f5, ws, None, PrecisionConfig())
+    red, bits = quantized_floor_form(entries)
+    assert bits > ORACLE_QUANTIZE_BITS and (red, bits) == _reference_floor_form(entries)
 
 
 def test_skewed_weights_refine_the_floor_form_quantum(f5):
-    """Weights 1 and 10^-8 give a Gram whose smallest eigenvalue (about 1e-8)
-    is below the 24-bit slack; the finer quantum certifies it."""
+    """Weights 1 and 10^-8 give a form whose smallest eigenvalue is about
+    1e-8, below the slack of the oracle's 24-bit lower form, which has to
+    refine its quantum; the exact lower form certifies it at once."""
     w = (Fraction(1), Fraction(1, 10**8))
     mv = minimal_vectors(f5, w)
     assert mv.count == 10
@@ -677,6 +698,72 @@ def test_skewed_weights_refine_the_floor_form_quantum(f5):
     assert cli.main(["minima", "--cyclotomic", "5", "--weights", "1,1/100000000"]) == 0
 
 
+ORACLE_CONDUCTORS = [5, 7, 11, 12, 13, 15]
+
+
+def _oracle_weights(field, kind):
+    """Rational weights 1..k, interval weights of different widths about
+    them, or 1 and then 10^-8."""
+    k = field.k
+    if kind == "rational":
+        ws = tuple(range(1, k + 1))
+    elif kind == "interval":
+        ws = tuple(RealInterval(Fraction(m + 1), m + 1 + Fraction(1, 2 ** (60 + 7 * m))) for m in range(k))
+    else:
+        ws = (1,) + (Fraction(1, 10**8),) * (k - 1)
+    return normalize_weights(field, ws)
+
+
+@pytest.mark.parametrize("p", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("kind", ["rational", "interval", "tiny"])
+@pytest.mark.parametrize("ideal", [False, True])
+def test_skewed_minimal_vectors_equal_the_interval_lower_form_oracle(p, kind, ideal):
+    """The exact lower form finds the oracle's minimal vectors and count,
+    and the same mu bytes: mu is the weighted sum of one beta either way."""
+    field = CMField(p)
+    ws = _oracle_weights(field, kind)
+    kappa = field.one() - field.zeta(1) if ideal else None
+    mv = minimal_vectors(field, ws, kappa)
+    want = oracle_minimal_vectors(field, ws, kappa)
+    assert (mv.vectors, mv.count) == (want.vectors, want.count)
+    assert interval.interval_json(mv.mu) == interval.interval_json(want.mu)
+
+
+@pytest.mark.parametrize("p", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("kind", ["rational", "interval", "tiny"])
+def test_the_weight_element_is_certified_below_the_weights(p, kind):
+    """ratio * sigma_m(omega) <= w_m and sigma_m(omega) > 0 for every m,
+    on sigma enclosures of omega from the reference kernel; the basis is
+    the theta_j of every conductor, with no prime-only shortcut."""
+    field, prec = CMField(p), PrecisionConfig()
+    ws = _oracle_weights(field, kind)
+    big, den, ratio = svp._weight_element(field, ws, prec)
+    assert big == big.conj() and ratio >= 1 - svp.DELTA
+    for w, s in zip(ws, sigma_real(field, big, prec)):
+        low = w.lo if isinstance(w, RealInterval) else w
+        assert s.lo > 0 and ratio * s.hi <= low * den
+    g = gram_matrix(field, ws, None, prec)
+    assert g.ratio == ratio and not g.exact
+
+
+PSI_ORACLE_TS = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("p", ORACLE_CONDUCTORS)
+@pytest.mark.parametrize("kind", ["rational", "interval"])
+def test_skewed_psi_encloses_what_the_oracle_encloses(p, kind):
+    """psi at t = 1/4, 1/2, 1 and 2 overlaps the oracle's enclosure and is
+    at most 1.001 times as wide: the exact lower form's tail, from ratio
+    times its pivots, stays within 0.1% of the quantized form's."""
+    field = CMField(p)
+    ws = _oracle_weights(field, kind)
+    for t in PSI_ORACLE_TS:
+        got = psi_truncated(field, ws, t).enclosure()
+        want = oracle_psi(field, ws, t).enclosure()
+        assert got.overlaps(want), t
+        assert got.width <= Fraction(1001, 1000) * want.width, t
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -689,9 +776,15 @@ def test_skewed_weights_refine_the_floor_form_quantum(f5):
     ],
 )
 def test_analytic_json_is_byte_identical_to_stored_reference(command, capsys):
+    """The --json bytes of the reference; a skewed run, whose lower form
+    fixes its search record and psi tail digits, passes the semantic check
+    of conftest.reference_mismatches instead."""
     ref = json.loads(REFERENCE.read_text(encoding="utf-8"))[command]
     rc = cli.main(command.split() + ["--json"])
     out = capsys.readouterr().out
+    if "--weights" in command:
+        assert reference_mismatches(benchmark_spec(command), 0, rc, out) == []
+        return
     assert rc == ref["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
 

@@ -16,6 +16,7 @@ from cmsvp import cli, lattice, svp, theta
 from cmsvp.embeddings import representatives, sigma
 from cmsvp.errors import InputError
 from cmsvp.field import CMField, FieldElement
+from cmsvp.interval import RealInterval
 from cmsvp.svp import GramMatrix, craig_circulant, gram_matrix, minimal_vectors
 from cmsvp.theta import (
     _pivot_floor,
@@ -31,8 +32,10 @@ from conftest import ldl, own_record, random_int_gram, reduced_gram
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
 THETA_IDEAL5_T2 = Fraction("1.0000000000004542202136648342414360426770426075049")
-# exact endpoints at weights (3, 1) on Q(zeta_5): psi_truncated at t = 2
-# (value, tail upper end, radius) and the cusp readout of mu
+# exact endpoints at weights (3, 1) on Q(zeta_5) from the quantized interval
+# lower form that unequal weights searched before the exact one:
+# psi_truncated at t = 2 (value, tail upper end) and the cusp readout of mu.
+# The exact lower form must overlap them and be at most 1.001 times as wide
 SKEW5_PSI_T2_VALUE = (
     Fraction(
         "1078397867395190843838227666030703360775731599763308038557751082"
@@ -69,6 +72,14 @@ SKEW5_CUSP_MU = (
         "1086010968627532783571912220889789235200"
     ),
 )
+
+SKEW5_PSI_T2 = RealInterval(SKEW5_PSI_T2_VALUE[0], SKEW5_PSI_T2_VALUE[1] + SKEW5_PSI_T2_TAIL_HI)
+
+
+def _near_pin(enc: RealInterval, pin: RealInterval) -> bool:
+    """enc overlaps the pinned enclosure and is at most 1.001 times as
+    wide."""
+    return enc.overlaps(pin) and enc.width <= Fraction(1001, 1000) * pin.width
 
 
 def test_theta_prefix_z5():
@@ -137,22 +148,23 @@ def test_psi_leading_term(f5):
 
 def test_cusp_extract_builds_and_reduces_each_gram_once(monkeypatch):
     """One Gram, built once, that the minimum, the excess data and both psi
-    samples share: one lower form and one LLL reduction."""
+    samples share: one weight element for one lower form, and one LLL
+    reduction."""
     lower_forms, reductions = [], []
-    real_floor, real_lll = svp._floor_form, lattice.lll_reduce
+    real_element, real_lll = svp._weight_element, lattice.lll_reduce
 
-    def counting_floor(g):
-        lower_forms.append(g.dimension)
-        return real_floor(g)
+    def counting_element(field, ws, prec):
+        lower_forms.append(field.degree)
+        return real_element(field, ws, prec)
 
     def counting_lll(g):
         reductions.append(len(g))
         return real_lll(g)
 
-    monkeypatch.setattr(svp, "_floor_form", counting_floor)
+    monkeypatch.setattr(svp, "_weight_element", counting_element)
     monkeypatch.setattr(lattice, "lll_reduce", counting_lll)
     mu, count = cusp_extract(CMField(5), (3, 1))
-    assert (mu.lo, mu.hi) == SKEW5_CUSP_MU and count == 10
+    assert _near_pin(mu, RealInterval(*SKEW5_CUSP_MU)) and count == 10
     assert len(lower_forms) == len(reductions) == 1
 
 
@@ -200,7 +212,7 @@ def test_skew_psi_multiplies_out_beta_once_per_group(f5, monkeypatch):
     monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
     monkeypatch.setattr(theta, "superset_search", counting_search)
     sample = psi_truncated(f5, (3, 1), 2)
-    assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
+    assert _near_pin(sample.enclosure(), SKEW5_PSI_T2)
     assert len(listed) == len(searched) == 1
     # listed[0] pairs stand for 2 * listed[0] candidates; one beta per group
     assert listed[0] > groups[0] > 0 and searched == groups
@@ -239,10 +251,8 @@ def test_psi_interval_weights_against_float_oracle(f5):
     """Skew-weight psi agrees with a brute-force complex-embedding sum."""
     w = (Fraction(3), Fraction(1))
     sample = psi_truncated(f5, w, 2)
-    assert (sample.value.lo, sample.value.hi) == SKEW5_PSI_T2_VALUE
-    assert (sample.tail.lo, sample.tail.hi) == (0, SKEW5_PSI_T2_TAIL_HI)
-    assert sample.radius == Fraction(45, 4)
     enc = sample.enclosure()
+    assert _near_pin(enc, SKEW5_PSI_T2) and sample.tail.lo == 0
     reps = representatives(5)
     box = 3
     axes = [np.arange(-box, box + 1)] * 4
@@ -289,7 +299,7 @@ def test_cusp_extract_skew_weights(f5):
     ground = minimal_vectors(f5, (Fraction(3), Fraction(1)))
     assert count == ground.count
     assert mu.overlaps(ground.mu)
-    assert (mu.lo, mu.hi) == SKEW5_CUSP_MU
+    assert _near_pin(mu, RealInterval(*SKEW5_CUSP_MU))
     assert count == 10
 
 
@@ -313,3 +323,21 @@ def test_pivot_floor_is_the_smallest_ldl_pivot_of_random_grams():
         g = [[scale * x for x in row] for row in random_int_gram(rng, dim, entry=3, max_diag=40)]
         for red in (own_record(g), lattice.reduce(g)):
             assert _pivot_floor(red) == min(ldl(reduced_gram(red))[1])
+
+
+def test_skewed_psi_tail_counts_through_ratio_times_the_lower_forms_pivots(f5, monkeypatch):
+    """The tail bound of unequal weights takes ratio times the smallest LDL
+    pivot of the reduced lower form: the form is at least ratio times the
+    lower form, so that bounds its lattice point counts."""
+    seen = []
+    real_tail = theta._tail_bound
+
+    def recording(dim, delta, radius, t, bits):
+        seen.append(delta)
+        return real_tail(dim, delta, radius, t, bits)
+
+    monkeypatch.setattr(theta, "_tail_bound", recording)
+    psi_truncated(f5, (3, 1), 2)
+    g = gram_matrix(f5, (3, 1))
+    assert g.ratio < 1 and seen
+    assert set(seen) == {g.ratio * min(ldl(reduced_gram(g.reduction))[1])}
