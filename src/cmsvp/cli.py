@@ -55,6 +55,7 @@ from .interval import (
     RealInterval,
     decimal_str,
     interval_json,
+    sum_str,
 )
 from .units import UnitBasis, cyclotomic_unit_basis, load_unit_basis
 
@@ -283,7 +284,8 @@ def cmd_psi(args) -> int:
         yield f"t {sample.t}  truncation radius {sample.radius}"
         yield f"value {_fmt(sample.value, 40)}"
         yield f"tail  [0, {decimal_str(sample.tail.hi, 40, 'ceil')}]"
-        yield f"enclosure {_fmt(sample.enclosure(), 40)}"
+        upper = sum_str((sample.value.hi, sample.tail.hi), 40, "ceil")
+        yield f"enclosure [{decimal_str(sample.value.lo, 40, 'floor')}, {upper}]"
 
     _emit({"command": "psi", **sample.to_json()}, text, args.json)
     return EXIT_OK

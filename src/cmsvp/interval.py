@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from mpmath.libmp import from_int, from_rational, mpf_exp, mpf_log, round_ceiling, round_floor, to_rational
 from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_mul, mpi_pi
@@ -25,7 +26,7 @@ MIN_BITS = 53
 # still finishes, in about 70 s on a 2-CPU x86-64 VM
 MAX_BITS = 4096
 # the most bits of exp(-pi t mu), mu the first shell, that a psi or theta
-# sum accepts; at it `psi --cyclotomic 5` takes 0.2 s on a 2-CPU x86-64 VM
+# sum accepts; at it `psi --cyclotomic 5` takes about 5 ms on a 2-CPU x86-64 VM
 MAX_EXPONENT_BITS = 150_000
 
 
@@ -241,6 +242,28 @@ def _dyadic_sum(terms) -> Fraction:
     return _dyadic(sum(m << (e - low) for m, e in terms), low)
 
 
+def _odd_part(n: int) -> tuple[int, int]:
+    """(m, k) with n = m 2^k and m odd, for n != 0."""
+    k = (n & -n).bit_length() - 1
+    return n >> k, k
+
+
+def ratio_of_products(nums, dens) -> Fraction:
+    """prod(nums) / prod(dens) for positive Fractions, in lowest terms.
+    The powers of two of every numerator and denominator are counted in
+    one exponent, so the one gcd is of the odd parts, and one of those is
+    short when the long factors are dyadics: a psi tail bound at a large
+    t multiplies dyadics of hundreds of thousands of bits, and normalizing
+    each product in turn would take gcds of that size."""
+    top, bottom, shift = 1, 1, 0
+    for x in (*nums, *(1 / x for x in dens)):
+        (a, i), (b, j) = _odd_part(x.numerator), _odd_part(x.denominator)
+        top, bottom, shift = top * a, bottom * b, shift + i - j
+    g = gcd(top, bottom)
+    top, bottom = top // g, bottom // g
+    return _lowest(top << shift, bottom) if shift >= 0 else _lowest(top, bottom << -shift)
+
+
 def _exact_sum(xs: list[Fraction]) -> Fraction:
     """sum(xs), exactly.  The terms whose denominators are powers of two,
     as every leaf endpoint's are, add as integers over the largest such
@@ -358,9 +381,26 @@ def decimal_str(x: Fraction, digits: int, mode: str) -> str:
     so round-tripping a serialized interval keeps the enclosure.
     """
     x = Fraction(x)
-    scaled = x * 10**digits
-    n = scaled.numerator // scaled.denominator
-    if mode == "ceil" and n * scaled.denominator != scaled.numerator:
+    return _ratio_str(x.numerator, x.denominator, digits, mode)
+
+
+def sum_str(xs, digits: int, mode: str) -> str:
+    """decimal_str(sum(xs), digits, mode) for Fractions xs, read off the
+    sum over the product of their denominators with no gcd: normalizing a
+    psi value plus its tail at a large t takes a gcd of numbers of
+    hundreds of thousands of bits."""
+    num, den = 0, 1
+    for x in xs:
+        num, den = num * x.denominator + x.numerator * den, den * x.denominator
+    return _ratio_str(num, den, digits, mode)
+
+
+def _ratio_str(num: int, den: int, digits: int, mode: str) -> str:
+    """decimal_str(num / den, digits, mode) for den > 0, num and den not
+    necessarily coprime."""
+    scaled = num * 10**digits
+    n = scaled // den
+    if mode == "ceil" and n * den != scaled:
         n += 1
     elif mode not in ("floor", "ceil"):
         raise ValueError(f"unknown rounding mode {mode!r}")

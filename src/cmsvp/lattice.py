@@ -268,11 +268,19 @@ def _half_space(
     Gram-Schmidt data are red's scaled by _scaled_gso.  It carries e =
     d[level+1] times the unspent scaled radius as an integer.  With c =
     -sum_{j>level} lam[j][level] x_j, a coordinate x is admissible iff
-    (x d[level+1] - c)^2 <= e d[level].  Each call sums the part of its
-    children's c that comes from above its own level once, so a child's c
-    costs one product.  Levels 1 and 0 run in one loop: each x_1 takes its
-    whole range of x_0, the leaves, at once, counts their nodes together
-    and records them as one row.
+    (x d[level+1] - c)^2 <= e d[level].  Levels 2, 1 and 0 run in one
+    call: each x_2 takes its range of x_1, and each x_1 its whole range of
+    x_0, the leaves, at once, counts their nodes together and records them
+    as one row.  Their centers come from running partial sums (Schnorr and
+    Euchner 1994): every node above them passes down p_i = -sum_{j>=level}
+    lam[j][i] x_j for i = 0, 1, 2, one product each, so no center of those
+    levels is summed over the coordinates above it.  A level above them
+    sums the part of its children's c that comes from above its own level
+    once per call, so a child's c costs one product.  A lattice of
+    dimension n < 3 runs as one of dimension 3 whose top 3 - n levels are
+    phantoms: basis vectors orthogonal to the lattice and longer than the
+    radius, each admitting x = 0 alone, whose nodes are not counted and
+    whose zeros are cut from the rows.
     """
     n = len(red.u)
     s, d, lam = red.s, red.d, red.lam
@@ -293,11 +301,20 @@ def _half_space(
             raise BudgetExceededError(budget, nodes_est / log(10))
         if listed_est > log(MAX_LISTED):
             raise BudgetExceededError(MAX_LISTED, listed_est / log(10), "listed vectors")
-    x = [0] * n
-    nodes = 0
+    pad = max(3 - n, 0)
+    if pad:
+        # a phantom pivot top + 1 exceeds the radius, so the level's range
+        # is {0} and it passes the radius down unchanged; the count starts
+        # at -pad, so its one node is not counted
+        d = d + [d[n] * (top + 1) ** k for k in range(1, pad + 1)]
+        lam = lam + [[0, 0, 0]] * pad
+    dim = n + pad
+    x = [0] * dim
+    nodes = -pad
 
-    def descend(level: int, e: int, c: int, nonzero_seen: bool):
-        """Levels >= 2: one node per admissible x_level."""
+    def descend(level: int, e: int, c: int, nonzero_seen: bool, p0: int, p1: int, p2: int):
+        """Levels >= 3: one node per admissible x_level; p_i is level i's
+        center summed over the levels above this one."""
         nonlocal nodes
         dh = d[level + 1]
         big = e * d[level]
@@ -307,90 +324,100 @@ def _half_space(
         if not nonzero_seen and lo < 0:
             # restrict to the canonical half-space: topmost nonzero coord > 0
             lo = 0
+        row = lam[level]
+        m0, m1, m2 = row[0], row[1], row[2]
         below = level - 1
-        base = 0
-        for j in range(level + 1, n):
-            base -= lam[j][below] * x[j]
-        step = lam[level][below]
+        if below > 2:
+            base = 0
+            for j in range(level + 1, dim):
+                base -= lam[j][below] * x[j]
+            step = row[below]
         for xv in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
-                # every bottom call so far has checked the listing cap
+                # every x_2 so far has checked the listing cap
                 raise BudgetExceededError(budget)
             x[level] = xv
             t = xv * dh - c
             rest = (big - t * t) // dh
-            if below > 1:
-                descend(below, rest, base - step * xv, nonzero_seen or xv != 0)
+            seen = nonzero_seen or xv != 0
+            if below > 2:
+                descend(below, rest, base - step * xv, seen, p0 - m0 * xv, p1 - m1 * xv, p2 - m2 * xv)
             else:
-                bottom(rest, base - step * xv, nonzero_seen or xv != 0)
+                bottom(rest, p2 - m2 * xv, seen, p0 - m0 * xv, p1 - m1 * xv)
 
-    def bottom(e: int, c: int, nonzero_seen: bool):
-        """Levels 1 and 0: each admissible x_1 and its range of x_0."""
+    def bottom(e: int, c: int, nonzero_seen: bool, p0: int, p1: int):
+        """Levels 2, 1 and 0: each admissible x_2, its admissible x_1 and
+        their range of x_0; p0 and p1 are the centers of levels 0 and 1
+        summed over the levels above 2."""
         nonlocal nodes
-        d1, d2 = d[1], d[2]
-        big = e * d1
-        h = isqrt(big)
-        lo = -((h - c) // d2)
-        hi = (c + h) // d2
-        if not nonzero_seen and lo < 0:
-            lo = 0
-        if coords:
-            tail = tuple(x[2:])
-        base = 0
-        for j in range(2, n):
-            base -= lam[j][0] * x[j]
-        step = lam[1][0]
+        d1, d2, d3 = d[1], d[2], d[3]
+        m10, m20, m21 = lam[1][0], lam[2][0], lam[2][1]
         append = values.append
-        for x1 in range(lo, hi + 1):
-            t = x1 * d2 - c
-            rest = (big - t * t) // d2
-            # level 0, where d[0] = 1: x_0 d1 - c0 = u with u^2 <= rest
-            c0 = base - step * x1
-            h0 = isqrt(rest)
-            lo0 = -((h0 - c0) // d1)
-            hi0 = (c0 + h0) // d1
-            first = lo0
-            if not (x1 or nonzero_seen):
-                # c0 = 0 here, so lo0 <= 0 <= hi0: the zero vector is a
-                # node but no leaf
-                lo0, first = 0, 1
-            before = nodes
-            nodes += hi0 - lo0 + 2  # x_1's node and its leaves'; hi0 >= lo0 - 1
+        big2 = e * d2
+        h = isqrt(big2)
+        lo2 = -((h - c) // d3)
+        hi2 = (c + h) // d3
+        if not nonzero_seen and lo2 < 0:
+            lo2 = 0
+        if coords:
+            tail = tuple(x[3:])
+        for x2 in range(lo2, hi2 + 1):
+            nodes += 1
             if nodes > budget:
-                # the walk lists the leaves before the node past the budget;
-                # if they pass the listing cap, that refusal comes first
-                last = min(hi0, lo0 + budget - before - 2)
-                if 2 * (len(values) + max(last - first + 1, 0)) > MAX_LISTED:
-                    raise BudgetExceededError(MAX_LISTED, what="listed vectors")
                 raise BudgetExceededError(budget)
-            if first <= hi0:
-                if coords:
-                    rows.append(((x1,) + tail, hi0 - first + 1))
-                    firsts.extend(range(first, hi0 + 1))
-                u = first * d1 - c0
-                for _ in range(first, hi0 + 1):
-                    append(top - (rest - u * u) // d1)
-                    u += d1
-        if 2 * len(values) > MAX_LISTED:
-            raise BudgetExceededError(MAX_LISTED, what="listed vectors")
+            t = x2 * d3 - c
+            big = (big2 - t * t) // d3 * d1
+            c1 = p1 - m21 * x2
+            base = p0 - m20 * x2
+            seen = nonzero_seen or x2 != 0
+            h = isqrt(big)
+            lo = -((h - c1) // d2)
+            hi = (c1 + h) // d2
+            if not seen and lo < 0:
+                lo = 0
+            if coords:
+                head = (x2,) + tail
+            for x1 in range(lo, hi + 1):
+                t = x1 * d2 - c1
+                rest = (big - t * t) // d2
+                # level 0, where d[0] = 1: x_0 d1 - c0 = u with u^2 <= rest
+                c0 = base - m10 * x1
+                h0 = isqrt(rest)
+                lo0 = -((h0 - c0) // d1)
+                hi0 = (c0 + h0) // d1
+                first = lo0
+                if not (x1 or seen):
+                    # c0 = 0 here, so lo0 <= 0 <= hi0: the zero vector is a
+                    # node but no leaf
+                    lo0, first = 0, 1
+                before = nodes
+                nodes += hi0 - lo0 + 2  # x_1's node and its leaves'; hi0 >= lo0 - 1
+                if nodes > budget:
+                    # the walk lists the leaves before the node past the
+                    # budget; if they pass the listing cap, that refusal
+                    # comes first
+                    last = min(hi0, lo0 + budget - before - 2)
+                    if 2 * (len(values) + max(last - first + 1, 0)) > MAX_LISTED:
+                        raise BudgetExceededError(MAX_LISTED, what="listed vectors")
+                    raise BudgetExceededError(budget)
+                if first <= hi0:
+                    if coords:
+                        rows.append(((x1,) + head, hi0 - first + 1))
+                        firsts.extend(range(first, hi0 + 1))
+                    u = first * d1 - c0
+                    for _ in range(first, hi0 + 1):
+                        append(top - (rest - u * u) // d1)
+                        u += d1
+            if 2 * len(values) > MAX_LISTED:
+                raise BudgetExceededError(MAX_LISTED, what="listed vectors")
 
-    if n == 1:
-        # one level: the nodes x_0 = 0, ..., hi, and x_0 > 0 lists
-        # d[1] x_0^2; the up-front estimate, 2 sqrt(top / d[1]) vectors,
-        # already bounds the listing
-        hi = isqrt(d[1] * top) // d[1]
-        nodes = hi + 1
-        if nodes > budget:
-            raise BudgetExceededError(budget)
-        values.extend(d[1] * x0 * x0 for x0 in range(1, hi + 1))
-        if coords and hi:
-            firsts.extend(range(1, hi + 1))
-            rows.append(((), hi))
-    elif n == 2:
-        bottom(d[2] * top, 0, False)
+    if dim > 3:
+        descend(dim - 1, d[dim] * top, 0, False, 0, 0, 0)
     else:
-        descend(n - 1, d[n] * top, 0, False)
+        bottom(d[3] * top, 0, False, 0, 0)
+    if pad:
+        rows[:] = [(head[: n - 1], count) for head, count in rows]
     return leaves, s, nodes
 
 

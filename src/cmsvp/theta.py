@@ -35,6 +35,7 @@ from .interval import (
     interval_json,
     log_interval,
     pi_interval,
+    ratio_of_products,
     root_interval,
 )
 from .svp import GramMatrix, _gram, _minimal_vectors, basis_minimum, superset_search
@@ -122,7 +123,10 @@ def _tail_bound(
     dim: int, delta: Fraction, radius: Fraction, t: Fraction, bits: int
 ) -> RealInterval:
     """Upper bound on the sum of exp(-pi t q) over q > radius; requires
-    radius >= delta and (radius + 1) pi t >= dim."""
+    radius >= delta and (radius + 1) pi t >= dim.  The bound is 3^dim
+    poly e_main / slab, in positive intervals, so each end is one
+    ratio_of_products of the ends of its factors: at a large t, e_main
+    and slab are dyadics of hundreds of thousands of bits."""
     pi = pi_interval(bits)
     if radius < delta:
         raise InputError("tail radius below the pivot floor")
@@ -131,13 +135,16 @@ def _tail_bound(
     poly = _pow_half(RealInterval.point(Fraction(radius + 1) / delta), dim, bits)
     e_main = exp_interval(-(pi * t * radius), bits)
     e_half = exp_interval(-(pi * t * Fraction(1, 2)), bits)
-    top = Fraction(3**dim) * poly * e_main
-    slab = 1 - e_half
-    if slab.contains_zero():
+    three = Fraction(3**dim)
+    slab_lo = 1 - e_half.hi
+    if slab_lo <= 0:
         # e^x >= 1 + x, so 1 - e^-x >= x / (1 + x) for x = pi t / 2
         x = pi.lo * t / 2
-        slab = RealInterval(x / (1 + x), slab.hi)
-    return top / slab
+        slab_lo = x / (1 + x)
+    return RealInterval(
+        ratio_of_products([three, poly.lo, e_main.lo], [1 - e_half.lo]),
+        ratio_of_products([three, poly.hi, e_main.hi], [slab_lo]),
+    )
 
 
 def _pivot_floor(red: lattice.Reduced) -> Fraction:

@@ -26,7 +26,7 @@ from cmsvp import lattice, svp, theta
 from cmsvp.embeddings import _as_intervals, _certified_numerators, _weight_numerators, _weighted_sum
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
 from cmsvp.field import CMField, mult_matrix
-from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb
+from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb, exp_interval, pi_interval
 
 
 def reduced_gram(red: lattice.Reduced) -> list[list[Fraction]]:
@@ -308,6 +308,21 @@ def reference_basis_map(u):
     return lambda coords: tuple(sum(map(mul, coords, col)) for col in u_cols)
 
 
+def reference_tail_bound(dim: int, delta: Fraction, radius: Fraction, t: Fraction, bits: int):
+    """theta._tail_bound as interval arithmetic forms it, normalizing each
+    product and quotient in turn: 3^dim poly e_main / slab."""
+    pi = pi_interval(bits)
+    poly = theta._pow_half(RealInterval.point(Fraction(radius + 1) / delta), dim, bits)
+    e_main = exp_interval(-(pi * t * radius), bits)
+    e_half = exp_interval(-(pi * t * Fraction(1, 2)), bits)
+    top = Fraction(3**dim) * poly * e_main
+    slab = 1 - e_half
+    if slab.contains_zero():
+        x = pi.lo * t / 2
+        slab = RealInterval(x / (1 + x), slab.hi)
+    return top / slab
+
+
 # ---------------------------------------------------------------------------
 # the quantized interval lower form that unequal weights searched before the
 # exact twisted trace form: the oracle of svp's lower form
@@ -471,3 +486,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(CRITERIA):
         status = _results.get(num, "NOT RUN")
         terminalreporter.write_line(f"criterion {num}: {status}  ({CRITERIA[num]})")
+

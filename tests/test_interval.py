@@ -26,7 +26,9 @@ from cmsvp.interval import (
     log_interval,
     minor_intervals,
     pi_interval,
+    ratio_of_products,
     root_interval,
+    sum_str,
 )
 
 from conftest import context_cos2pi, context_exp, context_log, context_pi, context_root
@@ -170,6 +172,40 @@ def test_decimal_str_directed():
     assert hi == "0.333334"
     assert decimal_str(Fraction(-1, 3), 4, "floor") == "-0.3334"
     assert decimal_str(Fraction(5, 4), 6, "ceil") == "1.25"
+
+
+# dyadics as psi's exponentials give them, up to tens of thousands of bits,
+# and small rationals
+dyadics = st.builds(
+    lambda m, e: Fraction(m) * Fraction(2) ** e,
+    st.integers(min_value=1, max_value=2**130),
+    st.integers(min_value=-40_000, max_value=200),
+)
+positives = st.one_of(dyadics, st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(10**6), max_denominator=10**40))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    st.lists(st.one_of(positives, fractions), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=45),
+    st.sampled_from(["floor", "ceil"]),
+)
+def test_sum_str_equals_decimal_str_of_the_sum(xs, digits, mode):
+    assert sum_str(xs, digits, mode) == decimal_str(sum(xs), digits, mode)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.lists(positives, min_size=1, max_size=4), st.lists(positives, max_size=3))
+def test_ratio_of_products_is_the_normalized_quotient(nums, dens):
+    """The same numerator and denominator, in lowest terms, as the
+    quotient that Fraction normalizes at each step."""
+    want = Fraction(1)
+    for x in nums:
+        want *= x
+    for x in dens:
+        want /= x
+    got = ratio_of_products(nums, dens)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_interval_json_round_trip_keeps_enclosure():

@@ -529,6 +529,62 @@ def test_values_only_walk_refuses_where_the_listing_does(seed, monkeypatch):
     assert refusals == {True, False}
 
 
+def _reference_values(reduced, radius, budget):
+    """reference_half_space as a values-only walk gives it: (values, s,
+    nodes)."""
+    half, s, nodes = reference_half_space(reduced, radius, budget)
+    return [m for _, m in half], s, nodes
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_small_dimensions_equal_the_reference_at_every_budget(seed, monkeypatch):
+    """Dimensions 1 to 4, where the three fused bottom levels meet the top
+    of the walk or phantom levels pad it: at every budget from 0 to one
+    past the node count, with and without coordinates, under the listing
+    cap and a cap of a few vectors, the same vectors, values, s and nodes
+    as reference_half_space, or the same refusal with the same message.
+    Radii run from 0 to 21 times the shortest reduced vector; the trees
+    have up to 425 nodes."""
+    rng = random.Random(seed)
+    red = reduce(_frac(random_int_gram(rng, 1 + seed % 4, entry=3)))
+    reduced = reduced_gram(red)
+    radius = Fraction(3 * (seed // 4), 1 + seed % 3) * red.min_diagonal()
+    _, _, nodes = reference_half_space(reduced, radius, 10**5)
+    for cap in (lattice.MAX_LISTED, 1 + seed % 5):
+        monkeypatch.setattr(lattice, "MAX_LISTED", cap)
+        for budget in range(nodes + 2):
+            want = _outcome(reference_half_space, reduced, radius, budget)
+            assert _outcome(half_space_listing, red, radius, budget) == want
+            want = _outcome(_reference_values, reduced, radius, budget)
+            assert _outcome(_walk, red, radius, budget, False) == want
+
+
+BENCHMARK_VALUES_ONLY_NODES = {
+    "theta --circulant 10,1 --max-norm 6": 13192,
+    "theta --circulant 12,1 --max-norm 4": 6607,
+    "theta --cyclotomic 11 --max-norm 20": 7005,
+    "psi --cyclotomic 11 --t 1": 15260,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BENCHMARK_VALUES_ONLY_NODES))
+def test_benchmark_values_only_walks_keep_their_node_counts(command, monkeypatch, capsys):
+    """The benchmark's theta and psi operations each walk one values-only
+    descent, whose node count no output bytes show: it stays pinned."""
+    walks = []
+    real = lattice._half_space
+
+    def recording(red, radius, budget, coords=True):
+        out = real(red, radius, budget, coords)
+        walks.append((coords, out[2]))
+        return out
+
+    monkeypatch.setattr(lattice, "_half_space", recording)
+    assert cli.main(command.split() + ["--json"]) == 0
+    capsys.readouterr()
+    assert walks == [(False, BENCHMARK_VALUES_ONLY_NODES[command])]
+
+
 @pytest.mark.parametrize(
     "p, weights, ideal",
     [(5, (3, 1), False), (7, (1, 10, 100), True), (7, (2, 1, 1), False), (11, (1, 2, 3, 4, 5), False)],

@@ -27,7 +27,7 @@ from cmsvp.theta import (
     theta_sum,
 )
 
-from conftest import ldl, own_record, random_int_gram, reduced_gram
+from conftest import ldl, own_record, random_int_gram, reduced_gram, reference_tail_bound
 
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
@@ -341,3 +341,32 @@ def test_skewed_psi_tail_counts_through_ratio_times_the_lower_forms_pivots(f5, m
     g = gram_matrix(f5, (3, 1))
     assert g.ratio < 1 and seen
     assert set(seen) == {g.ratio * min(ldl(reduced_gram(g.reduction))[1])}
+
+
+TAIL_CASES = [(1, Fraction(1, 3)), (4, Fraction(7, 5)), (5, Fraction(2**128 + 1, 3 * 2**127)), (10, Fraction(2))]
+
+
+@pytest.mark.parametrize(
+    "t, cases, bits, scales",
+    [
+        *((t, TAIL_CASES, (128, 256), (1, 2)) for t in (Fraction(1, 10**300), Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(3))),
+        *((t, TAIL_CASES[1:3], (128,), (1,)) for t in (Fraction(16000), Fraction(51357))),
+    ],
+    ids=["1e-300", "1/7", "1/2", "1", "3", "16000", "51357"],
+)
+def test_tail_bound_equals_the_interval_arithmetic_oracle(t, cases, bits, scales):
+    """Both ends, numerator and denominator, equal those of the bound formed
+    by interval arithmetic one normalized product at a time
+    (conftest.reference_tail_bound): even and odd dimensions, the latter
+    through a root; integer and 128-bit pivots; the smallest radius the
+    slab comparison allows and one above it; t from where 1 - exp(-pi t /
+    2) contains 0 at 128 bits up to the exponent limit of psi on
+    Q(zeta_5), where the oracle takes seconds."""
+    for dim, delta in cases:
+        for b in bits:
+            low = theta._initial_radius(dim, delta, Fraction(2), t, b)
+            for radius in (scale * low + Fraction(scale - 1, 3) for scale in scales):
+                got = theta._tail_bound(dim, delta, radius, t, b)
+                want = reference_tail_bound(dim, delta, radius, t, b)
+                ends = [(x.numerator, x.denominator) for x in (got.lo, got.hi, want.lo, want.hi)]
+                assert ends[:2] == ends[2:]
