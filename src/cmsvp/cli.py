@@ -46,7 +46,7 @@ from .errors import (
     PrecisionError,
     SelfTestError,
 )
-from .field import CMField, field_norm, is_prime
+from .field import CMField, is_prime, is_unit
 from .interval import (
     DEFAULT_PRECISION,
     MAX_BITS,
@@ -312,18 +312,21 @@ def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, ob
     kappa = _one_minus_zeta_power(field, r)
     mv = svp.minimal_vectors(field, None, kappa, prec, budget)
     # a minimal vector is alpha = kappa * v with v its coordinates in the
-    # basis kappa zeta^i, so alpha / kappa is v itself; v is a unit iff
-    # N(v conj(v)) = N(v)^2 = 1, and the multiples +-zeta^k v share v conj(v),
-    # so one norm per distinct v conj(v) decides them all
-    betas = {field.element(coords).times_conj().coords for coords in mv.vectors}
-    factored = all(field_norm(field.element(beta)) == 1 for beta in betas)
+    # basis kappa zeta^i, so alpha / kappa is v itself; the multiples
+    # +-zeta^k v are units together and share v conj(v), so one v per
+    # distinct v conj(v) decides them all
+    reps = {v.times_conj(): v for v in map(field.element, mv.vectors)}
+    factored = all(map(is_unit, reps.values()))
+    # the circulant's table to THETA_CHECK_NORM is compared with that of
+    # the ideal's form times 2/p: the ideal's own table to
+    # THETA_CHECK_NORM p/2, every norm times 2/p
     tc = theta.theta_prefix(svp.craig_circulant(p - 1, r), THETA_CHECK_NORM, budget)
-    gi = svp.gram_matrix(field, None, kappa, prec).scaled(Fraction(2, p))
-    ti = theta.theta_prefix(gi, THETA_CHECK_NORM, budget)
-    match = theta.same_counts(tc, ti)
+    ti = theta.theta_prefix(svp.gram_matrix(field, None, kappa, prec), THETA_CHECK_NORM * p / 2, budget)
+    scale = Fraction(2, p)
+    match = tc.norm_counts() == {scale * q: c for q, c in ti.norm_counts().items()}
     check = {
         "r": r,
-        "mu": str(mv.mu) if not isinstance(mv.mu, RealInterval) else interval_json(mv.mu),
+        "mu": mv.to_json()["mu"],
         "count": mv.count,
         "factorization": "pass" if factored else "fail",
         "theta": "pass" if match else "fail",

@@ -136,16 +136,14 @@ def lll_reduce(
     return u, s, a, d, lam
 
 
-def _scaled_gso(d: list[int], lam: list[list[int]], num: int, den: int):
-    """Integral Gram-Schmidt data of (num/den) a from those (d, lam) of a,
-    for an integer Gram a that (num/den) a keeps integral: mu does not
-    change, so d[k] takes the factor (num/den)^k and lam[i][j] the factor
-    (num/den)^(j+1), and every division is exact."""
-    nums = [num**k for k in range(len(d))]
-    dens = [den**k for k in range(len(d))]
+def _scaled_gso(d: list[int], lam: list[list[int]], f: int):
+    """Integral Gram-Schmidt data of f a from those (d, lam) of an integer
+    Gram a, for an integer f > 0: mu does not change, so d[k] takes the
+    factor f^k and lam[i][j] the factor f^(j+1)."""
+    pows = [f**k for k in range(len(d))]
     return (
-        [x * p // q for x, p, q in zip(d, nums, dens)],
-        [[x * p // q for x, p, q in zip(row, nums[1:], dens[1:])] for row in lam],
+        [x * p for x, p in zip(d, pows)],
+        [[x * p for x, p in zip(row, pows[1:])] for row in lam],
     )
 
 
@@ -154,7 +152,7 @@ class Reduced(NamedTuple):
     a / s for the integer Gram a of the reduced basis, with its integral
     Gram-Schmidt data (d, lam).  The scale s is the lcm of the reduced
     Gram's denominators (the input's too, as U is unimodular), so equal
-    reductions are equal records."""
+    reductions are equal records.  `reduce` makes each one from its Gram."""
 
     gram: list[list[Fraction]]
     u: list[list[int]]
@@ -167,26 +165,6 @@ class Reduced(NamedTuple):
         """The smallest diagonal entry of the reduced Gram: the value of
         its shortest basis vector."""
         return Fraction(min(row[i] for i, row in enumerate(self.a)), self.s)
-
-    def scaled(self, factor: Fraction) -> "Reduced":
-        """The reduction of factor * gram, factor > 0.  Integral LLL rounds
-        mu and tests Lovasz's condition, both invariant under scaling, so
-        U stays; with G the gcd of a's entries, the canonical scale is
-        s q / g and the integer Gram is (p / g) a, g = gcd(s q, p G) for
-        factor = p / q."""
-        p, q = factor.numerator, factor.denominator
-        g = gcd(self.s * q, p * gcd(*(x for row in self.a for x in row)))
-        c = gcd(p, g)
-        num, den = p // c, g // c
-        d, lam = _scaled_gso(self.d, self.lam, num, den)
-        return Reduced(
-            [[x * factor for x in row] for row in self.gram],
-            self.u,
-            self.s * q // g,
-            [[x * num // den for x in row] for row in self.a],
-            d,
-            lam,
-        )
 
 
 def reduce(g: list[list[Fraction]]) -> Reduced:
@@ -287,7 +265,7 @@ def _half_space(
     f = radius.denominator // gcd(s, radius.denominator)
     if f > 1:
         s *= f
-        d, lam = _scaled_gso(d, lam, f, 1)
+        d, lam = _scaled_gso(d, lam, f)
     top = radius.numerator * (s // radius.denominator)
     values: list[int] = []
     firsts: list[int] = []

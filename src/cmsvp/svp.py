@@ -81,20 +81,19 @@ class GramMatrix:
     ratio, and psi's tail counts points through ratio times q_omega's
     pivots.  `ratio` is 1 for an exact Gram.
 
-    Construction LLL-reduces the entries once into `reduction`, unless a
-    reduction is passed in (as `scaled` does); the reduction certifies
-    positive definiteness, so a Gram that is not positive definite raises
-    NotPositiveDefiniteError here.  Every search on the Gram reuses it.
+    Construction LLL-reduces the entries once into `reduction`, which is
+    not an argument: the reduction certifies positive definiteness, so a
+    Gram that is not positive definite raises NotPositiveDefiniteError
+    here.  Every search on the Gram reuses it.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
     exact: bool
-    reduction: lattice.Reduced | None = dataclasses.field(default=None, repr=False, compare=False)
+    reduction: lattice.Reduced = dataclasses.field(init=False, repr=False, compare=False)
     ratio: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.reduction is None:
-            object.__setattr__(self, "reduction", lattice.reduce(self.rows()))
+        object.__setattr__(self, "reduction", lattice.reduce(self.rows()))
 
     @property
     def dimension(self) -> int:
@@ -102,15 +101,6 @@ class GramMatrix:
 
     def rows(self) -> list[list]:
         return [list(r) for r in self.entries]
-
-    def scaled(self, factor) -> "GramMatrix":
-        """factor times this Gram, which bounds factor times the form by the
-        same ratio; the reduction carries over (lattice.Reduced.scaled)."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise InputError("scale factor must be positive")
-        red = self.reduction.scaled(factor)
-        return GramMatrix(tuple(map(tuple, red.gram)), self.exact, red, self.ratio)
 
 
 @dataclass(frozen=True)
@@ -184,8 +174,9 @@ def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix
 
     Both kinds are the twisted trace form of an omega = big / den with big
     in Z[zeta]: entry (i, j) is Tr(omega kk~ zeta^(i-j)) / 2, so entry j
-    of the first row is Tr(big kk~ zeta^j) / (2 den).  Equal weights take
-    omega = w0 exactly."""
+    of the first row is Tr(x zeta^j) / (2 den) for x = big kk~, read off
+    the trace table as sum_i x_i Tr(zeta^((i+j) mod n)), n the conductor.
+    Equal weights take omega = w0 exactly."""
     if kappa is not None and kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
     d = field.degree
@@ -195,8 +186,9 @@ def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix
         big, den, ratio = field.one() * ws[0].numerator, ws[0].denominator, Fraction(1)
     else:
         big, den, ratio = _weight_element(field, ws, prec)
-    x = big * kk
-    t = [Fraction(trace(x * field.zeta(j)), 2 * den) for j in range(d)]
+    x = (big * kk).coords
+    n, zt = field.conductor, field._zeta_traces
+    t = [Fraction(sum(c * zt[(i + j) % n] for i, c in enumerate(x)), 2 * den) for j in range(d)]
     ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
     return GramMatrix(ent, exact, ratio=ratio)
 

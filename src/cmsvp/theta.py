@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import log
 
 from . import lattice
-from .embeddings import normalize_weights, weights_are_equal_rational
+from .embeddings import normalize_weights
 from .errors import BudgetExceededError, InputError, SelfTestError
 from .field import CMField
 from .interval import (
@@ -54,7 +54,6 @@ class ThetaPrefix:
 
     scale: Fraction
     coefficients: tuple[tuple[int, int], ...]
-    max_norm: Fraction
 
     def norm_counts(self) -> dict:
         return {self.scale * m: c for m, c in self.coefficients}
@@ -96,16 +95,16 @@ class PsiSample:
 def theta_prefix(
     g: GramMatrix, max_norm, budget: int = lattice.DEFAULT_BUDGET
 ) -> ThetaPrefix:
-    """Exact (norm, count) table of a rational Gram up to max_norm."""
+    """Exact (norm, count) table of a rational Gram up to max_norm, on the
+    grid of its reduction's scale s: the lcm of the Gram's denominators."""
     if not g.exact:
         raise InputError("theta counting needs an exact-rational Gram")
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise InputError("max_norm must be nonnegative")
-    denom = lcm(*(e.denominator for row in g.entries for e in row))
+    s = g.reduction.s
     counts = lattice.theta_counts(g.reduction, max_norm, budget)
-    coeff = tuple((int(q * denom), c) for q, c in counts)
-    return ThetaPrefix(Fraction(1, denom), coeff, max_norm)
+    return ThetaPrefix(Fraction(1, s), tuple((int(q * s), c) for q, c in counts))
 
 
 def same_counts(a: ThetaPrefix, b: ThetaPrefix) -> bool:
@@ -121,12 +120,13 @@ def _pow_half(x: RealInterval, d: int, bits: int) -> RealInterval:
 
 def _tail_bound(
     dim: int, delta: Fraction, radius: Fraction, t: Fraction, bits: int
-) -> RealInterval:
+) -> Fraction:
     """Upper bound on the sum of exp(-pi t q) over q > radius; requires
-    radius >= delta and (radius + 1) pi t >= dim.  The bound is 3^dim
-    poly e_main / slab, in positive intervals, so each end is one
-    ratio_of_products of the ends of its factors: at a large t, e_main
-    and slab are dyadics of hundreds of thousands of bits."""
+    radius >= delta and (radius + 1) pi t >= dim.  The bound is the upper
+    end of 3^dim poly e_main / slab, in positive intervals, so it is one
+    ratio_of_products of the upper ends of the factors over the lower end
+    of slab: at a large t, e_main and slab are dyadics of hundreds of
+    thousands of bits."""
     pi = pi_interval(bits)
     if radius < delta:
         raise InputError("tail radius below the pivot floor")
@@ -135,16 +135,12 @@ def _tail_bound(
     poly = _pow_half(RealInterval.point(Fraction(radius + 1) / delta), dim, bits)
     e_main = exp_interval(-(pi * t * radius), bits)
     e_half = exp_interval(-(pi * t * Fraction(1, 2)), bits)
-    three = Fraction(3**dim)
     slab_lo = 1 - e_half.hi
     if slab_lo <= 0:
         # e^x >= 1 + x, so 1 - e^-x >= x / (1 + x) for x = pi t / 2
         x = pi.lo * t / 2
         slab_lo = x / (1 + x)
-    return RealInterval(
-        ratio_of_products([three, poly.lo, e_main.lo], [1 - e_half.lo]),
-        ratio_of_products([three, poly.hi, e_main.hi], [slab_lo]),
-    )
+    return ratio_of_products([Fraction(3**dim), poly.hi, e_main.hi], [slab_lo])
 
 
 def _pivot_floor(red: lattice.Reduced) -> Fraction:
@@ -181,8 +177,8 @@ def _grow_radius(
     r = _initial_radius(dim, delta, mu_ub, t, bits)
     for _ in range(MAX_RADIUS_STEPS):
         tail = _tail_bound(dim, delta, r, t, bits)
-        if tail.hi <= target:
-            return r, RealInterval(Fraction(0), tail.hi)
+        if tail <= target:
+            return r, RealInterval(Fraction(0), tail)
         r = r + max(Fraction(1), r / 2)
     raise BudgetExceededError(budget)
 
@@ -248,19 +244,17 @@ def psi_truncated(
 ) -> PsiSample:
     """Certified truncation of psi at z_j = t i x_j.
 
-    Equal rational weights reduce to the exact theta sum of the O_F Gram,
-    at prec's bits; general weights run the superset search on the exact
-    lower form q_omega of their Gram (see svp.GramMatrix), whose pivots
-    times the Gram's ratio bound the tail, and evaluate each algebraic
-    orbit by certified intervals, and the whole sample climbs the precision
-    ladder.
+    Equal rational weights reduce to the exact theta sum of the O_F Gram;
+    general weights run the superset search on the exact lower form
+    q_omega of their Gram (see svp.GramMatrix), whose pivots times the
+    Gram's ratio bound the tail, and evaluate each algebraic orbit by
+    certified intervals.  The whole sample climbs the precision ladder; an
+    exact Gram misses at no rung, so equal weights return at the first.
     """
     ws = normalize_weights(field, w)
     t = Fraction(t)
     if t <= 0:
         raise InputError("t must be positive")
-    if weights_are_equal_rational(ws):
-        return _psi_sample(field, ws, _gram(field, ws, None, prec), t, prec, budget)
     return climb(prec, lambda cur: _psi_sample(field, ws, _gram(field, ws, None, cur), t, cur, budget))
 
 
@@ -301,9 +295,7 @@ def _excess_data(field, ws, g: GramMatrix, mv, prec, budget):
 
 
 def _excess_upper(beyond, cutoff, delta, dim, t, bits) -> Fraction:
-    total = _shell_sum(beyond, t, bits)
-    tail = _tail_bound(dim, delta, cutoff, t, bits)
-    return (total + tail).hi
+    return _shell_sum(beyond, t, bits).hi + _tail_bound(dim, delta, cutoff, t, bits)
 
 
 def cusp_extract(

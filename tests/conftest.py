@@ -309,8 +309,8 @@ def reference_basis_map(u):
 
 
 def reference_tail_bound(dim: int, delta: Fraction, radius: Fraction, t: Fraction, bits: int):
-    """theta._tail_bound as interval arithmetic forms it, normalizing each
-    product and quotient in turn: 3^dim poly e_main / slab."""
+    """3^dim poly e_main / slab as interval arithmetic forms it, normalizing
+    each product and quotient in turn; theta._tail_bound is its upper end."""
     pi = pi_interval(bits)
     poly = theta._pow_half(RealInterval.point(Fraction(radius + 1) / delta), dim, bits)
     e_main = exp_interval(-(pi * t * radius), bits)
@@ -374,7 +374,7 @@ def interval_lower_form(field, ws, kappa, prec=DEFAULT_PRECISION):
     """The oracle's Gram at prec's bits: its quantized lower form, which
     bounds the weighted norm from below with ratio 1."""
     red, _ = quantized_floor_form(interval_gram_entries(field, ws, kappa, prec))
-    return svp.GramMatrix(tuple(map(tuple, red.gram)), False, red)
+    return svp.GramMatrix(tuple(map(tuple, red.gram)), False)
 
 
 def oracle_minimal_vectors(field, ws, kappa=None, prec=DEFAULT_PRECISION, budget=lattice.DEFAULT_BUDGET):

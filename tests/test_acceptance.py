@@ -15,6 +15,7 @@ from cmsvp.field import CMField, exact_divide, field_norm, is_unit
 from cmsvp.interval import RealInterval
 from cmsvp.lattice import enumerate_short, reduce
 from cmsvp.svp import (
+    GramMatrix,
     characteristic_set_E,
     craig_circulant,
     gram_matrix,
@@ -153,9 +154,9 @@ def test_criterion_7_theta_cross_check():
         for r in (0, 1, 2):
             kappa = _kappa_power(field, r) if r else None
             circulant = theta_prefix(craig_circulant(p - 1, r), 12)
-            ideal = theta_prefix(
-                gram_matrix(field, None, kappa).scaled(Fraction(2, p)), 12
-            )
+            g = gram_matrix(field, None, kappa)
+            scaled = tuple(tuple(Fraction(2, p) * x for x in row) for row in g.entries)
+            ideal = theta_prefix(GramMatrix(scaled, True), 12)
             if not same_counts(circulant, ideal):
                 mismatches.append((p, r))
     elapsed = time.perf_counter() - start

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmsvp import cli, interval, theta
+from cmsvp import cli, interval, svp, theta
 from cmsvp.field import CMField
 from cmsvp.interval import RealInterval
 from cmsvp.units import cyclotomic_unit_basis
@@ -256,6 +256,17 @@ def test_verify_craig_pass():
     assert all(c["theta"] == "pass" for c in out["checks"])
 
 
+def test_verify_craig_fails_when_the_theta_tables_differ(monkeypatch, capsys):
+    """A circulant model one power of (1 - T) too high has another theta
+    table on every leg: each leg's theta check fails, and so does the run."""
+    real = svp.craig_circulant
+    monkeypatch.setattr(svp, "craig_circulant", lambda n, r: real(n, r + 1))
+    assert cli.main(["verify-craig", "-p", "7", "-r", "1..2", "--json"]) == cli.EXIT_VERIFY_FAIL == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "fail"
+    assert [(c["factorization"], c["theta"], c["status"]) for c in out["checks"]] == [("pass", "fail", "fail")] * 2
+
+
 def test_verify_craig_inconclusive():
     proc = run_cli("verify-craig", "-p", "11", "-r", "1", "--json")
     assert proc.returncode == 0
@@ -315,7 +326,8 @@ def test_closed_stdout_exits_141_without_a_traceback(fmt):
 def test_psi_with_a_tiny_t_refuses_on_budget_at_128_bits(weights, monkeypatch):
     """At 128 bits 1 - exp(-pi t/2) contains 0 for t = 1e-300; the tail
     bound takes the exact lower end x / (1 + x), x = pi t / 2, instead,
-    and the descent is refused on its node estimate, with no climb."""
+    and the descent is refused on its node estimate at the first rung,
+    with no climb past it."""
     rungs = []
     real_climb = interval.climb
 
@@ -328,7 +340,7 @@ def test_psi_with_a_tiny_t_refuses_on_budget_at_128_bits(weights, monkeypatch):
         rc = cli.main(["psi", "--cyclotomic", "5", "--t", "1e-300", *weights])
     assert rc == 4 and out.getvalue() == ""
     assert err.getvalue().startswith("budget exceeded: enumeration refused before it started")
-    assert rungs == ([128] if weights else [])
+    assert rungs == [128]
 
 
 @pytest.mark.parametrize("flag", [["--ideal-exp", "2"], ["--ideal-gen", "1,1,0,0"]])

@@ -649,20 +649,19 @@ def _integral_data(reduced, den=1):
 )
 def test_reduction_record_is_the_integral_data_of_its_reduced_gram(g, factor, den):
     """The record that LLL ends with is the integer Gram and integral
-    Gram-Schmidt data of the reduced Gram at the lcm of its denominators;
-    scaling by p/q keeps that true, and equals reducing the scaled Gram;
-    the descent's rescale for a radius denominator r, which divides s or
-    not, equals the data at lcm(s, r)."""
+    Gram-Schmidt data of the reduced Gram at the lcm of its denominators,
+    also for the Gram scaled by p/q, whose reduction keeps U; the descent's
+    rescale for a radius denominator r, which divides s or not, equals the
+    data at lcm(s, r)."""
     red = reduce(g)
     assert (red.s, red.a, red.d, red.lam) == _integral_data(reduced_gram(red))
-    scaled = red.scaled(factor)
-    assert scaled == reduce([[factor * x for x in row] for row in g])
-    assert scaled.u is red.u
+    scaled = reduce([[factor * x for x in row] for row in g])
+    assert scaled.u == red.u
     assert (scaled.s, scaled.a, scaled.d, scaled.lam) == _integral_data(reduced_gram(scaled))
     for rec in (red, scaled):
         for r in (den, gcd(rec.s, den), rec.s, 2 * rec.s * den):
             f = r // gcd(rec.s, r)
             s, _, d, lam = _integral_data(reduced_gram(rec), r)
-            assert (rec.s * f, *lattice._scaled_gso(rec.d, rec.lam, f, 1)) == (s, d, lam)
+            assert (rec.s * f, *lattice._scaled_gso(rec.d, rec.lam, f)) == (s, d, lam)
             radius = Fraction(rec.min_diagonal() * r * 3 // 2, r)
             _same_descent(rec, radius, [])

@@ -111,6 +111,28 @@ def test_gram_matrix_interval_weights(f5):
         assert g.ratio * g.entries[i][i] <= 4 <= g.entries[i][i] * (1 + svp.DELTA)
 
 
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12, 15, 16, 20, 21, 35])
+@settings(deadline=None, derandomize=True, max_examples=3)
+@given(data=st.data())
+def test_gram_row_read_off_the_trace_table_is_the_trace_of_field_products(n, data):
+    """Entry j of the first row of the Gram is Tr(x zeta^j) / (2 den) for
+    omega = big / den and x = big kappa conj(kappa), with x zeta^j
+    multiplied out in the field; the Gram is the Toeplitz matrix of that
+    row.  Equal and unequal weights, with and without kappa = (1 -
+    zeta)^2, at prime and composite conductors."""
+    field = CMField(n)
+    d, one_minus = field.degree, field.one() - field.zeta(1)
+    w0 = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=50))
+    skew = tuple(map(Fraction, data.draw(st.lists(st.integers(1, 64), min_size=field.k, max_size=field.k, unique=True))))
+    omega = interval.climb(interval.DEFAULT_PRECISION, lambda cur: svp._weight_element(field, skew, cur))
+    for ws, big, den in (((w0,) * field.k, field.one() * w0.numerator, w0.denominator), (skew, *omega[:2])):
+        for kappa in (None, one_minus * one_minus):
+            x = big * (field.one() if kappa is None else kappa.times_conj())
+            row = [Fraction(trace(x * field.zeta(j)), 2 * den) for j in range(d)]
+            g = gram_matrix(field, ws, kappa)
+            assert g.entries == tuple(tuple(row[abs(i - j)] for j in range(d)) for i in range(d))
+
+
 def test_minimal_vectors_equal_weights(f5, f7):
     mv5 = minimal_vectors(f5, None)
     assert (mv5.mu, mv5.count) == (Fraction(2), 10)
@@ -399,13 +421,6 @@ def test_craig_minima():
     assert (mu, len(mins)) == (Fraction(2), 42)
 
 
-def test_gram_scaled():
-    g = craig_circulant(4, 1)
-    h = g.scaled(Fraction(2, 5))
-    assert h.entries[0][0] == Fraction(4, 5)
-    assert h.exact
-
-
 def test_exact_gram_that_is_not_positive_definite_fails_at_construction():
     with pytest.raises(NotPositiveDefiniteError):
         GramMatrix(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))), True)
@@ -470,23 +485,9 @@ def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
     assert at["chamber"] - at["listed"] == 11
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_a_scaled_exact_gram_carries_its_reduction(p):
-    """GramMatrix.scaled keeps U and scales the reduced Gram, which is what
-    a fresh reduction of the scaled Gram gives (the verify-craig theta
-    check's Gram and its circulant model)."""
-    field = CMField(p)
-    for r in range(3):
-        for g in (craig_circulant(p - 1, r), gram_matrix(field, None, cli._one_minus_zeta_power(field, r))):
-            scaled = g.scaled(Fraction(2, p))
-            assert scaled.reduction == lattice.reduce(scaled.rows())
-            assert scaled.reduction.u is g.reduction.u
-
-
 def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
     """Each leg reduces the field Gram of its minimal vectors, the circulant
-    Gram and the field Gram of its theta check; the scaled copy of the
-    last reuses its reduction."""
+    Gram and the field Gram of its theta check."""
     calls = []
     real_lll = lattice.lll_reduce
 
@@ -498,6 +499,24 @@ def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
     assert cli.main(["verify-craig", "-p", "7", "-r", "1..6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert len(calls) == 18
+
+
+def test_verify_craig_tests_one_quotient_per_distinct_beta(monkeypatch, capsys):
+    """The factorization check tests one quotient v of each distinct
+    v conj(v) of each leg: 14 for the 196 minimal vectors of -p 7 -r 1..6."""
+    seen = []
+    real_is_unit = cli.is_unit
+
+    def recording(v):
+        seen.append(v.times_conj())
+        return real_is_unit(v)
+
+    monkeypatch.setattr(cli, "is_unit", recording)
+    assert cli.main(["verify-craig", "-p", "7", "-r", "1..6", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert sum(c["count"] for c in checks) == 196
+    assert all(c["factorization"] == "pass" for c in checks)
+    assert len(seen) == 14
 
 
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
