@@ -20,7 +20,7 @@ from .errors import (
     PrecisionError,
     SelfTestError,
 )
-from .field import CMField, FieldElement, exact_divide, field_norm, is_unit, trace
+from .field import CMField, FieldElement, exact_divide, field_norm, is_unit, real_norm, trace
 from .interval import DEFAULT_PRECISION, PrecisionConfig, RealInterval
 from .svp import (
     CharacteristicSetE,
@@ -73,6 +73,7 @@ __all__ = [
     "minimal_vectors",
     "norm_gap_verdict",
     "psi_truncated",
+    "real_norm",
     "reduce_to_chamber",
     "same_counts",
     "theorem_bound",

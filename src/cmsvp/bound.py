@@ -141,7 +141,7 @@ def ideal_bound(
     if kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
     base = theorem_bound(field, basis, prec)
-    n_kappa = abs(field_norm(kappa))
+    n_kappa = field_norm(kappa)
     return dataclasses.replace(base, ideal_norm=n_kappa, ideal_bound=base.bound * Fraction(n_kappa))
 
 

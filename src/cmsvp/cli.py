@@ -46,7 +46,7 @@ from .errors import (
     PrecisionError,
     SelfTestError,
 )
-from .field import CMField, is_prime, is_unit
+from .field import CMField, is_prime, real_norm
 from .interval import (
     DEFAULT_PRECISION,
     MAX_BITS,
@@ -314,9 +314,9 @@ def _craig_check(field: CMField, p: int, r: int, prec, budget) -> tuple[dict, ob
     # a minimal vector is alpha = kappa * v with v its coordinates in the
     # basis kappa zeta^i, so alpha / kappa is v itself; the multiples
     # +-zeta^k v are units together and share v conj(v), so one v per
-    # distinct v conj(v) decides them all
-    reps = {v.times_conj(): v for v in map(field.element, mv.vectors)}
-    factored = all(map(is_unit, reps.values()))
+    # distinct v conj(v) decides them all, a unit exactly when its norm is 1
+    betas = {v.times_conj() for v in map(field.element, mv.vectors)}
+    factored = all(real_norm(b) == 1 for b in betas)
     # the circulant's table to THETA_CHECK_NORM is compared with that of
     # the ideal's form times 2/p: the ideal's own table to
     # THETA_CHECK_NORM p/2, every norm times 2/p

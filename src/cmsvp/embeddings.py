@@ -144,17 +144,15 @@ def weighted_norm(
     a: FieldElement,
     weights,
     prec: PrecisionConfig = DEFAULT_PRECISION,
-    beta: FieldElement | None = None,
 ) -> RealInterval:
-    """Enclosure of the weighted norm sum_m w_m sigma_m(a*abar); `beta` is
-    a*abar when the caller already has it.  See _weighted_sum."""
+    """Enclosure of the weighted norm sum_m w_m sigma_m(a*abar).  See
+    _weighted_sum."""
     w = normalize_weights(field, weights)
     if a.is_zero():
         return RealInterval.point(0)
-    if beta is None:
-        beta = a.times_conj()
+    coords = a.times_conj().coords
     wnum = _weight_numerators(w)
-    return climb(prec, lambda cur: _weighted_sum(field.conductor, beta.coords, wnum, cur))
+    return climb(prec, lambda cur: _weighted_sum(field.conductor, coords, wnum, cur))
 
 
 def _log_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:

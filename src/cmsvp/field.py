@@ -120,8 +120,6 @@ class CMField:
         if self.degree % 2 != 0:
             raise InputError("field is not CM: odd degree")
         self.k = self.degree // 2
-        # x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
-        self._x_d = tuple(-c for c in phi[: self.degree])
         self._zeta_powers = self._build_zeta_powers()
         # x^(d+i) mod Phi_n for i = 0..d-2, the rows that reduce a product
         self._reduction = [
@@ -129,20 +127,15 @@ class CMField:
         ]
         self._zeta_traces = self._build_zeta_traces()
 
-    def _times_zeta(self, coords) -> list[int]:
-        """Coordinates of zeta * x from those of x: shift up, reduce x^d."""
-        top = coords[-1]
-        out = [0, *coords[:-1]]
-        if top:
-            out = [s + top * b for s, b in zip(out, self._x_d)]
-        return out
-
     def _build_zeta_powers(self) -> tuple[tuple[int, ...], ...]:
-        """Coordinates of zeta^m for m = 0..n-1, one shift-and-reduce each."""
+        """Coordinates of zeta^m for m = 0..n-1, one shift-and-reduce each:
+        shift up, then reduce x^d = -(phi_0 + ... + phi_(d-1) x^(d-1))."""
         cur = [1] + [0] * (self.degree - 1)
         rows = [tuple(cur)]
         for _ in range(self.conductor - 1):
-            cur = self._times_zeta(cur)
+            top, cur = cur[-1], [0, *cur[:-1]]
+            if top:
+                cur = [s - top * c for s, c in zip(cur, self.polynomial)]
             rows.append(tuple(cur))
         return tuple(rows)
 
@@ -154,6 +147,11 @@ class CMField:
         return tuple(
             sum(rows[(m + i) % n][i] for i in range(self.degree)) for m in range(n)
         )
+
+    @functools.cached_property
+    def _real_discriminant(self) -> int:
+        """det of the trace form of 1, the discriminant of K+, on first use."""
+        return _det_bareiss(_real_trace_form(self.one()))
 
     # -- element constructors ------------------------------------------------
 
@@ -317,14 +315,22 @@ class FieldElement:
         return f"FieldElement({self.field.conductor}; {self.format()})"
 
 
-def mult_matrix(a: FieldElement) -> list[list[int]]:
-    """Matrix of multiplication by a on the power basis (columns are a*zeta^j)."""
-    field = a.field
-    d = field.degree
-    cols = [a.coords]
-    for _ in range(d - 1):
-        cols.append(field._times_zeta(cols[-1]))
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+def trace_row(a: FieldElement, count: int) -> list[int]:
+    """Tr(a zeta^m) = sum_i a_i Tr(zeta^((i+m) mod n)) for m < count <= n,
+    n the conductor, as dot products with the trace table repeated twice."""
+    zt = a.field._zeta_traces * 2
+    return [sum(map(mul, a.coords, zt[m:])) for m in range(count)]
+
+
+def _real_trace_form(beta: FieldElement) -> list[list[int]]:
+    """Tr_K+(beta b_i b_j) for real beta on b = 1, theta_1, ..., theta_(k-1),
+    theta_j = zeta^j + zeta^-j: as Tr_K+(beta theta_m) = t_m = Tr(beta zeta^m)
+    and theta_i theta_j = theta_(i+j) + theta_|i-j|, theta_0 = 2, entry 00 is
+    t_0 / 2, row and column 0 are t_j, and entry ij is t_(i+j) + t_|i-j|."""
+    k = beta.field.k
+    t = trace_row(beta, 2 * k - 1)
+    rows = [[t[i]] + [t[i + j] + t[abs(i - j)] for j in range(1, k)] for i in range(1, k)]
+    return [[t[0] // 2, *t[1:k]], *rows]
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -350,21 +356,27 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def real_norm(beta: FieldElement) -> int:
+    """N_{K+/Q}(beta) of a real beta, exactly: beta's trace form is that of
+    1 times beta's multiplication matrix, so the norm is the quotient of
+    their k x k determinants."""
+    if beta != beta.conj():
+        raise InputError("real_norm needs an element of the real subfield")
+    return _det_bareiss(_real_trace_form(beta)) // beta.field._real_discriminant
+
+
 def field_norm(a: FieldElement) -> int:
-    """N_{F/Q}(a) as an exact integer; nonnegative for CM fields."""
-    if a.is_zero():
-        return 0
-    return _det_bareiss(mult_matrix(a))
+    """N_{F/Q}(a) = N_{K+/Q}(a conj(a)), an exact integer >= 0."""
+    return real_norm(a.times_conj())
 
 
 def trace(a: FieldElement) -> int:
     """Tr_{F/Q}(a) as an exact integer."""
-    zt = a.field._zeta_traces
-    return sum(c * zt[j] for j, c in enumerate(a.coords))
+    return trace_row(a, 1)[0]
 
 
 def is_unit(a: FieldElement) -> bool:
-    return not a.is_zero() and abs(field_norm(a)) == 1
+    return field_norm(a) == 1
 
 
 def exact_divide(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -264,17 +264,9 @@ def ratio_of_products(nums, dens) -> Fraction:
     return _lowest(top << shift, bottom) if shift >= 0 else _lowest(top, bottom << -shift)
 
 
-def _exact_sum(xs: list[Fraction]) -> Fraction:
-    """sum(xs), exactly.  The terms whose denominators are powers of two,
-    as every leaf endpoint's are, add as integers over the largest such
-    power, with no gcd; any other term adds as a Fraction."""
-    dyadic = [(x.numerator, 1 - x.denominator.bit_length()) for x in xs if x.denominator.bit_count() == 1]
-    return _dyadic_sum(dyadic) + sum((x for x in xs if x.denominator.bit_count() != 1), Fraction(0))
-
-
 def interval_sum(items) -> RealInterval:
     items = [_coerce(it) for it in items]
-    return RealInterval(_exact_sum([it.lo for it in items]), _exact_sum([it.hi for it in items]))
+    return RealInterval(sum((it.lo for it in items), Fraction(0)), sum((it.hi for it in items), Fraction(0)))
 
 
 def interval_prod(items) -> RealInterval:

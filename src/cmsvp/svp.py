@@ -45,11 +45,13 @@ from .field import (
     CMField,
     FieldElement,
     _poly_divide_exact,
+    _real_trace_form,
     exact_divide,
-    field_norm,
     is_prime,
+    real_norm,
     representatives,
     trace,
+    trace_row,
 )
 from .interval import (
     DEFAULT_PRECISION,
@@ -175,7 +177,7 @@ def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix
     Both kinds are the twisted trace form of an omega = big / den with big
     in Z[zeta]: entry (i, j) is Tr(omega kk~ zeta^(i-j)) / 2, so entry j
     of the first row is Tr(x zeta^j) / (2 den) for x = big kk~, read off
-    the trace table as sum_i x_i Tr(zeta^((i+j) mod n)), n the conductor.
+    the trace table by field.trace_row.
     Equal weights take omega = w0 exactly."""
     if kappa is not None and kappa.is_zero():
         raise InputError("ideal generator must be nonzero")
@@ -186,9 +188,7 @@ def _gram(field: CMField, ws: tuple, kappa, prec: PrecisionConfig) -> GramMatrix
         big, den, ratio = field.one() * ws[0].numerator, ws[0].denominator, Fraction(1)
     else:
         big, den, ratio = _weight_element(field, ws, prec)
-    x = (big * kk).coords
-    n, zt = field.conductor, field._zeta_traces
-    t = [Fraction(sum(c * zt[(i + j) % n] for i, c in enumerate(x)), 2 * den) for j in range(d)]
+    t = [Fraction(tr, 2 * den) for tr in trace_row(big * kk, d)]
     ent = tuple(tuple(t[abs(i - j)] for j in range(d)) for i in range(d))
     return GramMatrix(ent, exact, ratio=ratio)
 
@@ -235,20 +235,19 @@ def _cosine_solve(field: CMField, lows, den: int) -> list[Fraction]:
     j >= 1 and 1 for j = 0, off by far less than its grid 1/den.
 
     c solves the normal equations T c = C^T lows, whose matrix T = C^T C
-    is the integer trace form Tr_K+(theta_i theta_j) of the basis, read off
-    the traces Tr(zeta^a) as theta_i theta_j = theta_(i+j) + theta_(i-j)
-    and Tr_K+(zeta^a + zeta^-a) = Tr(zeta^a); so only C^T lows is taken
-    on cosine midpoints, at bits that depend on the weights alone, and
-    every rung rounds the same c."""
-    n, k, zt = field.conductor, field.k, field._zeta_traces
+    is the integer trace form Tr_K+(theta_i theta_j) of 1 on the basis
+    (field._real_trace_form); so only C^T lows is taken on cosine
+    midpoints, at bits that depend on the weights alone, and every rung
+    rounds the same c."""
+    n, k = field.conductor, field.k
     top = max(lows)
     bits = max(DEFAULT_PRECISION.bits, (den * k * k * (top.numerator // top.denominator + 1)).bit_length() + 64)
     cden, cos_lo, cos_hi = _cos_table(n, bits)
     reps = representatives(n)
-    rows = [[k] + [zt[j] for j in range(1, k)] + [sum(lows)]]
+    rows = _real_trace_form(field.one())
+    rows[0].append(sum(lows))
     for i in range(1, k):
-        rhs = sum(low * (cos_lo[i * m % n] + cos_hi[i * m % n]) for m, low in zip(reps, lows)) / cden
-        rows.append([zt[i]] + [zt[i + j] + zt[abs(i - j)] for j in range(1, k)] + [rhs])
+        rows[i].append(sum(low * (cos_lo[i * m % n] + cos_hi[i * m % n]) for m, low in zip(reps, lows)) / cden)
     # Gauss-Jordan; T is the trace form of a basis, so it is invertible
     for col in range(k):
         piv = next(i for i in range(col, k) if rows[i][col])
@@ -357,12 +356,12 @@ class _Members:
 
 
 def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
-    """({beta: (alpha, members)}, nodes) over one vector of each +-pair of
-    the reduced lower form `red` within `radius`, grouped by the exact
+    """({beta: members}, nodes) over one vector of each +-pair of the
+    reduced lower form `red` within `radius`, grouped by the exact
     beta = alpha*conj(alpha) of alpha = kappa * vector.  Members iterate
     as reduced coordinates in descent order (see _Members);
     lattice._to_basis(red.u, ...) maps them to the Gram's own basis.
-    alpha is the first member's, the one vector of each group mapped
+    beta is the first member's, the one vector of each group mapped
     through U and multiplied out."""
     leaves, _, nodes = lattice._half_space(red, Fraction(radius), budget)
     keys, _ = _beta_keys(field, kappa, red.u, leaves)
@@ -370,11 +369,10 @@ def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     for i, key in enumerate(keys):
         by_key.setdefault(key, []).append(i)
     reps = lattice._to_basis(red.u, leaves.coords([indices[0] for indices in by_key.values()]))
-    groups = {}
-    for coords, indices in zip(reps, by_key.values()):
-        a = _basis_element(field, kappa, coords)
-        groups[a.times_conj()] = (a, _Members(leaves, indices))
-    return groups, nodes
+    return {
+        _basis_element(field, kappa, coords).times_conj(): _Members(leaves, indices)
+        for coords, indices in zip(reps, by_key.values())
+    }, nodes
 
 
 def _on_grid(radius: Fraction, s: int) -> Fraction:
@@ -400,7 +398,7 @@ def superset_search(field, ws, kappa, g: GramMatrix, radius, prec, budget):
     n, wnum = field.conductor, _weight_numerators(ws)
     return {
         beta: (_weighted_sum(n, beta.coords, wnum, prec), members)
-        for beta, (_, members) in groups.items()
+        for beta, members in groups.items()
     }, nodes
 
 
@@ -553,11 +551,12 @@ def reduce_to_chamber(
     prec: PrecisionConfig = DEFAULT_PRECISION,
 ) -> tuple[FieldElement, tuple[int, ...]]:
     """(w / prod g^a, a) with the quotient's log coordinates in [0,1)^(k-1)."""
-    n_abs = abs(field_norm(w))
+    beta = w.times_conj()
+    n_abs = real_norm(beta)
     if n_abs == 0:
         raise InputError("chamber reduction needs a nonzero element")
     chamber = _Chamber(field, basis)
-    exps = _chamber_exponents(chamber, w.times_conj(), n_abs, prec)
+    exps = _chamber_exponents(chamber, beta, n_abs, prec)
     return chamber.divide_out(w, exps), exps
 
 
@@ -592,8 +591,8 @@ def characteristic_set_E(
     chamber = _Chamber(field, basis)
     origin = (0,) * (k - 1)
     accepted = []
-    for beta, (a, members) in groups.items():
-        n_abs = abs(field_norm(a))
+    for beta, members in groups.items():
+        n_abs = real_norm(beta)
         if Fraction(n_abs) > bound.hi:
             continue
         exps = _chamber_exponents(chamber, beta, n_abs, prec)

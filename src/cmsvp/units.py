@@ -141,28 +141,20 @@ def load_unit_basis(field: CMField, path) -> UnitBasis:
 
 
 def delta_sets(basis: UnitBasis) -> list[DeltaSet]:
-    """All (k-1)! simplex vertex chains Delta_s."""
-    field = basis.field
+    """All (k-1)! simplex vertex chains Delta_s, each vertex read off the
+    subset-product table at its chain's prefix mask."""
+    vertices = fundamental_domain_vertices(basis)
     out = []
-    indices = range(len(basis.generators))
-    for perm in itertools.permutations(indices):
-        verts = [field.one()]
-        cur = field.one()
-        for idx in perm:
-            cur = cur * basis.generators[idx]
-            verts.append(cur)
-        out.append(DeltaSet(tuple(perm), tuple(verts)))
+    for perm in itertools.permutations(range(len(basis.generators))):
+        masks = itertools.accumulate(perm, lambda mask, idx: mask | 1 << idx, initial=0)
+        out.append(DeltaSet(perm, tuple(vertices[mask] for mask in masks)))
     return out
 
 
 def fundamental_domain_vertices(basis: UnitBasis) -> list[FieldElement]:
-    """The 2^(k-1) products of generators with 0/1 exponents."""
-    field = basis.field
-    out = []
-    for mask in itertools.product((0, 1), repeat=len(basis.generators)):
-        cur = field.one()
-        for bit, gen in zip(mask, basis.generators):
-            if bit:
-                cur = cur * gen
-        out.append(cur)
+    """The 2^(k-1) products of generators with 0/1 exponents: entry mask is
+    the product of the g_j with bit j set, one product each, by doubling."""
+    out = [basis.field.one()]
+    for gen in basis.generators:
+        out += [v * gen for v in out]
     return out

@@ -2,10 +2,11 @@
 division oracle, mpmath's interval context as the oracle of the irrational
 leaves, an exhaustive box-search oracle, node-by-node references for the
 half-space descent and the map back through U, adapters between the
-descent's leaf record and coordinate lists, Fraction views of the package's
-integer records, the quantized interval lower form as the oracle of the
-exact lower form of unequal weights, perfbench's check of the benchmark's
-reference outputs, and the acceptance summary printed after the run."""
+descent's leaf record and coordinate lists, the d x d multiplication-matrix
+norm, Fraction views of the package's integer records, the quantized
+interval lower form as the oracle of the exact lower form of unequal
+weights, perfbench's check of the benchmark's reference outputs, and the
+acceptance summary printed after the run."""
 
 import functools
 import importlib
@@ -25,7 +26,7 @@ from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 from cmsvp import lattice, svp, theta
 from cmsvp.embeddings import _as_intervals, _certified_numerators, _weight_numerators, _weighted_sum
 from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
-from cmsvp.field import CMField, mult_matrix
+from cmsvp.field import CMField
 from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb, exp_interval, pi_interval
 
 
@@ -68,6 +69,23 @@ def int_det(m: list[list[int]]) -> Fraction:
             for j in range(c, n):
                 a[r][j] -= f * a[c][j]
     return det
+
+
+def mult_matrix(a) -> list[list[int]]:
+    """Matrix of multiplication by a on the power basis: column j is
+    a zeta^j, by shift-and-reduce modulo the cyclotomic polynomial."""
+    phi, d = a.field.polynomial, a.field.degree
+    cols = [list(a.coords)]
+    for _ in range(d - 1):
+        top, col = cols[-1][-1], [0, *cols[-1][:-1]]
+        cols.append([x - top * c for x, c in zip(col, phi)])
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def matrix_norm(a) -> int:
+    """N_{F/Q}(a) as the d x d determinant of multiplication by a: the
+    oracle of field.field_norm and field.real_norm."""
+    return int(int_det(mult_matrix(a)))
 
 
 def gauss_jordan_quotient(a, b) -> tuple[Fraction, ...]:

@@ -9,6 +9,8 @@ import pytest
 
 from cmsvp.embeddings import (
     _sigma_sum,
+    _weight_numerators,
+    _weighted_sum,
     log_sigma,
     normalize_weights,
     representatives,
@@ -24,6 +26,7 @@ from cmsvp.interval import (
     REL_RADIUS,
     PrecisionConfig,
     RealInterval,
+    climb,
     cos2pi,
     exp_interval,
     interval_sum,
@@ -244,9 +247,7 @@ def test_weighted_norm_equals_the_interval_sum_of_weighted_sigmas(conductor, bit
     elements = [field.zero(), field.one()] + [_random_element(field, rng, span) for span in (1, 4, 10**12)]
     for ws in _weight_vectors(field, rng):
         for a in elements:
-            got = weighted_norm(field, a, ws, prec)
-            assert got == _reference_weighted_norm(field, a, ws, prec)
-            assert weighted_norm(field, a, ws, prec, a.times_conj()) == got
+            assert weighted_norm(field, a, ws, prec) == _reference_weighted_norm(field, a, ws, prec)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
@@ -271,7 +272,8 @@ def test_weighted_norm_on_a_sigma_enclosure_straddling_zero(f5, bits):
     for ws in weights:
         for b in (a, _unit_power(f5, 40)):
             assert weighted_norm(f5, b, ws, prec) == _reference_weighted_norm(f5, b, ws, prec)
-        got = weighted_norm(f5, f5.one(), ws, prec, negative)
+        wnum = _weight_numerators(normalize_weights(f5, ws))
+        got = climb(prec, lambda cur: _weighted_sum(5, negative.coords, wnum, cur))
         assert got == _reference_weighted_norm(f5, f5.one(), ws, prec, negative)
 
 

@@ -21,11 +21,13 @@ from cmsvp.field import (
     field_norm,
     is_prime,
     is_unit,
+    real_norm,
     representatives,
     trace,
+    trace_row,
 )
 
-from conftest import gauss_jordan_quotient
+from conftest import gauss_jordan_quotient, matrix_norm
 
 
 def _random_element(field, rng, span=5):
@@ -149,6 +151,46 @@ def test_units_and_exact_division(f5):
         exact_divide(f5.one(), f5.one() - z)  # norm 5 cannot divide norm 1
     with pytest.raises(InputError):
         exact_divide(f5.one(), f5.zero())
+
+
+NORM_CONDUCTORS = (5, 7, 11, 13, 17, 19, 23, 8, 9, 12, 15, 16, 20, 21)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(NORM_CONDUCTORS).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(-6, 6), min_size=euler_phi(n), max_size=euler_phi(n)))
+    )
+)
+def test_norms_equal_the_multiplication_matrix_determinant(case):
+    """N_F(a) = N_K+(a conj(a)) from the k x k trace forms equals the d x d
+    determinant of multiplication by a; a real b = a + conj(a) has
+    N_F(b) = N_K+(b)^2, so the sign of real_norm is checked too; and the
+    trace row is Tr(a zeta^m) for every m."""
+    n, coords = case
+    fld = CMField(n)
+    a = fld.element(coords)
+    expected = matrix_norm(a)
+    assert field_norm(a) == expected
+    assert real_norm(a.times_conj()) == expected
+    b = a + a.conj()
+    assert real_norm(b) ** 2 == matrix_norm(b)
+    assert trace_row(a, n) == [trace(a * fld.zeta(m)) for m in range(n)]
+
+
+def test_real_norm_refuses_an_element_outside_the_real_subfield():
+    fld = CMField(13)
+    # the discriminant of K+ is taken on the first norm, not on construction
+    assert "_real_discriminant" not in vars(fld)
+    for a in (fld.zeta(1), fld.one() - fld.zeta(1), fld.zeta(1) - fld.zeta(-1)):
+        with pytest.raises(InputError, match="real subfield"):
+            real_norm(a)
+    theta = fld.zeta(1) + fld.zeta(-1)
+    assert abs(real_norm(theta)) == 1
+    assert vars(fld)["_real_discriminant"] == 13**5
+    # at n = 5, zeta + zeta^-1 = 2 cos(2 pi / 5) is 1 / phi, phi the golden ratio: norm -1
+    f5 = CMField(5)
+    assert real_norm(f5.zeta(1) + f5.zeta(-1)) == -1
 
 
 def test_torsion_units(f5):

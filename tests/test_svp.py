@@ -505,13 +505,13 @@ def test_verify_craig_tests_one_quotient_per_distinct_beta(monkeypatch, capsys):
     """The factorization check tests one quotient v of each distinct
     v conj(v) of each leg: 14 for the 196 minimal vectors of -p 7 -r 1..6."""
     seen = []
-    real_is_unit = cli.is_unit
+    real_norm = cli.real_norm
 
-    def recording(v):
-        seen.append(v.times_conj())
-        return real_is_unit(v)
+    def recording(beta):
+        seen.append(beta)
+        return real_norm(beta)
 
-    monkeypatch.setattr(cli, "is_unit", recording)
+    monkeypatch.setattr(cli, "real_norm", recording)
     assert cli.main(["verify-craig", "-p", "7", "-r", "1..6", "--json"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert sum(c["count"] for c in checks) == 196
@@ -529,7 +529,7 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
     logged, expansions, divides, norms, pairs, attempts = [], [], [], [], [], []
-    real_log, real_divide, real_norm = svp._log_sigma, svp.exact_divide, svp.field_norm
+    real_log, real_divide, real_norm = svp._log_sigma, svp.exact_divide, svp.real_norm
     real_det, real_minors = interval.det_interval, interval.minor_intervals
     real_half_space = lattice._half_space
     real_coordinates = svp._Chamber.coordinates
@@ -550,9 +550,9 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         divides.append(1)
         return real_divide(a, b)
 
-    def counting_norm(a):
+    def counting_norm(beta):
         norms.append(1)
-        return real_norm(a)
+        return real_norm(beta)
 
     def counting_half_space(*args):
         half, s, nodes = real_half_space(*args)
@@ -569,7 +569,7 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     monkeypatch.setattr(interval, "det_interval", counting_det)
     monkeypatch.setattr(interval, "minor_intervals", counting_minors)
     monkeypatch.setattr(svp, "exact_divide", counting_divide)
-    monkeypatch.setattr(svp, "field_norm", counting_norm)
+    monkeypatch.setattr(svp, "real_norm", counting_norm)
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
     monkeypatch.setattr(svp._Chamber, "coordinates", counting_coordinates)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
