@@ -121,6 +121,11 @@ class CMField:
             raise InputError("field is not CM: odd degree")
         self.k = self.degree // 2
         self._zeta_powers = self._build_zeta_powers()
+        # the nonzero (index, coefficient) pairs of each row: for prime n
+        # every power but zeta^(n-1) is one basis vector
+        self._zeta_sparse = tuple(
+            tuple((t, r) for t, r in enumerate(row) if r) for row in self._zeta_powers
+        )
         # x^(d+i) mod Phi_n for i = 0..d-2, the rows that reduce a product
         self._reduction = [
             self._zeta_powers[(self.degree + i) % conductor] for i in range(self.degree - 1)
@@ -264,20 +269,18 @@ class FieldElement:
 
     def galois(self, h: int) -> "FieldElement":
         """sigma_h: zeta -> zeta^h for h coprime to the conductor n, so
-        c_j zeta^j goes to c_j zeta^(hj mod n), read off the zeta-power
-        table.  For prime n every such power but zeta^(n-1) is a basis
-        vector."""
+        c_j zeta^j goes to c_j zeta^(hj mod n), read off the nonzero
+        entries of the zeta-power table."""
         field = self.field
         n = field.conductor
         if math.gcd(h, n) != 1:
             raise InputError(f"sigma_{h} is not an automorphism of Q(zeta_{n})")
-        rows = field._zeta_powers
+        rows = field._zeta_sparse
         out = [0] * field.degree
         for j, c in enumerate(self.coords):
             if c:
-                for t, r in enumerate(rows[h * j % n]):
-                    if r:
-                        out[t] += c * r
+                for t, r in rows[h * j % n]:
+                    out[t] += c * r
         return FieldElement(field, tuple(out))
 
     def conj(self) -> "FieldElement":

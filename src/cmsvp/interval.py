@@ -4,20 +4,22 @@ The working representation is a closed interval [lo, hi] whose endpoints are
 `fractions.Fraction` values, so every ring operation (+, -, *, integer
 powers, division by an interval excluding zero) is carried out exactly with
 no rounding step at all.  Irrational leaves -- pi, cos, exp, log, k-th
-roots -- come from the outward-rounded interval functions of
-`mpmath.libmp` at a configurable binary precision and are converted to
-exact dyadic endpoints, which keeps the enclosure property end to end.
+roots -- come from integer kernels at a configurable binary precision:
+each endpoint is a dyadic, the exact directed rounding of its value, so
+the enclosure property holds end to end.  The values rounded are the ones
+that the outward-rounded interval functions of mpmath.libmp approximate,
+so the endpoints are mpmath's wherever mpmath rounds correctly, with no
+dependency on it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from mpmath.libmp import from_int, from_rational, mpf_exp, mpf_log, round_ceiling, round_floor, to_rational
-from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_mul, mpi_pi
 
 from .errors import DegenerateSimplexError, DependentUnitsError, NotPositiveDefiniteError, PrecisionError
 
@@ -34,8 +36,9 @@ MAX_EXPONENT_BITS = 150_000
 class PrecisionConfig:
     """Working binary precision and the certified-radius target.
 
-    `bits` is the mantissa size of the mpmath.libmp functions that give
-    the irrational leaves.
+    `bits` is the mantissa size of the endpoints of the irrational
+    leaves, each the directed rounding of its exact value to that many
+    bits; the kernels work at bits + 24 and more (see _ziv).
     A certified result that misses its target climbs `ladder()` whole, in
     `climb` at its public function, over kernels that take exactly the bits
     they are given: a start below 128 bits moves each result up one rung.
@@ -283,64 +286,365 @@ def interval_max(items) -> RealInterval:
 
 
 # ---------------------------------------------------------------------------
-# irrational leaves: the outward-rounded functions of mpmath.libmp at the
-# given bits, on binary endpoints rounded outward from the exact input
+# irrational leaves: integer kernels with exact directed rounding
+#
+# A float here is a pair (m, e), the dyadic m * 2^e.  Each leaf endpoint is
+# the directed rounding, to a mantissa of `bits` bits, of an exact real
+# number, and the real numbers are the ones that the outward-rounded
+# interval functions of mpmath.libmp approximate at the same bits: pi, the
+# angle (2 pi) num / den with each product and quotient rounded outward,
+# exp and log at the endpoints rounded outward from the input, and mpmath's
+# cos endpoint, the cosine rounded toward zero at bits + 20 and moved
+# outward by the factor 1 +- 2^(10 - bits - 20) before its last rounding.
+# So every endpoint equals mpmath's wherever mpmath rounds correctly.
+#
+# A kernel gives a fixed-point value y and an error bound err, the exact
+# value within err 2^s of y 2^s, at about w significant bits.  _ziv rounds
+# y - err and y + err; where the two round apart it asks the kernel again at
+# twice the bits (Ziv, ACM TOMS 17 (1991)).  That ends, because none of the
+# values is a dyadic: pi, exp and log of a dyadic other than 0 and 1, and
+# cos of a dyadic other than 0, are transcendental (Lindemann).  The first
+# attempt carries _GUARD bits beyond the target, so a second one is rare.
+
+_GUARD = 24
 
 
-def _from_mpi(x) -> RealInterval:
-    """The exact RealInterval of an mpmath.libmp interval (a, b).  An mpf
-    is an odd mantissa times a power of two, or an integer, so the ratio
-    to_rational gives is in lowest terms already."""
-    # int() strips gmpy2.mpz when mpmath runs on the gmpy backend; mpz-backed
-    # Fractions break mixed arithmetic elsewhere
-    (p, q), (r, s) = to_rational(x[0]), to_rational(x[1])
-    return RealInterval(_lowest(int(p), int(q)), _lowest(int(r), int(s)))
+def _round(n: int, e: int, bits: int, ceil: bool) -> tuple[int, int]:
+    """n 2^e rounded to a mantissa of at most bits bits (2^bits on a carry),
+    toward +inf when ceil, else toward -inf."""
+    extra = abs(n).bit_length() - bits
+    if extra <= 0:
+        return n, e
+    return (-(-n >> extra) if ceil else n >> extra), e + extra
 
 
-def _int_point(n: int, bits: int):
-    """The integer n as an mpmath.libmp interval, rounded outward to bits."""
-    return from_int(n, bits, round_floor), from_int(n, bits, round_ceiling)
+def _round_ratio(p: int, q: int, bits: int, ceil: bool) -> tuple[int, int]:
+    """p / q for q > 0, rounded as _round rounds.  The quotient keeps at
+    least bits + 1 bits, so every grid point near it is an integer, and the
+    remainder tells whether the exact value lies above the integer part."""
+    if not p:
+        return 0, 0
+    s = bits + 2 + q.bit_length() - abs(p).bit_length()
+    n, r = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
+    return _round(n + (ceil and r != 0), -s, bits, ceil)
+
+
+def _shift(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The mantissas of the floats a and b over their common exponent."""
+    low = min(a[1], b[1])
+    return a[0] << (a[1] - low), b[0] << (b[1] - low)
+
+
+def _ziv(kernel, bits: int, ceil: bool | None) -> tuple[int, int]:
+    """The value that kernel(w) encloses, rounded to bits as _round rounds;
+    ceil None rounds toward zero.  kernel(w) gives (y, err, s) with the
+    exact value within err 2^s of y 2^s."""
+    w = bits + _GUARD
+    while True:
+        y, err, s = kernel(w)
+        up = y < 0 if ceil is None else ceil
+        lo = _round(y - err, s, bits, up)
+        a, b = _shift(lo, _round(y + err, s, bits, up))
+        if a == b:
+            return lo
+        w *= 2
+
+
+def _arccot_sum(x: int, f: int, hyperbolic: bool) -> int:
+    """atan(1/x) 2^f, or atanh(1/x) 2^f, for an integer x >= 2, within the
+    number of its terms plus 2: each term is within 1 of its exact value,
+    and the tail after the first zero term is below 1."""
+    term = (1 << f) // x
+    total, x2, k = term, x * x, 3
+    while term:
+        term //= x2
+        total += term // k if hyperbolic or k % 4 == 1 else -(term // k)
+        k += 2
+    return total
+
+
+# Machin-type formulas: pi = 16 atan(1/5) - 4 atan(1/239), and
+# log 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749)
+_MACHIN = {"pi": (((16, 5), (-4, 239)), False), "ln2": (((18, 26), (-2, 4801), (8, 8749)), True)}
+_CONSTANTS = {name: (0, 0) for name in _MACHIN}
+
+
+def _constant(name: str, f: int) -> int:
+    """pi 2^f or (log 2) 2^f to within 2.  The series run at f + g bits
+    with an error of at most 4 (f + g) + 112 < 2^(g - 1), and the value is
+    kept at a little more than the most bits asked so far: shifting it
+    down keeps the error below 2."""
+    have, value = _CONSTANTS[name]
+    if f > have:
+        have = f + f // 8 + 16
+        g = have.bit_length() + 8
+        coefs, hyperbolic = _MACHIN[name]
+        value = sum(c * _arccot_sum(x, have + g, hyperbolic) for c, x in coefs) >> g
+        _CONSTANTS[name] = have, value
+    return value >> (have - f)
+
+
+def _fixed(m: int, e: int, f: int) -> int:
+    """floor(m 2^(e + f)): the dyadic m 2^e with f fractional bits."""
+    return m << (e + f) if e + f >= 0 else m >> -(e + f)
+
+
+def _exp_kernel(m: int, e: int, w: int) -> tuple[int, int, int]:
+    """exp(m 2^e) at about w bits, as a _ziv kernel.  With k the integer
+    nearest x / log 2, the reduced argument r = x - k log 2, |r| < 0.35,
+    is halved h times, exp(r / 2^h) sums its even and odd Taylor terms
+    apart, and h squarings give exp(r); exp(x) = 2^k exp(r).
+
+    Error, in units of 2^-(f + h): r is within 2 of its exact value; each
+    of the n terms is within 5 of its own and the tail is below 2, so the
+    sum is within 8n + 10 of exp(r / 2^h); each squaring doubles the
+    relative error and adds at most 1.5 2^-(f + h), and the values stay
+    within [0.7, 1.42], which gives (17n + 24) 2^h at the end."""
+    h = isqrt(w) // 2
+    f = w + h + 8
+    c = max(abs(m).bit_length() + e, 0) + 4
+    a = _fixed(m, e, f + c)
+    ln2 = _constant("ln2", f + c)
+    k = (2 * a + ln2) // (2 * ln2)
+    # a is within 1, k ln2 within 2|k| < 2^c - 1: r is within 2 units of 2^-f
+    r = (a - k * ln2) >> c
+    p = f + h
+    one = 1 << p
+    x2 = term = r * r >> p
+    even = odd = one
+    j, n = 2, 0
+    while term:
+        term //= j
+        even += term
+        term //= j + 1
+        odd += term
+        term = term * x2 >> p
+        j += 2
+        n += 2
+    y = even + (odd * r >> p)
+    for _ in range(h):
+        y = y * y >> p
+    return y, (17 * n + 24) << h, k - p
+
+
+def _log_kernel(m: int, e: int, w: int) -> tuple[int, int, int]:
+    """log(m 2^e), m > 0 odd and m 2^e != 1, at about w bits, as a _ziv
+    kernel.  x = 2^j u with u = m / d in [3/4, 3/2); r square roots bring u
+    nearer 1, and log u = 2^(r+1) atanh((v - 1) / (v + 1)), v = u^(1/2^r).
+    Near x = 1 the c bits that u - 1 loses are added to the working bits.
+
+    Error, in units of 2^-f: v is within 2.4, z = (v - 1) / (v + 1)
+    within 2.6; the n terms of atanh z are each within 3 and its tail
+    below 1, so 2^(r+1) atanh z is within (3n + 6) 2^(r+1); j log 2 is
+    within 2."""
+    bits = m.bit_length()
+    j = bits + e - (bits < 2 or m >> (bits - 2) == 2)
+    d = 1 << (j - e)
+    c = d.bit_length() - abs(m - d).bit_length() if j == 0 else 0
+    r = max(isqrt(w) // 4 - c, 0)
+    f = w + c + r + 8
+    v = (m << f) // d
+    for _ in range(r):
+        v = isqrt(v << f)
+    one = 1 << f
+    z = ((v - one) << f) // (v + one)
+    term = abs(z)
+    z2 = term * term >> f
+    total, k, n = term, 3, 1
+    while term:
+        term = term * z2 >> f
+        total += term // k
+        k += 2
+        n += 1
+    total = (total if z >= 0 else -total) << (r + 1)
+    if j:
+        g = abs(j).bit_length() + 2
+        total += j * _constant("ln2", f + g) >> g
+    return total, ((3 * n + 6) << (r + 1)) + 2, -f
+
+
+def _reduce(m: int, e: int, w: int) -> tuple[int, int, int, int]:
+    """(u, eu, j, f) with x = |m| 2^e = j pi/2 + u / 2^f, j the integer
+    nearest x / (pi/2), and u within eu of its exact value, eu below
+    2^-(w + 8) |u|.  The fractional bits f grow while the subtraction
+    cancels, as near a multiple of pi/2."""
+    c = max(abs(m).bit_length() + e, 0) + 3
+    f = w + 8 + c
+    while True:
+        t = _fixed(abs(m), e, f)
+        p2 = _constant("pi", f - 1)
+        j = (2 * t + p2) // (2 * p2)
+        u = t - j * p2
+        eu = 1 + 2 * j
+        if abs(u) >> (w + 8) > eu:
+            return u, eu, j, f
+        f += w + 10 + eu.bit_length() - abs(u).bit_length()
+
+
+def _quadrant(m: int, e: int) -> int:
+    """floor(x / (pi/2)) for x = m 2^e != 0: the quadrant that mpmath's
+    interval cos tests."""
+    u, _, j, _ = _reduce(m, e, 8)
+    q = j if u > 0 else j - 1
+    return q if m > 0 else -1 - q
+
+
+def _cos_kernel(m: int, e: int, w: int) -> tuple[int, int, int]:
+    """cos(m 2^e) at about w bits, as a _ziv kernel.  By the octant
+    reduction x = j pi/2 + u, |u| <= pi/4, cos x is +-cos u or +-sin u.
+    Both come from v = 1 - cos u, which keeps its relative precision:
+    the Taylor series gives v at y = u / 2^h, and h steps of
+    v <- 4 v - 2 v^2 double the angle; then cos u = 1 - v and
+    |sin u| = sqrt(v (2 - v)).
+
+    Error: the series of its n terms is within 3n + 4 units of 2^-p, a
+    relative error of (3n + 4) / v_0, and the doublings do not raise a
+    relative error; u's error eu moves v by 2 eu / |u| relative."""
+    u, eu, j, f = _reduce(m, e, w)
+    lz = f - abs(u).bit_length()
+    h = max(isqrt(w) // 2 - lz, 0)
+    p = f + 2 * (h + lz) + 8
+    y = abs(u) << (p - f - h)
+    y2 = y * y >> p
+    term = v = y2 >> 1
+    k, n = 3, 1
+    while term:
+        term = (term * y2 >> p) // (k * (k + 1))
+        v += -term if n % 2 else term
+        k += 2
+        n += 1
+    v0 = v
+    for _ in range(h):
+        v = 4 * v - (v * v >> (p - 1))
+    if j % 2:
+        s = isqrt(v * ((2 << p) - v))
+        value = s if u > 0 else -s
+    else:
+        s = v
+        value = (1 << p) - v
+    if j % 4 in (1, 2):
+        value = -value
+    return value, s * (3 * n + 4) // v0 + 3 * s * eu // abs(u) + 2, -p
+
+
+def _exp(x: tuple[int, int], bits: int, ceil: bool) -> tuple[int, int]:
+    """exp of the float x, rounded as _round rounds.  Below 2^-(bits + 2)
+    in size, exp x lies strictly between 1 and the next float toward x."""
+    m, e = x
+    if not m:
+        return 1, 0
+    if abs(m).bit_length() + e < -(bits + 2):
+        if m > 0:
+            return ((1 << (bits - 1)) + 1, 1 - bits) if ceil else (1, 0)
+        return (1, 0) if ceil else ((1 << bits) - 1, -bits)
+    return _ziv(lambda w: _exp_kernel(m, e, w), bits, ceil)
+
+
+def _log(x: tuple[int, int], bits: int, ceil: bool) -> tuple[int, int]:
+    """log of the positive float x, rounded as _round rounds."""
+    m, e = x
+    zeros = (m & -m).bit_length() - 1
+    m, e = m >> zeros, e + zeros
+    if m == 1 and e == 0:
+        return 0, 0
+    return _ziv(lambda w: _log_kernel(m, e, w), bits, ceil)
+
+
+def _cos_end(x: tuple[int, int], wp: int) -> tuple[tuple[int, int], int]:
+    """(cos x rounded toward zero at wp bits, its quadrant) for the float
+    x != 0.  Below 2^((1 - wp) / 2) in size, cos x lies in (1 - 2^-wp, 1)."""
+    m, e = x
+    if 2 * (abs(m).bit_length() + e) <= 1 - wp:
+        return ((1 << wp) - 1, -wp), _quadrant(m, e)
+    return _ziv(lambda w: _cos_kernel(m, e, w), wp, None), _quadrant(m, e)
+
+
+def _outward(v: tuple[int, int], wp: int, bits: int, ceil: bool) -> tuple[int, int]:
+    """mpmath's last step of an interval cos endpoint: v times 1 + 2^(10 - wp)
+    or 1 - 2^(10 - wp), whichever moves it outward, rounded to bits, and
+    clamped to [-1, 1]."""
+    m, e = v
+    p = (1 << wp) + (1 << 10 if (m < 0) != ceil else -(1 << 10))
+    m, e = _round(m * p, e - wp, bits, ceil)
+    if abs(m).bit_length() + e >= 1:
+        return (1 if m > 0 else -1), 0
+    return m, e
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_ends(bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """pi rounded down and up to bits."""
+    return tuple(_ziv(lambda w: (_constant("pi", w), 2, -w), bits, ceil) for ceil in (False, True))
+
+
+def _interval(lo: tuple[int, int], hi: tuple[int, int]) -> RealInterval:
+    return RealInterval(_dyadic(*lo), _dyadic(*hi))
 
 
 def cos2pi(num: int, den: int, bits: int) -> RealInterval:
-    """Enclosure of cos(2*pi*num/den): mpi_cos of ((2 * pi) * num) / den,
-    each step rounded outward to bits."""
-    angle = mpi_mul(mpi_mul(_int_point(2, bits), mpi_pi(bits), bits), _int_point(num, bits), bits)
-    return _from_mpi(mpi_cos(mpi_div(angle, _int_point(den, bits), bits), bits))
+    """Enclosure of cos(2*pi*num/den), den != 0, as mpmath's interval cos
+    gives it: the angle ((2 * pi) * num) / den with each step rounded
+    outward to bits; cos of each end at wp = bits + 20, rounded toward
+    zero; the extremes of cos inside a quadrant change taken as +-1; then
+    each end moved outward and clamped by _outward."""
+    if den < 0:
+        num, den = -num, -den
+    if not num:
+        return ONE
+    (a, i), (b, j) = _pi_ends(bits)
+    if num < 0:
+        (a, i), (b, j) = (b, j), (a, i)
+    lo = _round(a * num, i + 1, bits, False)
+    hi = _round(b * num, j + 1, bits, True)
+    ends = [
+        _round_ratio(m << e, den, bits, ceil) if e >= 0 else _round_ratio(m, den << -e, bits, ceil)
+        for (m, e), ceil in ((lo, False), (hi, True))
+    ]
+    wp = bits + 20
+    (ca, na), (cb, nb) = (_cos_end(x, wp) for x in ends)
+    x, y = _shift(ca, cb)
+    if x > y:
+        ca, cb = cb, ca
+    if na != nb:
+        if nb - na >= 4:
+            return RealInterval(Fraction(-1), Fraction(1))
+        if na // 4 != nb // 4:
+            cb = 1, 0
+        if (na - 2) // 4 != (nb - 2) // 4:
+            ca = -1, 0
+    return _interval(_outward(ca, wp, bits, False), _outward(cb, wp, bits, True))
 
 
 def pi_interval(bits: int) -> RealInterval:
-    return _from_mpi(mpi_pi(bits))
+    return _interval(*_pi_ends(bits))
 
 
-def _increasing(f, lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int) -> RealInterval:
-    """Enclosure of f on [lo_num / lo_den, hi_num / hi_den], f an
-    increasing mpmath.libmp function (mpf_exp, mpf_log), denominators
-    positive; from_rational rounds the exact quotient outward, so the
-    ratios need not be reduced."""
-    lo = f(from_rational(lo_num, lo_den, bits, round_floor), bits, round_floor)
-    hi = f(from_rational(hi_num, hi_den, bits, round_ceiling), bits, round_ceiling)
-    return _from_mpi((lo, hi))
+def _rational_ends(x: RealInterval, bits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of x rounded outward to bits."""
+    return (
+        _round_ratio(x.lo.numerator, x.lo.denominator, bits, False),
+        _round_ratio(x.hi.numerator, x.hi.denominator, bits, True),
+    )
 
 
 def exp_interval(x, bits: int) -> RealInterval:
-    x = _coerce(x)
-    return _increasing(mpf_exp, x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, bits)
+    lo, hi = _rational_ends(_coerce(x), bits)
+    return _interval(_exp(lo, bits, False), _exp(hi, bits, True))
 
 
 def exp_sum(terms, bits: int) -> RealInterval:
     """interval_sum(c * exp_interval([lo_num / lo_den, hi_num / hi_den]))
     over the (c, lo_num, lo_den, hi_num, hi_den) of terms, counts c >= 0
     and denominators positive, exactly, with no Fraction built or reduced
-    on the way: each end of mpf_exp stays a mantissa and an exponent, its
-    count multiplies the mantissa, and each end of the sum is one integer
-    over the smallest power of two."""
+    on the way: each end of the exponential stays a mantissa and an
+    exponent, its count multiplies the mantissa, and each end of the sum
+    is one integer over the smallest power of two."""
     los, his = [], []
     for c, lo_num, lo_den, hi_num, hi_den in terms:
-        _, m, e, _ = mpf_exp(from_rational(lo_num, lo_den, bits, round_floor), bits, round_floor)
-        los.append((c * int(m), e))
-        _, m, e, _ = mpf_exp(from_rational(hi_num, hi_den, bits, round_ceiling), bits, round_ceiling)
-        his.append((c * int(m), e))
+        m, e = _exp(_round_ratio(lo_num, lo_den, bits, False), bits, False)
+        los.append((c * m, e))
+        m, e = _exp(_round_ratio(hi_num, hi_den, bits, True), bits, True)
+        his.append((c * m, e))
     return RealInterval(_dyadic_sum(los), _dyadic_sum(his))
 
 
@@ -348,7 +652,8 @@ def log_interval(x, bits: int) -> RealInterval:
     x = _coerce(x)
     if x.lo <= 0:
         raise ValueError("log of an interval touching (-inf, 0]")
-    return _increasing(mpf_log, x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, bits)
+    lo, hi = _rational_ends(x, bits)
+    return _interval(_log(lo, bits, False), _log(hi, bits, True))
 
 
 def root_interval(x, k: int, bits: int) -> RealInterval:

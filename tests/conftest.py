@@ -21,7 +21,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
+from mpmath.libmp import from_rational, libelefun, mpf_cos, round_ceiling, round_floor, to_rational
 
 from cmsvp import lattice, svp, theta
 from cmsvp.embeddings import _as_intervals, _certified_numerators, _weight_numerators, _weighted_sum
@@ -108,6 +108,15 @@ def gauss_jordan_quotient(a, b) -> tuple[Fraction, ...]:
     return tuple(row[d] for row in aug)
 
 
+# mpmath keeps pi, log 2 and e at the most bits asked so far and shifts
+# them down, so the last bits of what it computes from them, and at times
+# its rounding, depend on the calls that came before.  Asking once for more
+# bits than any test needs makes every oracle value independent of the
+# order in which the tests run.
+for _constant in (libelefun.pi_fixed, libelefun.ln2_fixed, libelefun.e_fixed):
+    _constant(1 << 16)
+
+
 @functools.lru_cache(maxsize=None)
 def _interval_context(bits: int):
     ctx = mpmath.ctx_iv.MPIntervalContext()
@@ -129,10 +138,20 @@ def _context_interval(lo: Fraction, hi: Fraction, ctx):
 
 def context_cos2pi(num: int, den: int, bits: int) -> RealInterval:
     """cos(2 pi num / den) in mpmath's interval context at bits: the
-    oracle for interval.cos2pi, which calls the context's functions of
-    mpmath.libmp directly."""
+    oracle for interval.cos2pi, whose integer kernels round the numbers
+    that the context's functions of mpmath.libmp approximate."""
     ctx = _interval_context(bits)
     return _from_mpiv(ctx.cos(2 * ctx.pi * ctx.mpf(num) / den))
+
+
+def context_cos(x: Fraction, bits: int) -> RealInterval:
+    """cos(x) for a dyadic x of at most bits bits, enclosed as the interval
+    context encloses it, with one evaluation where the context's cos of
+    the point [x, x] makes two: mpmath's cos at bits + 20, moved outward by
+    2^-(bits + 10) of its size."""
+    wp = bits + 20
+    c = Fraction(*map(int, to_rational(mpf_cos(from_rational(x.numerator, x.denominator, bits, round_floor), wp))))
+    return RealInterval(c - abs(c) / 2 ** (bits + 10), c + abs(c) / 2 ** (bits + 10))
 
 
 def context_pi(bits: int) -> RealInterval:

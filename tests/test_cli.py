@@ -666,3 +666,32 @@ def test_a_flag_after_a_value_flag_is_not_its_value(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith("cmsvp minima: error: argument --cyclotomic: expected one argument\n")
+
+
+# a valid run of each command, in a fresh interpreter
+NO_MPMATH_RUNS = [
+    "bound --cyclotomic 5",
+    "minima --cyclotomic 5 --weights 1,2",
+    "theta --cyclotomic 5 --max-norm 4",
+    "psi --cyclotomic 5 --t 1",
+    "set-e --cyclotomic 5",
+    "verify-craig -p 5 -r 1..2",
+]
+
+LOADED_MPMATH = """
+import contextlib, io, json, sys
+from cmsvp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")]))
+"""
+
+
+@pytest.mark.parametrize("argv", NO_MPMATH_RUNS)
+def test_a_valid_run_loads_no_mpmath(argv):
+    """The irrational leaves are integer kernels, so a run leaves no
+    mpmath module in sys.modules."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MPMATH, *argv.split()], capture_output=True, text=True, timeout=300
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []], proc.stderr

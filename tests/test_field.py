@@ -408,6 +408,29 @@ def test_galois_is_a_ring_automorphism_composing_by_exponent(case):
     assert a.conj().coords == _reference_conj(fld, powers, a.coords)
 
 
+SPARSE_CONDUCTORS = [5, 7, 11, 13, 17, 19, 23, 8, 9, 12, 15, 16, 20, 21]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SPARSE_CONDUCTORS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-9, 9), min_size=euler_phi(n), max_size=euler_phi(n)))
+))
+def test_galois_on_sparse_rows_equals_the_dense_walk(case):
+    """sigma_h read off the nonzero entries of the zeta-power rows equals
+    the walk over every entry of each row, for every h coprime to n."""
+    n, coords = case
+    fld = CMField(n)
+    a = fld.element(coords)
+    rows = [fld.zeta(m).coords for m in range(n)]
+    for h in range(1, n):
+        if gcd(h, n) == 1:
+            out = [0] * fld.degree
+            for j, c in enumerate(coords):
+                for t, r in enumerate(rows[h * j % n]):
+                    out[t] += c * r
+            assert a.galois(h).coords == tuple(out), h
+
+
 def test_galois_refuses_an_exponent_sharing_a_factor_with_the_conductor():
     with pytest.raises(InputError):
         CMField(12).one().galois(3)
