@@ -19,13 +19,11 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .field import CMField, FieldElement, representatives
+from .field import CMField, representatives
 from .interval import (
-    DEFAULT_PRECISION,
     REL_RADIUS,
     PrecisionConfig,
     RealInterval,
-    climb,
     cos2pi,
     log_interval,
 )
@@ -96,18 +94,6 @@ def _sigma_at(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]
     return _as_intervals(*_certified_numerators(n, coords, prec))
 
 
-def sigma(
-    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
-) -> tuple[RealInterval, ...]:
-    """Certified enclosures of (sigma_1(a*abar), ..., sigma_k(a*abar)).
-
-    Climbs the precision ladder until every enclosure meets the relative
-    radius target, and raises PrecisionError when its top rung misses.
-    """
-    coords = a.times_conj().coords
-    return climb(prec, lambda cur: _sigma_at(field.conductor, coords, cur))
-
-
 def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(W, lo, hi): weight m lies in [lo[m]/W, hi[m]/W] over one common
     denominator W; a rational weight has lo[m] = hi[m]."""
@@ -139,22 +125,6 @@ def _weighted_sum(n: int, coords, wnum, prec: PrecisionConfig) -> RealInterval:
     return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def weighted_norm(
-    field: CMField,
-    a: FieldElement,
-    weights,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-) -> RealInterval:
-    """Enclosure of the weighted norm sum_m w_m sigma_m(a*abar).  See
-    _weighted_sum."""
-    w = normalize_weights(field, weights)
-    if a.is_zero():
-        return RealInterval.point(0)
-    coords = a.times_conj().coords
-    wnum = _weight_numerators(w)
-    return climb(prec, lambda cur: _weighted_sum(field.conductor, coords, wnum, cur))
-
-
 def _log_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
     """Enclosures of log sigma_j(x) at prec's bits for the conjugation-fixed
     element x with coordinates coords, or PrecisionError when a sigma
@@ -163,14 +133,6 @@ def _log_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...
     if not all(v.lo > 0 for v in vals):
         raise PrecisionError(f"log_sigma: enclosure not certifiably positive at {prec.bits} bits")
     return tuple(log_interval(v, prec.bits) for v in vals)
-
-
-def log_sigma(
-    field: CMField, a: FieldElement, prec: PrecisionConfig = DEFAULT_PRECISION
-) -> tuple[RealInterval, ...]:
-    """Enclosures of log sigma_j(a*abar); requires a != 0."""
-    coords = a.times_conj().coords
-    return climb(prec, lambda cur: _log_sigma(field.conductor, coords, cur))
 
 
 def normalize_weights(field: CMField, weights) -> tuple:

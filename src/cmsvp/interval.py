@@ -18,14 +18,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 from .errors import DegenerateSimplexError, DependentUnitsError, NotPositiveDefiniteError, PrecisionError
 
 MIN_BITS = 53
 # the top of every precision ladder; at 4096 bits `bound --cyclotomic 11`
-# still finishes, in about 70 s on a 2-CPU x86-64 VM
+# still finishes, in about 20 s on a 2-CPU x86-64 VM
 MAX_BITS = 4096
 # the most bits of exp(-pi t mu), mu the first shell, that a psi or theta
 # sum accepts; at it `psi --cyclotomic 5` takes about 5 ms on a 2-CPU x86-64 VM
@@ -80,6 +80,29 @@ def climb(prec: PrecisionConfig, attempt):
     return attempt(top)
 
 
+def _mul(a, b, c, d):
+    """The ends of [a, b] * [c, d] for exact ends, ints or Fractions, by
+    the signs of the factors: only when both straddle 0 are two candidates
+    compared for each end."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
 @dataclass(frozen=True)
 class RealInterval:
     """Closed interval with exact rational endpoints, lo <= hi."""
@@ -130,28 +153,8 @@ class RealInterval:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        # a sign-definite factor fixes which endpoint products are extreme;
-        # only when both factors straddle 0 are all four corners compared
         other = _coerce(other)
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0:
-            if c >= 0:
-                return RealInterval(a * c, b * d)
-            if d <= 0:
-                return RealInterval(b * c, a * d)
-            return RealInterval(b * c, b * d)
-        if b <= 0:
-            if c >= 0:
-                return RealInterval(a * d, b * c)
-            if d <= 0:
-                return RealInterval(b * d, a * c)
-            return RealInterval(a * d, a * c)
-        if c >= 0:
-            return RealInterval(a * d, b * d)
-        if d <= 0:
-            return RealInterval(b * c, a * c)
-        corners = (a * c, a * d, b * c, b * d)
-        return RealInterval(min(corners), max(corners))
+        return RealInterval(*_mul(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
@@ -217,7 +220,6 @@ def _coerce(x) -> RealInterval:
     return RealInterval.point(x)
 
 
-ZERO = RealInterval.point(0)
 ONE = RealInterval.point(1)
 
 
@@ -270,13 +272,6 @@ def ratio_of_products(nums, dens) -> Fraction:
 def interval_sum(items) -> RealInterval:
     items = [_coerce(it) for it in items]
     return RealInterval(sum((it.lo for it in items), Fraction(0)), sum((it.hi for it in items), Fraction(0)))
-
-
-def interval_prod(items) -> RealInterval:
-    out = ONE
-    for it in items:
-        out = out * _coerce(it)
-    return out
 
 
 def interval_max(items) -> RealInterval:
@@ -715,11 +710,33 @@ def interval_json(x: RealInterval, digits: int = 40) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# interval linear algebra (small, dense, exact endpoints)
+# interval determinants on integer endpoints (small, dense matrices)
+#
+# A matrix of intervals is brought to one common denominator D and kept as
+# integer pairs (lo, hi), the entry [lo / D, hi / D].  Interval sums and
+# sign-case products of exact endpoints are positively homogeneous, and the
+# elimination's pivot score min(|lo|, |hi|) compares entries of one scale,
+# so each determinant is the pairs' one divided by D^n once: the same
+# rational endpoints as the interval expression on the entries themselves,
+# with no interval object built or reduced on the way.  Interval Gaussian
+# elimination: Neumaier, *Interval Methods for Systems of Equations* (1990),
+# Ch. 4.
 
 
-def _laplace_minors(m, width: int) -> dict[int, RealInterval]:
-    """Cofactor expansions of every n x n minor of an n x width matrix m.
+def _scaled(m) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, pairs) for an interval matrix m: entry (i, j) of m is
+    [lo / D, hi / D] for (lo, hi) = pairs[i][j], D the lcm of the
+    denominators of all endpoints."""
+    den = lcm(*(x.denominator for row in m for iv in row for x in (iv.lo, iv.hi)))
+    return den, [
+        [(iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator)) for iv in row]
+        for row in m
+    ]
+
+
+def _laplace(m, width: int) -> dict[int, tuple[int, int]]:
+    """Cofactor expansions of every n x n minor of an n x width pair
+    matrix m, each over the n-th power of m's denominator.
 
     Keys are column bitmasks with n bits set. One dynamic program over
     column subsets, bottom row first: the minor on the last s rows and
@@ -730,89 +747,103 @@ def _laplace_minors(m, width: int) -> dict[int, RealInterval]:
     zero-straddling input.
     """
     n = len(m)
-    level = {0: ONE}
+    level = {0: (1, 1)}
     for size in range(1, n + 1):
-        row = [_coerce(x) for x in m[n - size]]
+        row = m[n - size]
         below = level
         level = {}
         for cols in itertools.combinations(range(width), size):
             mask = sum(1 << c for c in cols)
-            total = ZERO
+            lo = hi = 0
             for idx, c in enumerate(cols):
-                term = row[c] * below[mask ^ (1 << c)]
-                total = total + term if idx % 2 == 0 else total - term
-            level[mask] = total
+                p, q = _mul(*row[c], *below[mask ^ (1 << c)])
+                if idx % 2:
+                    lo, hi = lo - q, hi - p
+                else:
+                    lo, hi = lo + p, hi + q
+            level[mask] = lo, hi
     return level
+
+
+def _eliminate(m) -> tuple[Fraction, Fraction] | None:
+    """Determinant of the square pair matrix m, over the n-th power of its
+    denominator, by interval Gaussian elimination with pivot search on
+    Fraction ends; None when no pivot candidate of a column excludes 0."""
+    n = len(m)
+    a = [[(Fraction(x), Fraction(y)) for x, y in row] for row in m]
+    lo = hi = Fraction(1)
+    for col in range(n):
+        # the first candidate of largest min(|lo|, |hi|) among those that
+        # exclude 0, whose score is then positive
+        pivot_row, best = None, 0
+        for r in range(col, n):
+            x, y = a[r][col]
+            score = x if x > 0 else -y
+            if score > best:
+                pivot_row, best = r, score
+        if pivot_row is None:
+            return None
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            lo, hi = -hi, -lo
+        p, q = pivot = a[col][col]
+        lo, hi = _mul(lo, hi, *pivot)
+        top = a[col]
+        for r in range(col + 1, n):
+            x, y = a[r][col]
+            # [x, y] / [p, q], by the sign of the pivot and of [x, y]
+            if p > 0:
+                f = (x / q, y / p) if x >= 0 else (x / p, y / q) if y <= 0 else (x / p, y / p)
+            else:
+                f = (y / q, x / p) if x >= 0 else (y / p, x / q) if y <= 0 else (y / q, x / q)
+            row = a[r]
+            # only the columns right of the pivot are read again
+            for c in range(col + 1, n):
+                u, v = _mul(*f, *top[c])
+                s, t = row[c]
+                row[c] = s - v, t - u
+    return lo, hi
+
+
+def _tightened(cof: tuple[int, int], m, scale: int) -> RealInterval:
+    """[lo / scale, hi / scale] for the cofactor ends cof of det m over
+    scale, intersected with elimination's."""
+    lo, hi = cof
+    elim = _eliminate(m)
+    if elim is not None:
+        lo, hi = max(lo, elim[0]), min(hi, elim[1])
+        if lo > hi:
+            raise PrecisionError("determinant enclosures are disjoint")
+    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def det_cofactor(m: list[list[RealInterval]]) -> RealInterval:
     """Determinant by cofactor expansion; exact on Fraction endpoints."""
-    return _laplace_minors(m, len(m))[(1 << len(m)) - 1]
-
-
-def det_elimination(m: list[list[RealInterval]]) -> RealInterval:
-    """Determinant by interval Gaussian elimination with pivot search.
-
-    Raises PrecisionError when no pivot column excludes zero; callers fall
-    back to the cofactor expansion, which is always defined.
-    """
-    n = len(m)
-    a = [[_coerce(x) for x in row] for row in m]
-    det = ONE
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        best = Fraction(-1)
-        for r in range(col, n):
-            cand = a[r][col]
-            if not cand.contains_zero():
-                score = min(abs(cand.lo), abs(cand.hi))
-                if score > best:
-                    best = score
-                    pivot_row = r
-        if pivot_row is None:
-            raise PrecisionError("no interval pivot excludes zero during elimination")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    return det if sign == 1 else -det
-
-
-def _tightened(cof: RealInterval, m) -> RealInterval:
-    """The cofactor enclosure `cof` of det m, intersected with elimination."""
-    try:
-        elim = det_elimination(m)
-    except PrecisionError:
-        return cof
-    lo = max(cof.lo, elim.lo)
-    hi = min(cof.hi, elim.hi)
-    if lo > hi:
-        raise PrecisionError("determinant enclosures are disjoint")
-    return RealInterval(lo, hi)
+    den, pairs = _scaled(m)
+    lo, hi = _laplace(pairs, len(m))[(1 << len(m)) - 1]
+    scale = den ** len(m)
+    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def det_interval(m: list[list[RealInterval]]) -> RealInterval:
-    """Tightest available determinant enclosure (elimination ∩ cofactor)."""
-    return _tightened(det_cofactor(m), m)
+    """Tightest available determinant enclosure: the cofactor expansion,
+    intersected with interval elimination wherever a pivot excludes zero."""
+    den, pairs = _scaled(m)
+    n = len(m)
+    return _tightened(_laplace(pairs, n)[(1 << n) - 1], pairs, den**n)
 
 
 def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
     """det_interval of each minor of an n x (n+1) matrix with column l deleted,
     l = 0..n, from one shared cofactor expansion."""
-    width = len(rows) + 1
+    n = len(rows)
+    width = n + 1
     full = (1 << width) - 1
-    cofactors = _laplace_minors(rows, width)
+    den, pairs = _scaled(rows)
+    cofactors = _laplace(pairs, width)
+    scale = den**n
     return [
-        _tightened(
-            cofactors[full ^ (1 << l)],
-            [[row[c] for c in range(width) if c != l] for row in rows],
-        )
+        _tightened(cofactors[full ^ (1 << l)], [row[:l] + row[l + 1 :] for row in pairs], scale)
         for l in range(width)
     ]
 

@@ -220,21 +220,6 @@ def _shell_sum(shells, t: Fraction, bits: int) -> RealInterval:
     return exp_sum(((c, *_exponent(q, pi_t)) for q, c in shells), bits)
 
 
-def theta_sum(
-    g: GramMatrix,
-    t,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-    budget: int = lattice.DEFAULT_BUDGET,
-) -> PsiSample:
-    """Truncated theta sum of an exact Gram at parameter t, with tail."""
-    if not g.exact:
-        raise InputError("theta sum needs an exact-rational Gram")
-    t = Fraction(t)
-    if t <= 0:
-        raise InputError("t must be positive")
-    return _psi_sample(None, None, g, t, prec, budget)
-
-
 def psi_truncated(
     field: CMField,
     w,

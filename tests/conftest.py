@@ -1,15 +1,18 @@
 """Shared fixtures: random Gram generation, a Fraction LDL, a Gauss-Jordan
-division oracle, mpmath's interval context as the oracle of the irrational
+division oracle, the climbing Sigma evaluators and the theta sum of an
+exact Gram, mpmath's interval context as the oracle of the irrational
 leaves, an exhaustive box-search oracle, node-by-node references for the
 half-space descent and the map back through U, adapters between the
 descent's leaf record and coordinate lists, the d x d multiplication-matrix
-norm, Fraction views of the package's integer records, the quantized
-interval lower form as the oracle of the exact lower form of unequal
-weights, perfbench's check of the benchmark's reference outputs, and the
-acceptance summary printed after the run."""
+norm, Fraction views of the package's integer records, the determinant
+engine on RealInterval objects as the oracle of the integer-endpoint
+kernels, the quantized interval lower form as the oracle of the exact
+lower form of unequal weights, perfbench's check of the benchmark's
+reference outputs, and the acceptance summary printed after the run."""
 
 import functools
 import importlib
+import itertools
 import json
 import re
 import sys
@@ -24,8 +27,16 @@ import pytest
 from mpmath.libmp import from_rational, libelefun, mpf_cos, round_ceiling, round_floor, to_rational
 
 from cmsvp import lattice, svp, theta
-from cmsvp.embeddings import _as_intervals, _certified_numerators, _weight_numerators, _weighted_sum
-from cmsvp.errors import BudgetExceededError, NotPositiveDefiniteError
+from cmsvp.embeddings import (
+    _as_intervals,
+    _certified_numerators,
+    _log_sigma,
+    _sigma_at,
+    _weight_numerators,
+    _weighted_sum,
+    normalize_weights,
+)
+from cmsvp.errors import BudgetExceededError, InputError, NotPositiveDefiniteError, PrecisionError
 from cmsvp.field import CMField
 from cmsvp.interval import DEFAULT_PRECISION, RealInterval, climb, exp_interval, pi_interval
 
@@ -41,6 +52,41 @@ def integer_gram(g, den: int) -> tuple[int, list[list[int]]]:
     s, a = lattice._integer_gram(g)
     f = den // gcd(s, den)
     return s * f, [[x * f for x in row] for row in a]
+
+
+def sigma(field, a, prec=DEFAULT_PRECISION) -> tuple[RealInterval, ...]:
+    """Certified enclosures of (sigma_1(a abar), ..., sigma_k(a abar)),
+    climbed until each meets the relative radius target."""
+    coords = a.times_conj().coords
+    return climb(prec, lambda cur: _sigma_at(field.conductor, coords, cur))
+
+
+def log_sigma(field, a, prec=DEFAULT_PRECISION) -> tuple[RealInterval, ...]:
+    """Enclosures of log sigma_j(a abar) for a != 0, climbed until every
+    sigma enclosure is certifiably positive."""
+    coords = a.times_conj().coords
+    return climb(prec, lambda cur: _log_sigma(field.conductor, coords, cur))
+
+
+def weighted_norm(field, a, weights, prec=DEFAULT_PRECISION) -> RealInterval:
+    """Enclosure of the weighted norm sum_m w_m sigma_m(a abar), climbed
+    as sigma climbs."""
+    w = normalize_weights(field, weights)
+    if a.is_zero():
+        return RealInterval.point(0)
+    coords = a.times_conj().coords
+    wnum = _weight_numerators(w)
+    return climb(prec, lambda cur: _weighted_sum(field.conductor, coords, wnum, cur))
+
+
+def theta_sum(g, t, prec=DEFAULT_PRECISION, budget=lattice.DEFAULT_BUDGET):
+    """Truncated theta sum of an exact Gram at parameter t, with tail."""
+    if not g.exact:
+        raise InputError("theta sum needs an exact-rational Gram")
+    t = Fraction(t)
+    if t <= 0:
+        raise InputError("t must be positive")
+    return theta._psi_sample(None, None, g, t, prec, budget)
 
 
 def sigma_real(field, x, prec=DEFAULT_PRECISION):
@@ -358,6 +404,99 @@ def reference_tail_bound(dim: int, delta: Fraction, radius: Fraction, t: Fractio
         x = pi.lo * t / 2
         slab = RealInterval(x / (1 + x), slab.hi)
     return top / slab
+
+
+# ---------------------------------------------------------------------------
+# the determinant engine on RealInterval objects that the integer-endpoint
+# kernels of interval.py replaced: the oracle of det_interval,
+# minor_intervals and adjugate, which must give the same Fractions
+
+
+def laplace_minors(m, width: int) -> dict[int, RealInterval]:
+    """Cofactor expansions of every n x n minor of an n x width interval
+    matrix m, keyed by column bitmask: a dynamic program over column
+    subsets, bottom row first, each minor expanded along its top row with
+    signs alternating over its columns in ascending order."""
+    n = len(m)
+    level = {0: RealInterval.point(1)}
+    for size in range(1, n + 1):
+        row = m[n - size]
+        below = level
+        level = {}
+        for cols in itertools.combinations(range(width), size):
+            mask = sum(1 << c for c in cols)
+            total = RealInterval.point(0)
+            for idx, c in enumerate(cols):
+                term = row[c] * below[mask ^ (1 << c)]
+                total = total + term if idx % 2 == 0 else total - term
+            level[mask] = total
+    return level
+
+
+def det_elimination(m) -> RealInterval:
+    """Interval Gaussian elimination with pivot search, the pivot of each
+    column the first candidate of largest min(|lo|, |hi|) that excludes
+    zero; PrecisionError when none does."""
+    n = len(m)
+    a = [list(row) for row in m]
+    det = RealInterval.point(1)
+    sign = 1
+    for col in range(n):
+        pivot_row = None
+        best = Fraction(-1)
+        for r in range(col, n):
+            cand = a[r][col]
+            if not cand.contains_zero():
+                score = min(abs(cand.lo), abs(cand.hi))
+                if score > best:
+                    best = score
+                    pivot_row = r
+        if pivot_row is None:
+            raise PrecisionError("no interval pivot excludes zero during elimination")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            sign = -sign
+        pivot = a[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            factor = a[r][col] / pivot
+            for c in range(col, n):
+                a[r][c] = a[r][c] - factor * a[col][c]
+    return det if sign == 1 else -det
+
+
+def tightened(cof: RealInterval, m) -> RealInterval:
+    """The cofactor enclosure cof of det m, intersected with elimination."""
+    try:
+        elim = det_elimination(m)
+    except PrecisionError:
+        return cof
+    lo, hi = max(cof.lo, elim.lo), min(cof.hi, elim.hi)
+    if lo > hi:
+        raise PrecisionError("determinant enclosures are disjoint")
+    return RealInterval(lo, hi)
+
+
+def oracle_det_interval(m) -> RealInterval:
+    return tightened(laplace_minors(m, len(m))[(1 << len(m)) - 1], m)
+
+
+def oracle_minor_intervals(rows) -> list[RealInterval]:
+    width = len(rows) + 1
+    full = (1 << width) - 1
+    cofactors = laplace_minors(rows, width)
+    return [
+        tightened(cofactors[full ^ (1 << l)], [[row[c] for c in range(width) if c != l] for row in rows])
+        for l in range(width)
+    ]
+
+
+def oracle_adjugate(m) -> tuple[list[list[RealInterval]], RealInterval]:
+    cofactors = []
+    for i in range(len(m)):
+        minors = oracle_minor_intervals(m[:i] + m[i + 1 :])
+        cofactors.append([-x if (i + j) % 2 else x for j, x in enumerate(minors)])
+    return cofactors, oracle_det_interval(m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ from cmsvp.embeddings import (
     _sigma_sum,
     _weight_numerators,
     _weighted_sum,
-    log_sigma,
     normalize_weights,
     representatives,
-    sigma,
-    weighted_norm,
     weights_are_equal_rational,
 )
 from cmsvp.errors import InputError, PrecisionError
@@ -32,7 +29,7 @@ from cmsvp.interval import (
     interval_sum,
 )
 from cmsvp.units import cyclotomic_unit_basis
-from conftest import sigma_real
+from conftest import log_sigma, sigma, sigma_real, weighted_norm
 
 
 def _random_element(field, rng, span=4):

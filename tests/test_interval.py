@@ -1,5 +1,6 @@
 """Interval arithmetic: containment is preserved by every operation."""
 
+import random
 from fractions import Fraction
 from math import floor, gcd
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmsvp import interval
+from cmsvp.errors import PrecisionError
 from cmsvp.interval import (
     MAX_BITS,
     PrecisionConfig,
@@ -21,7 +24,6 @@ from cmsvp.interval import (
     exp_sum,
     interval_json,
     interval_max,
-    interval_prod,
     interval_sum,
     log_interval,
     minor_intervals,
@@ -31,7 +33,19 @@ from cmsvp.interval import (
     sum_str,
 )
 
-from conftest import context_cos, context_cos2pi, context_exp, context_log, context_pi, context_root
+from conftest import (
+    context_cos,
+    context_cos2pi,
+    context_exp,
+    context_log,
+    context_pi,
+    context_root,
+    det_elimination,
+    laplace_minors,
+    oracle_adjugate,
+    oracle_det_interval,
+    oracle_minor_intervals,
+)
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=16
@@ -81,7 +95,6 @@ def test_even_power_clamps_at_zero():
 def test_aggregates():
     ivs = [RealInterval.point(k) for k in (1, 2, 3)]
     assert interval_sum(ivs).contains(6)
-    assert interval_prod(ivs).contains(6)
     assert interval_max(ivs).contains(3)
 
 
@@ -130,17 +143,42 @@ def test_cos2pi_and_pi_equal_the_interval_context(bits):
 # value computed with 14 guard bits and truncated; for a small input of few
 # significant bits the truncated value lies on the grid of bits bits while
 # exp lies just above it, so the upper end falls below exp: exp(2^-255) at
-# 256 bits comes out 1 + 2^-255, where the correct end is 1 + 2^-254.
-# test_mpmath_misrounds_the_named_ends checks each entry.  Hypothesis draws
-# some integers from the constants of the package's modules, so a change to
-# the package can move the sweeps' inputs onto another such end.
-MPMATH_MISROUNDED = {
-    ("exp", 256, Fraction(1, 2**255), True),
+# 256 bits comes out 1 + 2^-255, where the correct end is 1 + 2^-254; the
+# truncation can also take a lower end one grid step down, as for exp(-31)
+# at 1024 bits.  test_mpmath_misrounds_the_named_ends checks each entry, in
+# this order.
+MPMATH_MISROUNDED = [
+    ("exp", 1024, Fraction(-3969, 2**298), True),
     ("exp", 1024, Fraction(-74467581, 2**300), True),
     ("exp", 1024, Fraction(24693, 2**299), True),
     ("exp", 1024, Fraction(99600284637, 2**300), True),
-    ("exp", 1024, Fraction(-3969, 2**298), True),
-}
+    ("exp", 256, Fraction(1, 2**255), True),
+    ("exp", 1024, Fraction(1, 2**255), True),
+    ("exp", 1024, Fraction(-31), False),
+    ("exp", 1024, Fraction(2121, 2**300), True),
+    ("exp", 1024, Fraction(8943, 2**299), True),
+    ("exp", 128, Fraction(117228405082294702774258893279911294516767300065, 2**299), True),
+    ("exp", 256, Fraction(523290685, 2**299), True),
+    ("exp", 1024, Fraction(-774014336205, 2**300), True),
+    ("exp", 1024, Fraction(-1680767883, 2**293), True),
+    ("exp", 1024, Fraction(-373440813, 2**299), True),
+    ("exp", 1024, Fraction(-51675, 2**299), True),
+    ("exp", 1024, Fraction(-2409, 2**297), True),
+    ("exp", 1024, Fraction(-1425, 2**300), True),
+    ("exp", 1024, Fraction(-393, 2**300), True),
+    ("exp", 1024, Fraction(-93, 2**299), True),
+    ("exp", 1024, Fraction(-9, 2**299), True),
+    ("exp", 1024, Fraction(-3, 2**300), True),
+    ("exp", 1024, Fraction(3, 2**299), True),
+    ("exp", 1024, Fraction(220995, 2**300), True),
+    ("exp", 1024, Fraction(2866881, 2**300), True),
+    ("exp", 1024, Fraction(12045819, 2**300), True),
+    ("exp", 1024, Fraction(33858679491, 2**300), True),
+    ("exp", 1024, Fraction(22671139461, 2**299), True),
+    ("exp", 4096, Fraction(-33), False),
+    ("exp", 4096, Fraction(-19), True),
+    ("exp", 4096, Fraction(-11), False),
+]
 
 
 def named_ends(want: RealInterval, leaf: str, bits: int, x: RealInterval) -> RealInterval:
@@ -166,27 +204,71 @@ leaf_rationals = st.one_of(
 )
 
 
+def sweep_rational(rng: random.Random) -> Fraction:
+    """One input end of the kinds leaf_rationals holds: 0; a rational in
+    [-60, 60] with a denominator up to 10^6, at times an integer or one of
+    the ends; or n / 2^300 or n / 3^190 with |n| up to 60 times the
+    denominator, three in five of them below 2^-200, where exp lies just
+    above or below 1 and mpmath's exp can misround, and the rest with the
+    bit length of n spread evenly."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Fraction(0)
+    if kind < 0.5:
+        pick = rng.random()
+        if pick < 0.1:
+            return Fraction(rng.choice([-60, 60]))
+        if pick < 0.2:
+            return Fraction(rng.randint(-60, 60))
+        den = rng.randint(1, 10 ** rng.randint(1, 6))
+        return Fraction(rng.randint(-60 * den, 60 * den), den)
+    den = 2**300 if kind < 0.75 else 3**190
+    top = (60 * den).bit_length()
+    n = min(rng.getrandbits(rng.randint(1, 100 if rng.random() < 0.6 else top)), 60 * den)
+    return Fraction(rng.choice([-1, 1]) * n, den)
+
+
+# The fixed inputs of the sweeps against the interval context, the same at
+# every precision: each named misrounded input as a point, then seeded
+# draws.  Fixed inputs keep a change to the package's constants, which
+# Hypothesis draws from, from moving a sweep onto an end that mpmath
+# misrounds.
+_SWEEP_RNG = random.Random(20261020)
+LEAF_SWEEP = [(x, x, 1 + i % 6, 1) for i, (_, _, x, _) in enumerate(MPMATH_MISROUNDED)] + [
+    (sweep_rational(_SWEEP_RNG), sweep_rational(_SWEEP_RNG), _SWEEP_RNG.randint(1, 6), _SWEEP_RNG.randint(1, 99))
+    for _ in range(140)
+]
+EXP_SUM_SWEEP = [
+    (
+        [
+            (
+                _SWEEP_RNG.choice([0, 1, 10**6, *(_SWEEP_RNG.randint(2, 10**6 - 1) for _ in range(5))]),
+                sweep_rational(_SWEEP_RNG),
+                sweep_rational(_SWEEP_RNG),
+            )
+            for _ in range(_SWEEP_RNG.choice([0, 1, 2, 3, 4, 8, 8, 8, _SWEEP_RNG.randint(0, 8)]))
+        ],
+        _SWEEP_RNG.choice([1, 2**40, 3**30]),
+    )
+    for _ in range(110)
+]
+
+
 @pytest.mark.parametrize("bits", ORACLE_BITS)
-@settings(deadline=None, derandomize=True, max_examples=40)
-@given(
-    a=leaf_rationals,
-    b=leaf_rationals,
-    k=st.integers(min_value=1, max_value=6),
-    c=st.integers(min_value=1, max_value=99),
-)
-def test_exp_log_and_root_equal_the_interval_context(bits, a, b, k, c):
+def test_exp_log_and_root_equal_the_interval_context(bits):
     """exp_interval, exp_sum of one term (on ratios left unreduced by a
     factor c), log_interval and root_interval give the interval context's
     endpoints, but at the ends of MPMATH_MISROUNDED."""
-    x = RealInterval(min(a, b), max(a, b))
-    want = named_ends(context_exp(x, bits), "exp", bits, x)
-    assert exp_interval(x, bits) == want
-    lo, hi = x.lo, x.hi
-    assert exp_sum([(1, c * lo.numerator, c * lo.denominator, c * hi.numerator, c * hi.denominator)], bits) == want
-    assume(a and b)
-    pos = RealInterval(min(abs(a), abs(b)), max(abs(a), abs(b)))
-    assert log_interval(pos, bits) == named_ends(context_log(pos, bits), "log", bits, pos)
-    assert root_interval(pos, k, bits) == context_root(pos, k, bits)
+    for a, b, k, c in LEAF_SWEEP:
+        x = RealInterval(min(a, b), max(a, b))
+        want = named_ends(context_exp(x, bits), "exp", bits, x)
+        assert exp_interval(x, bits) == want, x
+        lo, hi = x.lo, x.hi
+        assert exp_sum([(1, c * lo.numerator, c * lo.denominator, c * hi.numerator, c * hi.denominator)], bits) == want, x
+        if a and b:
+            pos = RealInterval(min(abs(a), abs(b)), max(abs(a), abs(b)))
+            assert log_interval(pos, bits) == named_ends(context_log(pos, bits), "log", bits, pos), pos
+            assert root_interval(pos, k, bits) == context_root(pos, k, bits), (pos, k)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +382,7 @@ def test_exp_and_log_round_correctly(bits, a, b):
     assert got.hi == reference_end("log", pos.hi, bits, True)
 
 
-@pytest.mark.parametrize("leaf,bits,x,up", sorted(MPMATH_MISROUNDED, key=str))
+@pytest.mark.parametrize("leaf,bits,x,up", MPMATH_MISROUNDED)
 def test_mpmath_misrounds_the_named_ends(leaf, bits, x, up):
     """At each end exempt from the context sweep the owned end is the
     correct rounding and the context's is not."""
@@ -501,6 +583,90 @@ def test_adjugate_equals_det_interval_per_minor(m):
     assert adjugate(m) == (expected, det_interval(m))
 
 
+# ends over large dyadic and non-dyadic denominators, as the Sigma and log
+# rows of the bound and the chamber test carry them
+def wide_entries(radii):
+    return st.builds(
+        lambda c, r, d: RealInterval(Fraction(c - r, d), Fraction(c + r, d)),
+        st.integers(min_value=-(2**140), max_value=2**140),
+        st.sampled_from(radii),
+        st.sampled_from([2**130, 3**80, 10**40]),
+    )
+
+
+# narrow entries, on which elimination mostly finds its pivots and at times
+# tightens the cofactor enclosure
+narrow_entries = st.one_of(
+    st.builds(lambda c, r: RealInterval(c - r, c + r), fractions, st.sampled_from([Fraction(0), Fraction(1, 2**40)])),
+    wide_entries([0, 1]),
+)
+
+
+@st.composite
+def engine_matrices(draw, rows: int, cols: int):
+    """Point, narrow, wide and zero-straddling entries, small and large,
+    dyadic and not; some matrices made singular by repeating a row."""
+    pool = draw(st.sampled_from([narrow_entries, st.one_of(entries, wide_entries([0, 1, 2**20, 2**100]))]))
+    m = draw(st.lists(st.lists(pool, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    return m
+
+
+def same_ends(got: RealInterval, want: RealInterval) -> bool:
+    return (got.lo.numerator, got.lo.denominator, got.hi.numerator, got.hi.denominator) == (
+        want.lo.numerator,
+        want.lo.denominator,
+        want.hi.numerator,
+        want.hi.denominator,
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: engine_matrices(n, n)))
+def test_det_interval_equals_the_interval_object_engine(m):
+    """The integer-endpoint kernels give the very Fractions of the cofactor
+    expansion and elimination on RealInterval objects."""
+    assert same_ends(det_interval(m), oracle_det_interval(m))
+    assert same_ends(det_cofactor(m), laplace_minors(m, len(m))[(1 << len(m)) - 1])
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: engine_matrices(n, n + 1)))
+def test_minor_intervals_equal_the_interval_object_engine(rows):
+    got, want = minor_intervals(rows), oracle_minor_intervals(rows)
+    assert len(got) == len(want)
+    assert all(same_ends(g, w) for g, w in zip(got, want))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: engine_matrices(n, n)))
+def test_adjugate_equals_the_interval_object_engine(m):
+    (cofactors, det), (want_cofactors, want_det) = adjugate(m), oracle_adjugate(m)
+    assert same_ends(det, want_det)
+    assert all(same_ends(g, w) for got, want in zip(cofactors, want_cofactors) for g, w in zip(got, want))
+
+
+def test_det_interval_is_the_cofactor_enclosure_where_no_pivot_excludes_zero():
+    """Every entry of the first column straddles 0, so elimination finds no
+    pivot and the cofactor expansion is the enclosure."""
+    m = [[RealInterval(Fraction(lo), Fraction(hi)) for lo, hi in row] for row in [[(-1, 1), (2, 3)], [(-1, 2), (5, 7)]]]
+    with pytest.raises(PrecisionError, match="no interval pivot"):
+        det_elimination(m)
+    # [-1, 1] [5, 7] - [2, 3] [-1, 2]
+    assert det_interval(m) == det_cofactor(m) == oracle_det_interval(m) == RealInterval(Fraction(-13), Fraction(10))
+
+
+def test_disjoint_determinant_enclosures_raise(monkeypatch):
+    """Both enclosures hold the determinant, so they meet; were they ever
+    disjoint, det_interval raises instead of returning an empty interval."""
+    m = [[RealInterval.point(2), RealInterval.point(1)], [RealInterval.point(1), RealInterval.point(3)]]
+    assert det_interval(m) == RealInterval.point(5)
+    monkeypatch.setattr(interval, "_eliminate", lambda pairs: (Fraction(6), Fraction(7)))
+    with pytest.raises(PrecisionError, match="determinant enclosures are disjoint"):
+        det_interval(m)
+
+
 def exact_solve(m, rhs):
     """Gauss-Jordan over Fractions; None when m is singular."""
     n = len(m)
@@ -549,24 +715,21 @@ def test_adjugate_solve_encloses_the_exact_solution(system):
 
 
 @pytest.mark.parametrize("bits", [53, 128, 1024])
-@settings(deadline=None, derandomize=True, max_examples=40)
-@given(
-    terms=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=10**6), leaf_rationals, leaf_rationals), min_size=0, max_size=8
-    ),
-    scale=st.sampled_from([1, 2**40, 3**30]),
-)
-def test_exp_sum_equals_the_interval_sum_of_counted_exponentials(bits, terms, scale):
+def test_exp_sum_equals_the_interval_sum_of_counted_exponentials(bits):
     """exp_sum's mantissa-and-shift sum is interval_sum(c * exp_interval)
     exactly, Fraction for Fraction, with its endpoints in lowest terms; so
     are the endpoints of every leaf and of interval_sum over dyadics."""
-    ivs = [(c, RealInterval(min(a, b), max(a, b))) for c, a, b in terms]
-    got = exp_sum(
-        [(c, x.lo.numerator * scale, x.lo.denominator * scale, x.hi.numerator, x.hi.denominator) for c, x in ivs], bits
-    )
-    want = sum((Fraction(c) * named_ends(context_exp(x, bits), "exp", bits, x) for c, x in ivs), RealInterval.point(0))
-    assert got == want
-    leaves = [exp_interval(x, bits) for _, x in ivs] + [cos2pi(1, 7, bits), pi_interval(bits)]
-    dyadic_sum = interval_sum(Fraction(c) * e for (c, _), e in zip(ivs, leaves))
-    for x in [got.lo, got.hi, dyadic_sum.lo, dyadic_sum.hi] + [e for iv in leaves for e in (iv.lo, iv.hi)]:
-        assert gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+    for terms, scale in EXP_SUM_SWEEP:
+        ivs = [(c, RealInterval(min(a, b), max(a, b))) for c, a, b in terms]
+        got = exp_sum(
+            [(c, x.lo.numerator * scale, x.lo.denominator * scale, x.hi.numerator, x.hi.denominator) for c, x in ivs],
+            bits,
+        )
+        want = sum(
+            (Fraction(c) * named_ends(context_exp(x, bits), "exp", bits, x) for c, x in ivs), RealInterval.point(0)
+        )
+        assert got == want, terms
+        leaves = [exp_interval(x, bits) for _, x in ivs] + [cos2pi(1, 7, bits), pi_interval(bits)]
+        dyadic_sum = interval_sum(Fraction(c) * e for (c, _), e in zip(ivs, leaves))
+        for x in [got.lo, got.hi, dyadic_sum.lo, dyadic_sum.hi] + [e for iv in leaves for e in (iv.lo, iv.hi)]:
+            assert gcd(x.numerator, x.denominator) == 1 and x.denominator > 0

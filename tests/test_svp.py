@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cmsvp import cli, interval, lattice, svp
 from cmsvp.bound import theorem_bound
-from cmsvp.embeddings import log_sigma, normalize_weights, representatives, sigma
+from cmsvp.embeddings import normalize_weights, representatives
 from cmsvp.errors import InputError, NotPositiveDefiniteError
 from cmsvp.field import (
     CMField,
@@ -48,11 +48,13 @@ from conftest import (
     benchmark_spec,
     interval_gram_entries,
     leaves_of,
+    log_sigma,
     oracle_minimal_vectors,
     oracle_psi,
     quantized_floor_form,
     reference_basis_map,
     reference_mismatches,
+    sigma,
     sigma_real,
 )
 

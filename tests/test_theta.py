@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cmsvp import cli, lattice, svp, theta
-from cmsvp.embeddings import representatives, sigma
+from cmsvp.embeddings import representatives
 from cmsvp.errors import InputError
 from cmsvp.field import CMField, FieldElement
 from cmsvp.interval import RealInterval
@@ -24,10 +24,9 @@ from cmsvp.theta import (
     psi_truncated,
     same_counts,
     theta_prefix,
-    theta_sum,
 )
 
-from conftest import ldl, own_record, random_int_gram, reduced_gram, reference_tail_bound
+from conftest import ldl, own_record, random_int_gram, reduced_gram, reference_tail_bound, sigma, theta_sum
 
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
