@@ -8,7 +8,9 @@ cross-check, `set-e` materializes the characteristic set, and
 
 Exit codes: 0 success, 1 verification or self-test failure, 2 bad input
 or degenerate simplex, 3 precision failure, 4 node or simplex budget
-exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
+exceeded, or an ideal norm or bound with more decimal digits than Python
+converts to text (sys.get_int_max_str_digits), 141 (128 + SIGPIPE)
+standard output closed by its reader.
 JSON output carries a "schema": "1" field and is byte-deterministic for
 a fixed configuration.
 
@@ -21,6 +23,7 @@ same table.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -143,13 +146,7 @@ def _kappa_from(field: CMField, args):
 def _one_minus_zeta_power(field: CMField, r: int):
     """(1 - zeta)^r, the ideal generator of --ideal-exp and of Craig's
     lattices; None at r = 0, where the ideal is O_F itself."""
-    if r == 0:
-        return None
-    base = field.one() - field.zeta(1)
-    kappa = base
-    for _ in range(r - 1):
-        kappa = kappa * base
-    return kappa
+    return (field.one() - field.zeta(1)) ** r if r else None
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +188,17 @@ def cmd_bound(args) -> int:
         report = ideal_bound(field, basis, kappa, args.prec)
     if is_prime(field.conductor):
         report = with_verdict(report, norm_gap_verdict(report, field.conductor))
+    # Python prints no integer of more digits than its limit (0: none), so
+    # a large ideal is refused here, from the exact sizes, not mid-output
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ideal = report.ideal_norm is not None
+    if limit and ideal and max(report.ideal_norm, math.ceil(report.ideal_bound.hi)) >= 10**limit:
+        print(
+            f"budget exceeded: the ideal norm or bound has more than {limit} decimal digits, "
+            "the limit of Python's integer-to-text conversion (sys.get_int_max_str_digits)",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
 
     def text():
         yield f"conductor {report.conductor}  k {report.k}  basis {report.basis_provenance}"

@@ -97,7 +97,8 @@ def is_prime(n: int) -> bool:
 
 
 class CMField:
-    """A cyclotomic field Q(zeta_n), n > 2, with precomputed reduction data.
+    """A cyclotomic field Q(zeta_n), n > 2, with its tables of the powers
+    zeta^m and their traces, m < n.
 
     The field is CM of degree d = phi(n) over Q with maximal real subfield
     of degree k = d/2.
@@ -121,15 +122,6 @@ class CMField:
             raise InputError("field is not CM: odd degree")
         self.k = self.degree // 2
         self._zeta_powers = self._build_zeta_powers()
-        # the nonzero (index, coefficient) pairs of each row: for prime n
-        # every power but zeta^(n-1) is one basis vector
-        self._zeta_sparse = tuple(
-            tuple((t, r) for t, r in enumerate(row) if r) for row in self._zeta_powers
-        )
-        # x^(d+i) mod Phi_n for i = 0..d-2, the rows that reduce a product
-        self._reduction = [
-            self._zeta_powers[(self.degree + i) % conductor] for i in range(self.degree - 1)
-        ]
         self._zeta_traces = self._build_zeta_traces()
 
     def _build_zeta_powers(self) -> tuple[tuple[int, ...], ...]:
@@ -234,23 +226,7 @@ class FieldElement:
         if isinstance(other, int):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
         self._check(other)
-        d = self.field.degree
-        a, b = self.coords, other.coords
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = list(prod[:d])
-        red = self.field._reduction
-        for i in range(d, 2 * d - 1):
-            c = prod[i]
-            if c:
-                row = red[i - d]
-                for t in range(d):
-                    out[t] += c * row[t]
-        return FieldElement(self.field, tuple(out))
+        return _fold(self.field, _cyclic_product(self.coords, other.coords, self.field.conductor))
 
     __rmul__ = __mul__
 
@@ -269,19 +245,16 @@ class FieldElement:
 
     def galois(self, h: int) -> "FieldElement":
         """sigma_h: zeta -> zeta^h for h coprime to the conductor n, so
-        c_j zeta^j goes to c_j zeta^(hj mod n), read off the nonzero
-        entries of the zeta-power table."""
+        c_j zeta^j goes to c_j zeta^(hj mod n): the coordinates land at
+        distinct exponents mod n, and the fold brings them back."""
         field = self.field
         n = field.conductor
         if math.gcd(h, n) != 1:
             raise InputError(f"sigma_{h} is not an automorphism of Q(zeta_{n})")
-        rows = field._zeta_sparse
-        out = [0] * field.degree
+        acc = [0] * n
         for j, c in enumerate(self.coords):
-            if c:
-                for t, r in rows[h * j % n]:
-                    out[t] += c * r
-        return FieldElement(field, tuple(out))
+            acc[h * j % n] = c
+        return _fold(field, acc)
 
     def conj(self) -> "FieldElement":
         """Complex conjugation, sigma_(-1): zeta -> zeta^(-1)."""
@@ -291,8 +264,8 @@ class FieldElement:
         """alpha * conj(alpha) from the cyclic autocorrelation of the
         coordinates: with alpha = sum a_i zeta^i it is r_0 + sum_(s >= 1)
         r_s (zeta^s + zeta^(n-s)), r_s = sum_i a_i a_(i+s), which takes half
-        the products of a general multiplication.  Powers zeta^e with
-        e >= phi(n) fold back through the zeta-power table."""
+        the products of _cyclic_product; the same fold as every product
+        brings the powers zeta^e, e >= phi(n), back."""
         field = self.field
         n, d = field.conductor, field.degree
         a = self.coords
@@ -303,19 +276,51 @@ class FieldElement:
             if r:
                 acc[s] += r
                 acc[n - s] += r
-        out = acc[:d]
-        rows = field._zeta_powers
-        for e in range(d, n):
-            c = acc[e]
-            if c:
-                out = [o + c * x for o, x in zip(out, rows[e])]
-        return FieldElement(field, tuple(out))
+        return _fold(field, acc)
+
+    def __pow__(self, e: int) -> "FieldElement":
+        """self^e for an integer e >= 0, by square-and-multiply over the
+        bits of e from the top."""
+        if e < 0:
+            raise InputError("negative powers need exact_divide")
+        if e == 0:
+            return self.field.one()
+        out = self
+        for bit in bin(e)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def format(self) -> str:
         return ",".join(str(c) for c in self.coords)
 
     def __repr__(self):
         return f"FieldElement({self.field.conductor}; {self.format()})"
+
+
+def _cyclic_product(a, b, n: int) -> list[int]:
+    """a(z) b(z) mod z^n - 1 for ascending coefficient sequences of at most
+    n terms: coefficient e is sum_i a_i b_((e - i) mod n), one dot product
+    of a with b padded to n terms, reversed and repeated twice."""
+    rev = ([0] * (n - len(b)) + list(b)[::-1]) * 2
+    return [sum(map(mul, a, rev[s:])) for s in range(n - 1, -1, -1)]
+
+
+def _fold(field: CMField, acc) -> FieldElement:
+    """sum_(e < n) acc[e] zeta^e in the power basis, n the conductor: the
+    first phi(n) entries are coordinates already, and each higher power
+    adds its row of the zeta-power table.  With _cyclic_product it is the
+    one multiplication rule of Z[zeta_n]: multiply in Z[z]/(z^n - 1), then
+    send z to zeta_n."""
+    d = field.degree
+    out = acc[:d]
+    rows = field._zeta_powers
+    for e in range(d, field.conductor):
+        c = acc[e]
+        if c:
+            out = [o + c * x for o, x in zip(out, rows[e])]
+    return FieldElement(field, tuple(out))
 
 
 def trace_row(a: FieldElement, count: int) -> list[int]:

@@ -817,14 +817,6 @@ def _tightened(cof: tuple[int, int], m, scale: int) -> RealInterval:
     return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def det_cofactor(m: list[list[RealInterval]]) -> RealInterval:
-    """Determinant by cofactor expansion; exact on Fraction endpoints."""
-    den, pairs = _scaled(m)
-    lo, hi = _laplace(pairs, len(m))[(1 << len(m)) - 1]
-    scale = den ** len(m)
-    return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
-
-
 def det_interval(m: list[list[RealInterval]]) -> RealInterval:
     """Tightest available determinant enclosure: the cofactor expansion,
     intersected with interval elimination wherever a pivot excludes zero."""

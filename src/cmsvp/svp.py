@@ -44,6 +44,8 @@ from .errors import (
 from .field import (
     CMField,
     FieldElement,
+    _cyclic_product,
+    _fold,
     _poly_divide_exact,
     _real_trace_form,
     exact_divide,
@@ -224,10 +226,11 @@ def _weight_element(field: CMField, ws: tuple, prec: PrecisionConfig) -> tuple[F
     if ratio < 1 - DELTA:
         raise miss
     grid = den * den
-    big = field.one() * nums[0]
+    # den omega = nums_0 + sum_j nums_j (zeta^j + zeta^(n-j)), j < k <= n/2
+    acc = [nums[0]] + [0] * (n - 1)
     for j in range(1, k):
-        big = big + (field.zeta(j) + field.zeta(-j)) * nums[j]
-    return big, den, Fraction(ratio.numerator * grid // ratio.denominator, grid)
+        acc[j] = acc[n - j] = nums[j]
+    return _fold(field, acc), den, Fraction(ratio.numerator * grid // ratio.denominator, grid)
 
 
 def _cosine_solve(field: CMField, lows, den: int) -> list[Fraction]:
@@ -326,16 +329,6 @@ def _beta_keys(field: CMField, kappa, u, leaves: lattice.Leaves) -> tuple[list[i
             keys.append(low + high)
         pos += count
     return keys, b
-
-
-def _cyclic_product(a, b, n: int) -> list[int]:
-    """a(z) b(z) mod z^n - 1, for ascending coefficient sequences."""
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[(i + j) % n] += ai * bj
-    return out
 
 
 class _Members:
@@ -456,9 +449,8 @@ def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
 def _unit_quotient(w: FieldElement, exps, units, inverses) -> FieldElement:
     """w / prod units_j^a_j for integer exponents a, given each inverse."""
     for u, inv, a in zip(units, inverses, exps):
-        factor = inv if a > 0 else u
-        for _ in range(abs(a)):
-            w = w * factor
+        if a:
+            w = w * (inv if a > 0 else u) ** abs(a)
     return w
 
 

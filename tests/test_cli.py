@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -110,6 +111,50 @@ def test_too_many_simplices_are_refused_up_front(argv):
     )
     assert proc.returncode == 4
     assert "5040 simplices" in proc.stderr and "720" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_an_ideal_past_the_integer_digit_limit_exits_4_before_printing(fmt):
+    # 7^5100 has 4311 decimal digits, above the default limit of 4300
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmsvp", "bound", "--cyclotomic", "7", "--ideal-exp", "5100", *fmt],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert "more than 4300 decimal digits" in proc.stderr and "Traceback" not in proc.stderr
+    below = run_cli("bound", "--cyclotomic", "7", "--ideal-exp", "5000", *fmt)
+    assert below.returncode == 0
+    if fmt:
+        assert json.loads(below.stdout)["ideal_norm"] == 7**5000
+    else:
+        assert f"ideal norm {7**5000}\n" in below.stdout
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_the_digit_limit_is_decided_from_the_exact_sizes(fmt, capsys):
+    """At a limit of 640 digits the ideal bound of (1 - zeta_5)^r, about
+    1.25 * 5^r, has 640 digits at r = 915 and 641 at r = 916: the first
+    prints, the second is refused, and printed with no limit its bound
+    has a 641-digit integer part."""
+    argv = ["bound", "--cyclotomic", "5", "--ideal-exp"]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cli.main([*argv, "915", *fmt]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main([*argv, "916", *fmt]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 640 decimal digits" in err
+        sys.set_int_max_str_digits(0)
+        assert cli.main([*argv, "916", *fmt]) == 0
+        out = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(old)
+    bound = json.loads(out)["ideal_bound"]["hi"] if fmt else out.split("ideal bound [")[1].split(", ")[1]
+    assert len(bound.split(".")[0]) == 641
 
 
 def test_seed_flag_is_gone():

@@ -27,7 +27,7 @@ from cmsvp.field import (
     trace_row,
 )
 
-from conftest import gauss_jordan_quotient, matrix_norm
+from conftest import gauss_jordan_quotient, matrix_norm, mult_matrix
 
 
 def _random_element(field, rng, span=5):
@@ -316,7 +316,6 @@ def test_zeta_powers_equal_repeated_multiplication():
     for n in ALL_CONDUCTORS:
         field = CMField(n)
         red = _reference_reduction(field)
-        assert [tuple(r) for r in field._reduction] == red
         powers = _reference_zeta_powers(field, red)
         for m in range(-n, 2 * n):
             assert field.zeta(m).coords == powers[m % n], (n, m)
@@ -416,8 +415,9 @@ SPARSE_CONDUCTORS = [5, 7, 11, 13, 17, 19, 23, 8, 9, 12, 15, 16, 20, 21]
     lambda n: st.tuples(st.just(n), st.lists(st.integers(-9, 9), min_size=euler_phi(n), max_size=euler_phi(n)))
 ))
 def test_galois_on_sparse_rows_equals_the_dense_walk(case):
-    """sigma_h read off the nonzero entries of the zeta-power rows equals
-    the walk over every entry of each row, for every h coprime to n."""
+    """sigma_h, the coordinates moved to the exponents hj mod n and folded,
+    equals the walk over every entry of each zeta-power row, for every h
+    coprime to n."""
     n, coords = case
     fld = CMField(n)
     a = fld.element(coords)
@@ -482,3 +482,64 @@ def test_representatives_pick_one_exponent_of_each_conjugate_pair():
         classes = {frozenset({m % n, -m % n}) for m in reps}
         assert len(classes) == len(reps)
         assert set().union(*classes) == {h for h in range(1, n) if gcd(h, n) == 1}
+
+
+# -- the one product rule: products, Galois images and powers all take
+# field._cyclic_product in Z[z]/(z^n - 1) and field._fold to Z[zeta_n]
+
+
+def _product_cases(seed):
+    """(field, a, b) for every conductor up to 130, a and b seeded."""
+    rng = random.Random(seed)
+    for n in ALL_CONDUCTORS:
+        fld = CMField(n)
+        yield fld, _random_element(fld, rng), _random_element(fld, rng)
+
+
+def test_products_equal_the_multiplication_matrix():
+    for fld, a, b in _product_cases(31):
+        m = mult_matrix(a)
+        assert (a * b).coords == tuple(sum(x * y for x, y in zip(row, b.coords)) for row in m), fld
+
+
+def test_galois_equals_the_walk_over_reference_powers_for_every_exponent():
+    for fld, a, _ in _product_cases(37):
+        n = fld.conductor
+        powers = _reference_zeta_powers(fld, _reference_reduction(fld))
+        for h in range(1, n):
+            if gcd(h, n) == 1:
+                out = [0] * fld.degree
+                for j, c in enumerate(a.coords):
+                    if c:
+                        out = [o + c * x for o, x in zip(out, powers[h * j % n])]
+                assert a.galois(h).coords == tuple(out), (n, h)
+
+
+def test_powers_equal_repeated_products():
+    for fld, a, _ in _product_cases(43):
+        want = fld.one()
+        for e in range(13):
+            assert a**e == want, (fld, e)
+            want = want * a
+    with pytest.raises(InputError):
+        CMField(7).zeta(1) ** -1
+
+
+def _one_minus_zeta_loop(fld, top):
+    """(1 - zeta)^r for r = 1..top, one factor at a time: the loop that **
+    replaced."""
+    base = fld.one() - fld.zeta(1)
+    kappa = base
+    yield kappa
+    for _ in range(top - 1):
+        kappa = kappa * base
+        yield kappa
+
+
+def test_one_minus_zeta_powers_equal_the_one_factor_loop():
+    for fld, _, _ in _product_cases(47):
+        base = fld.one() - fld.zeta(1)
+        assert base**0 == fld.one() and cli._one_minus_zeta_power(fld, 0) is None
+        for r, want in enumerate(_one_minus_zeta_loop(fld, 40), 1):
+            assert base**r == want, (fld, r)
+        assert cli._one_minus_zeta_power(fld, 40) == want, fld

@@ -1,0 +1,56 @@
+"""No dead definitions: every module-level function and class of the
+package is referenced somewhere in its source, outside its own body, as
+a name, an attribute or an imported name, or is exported from
+cmsvp/__init__.py.  References are read from the syntax trees, so a
+mention in a docstring or a comment does not count."""
+
+import ast
+from pathlib import Path
+
+import cmsvp
+
+PACKAGE = Path(cmsvp.__file__).parent
+
+
+def _references(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreferenced(package: Path) -> list[str]:
+    """'module.name' of each module-level def or class that no other
+    top-level statement of the package refers to, less the exports."""
+    definitions = []  # (module, name, the defining statement)
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, stmt.name, stmt))
+        for stmt in tree.body:
+            refs = _references(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a recursive call does not keep its own function alive
+                refs.discard(stmt.name)
+            used |= refs
+    return [f"{module}.{name}" for module, name, _ in definitions if name not in used and name not in cmsvp.__all__]
+
+
+def test_every_module_level_definition_is_referenced():
+    assert unreferenced(PACKAGE) == []
+
+
+def test_a_docstring_mention_is_no_reference(tmp_path):
+    (tmp_path / "a.py").write_text(
+        'def used():\n    return 1\n\n\ndef dead():\n    """Calls used(); see also dead()."""\n    return used()\n\n\n'
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+    )
+    (tmp_path / "b.py").write_text('from .a import used\n\n"""dead() is named only here."""\n')
+    assert unreferenced(tmp_path) == ["a.dead", "a.recursive"]
