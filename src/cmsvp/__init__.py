@@ -30,10 +30,9 @@ from .svp import (
     craig_circulant,
     gram_matrix,
     minimal_vectors,
-    reduce_to_chamber,
 )
 from .theta import PsiSample, ThetaPrefix, cusp_extract, psi_truncated, same_counts, theta_prefix
-from .units import UnitBasis, cyclotomic_unit_basis, load_unit_basis
+from .units import UnitBasis, cyclotomic_unit_basis, load_unit_basis, reduce_to_chamber
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .embeddings import _sigma_at
-from .errors import DegenerateSimplexError, InputError, SimplexBudgetError
-from .field import CMField, FieldElement, field_norm, is_prime
+from .errors import DegenerateSimplexError, InputError, PrecisionError, SimplexBudgetError
+from .field import CMField, FieldElement, _det_bareiss, field_norm, is_prime, trace
 from .interval import (
     DEFAULT_PRECISION,
     PrecisionConfig,
@@ -75,8 +75,16 @@ def simplex_data(
     sigmas: dict | None = None,
 ) -> SimplexData:
     """Certified simplex data at the first rung of the precision ladder
-    where its Sigma rows are certified and no minor determinant contains
-    zero; DegenerateSimplexError when one still does at the top rung.
+    where its Sigma rows are certified and neither det A nor a minor
+    determinant contains zero.
+
+    A det A enclosure that contains zero is decided exactly: the chain's
+    points beta_j = v_j conj(v_j) have the integer trace Gram
+    G_ij = Tr(beta_i beta_j) = 2 (A A^T)_ij, so det G = 2^k det A^2, and
+    det G = 0 raises DegenerateSimplexError at once.  Otherwise det A != 0
+    and the enclosure is a precision miss, as is a minor's: the points then
+    lie on the hyperplane sigma(omega) . x = 1 of an omega != 0 in K+, and
+    Cramer's rule gives det B_l = +-det A sigma_l(omega) != 0.
 
     `sigmas` maps (bits, vertex coordinates) to Sigma rows, so simplices
     that share a vertex evaluate Sigma once per rung.
@@ -92,6 +100,13 @@ def simplex_data(
                 sigmas[key] = _sigma_at(field.conductor, v.times_conj().coords, cur)
             rows.append(sigmas[key])
         det_a = det_interval(rows)
+        if det_a.contains_zero():
+            betas = [v.times_conj() for v in delta.vertices]
+            if _det_bareiss([[trace(x * y) for y in betas] for x in betas]) == 0:
+                raise DegenerateSimplexError(delta.perm)
+            raise PrecisionError(
+                f"simplex_data: det A for permutation {delta.perm} contains zero at {cur.bits} bits"
+            )
         diff = [
             [rows[i + 1][j] - rows[i][j] for j in range(k)]
             for i in range(k - 1)
@@ -99,11 +114,13 @@ def simplex_data(
         det_bs = minor_intervals(diff)
         zero = [l for l, db in enumerate(det_bs) if db.contains_zero()]
         if zero:
-            raise DegenerateSimplexError(delta.perm, zero[0], cur.bits)
-        # |(det A / k)^k / prod_l det B_l|, each enclosure sign-definite but
-        # det A's, and each appearing once: the ends are the extreme magnitudes
-        a_min = max(det_a.lo, -det_a.hi, 0)
-        a_max = max(-det_a.lo, det_a.hi)
+            raise PrecisionError(
+                f"simplex_data: minor {zero[0]} for permutation {delta.perm} contains zero at {cur.bits} bits"
+            )
+        # |(det A / k)^k / prod_l det B_l|, each enclosure sign-definite and
+        # appearing once: the ends are the extreme magnitudes
+        a_min = min(abs(det_a.lo), abs(det_a.hi))
+        a_max = max(abs(det_a.lo), abs(det_a.hi))
         b_min = prod(min(abs(b.lo), abs(b.hi)) for b in det_bs)
         b_max = prod(max(abs(b.lo), abs(b.hi)) for b in det_bs)
         value = RealInterval(a_min**k / (k**k * b_max), a_max**k / (k**k * b_min))

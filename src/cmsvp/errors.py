@@ -22,14 +22,14 @@ class DependentUnitsError(InputError):
 
 
 class DegenerateSimplexError(CmsvpError):
-    """A simplex minor determinant could not be bounded away from zero."""
+    """A simplex's vertex points lie on a hyperplane through the origin
+    (det A = 0), decided exactly."""
 
-    def __init__(self, perm, minor_index, bits):
+    def __init__(self, perm):
         self.perm = tuple(perm)
-        self.minor_index = minor_index
         super().__init__(
-            f"simplex_data: degenerate simplex for permutation {self.perm}: minor "
-            f"{minor_index} has a determinant interval containing zero at {bits} bits"
+            f"simplex_data: degenerate simplex for permutation {self.perm}: det A = 0 "
+            "exactly (the trace Gram of its vertex points is singular)"
         )
 
 

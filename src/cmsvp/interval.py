@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
-from .errors import DegenerateSimplexError, DependentUnitsError, NotPositiveDefiniteError, PrecisionError
+from .errors import DependentUnitsError, NotPositiveDefiniteError, PrecisionError
 
 MIN_BITS = 53
 # the top of every precision ladder; at 4096 bits `bound --cyclotomic 11`
@@ -62,7 +62,7 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 REL_RADIUS = Fraction(1, 2**64)
 
-MISSES = (PrecisionError, NotPositiveDefiniteError, DegenerateSimplexError, DependentUnitsError)
+MISSES = (PrecisionError, NotPositiveDefiniteError, DependentUnitsError)
 
 
 def climb(prec: PrecisionConfig, attempt):

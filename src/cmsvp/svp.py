@@ -14,8 +14,9 @@ into a Gram matrix, and answers questions about short vectors exactly:
   certified interval evaluation, with exact algebraic tie-breaking.
 
 On top of the enumerator sit the finite characteristic set E (norm bound
-plus the half-open fundamental chamber in log-unit coordinates) and the
-circulant Craig lattice Grams used for cross-checking.
+plus the half-open fundamental chamber in log-unit coordinates, which
+cmsvp.units decides) and the circulant Craig lattice Grams used for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from operator import mul
 from . import lattice
 from .embeddings import (
     _cos_table,
-    _log_sigma,
     _sigma_numerators,
     _weight_numerators,
     _weighted_sum,
@@ -48,7 +48,6 @@ from .field import (
     _fold,
     _poly_divide_exact,
     _real_trace_form,
-    exact_divide,
     is_prime,
     real_norm,
     representatives,
@@ -59,14 +58,11 @@ from .interval import (
     DEFAULT_PRECISION,
     PrecisionConfig,
     RealInterval,
-    adjugate,
     climb,
     interval_json,
-    interval_sum,
-    log_interval,
     root_interval,
 )
-from .units import UnitBasis, fundamental_domain_vertices
+from .units import UnitBasis, _Chamber, _chamber_exponents, fundamental_domain_vertices
 
 # the lower form's slack for unequal weights: omega's grid is fine enough
 # that each sigma_m(omega) is within DELTA/4 of w_m, relatively
@@ -446,112 +442,6 @@ def _equal_weight_q(field: CMField, a: FieldElement) -> Fraction:
     return Fraction(trace(a.times_conj()), 2)
 
 
-def _unit_quotient(w: FieldElement, exps, units, inverses) -> FieldElement:
-    """w / prod units_j^a_j for integer exponents a, given each inverse."""
-    for u, inv, a in zip(units, inverses, exps):
-        if a:
-            w = w * (inv if a > 0 else u) ** abs(a)
-    return w
-
-
-class _Chamber:
-    """What every chamber reduction against one unit basis shares: each
-    inverse g_j^-1 (integral, since g_j is a unit), each beta_j =
-    g_j conj(g_j) and its inverse, and, per precision tried, the generators'
-    log matrix L[m][j] = log sigma_m(beta_j), m < k-1, with its cofactors
-    and determinant."""
-
-    def __init__(self, field: CMField, basis: UnitBasis):
-        self.field = field
-        self.generators = basis.generators
-        one = field.one()
-        self.inverses = tuple(exact_divide(one, g) for g in basis.generators)
-        self.betas = tuple(g.times_conj() for g in self.generators)
-        self.beta_inverses = tuple(v.times_conj() for v in self.inverses)
-        self._logs: dict[int, tuple] = {}
-
-    def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
-        """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1:
-        c_j = sum_m ys[m] C[m][j] / det L, with the cofactors C and det L
-        taken once per precision."""
-        k1 = len(self.generators)
-        if prec.bits not in self._logs:
-            rows = [_log_sigma(self.field.conductor, beta.coords, prec)[:k1] for beta in self.betas]
-            self._logs[prec.bits] = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
-        cofactors, det = self._logs[prec.bits]
-        if det.contains_zero():
-            raise PrecisionError(
-                f"_Chamber: unit log matrix determinant contains zero at {prec.bits} bits"
-            )
-        return [
-            interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
-            for j in range(k1)
-        ]
-
-    def divide_out(self, w: FieldElement, exps) -> FieldElement:
-        """w / prod g_j^a_j for integer exponents a."""
-        return _unit_quotient(w, exps, self.generators, self.inverses)
-
-    def on_wall(self, beta: FieldElement, exps) -> bool:
-        """Is beta / prod beta_j^a_j rational, i.e. are the chamber
-        coordinates of beta exactly the integers a?"""
-        red = _unit_quotient(beta, exps, self.betas, self.beta_inverses)
-        return not any(red.coords[1:])
-
-
-def _chamber_exponents(
-    chamber: _Chamber,
-    beta: FieldElement,
-    n_abs: int,
-    prec: PrecisionConfig,
-) -> tuple[int, ...]:
-    """Integer exponents a with w / prod g_j^a_j in the fundamental chamber,
-    at the first rung of the precision ladder that decides them.
-
-    beta = w conj(w) and n_abs = |N(w)| > 0; everything here depends on w
-    only through them.  Chamber coordinates c solve sum_j c_j log
-    sigma_m(g_j conj(g_j)) = log sigma_m(beta) - log n_abs / k over the
-    first k-1 embeddings; the answer is floor(c).  Interval straddles on
-    integer walls are resolved exactly: c equals an integer vector a iff
-    beta / prod (g_j conj(g_j))^a_j is rational.
-    """
-    field = chamber.field
-    k1 = len(chamber.generators)
-
-    def attempt(cur):
-        ys = _log_sigma(field.conductor, beta.coords, cur)
-        shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
-        c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
-        floors = [cj.lo.numerator // cj.lo.denominator for cj in c]
-        if floors == [cj.hi.numerator // cj.hi.denominator for cj in c]:
-            return tuple(floors)
-        guess = tuple(round(cj.mid) for cj in c)
-        if chamber.on_wall(beta, guess):
-            # exactly on a wall lattice point: c == guess, floor == guess
-            return guess
-        raise PrecisionError(
-            f"_chamber_exponents: chamber coordinates not separated from a wall at {cur.bits} bits"
-        )
-
-    return climb(prec, attempt)
-
-
-def reduce_to_chamber(
-    field: CMField,
-    basis: UnitBasis,
-    w: FieldElement,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-) -> tuple[FieldElement, tuple[int, ...]]:
-    """(w / prod g^a, a) with the quotient's log coordinates in [0,1)^(k-1)."""
-    beta = w.times_conj()
-    n_abs = real_norm(beta)
-    if n_abs == 0:
-        raise InputError("chamber reduction needs a nonzero element")
-    chamber = _Chamber(field, basis)
-    exps = _chamber_exponents(chamber, beta, n_abs, prec)
-    return chamber.divide_out(w, exps), exps
-
-
 def characteristic_set_E(
     field: CMField,
     basis: UnitBasis,
@@ -580,7 +470,7 @@ def characteristic_set_E(
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair
     groups, _ = _beta_groups(field, None, red, radius, budget)
-    chamber = _Chamber(field, basis)
+    chamber = _Chamber(field, basis.generators)
     origin = (0,) * (k - 1)
     accepted = []
     for beta, members in groups.items():

@@ -1,4 +1,4 @@
-"""Unit-group bases modulo torsion and the fundamental-domain simplices.
+"""The unit group modulo torsion: bases, simplices and the chamber.
 
 For prime conductor p >= 5 a built-in basis of the cyclotomic units is
 provided: the first k-1 members of the Galois orbit of
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import DependentUnitsError, InputError, NonPrimeConductorError
-from .field import CMField, FieldElement, exact_divide, is_unit, is_prime
-from .interval import DEFAULT_PRECISION, PrecisionConfig, climb, det_interval
 from .embeddings import _log_sigma
+from .errors import DependentUnitsError, InputError, NonPrimeConductorError, PrecisionError
+from .field import CMField, FieldElement, exact_divide, is_prime, is_unit, real_norm
+from .interval import DEFAULT_PRECISION, PrecisionConfig, RealInterval, adjugate, climb, interval_sum, log_interval
 
 BUILTIN_CYCLOTOMIC = "builtin-cyclotomic"
 USER_SUPPLIED = "user-supplied"
@@ -82,17 +83,15 @@ def independence_certificate(
 ) -> None:
     """Certify multiplicative independence mod torsion or raise.
 
-    The (k-1)x(k-1) matrix L with L[j][m] = log sigma_m(g_j * conj(g_j))
-    (first k-1 embedding coordinates) must have a determinant interval
-    bounded away from zero at some rung of the precision ladder.
+    The generators' log matrix L (see _Chamber) must have a determinant
+    interval bounded away from zero at some rung of the precision ladder.
     """
-    k1 = len(generators)
-    if k1 == 0:
+    if not generators:
         return
-    betas = [g.times_conj().coords for g in generators]
+    chamber = _Chamber(field, generators)
 
     def attempt(cur):
-        if det_interval([_log_sigma(field.conductor, b, cur)[:k1] for b in betas]).contains_zero():
+        if chamber.log_matrix(cur)[1].contains_zero():
             raise DependentUnitsError(
                 "independence_certificate: unit generators are not certifiably independent "
                 f"(log matrix determinant interval contains zero at {cur.bits} bits)"
@@ -158,3 +157,112 @@ def fundamental_domain_vertices(basis: UnitBasis) -> list[FieldElement]:
     for gen in basis.generators:
         out += [v * gen for v in out]
     return out
+
+
+class _Chamber:
+    """What every independence check and chamber reduction against one set
+    of unit generators g_j shares: each beta_j = g_j conj(g_j) and, per
+    precision tried, the adjugate of the generators' log matrix
+    L[m][j] = log sigma_m(beta_j), m < k-1."""
+
+    def __init__(self, field: CMField, generators):
+        self.field = field
+        self.betas = tuple(g.times_conj() for g in generators)
+        self._logs: dict[int, tuple] = {}
+
+    def log_matrix(self, prec: PrecisionConfig) -> tuple[list[list[RealInterval]], RealInterval]:
+        """(C, det L): the cofactors and determinant of L at prec's bits,
+        built once per precision."""
+        if prec.bits not in self._logs:
+            k1 = len(self.betas)
+            rows = [_log_sigma(self.field.conductor, beta.coords, prec)[:k1] for beta in self.betas]
+            self._logs[prec.bits] = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
+        return self._logs[prec.bits]
+
+    def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
+        """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1:
+        c_j = sum_m ys[m] C[m][j] / det L."""
+        cofactors, det = self.log_matrix(prec)
+        if det.contains_zero():
+            raise PrecisionError(
+                f"_Chamber: unit log matrix determinant contains zero at {prec.bits} bits"
+            )
+        k1 = len(self.betas)
+        return [
+            interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
+            for j in range(k1)
+        ]
+
+
+def _unit_ratio(x: FieldElement, units, exps) -> tuple[FieldElement, FieldElement]:
+    """(num, den) with num / den = x / prod units_j^a_j for integer
+    exponents a: each negative power multiplies num and each positive one
+    den, so no unit is inverted."""
+    num, den = x, x.field.one()
+    for u, a in zip(units, exps):
+        if a > 0:
+            den = den * u**a
+        elif a < 0:
+            num = num * u**-a
+    return num, den
+
+
+def _chamber_exponents(
+    chamber: _Chamber,
+    beta: FieldElement,
+    n_abs: int,
+    prec: PrecisionConfig,
+) -> tuple[int, ...]:
+    """Integer exponents a with w / prod g_j^a_j in the fundamental chamber,
+    at the first rung of the precision ladder that decides them.
+
+    beta = w conj(w) and n_abs = |N(w)| > 0; everything here depends on w
+    only through them.  Chamber coordinates c solve sum_j c_j log
+    sigma_m(g_j conj(g_j)) = log sigma_m(beta) - log n_abs / k over the
+    first k-1 embeddings; the answer is floor(c).  An enclosure that
+    straddles a wall is decided exactly: c = a/m for integers a and m >= 1
+    iff beta^m / prod beta_j^a_j is rational, that is, iff _unit_ratio's
+    num is a rational multiple of its den.  Each m up to 2k is tried with
+    a = round(m c) wherever m c's enclosure holds a.
+    """
+    field = chamber.field
+    k1 = len(chamber.betas)
+
+    def attempt(cur):
+        ys = _log_sigma(field.conductor, beta.coords, cur)
+        shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
+        c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
+        floors = [cj.lo.numerator // cj.lo.denominator for cj in c]
+        if floors == [cj.hi.numerator // cj.hi.denominator for cj in c]:
+            return tuple(floors)
+        power = field.one()
+        for m in range(1, 2 * field.k + 1):
+            power = power * beta
+            a = [round(m * cj.mid) for cj in c]
+            if all(m * cj.lo <= aj <= m * cj.hi for aj, cj in zip(a, c)):
+                num, den = _unit_ratio(power, chamber.betas, a)
+                i = next(i for i, x in enumerate(den.coords) if x)
+                if num * den.coords[i] == den * num.coords[i]:
+                    # num / den is rational, so c = a/m exactly
+                    return tuple(aj // m for aj in a)
+        raise PrecisionError(
+            f"_chamber_exponents: chamber coordinates not separated from a wall at {cur.bits} bits"
+        )
+
+    return climb(prec, attempt)
+
+
+def reduce_to_chamber(
+    field: CMField,
+    basis: UnitBasis,
+    w: FieldElement,
+    prec: PrecisionConfig = DEFAULT_PRECISION,
+) -> tuple[FieldElement, tuple[int, ...]]:
+    """(w / prod g^a, a) with the quotient's log coordinates in [0,1)^(k-1):
+    one exact division, of _unit_ratio's num by its den."""
+    beta = w.times_conj()
+    n_abs = real_norm(beta)
+    if n_abs == 0:
+        raise InputError("chamber reduction needs a nonzero element")
+    exps = _chamber_exponents(_Chamber(field, basis.generators), beta, n_abs, prec)
+    return exact_divide(*_unit_ratio(w, basis.generators, exps)), exps

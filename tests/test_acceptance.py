@@ -20,10 +20,9 @@ from cmsvp.svp import (
     craig_circulant,
     gram_matrix,
     minimal_vectors,
-    reduce_to_chamber,
 )
 from cmsvp.theta import cusp_extract, same_counts, theta_prefix
-from cmsvp.units import cyclotomic_unit_basis
+from cmsvp.units import cyclotomic_unit_basis, reduce_to_chamber
 
 from conftest import box_short_vectors, random_int_gram
 

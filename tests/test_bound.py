@@ -16,10 +16,10 @@ from cmsvp.bound import (
     theorem_bound,
     with_verdict,
 )
-from cmsvp.errors import InputError
-from cmsvp.field import CMField
+from cmsvp.errors import DegenerateSimplexError, InputError
+from cmsvp.field import CMField, _det_bareiss, exact_divide, trace
 from cmsvp.interval import PrecisionConfig
-from cmsvp.units import cyclotomic_unit_basis, delta_sets, fundamental_domain_vertices
+from cmsvp.units import UnitBasis, cyclotomic_unit_basis, delta_sets, fundamental_domain_vertices
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -104,6 +104,70 @@ def test_theorem_bound_evaluates_sigma_once_per_vertex(monkeypatch):
     assert len(report.simplices) == 24
     assert len(evaluated) == 2 ** (field.k - 1) == 16
     assert set(evaluated) == {v.times_conj().coords for v in fundamental_domain_vertices(basis)}
+
+
+def _degenerate_chains(basis):
+    """Permutations of the chains whose points beta_j = v_j conj(v_j) have
+    a singular integer trace Gram, that is, det A = 0."""
+    out = []
+    for delta in delta_sets(basis):
+        betas = [v.times_conj() for v in delta.vertices]
+        if _det_bareiss([[trace(x * y) for y in betas] for x in betas]) == 0:
+            out.append(delta.perm)
+    return out
+
+
+def _base_rung_only(monkeypatch):
+    """The bits of every Sigma row that the bound engine evaluates."""
+    bits = []
+    real_sigma_at = bound._sigma_at
+
+    def recording(n, coords, prec):
+        bits.append(prec.bits)
+        return real_sigma_at(n, coords, prec)
+
+    monkeypatch.setattr(bound, "_sigma_at", recording)
+    return bits
+
+
+def test_degenerate_chain_of_a_unimodular_basis_change_is_refused_at_once(monkeypatch):
+    """U13 is the built-in p = 13 basis under the unimodular U with rows
+    10000/01000/01100/11110/11111.  Two of its 120 chains have det A = 0
+    exactly, so no bound is certified: the first of them is named at the
+    base rung, and no rung above it is tried."""
+    field = CMField(13)
+    gens = cyclotomic_unit_basis(field).generators
+    u13 = []
+    for row in ("10000", "01000", "01100", "11110", "11111"):
+        h = field.one()
+        for g, bit in zip(gens, row):
+            if bit == "1":
+                h = h * g
+        u13.append(h)
+    basis = UnitBasis(field, tuple(u13), 26, "test")
+    assert _degenerate_chains(basis) == [(1, 4, 0, 2, 3), (3, 4, 0, 2, 1)]
+    bits = _base_rung_only(monkeypatch)
+    with pytest.raises(DegenerateSimplexError) as exc:
+        theorem_bound(field, basis)
+    assert exc.value.perm == (1, 4, 0, 2, 3)
+    assert set(bits) == {128}
+
+
+def test_degenerate_orbit_basis_at_n16_exits_2_naming_its_chain(tmp_path, monkeypatch, capsys):
+    """The Galois orbit {u, sigma_3(u), sigma_5(u)} of u = (1 - zeta^3) /
+    (1 - zeta) in Q(zeta_16) is a valid unit basis with one degenerate
+    chain, (2, 0, 1): `bound` exits 2 naming it, from the base rung."""
+    field = CMField(16)
+    one = field.one()
+    u = exact_divide(one - field.zeta(3), one - field.zeta(1))
+    gens = [u.galois(h) for h in (1, 3, 5)]
+    assert _degenerate_chains(UnitBasis(field, tuple(gens), 16, "test")) == [(2, 0, 1)]
+    path = tmp_path / "units.txt"
+    path.write_text("torsion 16\n" + "".join(g.format() + "\n" for g in gens), encoding="utf-8")
+    bits = _base_rung_only(monkeypatch)
+    assert cli.main(["bound", "--cyclotomic", "16", "--units", str(path)]) == 2
+    assert "degenerate simplex for permutation (2, 0, 1)" in capsys.readouterr().err
+    assert set(bits) == {128}
 
 
 @pytest.mark.parametrize(

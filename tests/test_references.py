@@ -1,7 +1,8 @@
 """No dead definitions: every module-level function and class of the
 package is referenced somewhere in its source, outside its own body, as
 a name, an attribute or an imported name, or is exported from
-cmsvp/__init__.py.  References are read from the syntax trees, so a
+cmsvp/__init__.py; and every name a module imports at module level is
+used in that module.  References are read from the syntax trees, so a
 mention in a docstring or a comment does not count."""
 
 import ast
@@ -43,6 +44,28 @@ def unreferenced(package: Path) -> list[str]:
     return [f"{module}.{name}" for module, name, _ in definitions if name not in used and name not in cmsvp.__all__]
 
 
+def unused_imports(package: Path) -> list[str]:
+    """'module.name' of each name bound by a module-level import of a
+    module other than __init__.py (which re-exports) that the rest of the
+    module's syntax tree never names."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported, rest = [], []
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+            else:
+                rest.append(stmt)
+        names = {sub.id for stmt in rest for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+        out += [f"{path.stem}.{name}" for name in imported if name not in names]
+    return out
+
+
 def test_every_module_level_definition_is_referenced():
     assert unreferenced(PACKAGE) == []
 
@@ -54,3 +77,18 @@ def test_a_docstring_mention_is_no_reference(tmp_path):
     )
     (tmp_path / "b.py").write_text('from .a import used\n\n"""dead() is named only here."""\n')
     assert unreferenced(tmp_path) == ["a.dead", "a.recursive"]
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_an_import_named_only_in_a_docstring_or_another_module_is_unused(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\nimport os.path\nfrom math import gcd, lcm as least\n"
+        "from fractions import Fraction\n\n\ndef f(x: Fraction):\n"
+        '    """gcd and least are named only here."""\n    return os.path.join(x)\n'
+    )
+    (tmp_path / "b.py").write_text("from .a import f\n\ngcd = 1\n")
+    assert unused_imports(tmp_path) == ["a.gcd", "a.least", "b.f"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmsvp import cli, interval, lattice, svp
+from cmsvp import cli, interval, lattice, svp, units
 from cmsvp.bound import theorem_bound
 from cmsvp.embeddings import normalize_weights, representatives
 from cmsvp.errors import InputError, NotPositiveDefiniteError
@@ -39,9 +39,8 @@ from cmsvp.svp import (
     craig_circulant,
     gram_matrix,
     minimal_vectors,
-    reduce_to_chamber,
 )
-from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices
+from cmsvp.units import UnitBasis, cyclotomic_unit_basis, fundamental_domain_vertices, reduce_to_chamber
 from cmsvp.theta import psi_truncated
 from conftest import (
     ORACLE_QUANTIZE_BITS,
@@ -372,8 +371,11 @@ def test_characteristic_set_sizes(f5, f7):
 
 
 def test_reduce_to_chamber_inverts_unit_multiplication(f5, f7):
+    """Integer exponents in [-3, 3] on every generator, so at p = 11 and
+    13 negative powers of 4 and 5 generators are read back exactly: the
+    coordinates sit on integer walls, which the exact ratio test decides."""
     rng = random.Random(53)
-    for field in (f5, f7):
+    for field in (f5, f7, CMField(11), CMField(13)):
         basis = cyclotomic_unit_basis(field)
         for _ in range(10):
             torsion = field.zeta(rng.randint(0, field.conductor - 1))
@@ -531,10 +533,10 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
     logged, expansions, divides, norms, pairs, attempts = [], [], [], [], [], []
-    real_log, real_divide, real_norm = svp._log_sigma, svp.exact_divide, svp.real_norm
+    real_log, real_divide, real_norm = units._log_sigma, units.exact_divide, svp.real_norm
     real_det, real_minors = interval.det_interval, interval.minor_intervals
     real_half_space = lattice._half_space
-    real_coordinates = svp._Chamber.coordinates
+    real_coordinates = units._Chamber.coordinates
 
     def counting_log(n, coords, prec):
         logged.append(prec.bits)
@@ -549,7 +551,7 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         return real_minors(rows)
 
     def counting_divide(a, b):
-        divides.append(1)
+        divides.append((a, b))
         return real_divide(a, b)
 
     def counting_norm(beta):
@@ -565,15 +567,15 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         attempts.append(prec.bits)
         return real_coordinates(self, ys, prec)
 
-    monkeypatch.setattr(svp, "_log_sigma", counting_log)
+    monkeypatch.setattr(units, "_log_sigma", counting_log)
     # interval.adjugate looks det_interval and minor_intervals up in its own
     # module; the bound engine binds its own names and is not counted
     monkeypatch.setattr(interval, "det_interval", counting_det)
     monkeypatch.setattr(interval, "minor_intervals", counting_minors)
-    monkeypatch.setattr(svp, "exact_divide", counting_divide)
+    monkeypatch.setattr(units, "exact_divide", counting_divide)
     monkeypatch.setattr(svp, "real_norm", counting_norm)
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
-    monkeypatch.setattr(svp._Chamber, "coordinates", counting_coordinates)
+    monkeypatch.setattr(units._Chamber, "coordinates", counting_coordinates)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
     # 84 pairs = 168 candidates
@@ -591,8 +593,10 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     # at p = 7 every attempt separates at the base precision: 7 of the 11
     # groups are within the norm bound
     assert (precisions, len(attempts), len(logged), len(expansions)) == (1, 7, 9, 3)
-    # one division per generator, for its inverse
-    assert len(divides) == gens
+    # the one division is the built-in basis's u = (1 - zeta^3) / (1 - zeta);
+    # the chamber divides nothing
+    one = field.one()
+    assert divides == [(one - field.zeta(3), one - field.zeta(1))]
 
 
 def test_reduce_to_chamber_climbs_the_ladder_for_a_large_generator(f7):
@@ -610,20 +614,22 @@ def test_reduce_to_chamber_climbs_the_ladder_for_a_large_generator(f7):
     assert reduce_to_chamber(f7, basis, eta) == (eta, (0, 0))
 
 
-def test_reduce_to_chamber_divides_once_per_generator(f7, monkeypatch):
+def test_reduce_to_chamber_divides_once(f7, monkeypatch):
+    """w = zeta^3 g0^3 / g1 reduces with one exact division: g1 multiplies
+    w and g0^3 is the divisor."""
     basis = cyclotomic_unit_basis(f7)
     g0, g1 = basis.generators
     w = f7.zeta(3) * g0 * g0 * g0 * exact_divide(f7.one(), g1)
     divides = []
-    real_divide = svp.exact_divide
+    real_divide = units.exact_divide
 
     def counting_divide(a, b):
-        divides.append(1)
+        divides.append(b)
         return real_divide(a, b)
 
-    monkeypatch.setattr(svp, "exact_divide", counting_divide)
+    monkeypatch.setattr(units, "exact_divide", counting_divide)
     assert reduce_to_chamber(f7, basis, w) == (f7.zeta(3), (3, -1))
-    assert len(divides) == 2
+    assert divides == [g0**3]
 
 
 def _reference_interval_entries(field, ws, kappa, prec):

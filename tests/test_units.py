@@ -1,7 +1,9 @@
-"""Unit bases: builtin construction, file loading, simplex scaffolding."""
+"""Unit bases: builtin construction, file loading, simplex scaffolding,
+chamber reduction."""
 
 import pytest
 
+from cmsvp import units
 from cmsvp.errors import DependentUnitsError, InputError, NonPrimeConductorError
 from cmsvp.field import CMField, exact_divide, field_norm, is_prime, is_unit
 from cmsvp.units import (
@@ -12,6 +14,7 @@ from cmsvp.units import (
     fundamental_domain_vertices,
     independence_certificate,
     load_unit_basis,
+    reduce_to_chamber,
     smallest_primitive_root,
 )
 
@@ -117,3 +120,41 @@ def test_load_unit_basis_unreadable_file(f5, tmp_path):
         load_unit_basis(f5, tmp_path / "missing.txt")
     with pytest.raises(InputError):
         load_unit_basis(f5, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "j, exps",
+    [
+        (2, (-2, -2, -1, -1, -1)),
+        (3, (-3, -2, -2, -1, -1)),
+        (4, (-4, -3, -2, -2, -1)),
+        (8, (-7, -6, -4, -3, -2)),
+        (9, (-8, -6, -5, -3, -2)),
+        (10, (-9, -7, -5, -4, -2)),
+    ],
+)
+def test_reduce_to_chamber_decides_rational_walls_at_the_base_rung(j, exps, monkeypatch):
+    """(1 - zeta)^j in Q(zeta_13) has rational chamber coordinates with
+    some on an integer wall and some not (j = 2: (-5/3, -4/3, -1, -2/3,
+    -1/3)); the exact ratio test on beta^m, m = 2 or 3, decides them at
+    128 bits.  The quotient times prod g_j^a_j is the input, and the
+    quotient reduces to itself with exponents 0."""
+    field = CMField(13)
+    basis = cyclotomic_unit_basis(field)
+    bits = []
+    real_log_sigma = units._log_sigma
+
+    def recording(n, coords, prec):
+        bits.append(prec.bits)
+        return real_log_sigma(n, coords, prec)
+
+    monkeypatch.setattr(units, "_log_sigma", recording)
+    w = (field.one() - field.zeta(1)) ** j
+    eta, found = reduce_to_chamber(field, basis, w)
+    assert found == exps
+    assert set(bits) == {128}
+    rebuilt = eta
+    for g, e in zip(basis.generators, exps):
+        rebuilt = rebuilt * g**e if e > 0 else exact_divide(rebuilt, g ** -e)
+    assert rebuilt == w
+    assert reduce_to_chamber(field, basis, eta) == (eta, (0,) * 5)
