@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .embeddings import _sigma_at
+from .embeddings import _certified_numerators
 from .errors import DegenerateSimplexError, InputError, PrecisionError, SimplexBudgetError
 from .field import CMField, FieldElement, _det_bareiss, field_norm, is_prime, trace
 from .interval import (
@@ -86,8 +86,10 @@ def simplex_data(
     lie on the hyperplane sigma(omega) . x = 1 of an omega != 0 in K+, and
     Cramer's rule gives det B_l = +-det A sigma_l(omega) != 0.
 
-    `sigmas` maps (bits, vertex coordinates) to Sigma rows, so simplices
-    that share a vertex evaluate Sigma once per rung.
+    `sigmas` maps (bits, vertex coordinates) to a Sigma row's numerators
+    over the cosine table's denominator, one per rung, so simplices that
+    share a vertex evaluate Sigma once per rung; the determinants run on
+    those integers.
     """
     sigmas = {} if sigmas is None else sigmas
     k = field.k
@@ -97,9 +99,10 @@ def simplex_data(
         for v in delta.vertices:
             key = (cur.bits, v.coords)
             if key not in sigmas:
-                sigmas[key] = _sigma_at(field.conductor, v.times_conj().coords, cur)
-            rows.append(sigmas[key])
-        det_a = det_interval(rows)
+                sigmas[key] = _certified_numerators(field.conductor, v.times_conj().coords, cur)
+            den, row = sigmas[key]
+            rows.append(row)
+        det_a = det_interval(den, rows)
         if det_a.contains_zero():
             betas = [v.times_conj() for v in delta.vertices]
             if _det_bareiss([[trace(x * y) for y in betas] for x in betas]) == 0:
@@ -107,11 +110,9 @@ def simplex_data(
             raise PrecisionError(
                 f"simplex_data: det A for permutation {delta.perm} contains zero at {cur.bits} bits"
             )
-        diff = [
-            [rows[i + 1][j] - rows[i][j] for j in range(k)]
-            for i in range(k - 1)
-        ]
-        det_bs = minor_intervals(diff)
+        # [c, d] - [a, b] = [c - b, d - a], over the same denominator
+        diff = [[(c - b, d - a) for (a, b), (c, d) in zip(lower, upper)] for lower, upper in zip(rows, rows[1:])]
+        det_bs = minor_intervals(den, diff)
         zero = [l for l, db in enumerate(det_bs) if db.contains_zero()]
         if zero:
             raise PrecisionError(

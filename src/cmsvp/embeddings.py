@@ -15,7 +15,6 @@ numerators over one common denominator.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -24,6 +23,7 @@ from .interval import (
     REL_RADIUS,
     PrecisionConfig,
     RealInterval,
+    _scaled,
     cos2pi,
     log_interval,
 )
@@ -33,10 +33,8 @@ from .interval import (
 def _cos_table(n: int, bits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(D, lo, hi): the enclosure of cos(2*pi*r/n) is [lo[r]/D, hi[r]/D],
     r = 0..n-1, over one common denominator D."""
-    ivs = [cos2pi(r, n, bits) for r in range(n)]
-    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
-    lo = tuple(iv.lo.numerator * (den // iv.lo.denominator) for iv in ivs)
-    hi = tuple(iv.hi.numerator * (den // iv.hi.denominator) for iv in ivs)
+    den, (pairs,) = _scaled([[cos2pi(r, n, bits) for r in range(n)]])
+    lo, hi = zip(*pairs)
     return den, lo, hi
 
 
@@ -65,15 +63,6 @@ def _sigma_numerators(n: int, coords, bits: int) -> tuple[int, list[tuple[int, i
     return den, out
 
 
-def _as_intervals(den: int, sums) -> tuple[RealInterval, ...]:
-    return tuple(RealInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in sums)
-
-
-def _sigma_sum(n: int, coords, bits: int) -> list[RealInterval]:
-    """_sigma_numerators as intervals."""
-    return list(_as_intervals(*_sigma_numerators(n, coords, bits)))
-
-
 def _certified_numerators(n: int, coords, prec: PrecisionConfig) -> tuple[int, list[tuple[int, int]]]:
     """_sigma_numerators at prec's bits, or PrecisionError when an
     enclosure misses the relative radius target REL_RADIUS.
@@ -89,18 +78,11 @@ def _certified_numerators(n: int, coords, prec: PrecisionConfig) -> tuple[int, l
     return den, sums
 
 
-def _sigma_at(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
-    """_certified_numerators as intervals."""
-    return _as_intervals(*_certified_numerators(n, coords, prec))
-
-
 def _weight_numerators(ws: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(W, lo, hi): weight m lies in [lo[m]/W, hi[m]/W] over one common
     denominator W; a rational weight has lo[m] = hi[m]."""
-    ends = [(w.lo, w.hi) if isinstance(w, RealInterval) else (w, w) for w in ws]
-    den = math.lcm(*(x.denominator for pair in ends for x in pair))
-    lo = tuple(a.numerator * (den // a.denominator) for a, _ in ends)
-    hi = tuple(b.numerator * (den // b.denominator) for _, b in ends)
+    den, (pairs,) = _scaled([[w if isinstance(w, RealInterval) else RealInterval.point(w) for w in ws]])
+    lo, hi = zip(*pairs)
     return den, lo, hi
 
 
@@ -126,13 +108,15 @@ def _weighted_sum(n: int, coords, wnum, prec: PrecisionConfig) -> RealInterval:
 
 
 def _log_sigma(n: int, coords, prec: PrecisionConfig) -> tuple[RealInterval, ...]:
-    """Enclosures of log sigma_j(x) at prec's bits for the conjugation-fixed
-    element x with coordinates coords, or PrecisionError when a sigma
-    enclosure is not certifiably positive."""
-    vals = _sigma_sum(n, coords, prec.bits)
-    if not all(v.lo > 0 for v in vals):
+    """Enclosures of log sigma_j(x), j < k-1, at prec's bits for the
+    conjugation-fixed element x with coordinates coords, or PrecisionError
+    when one of those sigma enclosures is not certifiably positive.  The
+    unit chamber reads only the first k-1 logs, so the last is not taken."""
+    den, sums = _sigma_numerators(n, coords, prec.bits)
+    sums = sums[:-1]
+    if not all(lo > 0 for lo, _ in sums):
         raise PrecisionError(f"log_sigma: enclosure not certifiably positive at {prec.bits} bits")
-    return tuple(log_interval(v, prec.bits) for v in vals)
+    return tuple(log_interval(RealInterval(Fraction(lo, den), Fraction(hi, den)), prec.bits) for lo, hi in sums)
 
 
 def normalize_weights(field: CMField, weights) -> tuple:

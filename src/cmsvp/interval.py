@@ -712,11 +712,12 @@ def interval_json(x: RealInterval, digits: int = 40) -> dict:
 # ---------------------------------------------------------------------------
 # interval determinants on integer endpoints (small, dense matrices)
 #
-# A matrix of intervals is brought to one common denominator D and kept as
-# integer pairs (lo, hi), the entry [lo / D, hi / D].  Interval sums and
-# sign-case products of exact endpoints are positively homogeneous, and the
-# elimination's pivot score min(|lo|, |hi|) compares entries of one scale,
-# so each determinant is the pairs' one divided by D^n once: the same
+# A matrix of intervals is kept as integer pairs (lo, hi) over one common
+# denominator D, the entry [lo / D, hi / D]: the bound's Sigma rows arrive
+# so, and adjugate brings its interval matrix there with _scaled.  Interval
+# sums and sign-case products of exact endpoints are positively homogeneous,
+# and the elimination's pivot score min(|lo|, |hi|) compares entries of one
+# scale, so each determinant is the pairs' one divided by D^n once: the same
 # rational endpoints as the interval expression on the entries themselves,
 # with no interval object built or reduced on the way.  Interval Gaussian
 # elimination: Neumaier, *Interval Methods for Systems of Equations* (1990),
@@ -817,21 +818,21 @@ def _tightened(cof: tuple[int, int], m, scale: int) -> RealInterval:
     return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def det_interval(m: list[list[RealInterval]]) -> RealInterval:
-    """Tightest available determinant enclosure: the cofactor expansion,
-    intersected with interval elimination wherever a pivot excludes zero."""
-    den, pairs = _scaled(m)
-    n = len(m)
+def det_interval(den: int, pairs) -> RealInterval:
+    """Tightest available determinant enclosure of the square matrix whose
+    entry (i, j) is [lo / den, hi / den], (lo, hi) = pairs[i][j]: the
+    cofactor expansion, intersected with interval elimination wherever a
+    pivot excludes zero."""
+    n = len(pairs)
     return _tightened(_laplace(pairs, n)[(1 << n) - 1], pairs, den**n)
 
 
-def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
-    """det_interval of each minor of an n x (n+1) matrix with column l deleted,
-    l = 0..n, from one shared cofactor expansion."""
-    n = len(rows)
+def minor_intervals(den: int, pairs) -> list[RealInterval]:
+    """det_interval of each minor of an n x (n+1) pair matrix over den with
+    column l deleted, l = 0..n, from one shared cofactor expansion."""
+    n = len(pairs)
     width = n + 1
     full = (1 << width) - 1
-    den, pairs = _scaled(rows)
     cofactors = _laplace(pairs, width)
     scale = den**n
     return [
@@ -843,14 +844,16 @@ def minor_intervals(rows: list[list[RealInterval]]) -> list[RealInterval]:
 def adjugate(m: list[list[RealInterval]]) -> tuple[list[list[RealInterval]], RealInterval]:
     """(C, det m) for a square interval matrix m, C[i][j] the cofactor
     (-1)^(i+j) det_interval(m without row i and column j): row i's minors
-    are minor_intervals of m without row i, one shared expansion.
+    are minor_intervals of m without row i, one shared expansion, and m is
+    brought to pairs over one denominator once.
 
     m x = y solves as x_j = sum_i y_i C[i][j] / det m: Cramer's rule with
     the replaced column expanded, so one adjugate serves every right-hand
     side and the interval expression still encloses the exact solution.
     """
+    den, pairs = _scaled(m)
     cofactors = []
-    for i in range(len(m)):
-        minors = minor_intervals(m[:i] + m[i + 1 :])
+    for i in range(len(pairs)):
+        minors = minor_intervals(den, pairs[:i] + pairs[i + 1 :])
         cofactors.append([-x if (i + j) % 2 else x for j, x in enumerate(minors)])
-    return cofactors, det_interval(m)
+    return cofactors, det_interval(den, pairs)

@@ -62,7 +62,7 @@ from .interval import (
     interval_json,
     root_interval,
 )
-from .units import UnitBasis, _Chamber, _chamber_exponents, fundamental_domain_vertices
+from .units import UnitBasis, _chamber_exponents, fundamental_domain_vertices
 
 # the lower form's slack for unequal weights: omega's grid is fine enough
 # that each sigma_m(omega) is within DELTA/4 of w_m, relatively
@@ -470,14 +470,13 @@ def characteristic_set_E(
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair
     groups, _ = _beta_groups(field, None, red, radius, budget)
-    chamber = _Chamber(field, basis.generators)
     origin = (0,) * (k - 1)
     accepted = []
     for beta, members in groups.items():
         n_abs = real_norm(beta)
         if Fraction(n_abs) > bound.hi:
             continue
-        exps = _chamber_exponents(chamber, beta, n_abs, prec)
+        exps = _chamber_exponents(basis.chamber, beta, n_abs, prec)
         if exps == origin:
             accepted.extend(members)
     elements = []

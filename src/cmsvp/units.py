@@ -11,6 +11,7 @@ unit check and a certified multiplicative-independence check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,12 @@ class UnitBasis:
     generators: tuple[FieldElement, ...]
     torsion: int
     provenance: str
+
+    @functools.cached_property
+    def chamber(self) -> "_Chamber":
+        """The one _Chamber of the generators, built on first use, that the
+        independence check and every chamber reduction share."""
+        return _Chamber(self.field, self.generators)
 
 
 @dataclass(frozen=True)
@@ -76,22 +83,17 @@ def cyclotomic_unit_basis(field: CMField) -> UnitBasis:
     return UnitBasis(field, tuple(gens), 2 * p, BUILTIN_CYCLOTOMIC)
 
 
-def independence_certificate(
-    field: CMField,
-    generators,
-    prec: PrecisionConfig = DEFAULT_PRECISION,
-) -> None:
+def independence_certificate(basis: UnitBasis, prec: PrecisionConfig = DEFAULT_PRECISION) -> None:
     """Certify multiplicative independence mod torsion or raise.
 
     The generators' log matrix L (see _Chamber) must have a determinant
     interval bounded away from zero at some rung of the precision ladder.
     """
-    if not generators:
+    if not basis.generators:
         return
-    chamber = _Chamber(field, generators)
 
     def attempt(cur):
-        if chamber.log_matrix(cur)[1].contains_zero():
+        if basis.chamber.log_matrix(cur)[1].contains_zero():
             raise DependentUnitsError(
                 "independence_certificate: unit generators are not certifiably independent "
                 f"(log matrix determinant interval contains zero at {cur.bits} bits)"
@@ -135,8 +137,9 @@ def load_unit_basis(field: CMField, path) -> UnitBasis:
         if not is_unit(u):
             raise InputError(f"generator {ln!r} is not a unit (norm != 1)")
         gens.append(u)
-    independence_certificate(field, gens)
-    return UnitBasis(field, tuple(gens), torsion, USER_SUPPLIED)
+    basis = UnitBasis(field, tuple(gens), torsion, USER_SUPPLIED)
+    independence_certificate(basis)
+    return basis
 
 
 def delta_sets(basis: UnitBasis) -> list[DeltaSet]:
@@ -174,9 +177,8 @@ class _Chamber:
         """(C, det L): the cofactors and determinant of L at prec's bits,
         built once per precision."""
         if prec.bits not in self._logs:
-            k1 = len(self.betas)
-            rows = [_log_sigma(self.field.conductor, beta.coords, prec)[:k1] for beta in self.betas]
-            self._logs[prec.bits] = adjugate([[rows[j][m] for j in range(k1)] for m in range(k1)])
+            rows = [_log_sigma(self.field.conductor, beta.coords, prec) for beta in self.betas]
+            self._logs[prec.bits] = adjugate(list(zip(*rows)))
         return self._logs[prec.bits]
 
     def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
@@ -226,12 +228,11 @@ def _chamber_exponents(
     a = round(m c) wherever m c's enclosure holds a.
     """
     field = chamber.field
-    k1 = len(chamber.betas)
 
     def attempt(cur):
         ys = _log_sigma(field.conductor, beta.coords, cur)
         shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / field.k
-        c = chamber.coordinates([ys[m] - shift for m in range(k1)], cur)
+        c = chamber.coordinates([y - shift for y in ys], cur)
         floors = [cj.lo.numerator // cj.lo.denominator for cj in c]
         if floors == [cj.hi.numerator // cj.hi.denominator for cj in c]:
             return tuple(floors)
@@ -264,5 +265,5 @@ def reduce_to_chamber(
     n_abs = real_norm(beta)
     if n_abs == 0:
         raise InputError("chamber reduction needs a nonzero element")
-    exps = _chamber_exponents(_Chamber(field, basis.generators), beta, n_abs, prec)
+    exps = _chamber_exponents(basis.chamber, beta, n_abs, prec)
     return exact_divide(*_unit_ratio(w, basis.generators, exps)), exps

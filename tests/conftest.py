@@ -28,10 +28,8 @@ from mpmath.libmp import from_rational, libelefun, mpf_cos, round_ceiling, round
 
 from cmsvp import lattice, svp, theta
 from cmsvp.embeddings import (
-    _as_intervals,
     _certified_numerators,
     _log_sigma,
-    _sigma_at,
     _weight_numerators,
     _weighted_sum,
     normalize_weights,
@@ -54,16 +52,21 @@ def integer_gram(g, den: int) -> tuple[int, list[list[int]]]:
     return s * f, [[x * f for x in row] for row in a]
 
 
+def as_intervals(den, sums) -> tuple[RealInterval, ...]:
+    """Sigma numerators (lo, hi) over den as the intervals [lo / den, hi / den]."""
+    return tuple(RealInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in sums)
+
+
 def sigma(field, a, prec=DEFAULT_PRECISION) -> tuple[RealInterval, ...]:
     """Certified enclosures of (sigma_1(a abar), ..., sigma_k(a abar)),
     climbed until each meets the relative radius target."""
     coords = a.times_conj().coords
-    return climb(prec, lambda cur: _sigma_at(field.conductor, coords, cur))
+    return climb(prec, lambda cur: as_intervals(*_certified_numerators(field.conductor, coords, cur)))
 
 
 def log_sigma(field, a, prec=DEFAULT_PRECISION) -> tuple[RealInterval, ...]:
-    """Enclosures of log sigma_j(a abar) for a != 0, climbed until every
-    sigma enclosure is certifiably positive."""
+    """Enclosures of log sigma_j(a abar), j < k-1, for a != 0, climbed
+    until each of those sigma enclosures is certifiably positive."""
     coords = a.times_conj().coords
     return climb(prec, lambda cur: _log_sigma(field.conductor, coords, cur))
 
@@ -95,7 +98,7 @@ def sigma_real(field, x, prec=DEFAULT_PRECISION):
     if x != x.conj():
         raise ValueError("sigma_real needs a conjugation-fixed element")
     n = field.conductor
-    return climb(prec, lambda cur: _as_intervals(*_certified_numerators(n, x.coords, cur)))
+    return climb(prec, lambda cur: as_intervals(*_certified_numerators(n, x.coords, cur)))
 
 
 def int_det(m: list[list[int]]) -> Fraction:
@@ -574,14 +577,19 @@ BENCHMARK_REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encodi
 
 
 @functools.lru_cache(maxsize=None)
-def perfbench_modules():
-    """perfbench's refcheck and workloads modules, imported from its
-    directory, which stays off sys.path afterwards."""
+def perfbench_module(name: str):
+    """perfbench's module `name`, imported from its directory, which stays
+    off sys.path afterwards."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("refcheck"), importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def perfbench_modules():
+    """perfbench's refcheck and workloads modules."""
+    return perfbench_module("refcheck"), perfbench_module("workloads")
 
 
 def _enclosure_width(payload) -> Fraction:

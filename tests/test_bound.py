@@ -93,13 +93,13 @@ def test_theorem_bound_evaluates_sigma_once_per_vertex(monkeypatch):
     field = CMField(11)
     basis = cyclotomic_unit_basis(field)
     evaluated = []
-    real_sigma = bound._sigma_at
+    real_sigma = bound._certified_numerators
 
     def counting_sigma(n, coords, prec):
         evaluated.append(coords)
         return real_sigma(n, coords, prec)
 
-    monkeypatch.setattr(bound, "_sigma_at", counting_sigma)
+    monkeypatch.setattr(bound, "_certified_numerators", counting_sigma)
     report = theorem_bound(field, basis)
     assert len(report.simplices) == 24
     assert len(evaluated) == 2 ** (field.k - 1) == 16
@@ -120,13 +120,13 @@ def _degenerate_chains(basis):
 def _base_rung_only(monkeypatch):
     """The bits of every Sigma row that the bound engine evaluates."""
     bits = []
-    real_sigma_at = bound._sigma_at
+    real_sigma = bound._certified_numerators
 
     def recording(n, coords, prec):
         bits.append(prec.bits)
-        return real_sigma_at(n, coords, prec)
+        return real_sigma(n, coords, prec)
 
-    monkeypatch.setattr(bound, "_sigma_at", recording)
+    monkeypatch.setattr(bound, "_certified_numerators", recording)
     return bits
 
 
@@ -181,3 +181,18 @@ def test_bound_json_is_byte_identical_to_stored_reference(command, capsys):
     assert rc == ref["rc"]
     assert json.dumps(json.loads(out), sort_keys=True) == json.dumps(ref["json"], sort_keys=True)
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"][0]
+
+
+@pytest.mark.parametrize(
+    "command, sha256",
+    [
+        ("bound --cyclotomic 13", "4d205ff51907d9efcc5f859a7d15d39e9dd69fcef5785a4dff58424a5cfe1f0f"),
+        ("bound --cyclotomic 7 --bits 53", "79fffc726db260f6f74e2242366d208ad0209640af46c72d2ef34ce0f0f294c1"),
+        ("bound --cyclotomic 11 --bits 256", "bd2b3e41c0ea8aa559c0c6260ca6ed9d99dd6dd2748f7b06bd920ee84291d078"),
+    ],
+)
+def test_bound_json_bytes_at_p13_and_off_the_default_bits_are_pinned(command, sha256, capsys):
+    """The built-in basis at p = 13, and the bound from 53 and from 256
+    bits, where the benchmark's references do not reach."""
+    assert cli.main(command.split() + ["--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cmsvp.embeddings import (
-    _sigma_sum,
+    _sigma_numerators,
     _weight_numerators,
     _weighted_sum,
     normalize_weights,
@@ -29,7 +29,12 @@ from cmsvp.interval import (
     interval_sum,
 )
 from cmsvp.units import cyclotomic_unit_basis
-from conftest import log_sigma, sigma, sigma_real, weighted_norm
+from conftest import as_intervals, log_sigma, sigma, sigma_real, weighted_norm
+
+
+def _sigma_sum(n, coords, bits):
+    """The uncertified Sigma numerators of coords at bits, as intervals."""
+    return list(as_intervals(*_sigma_numerators(n, coords, bits)))
 
 
 def _random_element(field, rng, span=4):
@@ -109,6 +114,8 @@ def test_log_sigma_exponentiates_back(f5):
     a = f5.one() + f5.zeta(1)
     logs = log_sigma(f5, a)
     vals = sigma(f5, a)
+    # the unit chamber reads the first k - 1 logs only
+    assert len(logs) == f5.k - 1
     for lg, v in zip(logs, vals):
         assert exp_interval(lg, DEFAULT_PRECISION.bits).overlaps(v)
 
@@ -178,8 +185,9 @@ def _unit_power(field, e):
 def test_unit_power_climbs_the_ladder_from_53_bits(f5):
     """beta = u^40 conj(u^40) has one embedding near 2^-55 and coordinates
     near 2^55: at 53 and 106 bits its Sigma enclosures miss the radius
-    target and one of them straddles 0, so sigma and log_sigma climb to
-    212 bits, and sigma_real meets the target there too."""
+    target and one of them straddles 0, so sigma, and log_sigma where that
+    embedding comes first, climb to 212 bits, and sigma_real meets the
+    target there too."""
     a = _unit_power(f5, 40)
     beta = a * a.conj()
     assert any(v.relative_radius() > REL_RADIUS for v in _sigma_sum(5, beta.coords, 106))
@@ -189,8 +197,10 @@ def test_unit_power_climbs_the_ladder_from_53_bits(f5):
     assert vals == tuple(_sigma_sum(5, beta.coords, 212))
     assert all(v.relative_radius() <= REL_RADIUS for v in vals)
     assert sigma_real(f5, beta, prec) == vals
-    for lg, v in zip(log_sigma(f5, a, prec), vals):
-        assert exp_interval(lg, 256).overlaps(v)
+    # log_sigma takes the first k - 1 = 1 embedding only; the conjugate
+    # under zeta -> zeta^2 puts the small one first
+    (lg,) = log_sigma(f5, a.galois(2), prec)
+    assert exp_interval(lg, 256).overlaps(vals[1])
 
 
 def test_the_top_rung_raises_naming_its_site_and_bits(f5):
@@ -204,7 +214,7 @@ def test_the_top_rung_raises_naming_its_site_and_bits(f5):
     with pytest.raises(PrecisionError, match="sigma: radius target missed at 4096 bits"):
         sigma(f5, a, prec)
     with pytest.raises(PrecisionError, match="log_sigma: .* at 4096 bits"):
-        log_sigma(f5, a, prec)
+        log_sigma(f5, a.galois(2), prec)
 
 
 def _reference_weighted_norm(field, a, weights, prec, beta=None):

@@ -15,6 +15,7 @@ from cmsvp.interval import (
     MAX_BITS,
     PrecisionConfig,
     RealInterval,
+    _scaled,
     adjugate,
     cos2pi,
     decimal_str,
@@ -464,7 +465,7 @@ def test_det_interval_matches_exact_rational_det():
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-    assert det_interval(rows).contains(exact)
+    assert det_interval(*_scaled(rows)).contains(exact)
 
 
 def adjugate_solve(cofactors, det, rhs):
@@ -521,7 +522,7 @@ def laplace_det(m) -> RealInterval:
     """The cofactor enclosure of det m alone, from the integer kernels:
     _scaled brings m to pairs over one denominator D, _laplace expands
     them, and the ends are divided by D^n."""
-    den, pairs = interval._scaled(m)
+    den, pairs = _scaled(m)
     lo, hi = interval._laplace(pairs, len(m))[(1 << len(m)) - 1]
     scale = den ** len(m)
     return RealInterval(Fraction(lo, scale), Fraction(hi, scale))
@@ -569,10 +570,10 @@ def test_subset_dp_determinant_equals_recursive_expansion(m):
 def test_minor_intervals_equal_det_interval_per_minor(rows):
     width = len(rows) + 1
     expected = [
-        det_interval([[row[c] for c in range(width) if c != l] for row in rows])
+        det_interval(*_scaled([[row[c] for c in range(width) if c != l] for row in rows]))
         for l in range(width)
     ]
-    assert minor_intervals(rows) == expected
+    assert minor_intervals(*_scaled(rows)) == expected
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -584,12 +585,12 @@ def test_adjugate_equals_det_interval_per_minor(m):
     expected = [
         [
             (-1) ** (i + j)
-            * det_interval([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i])
+            * det_interval(*_scaled([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]))
             for j in range(n)
         ]
         for i in range(n)
     ]
-    assert adjugate(m) == (expected, det_interval(m))
+    assert adjugate(m) == (expected, det_interval(*_scaled(m)))
 
 
 # ends over large dyadic and non-dyadic denominators, as the Sigma and log
@@ -636,14 +637,14 @@ def same_ends(got: RealInterval, want: RealInterval) -> bool:
 def test_det_interval_equals_the_interval_object_engine(m):
     """The integer-endpoint kernels give the very Fractions of the cofactor
     expansion and elimination on RealInterval objects."""
-    assert same_ends(det_interval(m), oracle_det_interval(m))
+    assert same_ends(det_interval(*_scaled(m)), oracle_det_interval(m))
     assert same_ends(laplace_det(m), laplace_minors(m, len(m))[(1 << len(m)) - 1])
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: engine_matrices(n, n + 1)))
 def test_minor_intervals_equal_the_interval_object_engine(rows):
-    got, want = minor_intervals(rows), oracle_minor_intervals(rows)
+    got, want = minor_intervals(*_scaled(rows)), oracle_minor_intervals(rows)
     assert len(got) == len(want)
     assert all(same_ends(g, w) for g, w in zip(got, want))
 
@@ -656,6 +657,43 @@ def test_adjugate_equals_the_interval_object_engine(m):
     assert all(same_ends(g, w) for got, want in zip(cofactors, want_cofactors) for g, w in zip(got, want))
 
 
+def _pair_matrix(rng, rows: int, cols: int, kind: str) -> list[list[tuple[int, int]]]:
+    """Integer pairs lo <= hi: sign-mixed entries of either sign that
+    exclude 0, entries that straddle it, or sign-mixed rows made singular
+    by repeating the first."""
+    def entry():
+        c, r = rng.randint(-(2**40), 2**40), rng.choice([0, 1, 2**20])
+        if kind == "straddling" and rng.random() < 0.5:
+            r = abs(c) + rng.randint(1, 2**10)
+        return c - r, c + r
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "singular" and rows > 1:
+        m[-1] = list(m[0])
+    return m
+
+
+@pytest.mark.parametrize("kind", ["sign-mixed", "straddling", "singular"])
+def test_determinant_kernels_are_invariant_under_a_common_scale(kind):
+    """det_interval and minor_intervals give the same enclosures on
+    f * pairs over f * den as on pairs over den: the bound hands Sigma's
+    numerators over the cosine table's denominator straight to them, and
+    adjugate scales its matrix once, so its results rest on this."""
+    rng = random.Random(f"scale-{kind}")
+    for n in range(1, 6):
+        for _ in range(6):
+            den = rng.randint(1, 2**30)
+            square = _pair_matrix(rng, n, n, kind)
+            wide = _pair_matrix(rng, n, n + 1, kind) if n < 5 else None
+            for f in (2, 3, 2**64 + 1, 10**30):
+                def scaled(m):
+                    return [[(f * lo, f * hi) for lo, hi in row] for row in m]
+
+                assert det_interval(f * den, scaled(square)) == det_interval(den, square)
+                if wide is not None:
+                    assert minor_intervals(f * den, scaled(wide)) == minor_intervals(den, wide)
+
+
 def test_det_interval_is_the_cofactor_enclosure_where_no_pivot_excludes_zero():
     """Every entry of the first column straddles 0, so elimination finds no
     pivot and the cofactor expansion is the enclosure."""
@@ -663,17 +701,17 @@ def test_det_interval_is_the_cofactor_enclosure_where_no_pivot_excludes_zero():
     with pytest.raises(PrecisionError, match="no interval pivot"):
         det_elimination(m)
     # [-1, 1] [5, 7] - [2, 3] [-1, 2]
-    assert det_interval(m) == laplace_det(m) == oracle_det_interval(m) == RealInterval(Fraction(-13), Fraction(10))
+    assert det_interval(*_scaled(m)) == laplace_det(m) == oracle_det_interval(m) == RealInterval(Fraction(-13), Fraction(10))
 
 
 def test_disjoint_determinant_enclosures_raise(monkeypatch):
     """Both enclosures hold the determinant, so they meet; were they ever
     disjoint, det_interval raises instead of returning an empty interval."""
     m = [[RealInterval.point(2), RealInterval.point(1)], [RealInterval.point(1), RealInterval.point(3)]]
-    assert det_interval(m) == RealInterval.point(5)
+    assert det_interval(*_scaled(m)) == RealInterval.point(5)
     monkeypatch.setattr(interval, "_eliminate", lambda pairs: (Fraction(6), Fraction(7)))
     with pytest.raises(PrecisionError, match="determinant enclosures are disjoint"):
-        det_interval(m)
+        det_interval(*_scaled(m))
 
 
 def exact_solve(m, rhs):

@@ -3,12 +3,16 @@ package is referenced somewhere in its source, outside its own body, as
 a name, an attribute or an imported name, or is exported from
 cmsvp/__init__.py; and every name a module imports at module level is
 used in that module.  References are read from the syntax trees, so a
-mention in a docstring or a comment does not count."""
+mention in a docstring or a comment does not count.  And every function
+that the benchmark's tracer counts by name is one it can wrap."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import cmsvp
+from conftest import perfbench_module
 
 PACKAGE = Path(cmsvp.__file__).parent
 
@@ -92,3 +96,32 @@ def test_an_import_named_only_in_a_docstring_or_another_module_is_unused(tmp_pat
     )
     (tmp_path / "b.py").write_text("from .a import f\n\ngcd = 1\n")
     assert unused_imports(tmp_path) == ["a.gcd", "a.least", "b.f"]
+
+
+# counted by perfbench, but no longer in the package (see ROADMAP item 1)
+KNOWN_DEAD = frozenset({"interval.solve_cramer", "embeddings.sigma", "interval.sin2pi"})
+
+
+def traced(name: str) -> bool:
+    """Whether 'layer.attr' is a function the tracer wraps: a public
+    module-level function of cmsvp.<layer>, defined there."""
+    layer, attr = name.split(".", 1)
+    module = importlib.import_module(f"cmsvp.{layer}")
+    obj = getattr(module, attr, None)
+    return isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__ and not attr.startswith("_")
+
+
+def test_every_function_perfbench_counts_by_name_is_traced():
+    """A renamed, privatized or deleted function would read 0 calls in the
+    traced benchmark instead of failing it."""
+    run, spans = perfbench_module("run"), perfbench_module("spans")
+    names = {*run.FUNCTION_CALLS.values(), *run.FUNCTION_SELF.values(), *spans.LEAVES, *spans.Tracer()._hooks}
+    assert "interval.det_interval" in names
+    assert {name for name in names if not traced(name)} <= KNOWN_DEAD
+
+
+def test_a_private_imported_or_missing_name_is_not_traced():
+    assert traced("interval.det_interval")
+    assert not traced("interval._scaled")
+    assert not traced("bound.det_interval")
+    assert not traced("interval.solve_cramer")

@@ -28,6 +28,7 @@ from cmsvp.field import (
 from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
+    _scaled,
     det_interval,
     interval_sum,
     log_interval,
@@ -461,9 +462,9 @@ def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
     """Set E at p = 7 walks 84 +- pairs, 168 candidates, on the half-space
     descent, which fall into 11 groups of equal beta = a conj(a); beta is
     multiplied out once per group: the times_conj calls between the
-    descent and the chamber set-up are the grouping's."""
+    descent and the set-up of the basis's chamber are the grouping's."""
     products, listed, at = [], [], {}
-    real_times_conj, real_half_space, real_chamber = FieldElement.times_conj, lattice._half_space, svp._Chamber
+    real_times_conj, real_half_space, real_chamber = FieldElement.times_conj, lattice._half_space, units._Chamber
 
     def counting_times_conj(self):
         products.append(1)
@@ -481,12 +482,39 @@ def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
 
     monkeypatch.setattr(FieldElement, "times_conj", counting_times_conj)
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
-    monkeypatch.setattr(svp, "_Chamber", counting_chamber)
+    # UnitBasis.chamber builds the basis's one chamber on first use
+    monkeypatch.setattr(units, "_Chamber", counting_chamber)
     assert cli.main(["set-e", "--cyclotomic", "7", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
     # 84 pairs = 168 candidates
     assert listed == [84]
     assert at["chamber"] - at["listed"] == 11
+
+
+def test_set_e_with_a_basis_file_builds_the_unit_log_matrix_once_per_precision(tmp_path, monkeypatch, capsys):
+    """load_unit_basis certifies the file's basis through the chamber that
+    set E then reduces against, so the generators' log matrix and its
+    adjugate are built once per precision, not once for each."""
+    field = CMField(7)
+    basis = cyclotomic_unit_basis(field)
+    path = tmp_path / "units.txt"
+    path.write_text(f"torsion {basis.torsion}\n" + "".join(g.format() + "\n" for g in basis.generators), encoding="utf-8")
+    adjugates, logged = [], []
+    real_adjugate, real_log = units.adjugate, units._log_sigma
+
+    def counting_adjugate(m):
+        adjugates.append(len(m))
+        return real_adjugate(m)
+
+    def counting_log(n, coords, prec):
+        logged.append(prec.bits)
+        return real_log(n, coords, prec)
+
+    monkeypatch.setattr(units, "adjugate", counting_adjugate)
+    monkeypatch.setattr(units, "_log_sigma", counting_log)
+    assert cli.main(["set-e", "--cyclotomic", "7", "--units", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 14
+    assert adjugates == [field.k - 1] * len(set(logged)) == [2]
 
 
 def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
@@ -542,13 +570,13 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         logged.append(prec.bits)
         return real_log(n, coords, prec)
 
-    def counting_det(m):
-        expansions.append(len(m))
-        return real_det(m)
+    def counting_det(den, pairs):
+        expansions.append(len(pairs))
+        return real_det(den, pairs)
 
-    def counting_minors(rows):
-        expansions.append(len(rows))
-        return real_minors(rows)
+    def counting_minors(den, pairs):
+        expansions.append(len(pairs))
+        return real_minors(den, pairs)
 
     def counting_divide(a, b):
         divides.append((a, b))
@@ -830,14 +858,14 @@ def _reference_set_e(field, basis, report, prec):
 
     def exponents(a, n_abs):
         for cur in prec.ladder():
-            rows = [log_sigma(field, g, cur)[:k1] for g in gens]
+            rows = [log_sigma(field, g, cur) for g in gens]
             mat = [[rows[j][m] for j in range(k1)] for m in range(k1)]
             ys = log_sigma(field, a, cur)
             shift = log_interval(RealInterval.point(Fraction(n_abs)), cur.bits) / k
-            rhs = [ys[m] - shift for m in range(k1)]
-            det = det_interval(mat)
+            rhs = [y - shift for y in ys]
+            det = det_interval(*_scaled(mat))
             c = [
-                det_interval([[rhs[i] if col == j else mat[i][col] for col in range(k1)] for i in range(k1)])
+                det_interval(*_scaled([[rhs[i] if col == j else mat[i][col] for col in range(k1)] for i in range(k1)]))
                 / det
                 for j in range(k1)
             ]

@@ -9,6 +9,7 @@ from cmsvp.field import CMField, exact_divide, field_norm, is_prime, is_unit
 from cmsvp.units import (
     BUILTIN_CYCLOTOMIC,
     USER_SUPPLIED,
+    UnitBasis,
     cyclotomic_unit_basis,
     delta_sets,
     fundamental_domain_vertices,
@@ -60,7 +61,7 @@ def test_independence_certificate_rejects_duplicates(f7):
     basis = cyclotomic_unit_basis(f7)
     g = basis.generators[0]
     with pytest.raises(DependentUnitsError):
-        independence_certificate(f7, [g, g])
+        independence_certificate(UnitBasis(f7, (g, g), 14, "test"))
 
 
 def test_delta_sets_and_vertices(f5, f7):
@@ -158,3 +159,24 @@ def test_reduce_to_chamber_decides_rational_walls_at_the_base_rung(j, exps, monk
         rebuilt = rebuilt * g**e if e > 0 else exact_divide(rebuilt, g ** -e)
     assert rebuilt == w
     assert reduce_to_chamber(field, basis, eta) == (eta, (0,) * 5)
+
+
+def test_chamber_reductions_against_one_basis_log_its_generators_once_per_precision(f7, monkeypatch):
+    """Every reduction against a basis reads the basis's one chamber, so a
+    second reduction logs only its own beta."""
+    basis = cyclotomic_unit_basis(f7)
+    betas = {g.times_conj().coords for g in basis.generators}
+    logged = []
+    real_log_sigma = units._log_sigma
+
+    def recording(n, coords, prec):
+        logged.append((coords, prec.bits))
+        return real_log_sigma(n, coords, prec)
+
+    monkeypatch.setattr(units, "_log_sigma", recording)
+    for w in (f7.element([3, 1, 0, 2, 0, 0]), f7.element([1, 2, 0, 0, -1, 0])):
+        reduce_to_chamber(f7, basis, w)
+    precisions = {bits for _, bits in logged}
+    assert sorted(x for x in logged if x[0] in betas) == sorted((b, bits) for b in betas for bits in precisions)
+    # both decide at the base precision: two generator logs, one per reduction
+    assert (len(precisions), len(logged)) == (1, 4)
