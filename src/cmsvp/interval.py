@@ -34,11 +34,13 @@ MAX_EXPONENT_BITS = 150_000
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working binary precision and the certified-radius target.
+    """Working binary precision.
 
     `bits` is the mantissa size of the endpoints of the irrational
     leaves, each the directed rounding of its exact value to that many
-    bits; the kernels work at bits + 24 and more (see _ziv).
+    bits; the kernels work at bits + 24 and more (see _ziv).  Targets are
+    not held here: Sigma's certified-radius target is the module constant
+    REL_RADIUS.
     A certified result that misses its target climbs `ladder()` whole, in
     `climb` at its public function, over kernels that take exactly the bits
     they are given: a start below 128 bits moves each result up one rung.

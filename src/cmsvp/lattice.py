@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import exp, gcd, isqrt, lcm, lgamma, log, pi
+from math import exp, isqrt, lcm, lgamma, log, pi
 from operator import mul, neg
 from typing import NamedTuple
 
@@ -136,17 +136,6 @@ def lll_reduce(
     return u, s, a, d, lam
 
 
-def _scaled_gso(d: list[int], lam: list[list[int]], f: int):
-    """Integral Gram-Schmidt data of f a from those (d, lam) of an integer
-    Gram a, for an integer f > 0: mu does not change, so d[k] takes the
-    factor f^k and lam[i][j] the factor f^(j+1)."""
-    pows = [f**k for k in range(len(d))]
-    return (
-        [x * p for x, p in zip(d, pows)],
-        [[x * p for x, p in zip(row, pows[1:])] for row in lam],
-    )
-
-
 class Reduced(NamedTuple):
     """A rational Gram with its LLL reduction, as integers: U gram U^T =
     a / s for the integer Gram a of the reduced basis, with its integral
@@ -228,22 +217,21 @@ class Leaves:
 
 def _half_space(
     red: Reduced, radius: Fraction, budget: int, coords: bool = True
-) -> tuple[Leaves, int, int]:
+) -> tuple[Leaves, int]:
     """Fincke-Pohst descent over the canonical half-space of a reduction:
     one vector of each +-v pair with q(v) <= radius, zero excluded.
 
-    Returns (Leaves of the vectors in reduced coordinates, s, nodes
-    visited), with q(v) = m / s for each vector's integer m; with coords
+    Returns (Leaves of the vectors in reduced coordinates, nodes visited),
+    with q(v) = m / s for each vector's integer m, s = red.s; with coords
     false the Leaves hold the values alone, and the walk, its nodes and
-    its refusals are the same.  More than
-    budget nodes raise BudgetExceededError, and so do more than MAX_LISTED
-    vectors, counting both of each pair, expected or found; when the walk
-    would pass both limits, the one it passes first is reported.
+    its refusals are the same.  More than budget nodes raise
+    BudgetExceededError, and so do more than MAX_LISTED vectors, counting
+    both of each pair, expected or found; when the walk would pass both
+    limits, the one it passes first is reported.
 
-    The descent runs on s * (reduced Gram), s = lcm of the denominators of
-    the radius and the reduced Gram: the reduction's integer Gram a times
-    f = r / gcd(red.s, r) for the radius denominator r, whose integral
-    Gram-Schmidt data are red's scaled by _scaled_gso.  It carries e =
+    q takes its values in (1/s)Z, so the descent runs to the radius
+    floored onto that grid, top / s, which bounds the same vectors, over
+    the reduction's integral Gram-Schmidt data as they are.  It carries e =
     d[level+1] times the unspent scaled radius as an integer.  With c =
     -sum_{j>level} lam[j][level] x_j, a coordinate x is admissible iff
     (x d[level+1] - c)^2 <= e d[level].  Levels 2, 1 and 0 run in one
@@ -261,18 +249,14 @@ def _half_space(
     whose zeros are cut from the rows.
     """
     n = len(red.u)
-    s, d, lam = red.s, red.d, red.lam
-    f = radius.denominator // gcd(s, radius.denominator)
-    if f > 1:
-        s *= f
-        d, lam = _scaled_gso(d, lam, f)
-    top = radius.numerator * (s // radius.denominator)
+    d, lam = red.d, red.lam
+    top = radius.numerator * red.s // radius.denominator
     values: list[int] = []
     firsts: list[int] = []
     rows: list[tuple[tuple[int, ...], int]] = []
     leaves = Leaves(values, firsts, rows)
     if not n or top < 0:
-        return leaves, s, 0
+        return leaves, 0
     if top > 0:
         nodes_est, listed_est = _log_node_estimate(d, top)
         if nodes_est > log(REFUSE_MARGIN * max(budget, 1)):
@@ -396,7 +380,7 @@ def _half_space(
         bottom(d[3] * top, 0, False, 0, 0)
     if pad:
         rows[:] = [(head[: n - 1], count) for head, count in rows]
-    return leaves, s, nodes
+    return leaves, nodes
 
 
 def _to_basis(u: list[list[int]], xs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -432,14 +416,14 @@ def enumerate_short(
     Gram's own basis; ordering is lexicographic.  More than MAX_LISTED
     vectors, expected or found, raise BudgetExceededError.
     """
-    leaves, s, nodes = _half_space(g, Fraction(radius), budget)
+    leaves, nodes = _half_space(g, Fraction(radius), budget)
     out: list[tuple[tuple[int, ...], Fraction]] = []
     # one Fraction per distinct value, shared by all its vectors
     values: dict[int, Fraction] = {}
     for orig, m in zip(_to_basis(g.u, leaves.coords()), leaves.values):
         val = values.get(m)
         if val is None:
-            val = values[m] = Fraction(m, s)
+            val = values[m] = Fraction(m, g.s)
         out.append((orig, val))
         out.append((tuple(map(neg, orig)), val))
     out.sort(key=lambda p: p[0])
@@ -469,6 +453,6 @@ def theta_counts(
     Counted on the values of the half-space descent, with no coordinates:
     each value found there stands for a +-v pair, and the zero vector
     counts once."""
-    leaves, s, _ = _half_space(g, Fraction(max_norm), budget, coords=False)
+    leaves, _ = _half_space(g, Fraction(max_norm), budget, coords=False)
     counts = Counter(leaves.values)
-    return [(Fraction(0), 1)] + [(Fraction(m, s), 2 * c) for m, c in sorted(counts.items())]
+    return [(Fraction(0), 1)] + [(Fraction(m, g.s), 2 * c) for m, c in sorted(counts.items())]

@@ -352,7 +352,7 @@ def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     lattice._to_basis(red.u, ...) maps them to the Gram's own basis.
     beta is the first member's, the one vector of each group mapped
     through U and multiplied out."""
-    leaves, _, nodes = lattice._half_space(red, Fraction(radius), budget)
+    leaves, nodes = lattice._half_space(red, Fraction(radius), budget)
     keys, _ = _beta_keys(field, kappa, red.u, leaves)
     by_key: dict[int, list[int]] = {}
     for i, key in enumerate(keys):
@@ -364,26 +364,18 @@ def _beta_groups(field: CMField, kappa, red: lattice.Reduced, radius, budget):
     }, nodes
 
 
-def _on_grid(radius: Fraction, s: int) -> Fraction:
-    """radius floored onto the 1/s grid: a form with values in (1/s)Z has
-    the same vectors within both."""
-    return Fraction(radius.numerator * s // radius.denominator, s)
-
-
 def superset_search(field, ws, kappa, g: GramMatrix, radius, prec, budget):
     """({beta: (weighted norm enclosure, members)}, nodes) over every
     vector of the Gram g's lower form within radius / g.ratio, grouped by
     the exact value beta = alpha*conj(alpha).  As the form is at least
     g.ratio times its lower form, the groups hold every vector of weighted
-    norm <= radius; the lower form takes values in (1/s)Z, s the scale of
-    its reduction, so the descent runs to radius / g.ratio floored onto
-    that grid.  The norm depends on alpha only through beta, so one
+    norm <= radius.  The norm depends on alpha only through beta, so one
     weighted sum of beta's sigmas, over weight numerators taken once per
     search, certifies each group.  Members are one vector of each +-alpha
     pair, as both have the same beta: a group stands for twice as many
     vectors.  They are reduced coordinates (see _beta_groups)."""
     red = g.reduction
-    groups, nodes = _beta_groups(field, kappa, red, _on_grid(Fraction(radius) / g.ratio, red.s), budget)
+    groups, nodes = _beta_groups(field, kappa, red, Fraction(radius) / g.ratio, budget)
     n, wnum = field.conductor, _weight_numerators(ws)
     return {
         beta: (_weighted_sum(n, beta.coords, wnum, prec), members)
@@ -462,10 +454,6 @@ def characteristic_set_E(
     q_max = max(_equal_weight_q(field, v) for v in fundamental_domain_vertices(basis))
     radius = (root_interval(RealInterval.point(bound.hi), k, prec.bits) * q_max).hi
     red = gram_matrix(field, None, None, prec).reduction
-    # q(v) is a multiple of 1/s, s the lcm of the reduced Gram's
-    # denominators, so the radius floored onto that grid lists the same
-    # vectors, and the descent's integers lose the root's long denominator
-    radius = _on_grid(radius, red.s)
     # the norm and the chamber coordinates depend on a only through
     # beta = a conj(a), so each group of candidates is tested once; a group
     # holds one a of each +-a pair

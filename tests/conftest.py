@@ -366,9 +366,9 @@ def reference_half_space(reduced, radius: Fraction, budget: int):
 
 def half_space_listing(red, radius: Fraction, budget: int):
     """lattice._half_space(red, radius, budget) as reference_half_space
-    returns it: (list of (reduced coordinates, m), s, nodes)."""
-    leaves, s, nodes = lattice._half_space(red, radius, budget)
-    return list(zip(leaves.coords(), leaves.values)), s, nodes
+    returns it: (list of (reduced coordinates, m), red.s, nodes)."""
+    leaves, nodes = lattice._half_space(red, radius, budget)
+    return list(zip(leaves.coords(), leaves.values)), red.s, nodes
 
 
 def leaves_of(xs) -> lattice.Leaves:

@@ -262,6 +262,25 @@ def test_theta_circulant_golden():
     assert out["coefficients"] == [[0, 1], [2, 20], [4, 30], [6, 60], [8, 60]]
 
 
+@pytest.mark.parametrize(
+    "source, off_grid, below, scale",
+    [(("--cyclotomic", "7"), "7/3", "2", "1/2"), (("--circulant", "2,0"), "7/4", "5/3", "1/3")],
+)
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_theta_max_norm_off_the_grid_counts_what_the_grid_value_below_counts(
+    source, off_grid, below, scale, fmt, capsys
+):
+    """A --max-norm off the form's 1/s grid prints the bytes of the
+    largest grid value below it."""
+    outs = []
+    for max_norm in (off_grid, below):
+        assert cli.main(["theta", *source, "--max-norm", max_norm, *fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if fmt:
+        assert json.loads(outs[0])["scale"] == scale
+
+
 def test_theta_conflicting_sources():
     proc = run_cli("theta", "--circulant", "4,1", "--cyclotomic", "5")
     assert proc.returncode == 2

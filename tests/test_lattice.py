@@ -400,17 +400,23 @@ def _outcome(f, *args):
         return ("refused", str(exc))
 
 
+def _on_grid(red, radius):
+    """radius floored onto the 1/s grid of the reduction's scale s."""
+    return Fraction(radius.numerator * red.s // radius.denominator, red.s)
+
+
 def _same_descent(red, radius, budgets):
-    """The descent and the node-by-node reference agree, result or refusal,
-    at each budget and at one on each side of the reference's node count."""
-    reduced = reduced_gram(red)
-    ref = _outcome(reference_half_space, reduced, radius, 10**5)
+    """The descent to radius and the node-by-node reference to radius
+    floored onto the 1/s grid agree, result or refusal, at each budget and
+    at one on each side of the reference's node count."""
+    reduced, floored = reduced_gram(red), _on_grid(red, radius)
+    ref = _outcome(reference_half_space, reduced, floored, 10**5)
     assert _outcome(half_space_listing, red, radius, 10**5) == ref
     if ref[0] != "refused":
         budgets = {*budgets, ref[2] - 1, ref[2]}
     for budget in budgets:
         if budget >= 0:
-            want = _outcome(reference_half_space, reduced, radius, budget)
+            want = _outcome(reference_half_space, reduced, floored, budget)
             assert _outcome(half_space_listing, red, radius, budget) == want
     return ref
 
@@ -441,9 +447,10 @@ def descent_grams():
 )
 def test_half_space_equals_the_node_by_node_reference(red, scale, budget):
     """Same vectors in the same order, same m, s and node count as a
-    descent that recomputes every center and checks every node; the same
-    refusal, with the same message, at budgets on both sides of the node
-    count.  Radii run up to 5/2 times the shortest reduced vector."""
+    descent that recomputes every center and checks every node, run to the
+    radius floored onto the 1/s grid; the same refusal, with the same
+    message, at budgets on both sides of the node count.  Radii run up to
+    5/2 times the shortest reduced vector."""
     reduced = reduced_gram(red)
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
     _same_descent(red, radius, [budget, 0, 1])
@@ -462,6 +469,33 @@ def test_half_space_equals_the_reference_at_128_bit_radii(red, den, scale):
     radius = scale * min(reduced[i][i] for i in range(len(reduced))) / 4
     radius = Fraction(radius.numerator * den // radius.denominator + 1, den)
     _same_descent(red, radius, [])
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    descent_grams(),
+    st.integers(min_value=-1, max_value=10),
+    st.integers(min_value=2, max_value=13).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(min_value=1, max_value=q - 1))
+    ),
+)
+def test_off_grid_radius_lists_what_the_unfloored_reference_lists(red, scale, offset):
+    """At a radius strictly between two points of the 1/s grid, so whose
+    denominator does not divide s, the descent lists the same vectors in
+    the same order, with the same rational values, as the reference run
+    to that radius itself on the Gram rescaled by its denominator, and
+    visits no more nodes.  Radii run up to 5/2 times the shortest reduced
+    vector."""
+    q, j = offset
+    top = scale * min(row[i] for i, row in enumerate(red.a)) // 4
+    radius = Fraction(top * q + j, red.s * q)
+    assert red.s % radius.denominator
+    half, s, ref_nodes = reference_half_space(reduced_gram(red), radius, 10**6)
+    leaves, nodes = lattice._half_space(red, radius, 10**6)
+    assert [(c, Fraction(m, red.s)) for c, m in zip(leaves.coords(), leaves.values)] == [
+        (c, Fraction(m, s)) for c, m in half
+    ]
+    assert nodes <= ref_nodes
 
 
 @settings(deadline=None, derandomize=True, max_examples=50)
@@ -498,14 +532,14 @@ def test_theta_counts_equal_the_listing_from_a_values_only_walk(red, scale):
     listed = Counter(q for _, q in found)
     listed[Fraction(0)] = 1
     assert theta_counts(red, radius) == sorted(listed.items())
-    leaves, _, counted_nodes = lattice._half_space(red, radius, lattice.DEFAULT_BUDGET, coords=False)
+    leaves, counted_nodes = lattice._half_space(red, radius, lattice.DEFAULT_BUDGET, coords=False)
     assert counted_nodes == nodes and leaves.firsts == [] and leaves.rows == []
 
 
 def _walk(red, radius, budget, coords):
-    """_half_space with or without coordinates, as (values, s, nodes)."""
-    leaves, s, nodes = lattice._half_space(red, radius, budget, coords=coords)
-    return leaves.values, s, nodes
+    """_half_space with or without coordinates, as (values, red.s, nodes)."""
+    leaves, nodes = lattice._half_space(red, radius, budget, coords=coords)
+    return leaves.values, red.s, nodes
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -542,20 +576,21 @@ def test_small_dimensions_equal_the_reference_at_every_budget(seed, monkeypatch)
     of the walk or phantom levels pad it: at every budget from 0 to one
     past the node count, with and without coordinates, under the listing
     cap and a cap of a few vectors, the same vectors, values, s and nodes
-    as reference_half_space, or the same refusal with the same message.
-    Radii run from 0 to 21 times the shortest reduced vector; the trees
-    have up to 425 nodes."""
+    as reference_half_space at the radius floored onto the 1/s grid, or the
+    same refusal with the same message.  Radii run from 0 to 21 times the
+    shortest reduced vector; the trees have up to 425 nodes."""
     rng = random.Random(seed)
     red = reduce(_frac(random_int_gram(rng, 1 + seed % 4, entry=3)))
     reduced = reduced_gram(red)
     radius = Fraction(3 * (seed // 4), 1 + seed % 3) * red.min_diagonal()
-    _, _, nodes = reference_half_space(reduced, radius, 10**5)
+    floored = _on_grid(red, radius)
+    _, _, nodes = reference_half_space(reduced, floored, 10**5)
     for cap in (lattice.MAX_LISTED, 1 + seed % 5):
         monkeypatch.setattr(lattice, "MAX_LISTED", cap)
         for budget in range(nodes + 2):
-            want = _outcome(reference_half_space, reduced, radius, budget)
+            want = _outcome(reference_half_space, reduced, floored, budget)
             assert _outcome(half_space_listing, red, radius, budget) == want
-            want = _outcome(_reference_values, reduced, radius, budget)
+            want = _outcome(_reference_values, reduced, floored, budget)
             assert _outcome(_walk, red, radius, budget, False) == want
 
 
@@ -576,7 +611,7 @@ def test_benchmark_values_only_walks_keep_their_node_counts(command, monkeypatch
 
     def recording(red, radius, budget, coords=True):
         out = real(red, radius, budget, coords)
-        walks.append((coords, out[2]))
+        walks.append((coords, out[1]))
         return out
 
     monkeypatch.setattr(lattice, "_half_space", recording)
@@ -593,14 +628,14 @@ def test_benchmark_values_only_walks_keep_their_node_counts(command, monkeypatch
 def test_half_space_on_skewed_lower_forms_equals_the_reference(p, weights, ideal, scale):
     """The skewed lower forms of the superset search at the radius it
     takes from the basis_minimum radius and twice it: that radius over
-    the Gram's ratio, floored onto the lower form's 1/s grid."""
+    the Gram's ratio, which the descent floors onto the lower form's 1/s
+    grid."""
     field, prec = CMField(p), PrecisionConfig()
     ws = normalize_weights(field, weights)
     kappa = field.one() - field.zeta(1) if ideal else None
     g = svp.gram_matrix(field, ws, kappa, prec)
     red = g.reduction
     radius = scale * svp.basis_minimum(field, ws, kappa, red.u, prec) / g.ratio
-    radius = Fraction(radius.numerator * red.s // radius.denominator, red.s)
     half, _, nodes = _same_descent(red, radius, [1, 17])
     assert half and nodes > len(half)
 
@@ -633,11 +668,11 @@ def test_to_basis_of_an_empty_batch_is_empty():
     assert lattice._to_basis([[1, 0], [2, 1]], []) == []
 
 
-def _integral_data(reduced, den=1):
+def _integral_data(reduced):
     """(s, a, d, lam) of a reduced Gram from scratch: its integer Gram at
-    s = lcm of den and its denominators, and that Gram's integral
-    Gram-Schmidt data."""
-    s, a = integer_gram(reduced, den)
+    s = lcm of its denominators, and that Gram's integral Gram-Schmidt
+    data."""
+    s, a = integer_gram(reduced, 1)
     return (s, a, *lattice._integral_gso(a))
 
 
@@ -650,9 +685,9 @@ def _integral_data(reduced, den=1):
 def test_reduction_record_is_the_integral_data_of_its_reduced_gram(g, factor, den):
     """The record that LLL ends with is the integer Gram and integral
     Gram-Schmidt data of the reduced Gram at the lcm of its denominators,
-    also for the Gram scaled by p/q, whose reduction keeps U; the descent's
-    rescale for a radius denominator r, which divides s or not, equals the
-    data at lcm(s, r)."""
+    also for the Gram scaled by p/q, whose reduction keeps U; the descent
+    on that record to a radius of denominator r, which divides s or not,
+    equals the reference at the radius floored onto the 1/s grid."""
     red = reduce(g)
     assert (red.s, red.a, red.d, red.lam) == _integral_data(reduced_gram(red))
     scaled = reduce([[factor * x for x in row] for row in g])
@@ -660,8 +695,5 @@ def test_reduction_record_is_the_integral_data_of_its_reduced_gram(g, factor, de
     assert (scaled.s, scaled.a, scaled.d, scaled.lam) == _integral_data(reduced_gram(scaled))
     for rec in (red, scaled):
         for r in (den, gcd(rec.s, den), rec.s, 2 * rec.s * den):
-            f = r // gcd(rec.s, r)
-            s, _, d, lam = _integral_data(reduced_gram(rec), r)
-            assert (rec.s * f, *lattice._scaled_gso(rec.d, rec.lam, f)) == (s, d, lam)
             radius = Fraction(rec.min_diagonal() * r * 3 // 2, r)
             _same_descent(rec, radius, [])

@@ -471,10 +471,10 @@ def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
         return real_times_conj(self)
 
     def counting_half_space(*args):
-        half, s, nodes = real_half_space(*args)
+        half, nodes = real_half_space(*args)
         listed.append(len(half))
         at["listed"] = len(products)
-        return half, s, nodes
+        return half, nodes
 
     def counting_chamber(*args):
         at["chamber"] = len(products)
@@ -587,9 +587,9 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         return real_norm(beta)
 
     def counting_half_space(*args):
-        half, s, nodes = real_half_space(*args)
+        half, nodes = real_half_space(*args)
         pairs.append(len(half))
-        return half, s, nodes
+        return half, nodes
 
     def counting_coordinates(self, ys, prec):
         attempts.append(prec.bits)

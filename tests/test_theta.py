@@ -193,9 +193,9 @@ def test_skew_psi_multiplies_out_beta_once_per_group(f5, monkeypatch):
     real_times_conj = FieldElement.times_conj
 
     def counting_half_space(*args):
-        half, s, nodes = real_half_space(*args)
+        half, nodes = real_half_space(*args)
         listed.append(len(half))
-        return half, s, nodes
+        return half, nodes
 
     def counting_times_conj(self):
         products.append(1)
