@@ -67,8 +67,8 @@ def _certified_numerators(n: int, coords, prec: PrecisionConfig) -> tuple[int, l
     """_sigma_numerators at prec's bits, or PrecisionError when an
     enclosure misses the relative radius target REL_RADIUS.
 
-    The target is RealInterval.relative_radius() <= REL_RADIUS on
-    [lo/D, hi/D], which is the integer comparison
+    The target is a radius (hi - lo) / 2 of at most REL_RADIUS times
+    max(1, |lo|, |hi|) on [lo/D, hi/D], which is the integer comparison
     (hi - lo) * den(REL_RADIUS) <= 2 * num(REL_RADIUS) * max(D, |lo|, |hi|).
     """
     rn, rd = REL_RADIUS.numerator, REL_RADIUS.denominator
@@ -91,11 +91,11 @@ def _weighted_sum(n: int, coords, wnum, prec: PrecisionConfig) -> RealInterval:
     conjugation-fixed element x with coordinates coords, given
     wnum = _weight_numerators(w) of positive weights w.
 
-    Exactly interval_sum(w_m * sigma_m) of the certified sigma enclosures,
-    with one integer sum per endpoint: as every weight is positive, the
-    lower end takes the smallest product w * sigma_lo, which uses the lower
-    weight where sigma_lo >= 0 and the upper one where it is negative, and
-    the upper end symmetrically.
+    Exactly the interval sum of w_m * sigma_m over the certified sigma
+    enclosures, with one integer sum per endpoint: as every weight is
+    positive, the lower end takes the smallest product w * sigma_lo, which
+    uses the lower weight where sigma_lo >= 0 and the upper one where it is
+    negative, and the upper end symmetrically.
     """
     den, sums = _certified_numerators(n, coords, prec)
     wden, w_lo, w_hi = wnum

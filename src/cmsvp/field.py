@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from operator import mul
 
 from .errors import InputError
@@ -160,9 +161,6 @@ class CMField:
             )
         return FieldElement(self, coords)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.degree)
-
     def one(self) -> "FieldElement":
         return self.zeta(0)
 
@@ -177,12 +175,6 @@ class CMField:
         except ValueError as exc:
             raise InputError(f"bad coordinate string {text!r}") from exc
         return self.element(coords)
-
-    def torsion_units(self) -> list["FieldElement"]:
-        """All roots of unity in O_F: ±zeta^j (2n elements for odd n)."""
-        # dedupe preserving order; even conductors have -1 = zeta^(n/2)
-        zetas = map(self.zeta, range(self.conductor))
-        return list(dict.fromkeys(u for z in zetas for u in (z, -z)))
 
     def torsion_order(self) -> int:
         n = self.conductor
@@ -362,6 +354,27 @@ def _det_bareiss(m: list[list[int]]) -> int:
             a[r][i] = 0
         prev = a[i][i]
     return sign * a[n - 1][n - 1]
+
+
+def _gauss_jordan(rows) -> list[list[Fraction]] | None:
+    """X with A X = B, exactly, for the augmented rows [A | B] of a square
+    A with rational entries: Gauss-Jordan elimination over Fractions, each
+    pivot the first nonzero entry of its column.  None when A is singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        head = a[col]
+        inv = 1 / head[col]
+        head[:] = [x * inv for x in head]
+        for i, row in enumerate(a):
+            if i != col and row[col]:
+                f = row[col]
+                row[:] = [x - f * y for x, y in zip(row, head)]
+    return [row[n:] for row in a]
 
 
 def real_norm(beta: FieldElement) -> int:

@@ -136,9 +136,6 @@ class RealInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def overlaps(self, other: "RealInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __add__(self, other):
         other = _coerce(other)
         return RealInterval(self.lo + other.lo, self.hi + other.hi)
@@ -205,13 +202,6 @@ class RealInterval:
         """Certified strict comparison against an exact rational."""
         return self.hi < Fraction(x)
 
-    def greater_than(self, x) -> bool:
-        return self.lo > Fraction(x)
-
-    def relative_radius(self) -> Fraction:
-        scale = max(Fraction(1), abs(self.lo), abs(self.hi))
-        return self.width / (2 * scale)
-
     def __repr__(self):
         return f"RealInterval({decimal_str(self.lo, 12, 'floor')}, {decimal_str(self.hi, 12, 'ceil')})"
 
@@ -269,11 +259,6 @@ def ratio_of_products(nums, dens) -> Fraction:
     g = gcd(top, bottom)
     top, bottom = top // g, bottom // g
     return _lowest(top << shift, bottom) if shift >= 0 else _lowest(top, bottom << -shift)
-
-
-def interval_sum(items) -> RealInterval:
-    items = [_coerce(it) for it in items]
-    return RealInterval(sum((it.lo for it in items), Fraction(0)), sum((it.hi for it in items), Fraction(0)))
 
 
 def interval_max(items) -> RealInterval:
@@ -630,7 +615,7 @@ def exp_interval(x, bits: int) -> RealInterval:
 
 
 def exp_sum(terms, bits: int) -> RealInterval:
-    """interval_sum(c * exp_interval([lo_num / lo_den, hi_num / hi_den]))
+    """The interval sum of c * exp_interval([lo_num / lo_den, hi_num / hi_den])
     over the (c, lo_num, lo_den, hi_num, hi_den) of terms, counts c >= 0
     and denominators positive, exactly, with no Fraction built or reduced
     on the way: each end of the exponential stays a mantissa and an
@@ -715,11 +700,11 @@ def interval_json(x: RealInterval, digits: int = 40) -> dict:
 # interval determinants on integer endpoints (small, dense matrices)
 #
 # A matrix of intervals is kept as integer pairs (lo, hi) over one common
-# denominator D, the entry [lo / D, hi / D]: the bound's Sigma rows arrive
-# so, and adjugate brings its interval matrix there with _scaled.  Interval
-# sums and sign-case products of exact endpoints are positively homogeneous,
-# and the elimination's pivot score min(|lo|, |hi|) compares entries of one
-# scale, so each determinant is the pairs' one divided by D^n once: the same
+# denominator D, the entry [lo / D, hi / D], as the bound's Sigma rows
+# arrive (_scaled brings an interval matrix there).  Interval sums and
+# sign-case products of exact endpoints are positively homogeneous, and the
+# elimination's pivot score min(|lo|, |hi|) compares entries of one scale,
+# so each determinant is the pairs' one divided by D^n once: the same
 # rational endpoints as the interval expression on the entries themselves,
 # with no interval object built or reduced on the way.  Interval Gaussian
 # elimination: Neumaier, *Interval Methods for Systems of Equations* (1990),
@@ -841,21 +826,3 @@ def minor_intervals(den: int, pairs) -> list[RealInterval]:
         _tightened(cofactors[full ^ (1 << l)], [row[:l] + row[l + 1 :] for row in pairs], scale)
         for l in range(width)
     ]
-
-
-def adjugate(m: list[list[RealInterval]]) -> tuple[list[list[RealInterval]], RealInterval]:
-    """(C, det m) for a square interval matrix m, C[i][j] the cofactor
-    (-1)^(i+j) det_interval(m without row i and column j): row i's minors
-    are minor_intervals of m without row i, one shared expansion, and m is
-    brought to pairs over one denominator once.
-
-    m x = y solves as x_j = sum_i y_i C[i][j] / det m: Cramer's rule with
-    the replaced column expanded, so one adjugate serves every right-hand
-    side and the interval expression still encloses the exact solution.
-    """
-    den, pairs = _scaled(m)
-    cofactors = []
-    for i in range(len(pairs)):
-        minors = minor_intervals(den, pairs[:i] + pairs[i + 1 :])
-        cofactors.append([-x if (i + j) % 2 else x for j, x in enumerate(minors)])
-    return cofactors, det_interval(den, pairs)

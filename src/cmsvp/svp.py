@@ -46,6 +46,7 @@ from .field import (
     FieldElement,
     _cyclic_product,
     _fold,
+    _gauss_jordan,
     _poly_divide_exact,
     _real_trace_form,
     is_prime,
@@ -247,18 +248,8 @@ def _cosine_solve(field: CMField, lows, den: int) -> list[Fraction]:
     rows[0].append(sum(lows))
     for i in range(1, k):
         rows[i].append(sum(low * (cos_lo[i * m % n] + cos_hi[i * m % n]) for m, low in zip(reps, lows)) / cden)
-    # Gauss-Jordan; T is the trace form of a basis, so it is invertible
-    for col in range(k):
-        piv = next(i for i in range(col, k) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        head = rows[col]
-        inv = Fraction(1, head[col])
-        head[:] = [x * inv for x in head]
-        for i, row in enumerate(rows):
-            if i != col and row[col]:
-                f = row[col]
-                row[:] = [x - f * y for x, y in zip(row, head)]
-    return [row[k] for row in rows]
+    # T is the trace form of a basis, so it is invertible
+    return [x for x, in _gauss_jordan(rows)]
 
 
 def basis_minimum(field: CMField, ws, kappa, u, prec: PrecisionConfig) -> Fraction:

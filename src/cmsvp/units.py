@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .embeddings import _log_sigma
 from .errors import DependentUnitsError, InputError, NonPrimeConductorError, PrecisionError
-from .field import CMField, FieldElement, exact_divide, is_prime, is_unit, real_norm
-from .interval import DEFAULT_PRECISION, PrecisionConfig, RealInterval, adjugate, climb, interval_sum, log_interval
+from .field import CMField, FieldElement, _gauss_jordan, exact_divide, is_prime, is_unit, real_norm
+from .interval import DEFAULT_PRECISION, PrecisionConfig, RealInterval, climb, log_interval
 
 BUILTIN_CYCLOTOMIC = "builtin-cyclotomic"
 USER_SUPPLIED = "user-supplied"
@@ -86,17 +86,16 @@ def cyclotomic_unit_basis(field: CMField) -> UnitBasis:
 def independence_certificate(basis: UnitBasis, prec: PrecisionConfig = DEFAULT_PRECISION) -> None:
     """Certify multiplicative independence mod torsion or raise.
 
-    The generators' log matrix L (see _Chamber) must have a determinant
-    interval bounded away from zero at some rung of the precision ladder.
+    Every matrix in the enclosure of the generators' log matrix L (see
+    _Chamber) must be certified nonsingular by _verified_inverse at some
+    rung of the precision ladder.
     """
-    if not basis.generators:
-        return
 
     def attempt(cur):
-        if basis.chamber.log_matrix(cur)[1].contains_zero():
+        if basis.chamber.inverse(cur) is None:
             raise DependentUnitsError(
                 "independence_certificate: unit generators are not certifiably independent "
-                f"(log matrix determinant interval contains zero at {cur.bits} bits)"
+                f"(log matrix not certified nonsingular at {cur.bits} bits)"
             )
 
     climb(prec, attempt)
@@ -165,35 +164,56 @@ def fundamental_domain_vertices(basis: UnitBasis) -> list[FieldElement]:
 class _Chamber:
     """What every independence check and chamber reduction against one set
     of unit generators g_j shares: each beta_j = g_j conj(g_j) and, per
-    precision tried, the adjugate of the generators' log matrix
+    precision tried, the verified inverse of the generators' log matrix
     L[m][j] = log sigma_m(beta_j), m < k-1."""
 
     def __init__(self, field: CMField, generators):
         self.field = field
         self.betas = tuple(g.times_conj() for g in generators)
-        self._logs: dict[int, tuple] = {}
+        self._inverses: dict[int, tuple | None] = {}
 
-    def log_matrix(self, prec: PrecisionConfig) -> tuple[list[list[RealInterval]], RealInterval]:
-        """(C, det L): the cofactors and determinant of L at prec's bits,
-        built once per precision."""
-        if prec.bits not in self._logs:
+    def inverse(self, prec: PrecisionConfig) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+        """_verified_inverse(L) at prec's bits, built once per precision."""
+        if prec.bits not in self._inverses:
             rows = [_log_sigma(self.field.conductor, beta.coords, prec) for beta in self.betas]
-            self._logs[prec.bits] = adjugate(list(zip(*rows)))
-        return self._logs[prec.bits]
+            self._inverses[prec.bits] = _verified_inverse(list(zip(*rows)))
+        return self._inverses[prec.bits]
 
     def coordinates(self, ys, prec: PrecisionConfig) -> list[RealInterval]:
-        """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1:
-        c_j = sum_m ys[m] C[m][j] / det L."""
-        cofactors, det = self.log_matrix(prec)
-        if det.contains_zero():
-            raise PrecisionError(
-                f"_Chamber: unit log matrix determinant contains zero at {prec.bits} bits"
-            )
-        k1 = len(self.betas)
-        return [
-            interval_sum(ys[m] * cofactors[m][j] for m in range(k1)) / det
-            for j in range(k1)
-        ]
+        """Enclosures of the c solving sum_j L[m][j] c_j = ys[m], m < k-1."""
+        inverse = self.inverse(prec)
+        if inverse is None:
+            raise PrecisionError(f"_Chamber: unit log matrix not certified nonsingular at {prec.bits} bits")
+        return _verified_solve(*inverse, ys)
+
+
+def _verified_inverse(m) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+    """(R, e) for a square interval matrix m: R = mid(m)^-1, exactly, and
+    e_i the i-th row sum of |R| rad(m); None unless mid(m) is nonsingular
+    and every e_i < 1.  Then each A in m has |R A - I| <= |R| rad(m), so
+    R A is within max e < 1 of the identity in the infinity norm, and A is
+    nonsingular (Rump, Acta Numerica 19 (2010), Sec. 10)."""
+    n = len(m)
+    inv = _gauss_jordan([[x.mid for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if inv is None:
+        return None
+    spread = [sum(x.width for x in row) / 2 for row in m]
+    e = [sum(abs(r) * s for r, s in zip(row, spread)) for row in inv]
+    return (inv, e) if all(x < 1 for x in e) else None
+
+
+def _verified_solve(inv, e, ys) -> list[RealInterval]:
+    """Enclosures of every x with A x = y, A in the interval matrix m and y
+    in the intervals ys, from (R, e) = _verified_inverse(m).  As
+    x = R mid(y) + R (y - mid(y)) - R (A - mid(m)) x, each |x_i - (R
+    mid(y))_i| is at most (|R| rad(y))_i + e_i |x|, and so |x| is at most
+    (|R mid(y)| + ||R| rad(y)|) / (1 - max e), all in the infinity norm."""
+    mids = [y.mid for y in ys]
+    rads = [y.width / 2 for y in ys]
+    centers = [sum(r * y for r, y in zip(row, mids)) for row in inv]
+    spreads = [sum(abs(r) * d for r, d in zip(row, rads)) for row in inv]
+    top = (max(map(abs, centers), default=0) + max(spreads, default=0)) / (1 - max(e, default=0))
+    return [RealInterval(c - s - ei * top, c + s + ei * top) for c, s, ei in zip(centers, spreads, e)]
 
 
 def _unit_ratio(x: FieldElement, units, exps) -> tuple[FieldElement, FieldElement]:

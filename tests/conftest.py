@@ -1,14 +1,16 @@
-"""Shared fixtures: random Gram generation, a Fraction LDL, a Gauss-Jordan
-division oracle, the climbing Sigma evaluators and the theta sum of an
-exact Gram, mpmath's interval context as the oracle of the irrational
-leaves, an exhaustive box-search oracle, node-by-node references for the
-half-space descent and the map back through U, adapters between the
-descent's leaf record and coordinate lists, the d x d multiplication-matrix
-norm, Fraction views of the package's integer records, the determinant
-engine on RealInterval objects as the oracle of the integer-endpoint
-kernels, the quantized interval lower form as the oracle of the exact
-lower form of unequal weights, perfbench's check of the benchmark's
-reference outputs, and the acceptance summary printed after the run."""
+"""Shared fixtures: the interval and field operations that only tests
+call, random Gram generation, a Fraction LDL, a Gauss-Jordan division
+oracle, the climbing Sigma evaluators and the theta sum of an exact Gram,
+mpmath's interval context as the oracle of the irrational leaves, an
+exhaustive box-search oracle, node-by-node references for the half-space
+descent and the map back through U, adapters between the descent's leaf
+record and coordinate lists, the d x d multiplication-matrix norm,
+Fraction views of the package's integer records, the determinant engine on
+RealInterval objects as the oracle of the integer-endpoint kernels and of
+the chamber's verified solve, the quantized interval lower form as the
+oracle of the exact lower form of unequal weights, perfbench's check of
+the benchmark's reference outputs, and the acceptance summary printed
+after the run."""
 
 import functools
 import importlib
@@ -55,6 +57,41 @@ def integer_gram(g, den: int) -> tuple[int, list[list[int]]]:
 def as_intervals(den, sums) -> tuple[RealInterval, ...]:
     """Sigma numerators (lo, hi) over den as the intervals [lo / den, hi / den]."""
     return tuple(RealInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in sums)
+
+
+# ---------------------------------------------------------------------------
+# interval and field operations that only tests call
+
+
+def interval_sum(items) -> RealInterval:
+    """The exact sum of intervals and rationals, endpoint by endpoint."""
+    items = [it if isinstance(it, RealInterval) else RealInterval.point(it) for it in items]
+    return RealInterval(sum((it.lo for it in items), Fraction(0)), sum((it.hi for it in items), Fraction(0)))
+
+
+def overlaps(a: RealInterval, b: RealInterval) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def greater_than(x: RealInterval, v) -> bool:
+    """Certified strict comparison x > v against an exact rational."""
+    return x.lo > Fraction(v)
+
+
+def relative_radius(x: RealInterval) -> Fraction:
+    scale = max(Fraction(1), abs(x.lo), abs(x.hi))
+    return x.width / (2 * scale)
+
+
+def zero(field: CMField):
+    return field.element([0] * field.degree)
+
+
+def torsion_units(field: CMField) -> list:
+    """All roots of unity in O_F: +-zeta^j (2n elements for odd n)."""
+    # dedupe preserving order; even conductors have -1 = zeta^(n/2)
+    zetas = map(field.zeta, range(field.conductor))
+    return list(dict.fromkeys(u for z in zetas for u in (z, -z)))
 
 
 def sigma(field, a, prec=DEFAULT_PRECISION) -> tuple[RealInterval, ...]:

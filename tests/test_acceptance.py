@@ -24,7 +24,7 @@ from cmsvp.svp import (
 from cmsvp.theta import cusp_extract, same_counts, theta_prefix
 from cmsvp.units import cyclotomic_unit_basis, reduce_to_chamber
 
-from conftest import box_short_vectors, random_int_gram
+from conftest import box_short_vectors, greater_than, random_int_gram
 
 
 def _contains_sqrt(iv: RealInterval, n: int) -> bool:
@@ -80,7 +80,7 @@ def test_criterion_3_bound_n11():
     report = theorem_bound(field, cyclotomic_unit_basis(field))
     verdict = norm_gap_verdict(report, 11)
     elapsed = time.perf_counter() - start
-    assert report.bound.greater_than(11)
+    assert greater_than(report.bound, 11)
     assert verdict is Verdict.INCONCLUSIVE
     assert elapsed < 5.0
 

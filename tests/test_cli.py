@@ -22,6 +22,13 @@ from cmsvp import cli, interval, svp, theta
 from cmsvp.field import CMField
 from cmsvp.interval import RealInterval
 from cmsvp.units import cyclotomic_unit_basis
+from conftest import overlaps
+
+
+# pytest finds the package through pyproject.toml's pythonpath, which its
+# child interpreters do not read: they get the source tree on PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
@@ -30,6 +37,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=300,
+        env=CHILD_ENV,
     )
 
 
@@ -88,6 +96,7 @@ def test_hopeless_theta_is_refused_up_front():
         capture_output=True,
         text=True,
         timeout=10,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 4
     assert "refused" in proc.stderr and "budget" in proc.stderr
@@ -108,6 +117,7 @@ def test_too_many_simplices_are_refused_up_front(argv):
         capture_output=True,
         text=True,
         timeout=5,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 4
     assert "5040 simplices" in proc.stderr and "720" in proc.stderr
@@ -121,7 +131,7 @@ def test_an_ideal_past_the_integer_digit_limit_exits_4_before_printing(fmt):
         capture_output=True,
         text=True,
         timeout=30,
-        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+        env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "4300"},
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert "more than 4300 decimal digits" in proc.stderr and "Traceback" not in proc.stderr
@@ -224,6 +234,7 @@ def test_bits_above_the_ladder_top_exit_2_at_once():
         capture_output=True,
         text=True,
         timeout=10,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert proc.stdout == "" and "4096 bits" in proc.stderr
@@ -251,7 +262,7 @@ def test_units_file_bound_climbs_the_precision_ladder(tmp_path):
     assert low.returncode == 0, low.stderr
     high = run_cli("bound", "--cyclotomic", "7", "--units", str(path), "--bits", "128", "--json")
     assert high.returncode == 0, high.stderr
-    assert _bound_interval(low).overlaps(_bound_interval(high))
+    assert overlaps(_bound_interval(low), _bound_interval(high))
 
 
 def test_theta_circulant_golden():
@@ -377,6 +388,7 @@ def test_closed_stdout_exits_141_without_a_traceback(fmt):
         [sys.executable, "-m", "cmsvp", "theta", "--circulant", "10,1", "--max-norm", "6", *fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     # closed long before the child has imported cmsvp and enumerated
     proc.stdout.close()
@@ -698,7 +710,7 @@ def test_a_valid_run_loads_no_argparse_gettext_or_locale(extra, loaded):
         f"assert cmsvp.cli.main(['theta', '--circulant', '4,1', '--max-norm', '4', '--json', *{extra!r}]) == 0\n"
         "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == loaded
 
@@ -756,6 +768,10 @@ def test_a_valid_run_loads_no_mpmath(argv):
     """The irrational leaves are integer kernels, so a run leaves no
     mpmath module in sys.modules."""
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MPMATH, *argv.split()], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", LOADED_MPMATH, *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=CHILD_ENV,
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []], proc.stderr

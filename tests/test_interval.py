@@ -16,7 +16,6 @@ from cmsvp.interval import (
     PrecisionConfig,
     RealInterval,
     _scaled,
-    adjugate,
     cos2pi,
     decimal_str,
     det_interval,
@@ -24,7 +23,6 @@ from cmsvp.interval import (
     exp_sum,
     interval_json,
     interval_max,
-    interval_sum,
     log_interval,
     minor_intervals,
     pi_interval,
@@ -41,8 +39,8 @@ from conftest import (
     context_pi,
     context_root,
     det_elimination,
+    interval_sum,
     laplace_minors,
-    oracle_adjugate,
     oracle_det_interval,
     oracle_minor_intervals,
 )
@@ -468,23 +466,6 @@ def test_det_interval_matches_exact_rational_det():
     assert det_interval(*_scaled(rows)).contains(exact)
 
 
-def adjugate_solve(cofactors, det, rhs):
-    """m x = rhs from the adjugate of m: x_j = sum_i rhs_i C[i][j] / det m."""
-    n = len(rhs)
-    return [interval_sum(rhs[i] * cofactors[i][j] for i in range(n)) / det for j in range(n)]
-
-
-def test_adjugate_solve():
-    rows = [
-        [RealInterval.point(2), RealInterval.point(1)],
-        [RealInterval.point(1), RealInterval.point(3)],
-    ]
-    rhs = [RealInterval.point(5), RealInterval.point(10)]
-    x = adjugate_solve(*adjugate(rows), rhs)
-    assert x[0].contains(1)
-    assert x[1].contains(3)
-
-
 def test_precision_config_floor():
     with pytest.raises(ValueError):
         PrecisionConfig(bits=32)
@@ -576,23 +557,6 @@ def test_minor_intervals_equal_det_interval_per_minor(rows):
     assert minor_intervals(*_scaled(rows)) == expected
 
 
-@settings(deadline=None, derandomize=True, max_examples=60)
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n)))
-def test_adjugate_equals_det_interval_per_minor(m):
-    """The cofactors from one shared expansion per deleted row are the
-    enclosures of each minor's own det_interval."""
-    n = len(m)
-    expected = [
-        [
-            (-1) ** (i + j)
-            * det_interval(*_scaled([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    assert adjugate(m) == (expected, det_interval(*_scaled(m)))
-
-
 # ends over large dyadic and non-dyadic denominators, as the Sigma and log
 # rows of the bound and the chamber test carry them
 def wide_entries(radii):
@@ -649,14 +613,6 @@ def test_minor_intervals_equal_the_interval_object_engine(rows):
     assert all(same_ends(g, w) for g, w in zip(got, want))
 
 
-@settings(deadline=None, derandomize=True, max_examples=60)
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: engine_matrices(n, n)))
-def test_adjugate_equals_the_interval_object_engine(m):
-    (cofactors, det), (want_cofactors, want_det) = adjugate(m), oracle_adjugate(m)
-    assert same_ends(det, want_det)
-    assert all(same_ends(g, w) for got, want in zip(cofactors, want_cofactors) for g, w in zip(got, want))
-
-
 def _pair_matrix(rng, rows: int, cols: int, kind: str) -> list[list[tuple[int, int]]]:
     """Integer pairs lo <= hi: sign-mixed entries of either sign that
     exclude 0, entries that straddle it, or sign-mixed rows made singular
@@ -677,8 +633,8 @@ def _pair_matrix(rng, rows: int, cols: int, kind: str) -> list[list[tuple[int, i
 def test_determinant_kernels_are_invariant_under_a_common_scale(kind):
     """det_interval and minor_intervals give the same enclosures on
     f * pairs over f * den as on pairs over den: the bound hands Sigma's
-    numerators over the cosine table's denominator straight to them, and
-    adjugate scales its matrix once, so its results rest on this."""
+    numerators over the cosine table's denominator straight to them, so
+    its results rest on this."""
     rng = random.Random(f"scale-{kind}")
     for n in range(1, 6):
         for _ in range(6):
@@ -712,53 +668,6 @@ def test_disjoint_determinant_enclosures_raise(monkeypatch):
     monkeypatch.setattr(interval, "_eliminate", lambda pairs: (Fraction(6), Fraction(7)))
     with pytest.raises(PrecisionError, match="determinant enclosures are disjoint"):
         det_interval(*_scaled(m))
-
-
-def exact_solve(m, rhs):
-    """Gauss-Jordan over Fractions; None when m is singular."""
-    n = len(m)
-    aug = [list(row) + [b] for row, b in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [v / aug[col][col] for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n] for row in aug]
-
-
-def systems(n):
-    return st.tuples(
-        st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(fractions, min_size=n, max_size=n),
-        st.sampled_from([Fraction(0), Fraction(1, 2**40), Fraction(1, 2**10)]),
-    )
-
-
-@settings(deadline=None, derandomize=True, max_examples=40)
-@given(st.integers(min_value=1, max_value=6).flatmap(systems))
-def test_adjugate_solve_encloses_the_exact_solution(system):
-    """Rational point systems of order 1-6, solved as points and with every
-    entry widened by a radius r: the enclosure holds the exact solution."""
-    m, rhs, r = system
-    exact = exact_solve(m, rhs)
-    assume(exact is not None)
-    rows = [[RealInterval(x - r, x + r) for x in row] for row in m]
-    ys = [RealInterval(y - r, y + r) for y in rhs]
-    cofactors, det = adjugate(rows)
-    assume(not det.contains_zero())
-    x = adjugate_solve(cofactors, det, ys)
-    for xj, ej in zip(x, exact):
-        assert xj.contains(ej)
-        if r == 0:
-            assert xj == RealInterval.point(ej)
-    # each row expands to the determinant
-    for i, row in enumerate(rows):
-        assert interval_sum(a * c for a, c in zip(row, cofactors[i])).overlaps(det)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 1024])

@@ -1,14 +1,17 @@
 """No dead definitions: every module-level function and class of the
 package is referenced somewhere in its source, outside its own body, as
 a name, an attribute or an imported name, or is exported from
-cmsvp/__init__.py; and every name a module imports at module level is
-used in that module.  References are read from the syntax trees, so a
-mention in a docstring or a comment does not count.  And every function
-that the benchmark's tracer counts by name is one it can wrap."""
+cmsvp/__init__.py; every method and property of those classes, dunders
+aside, is named as an attribute outside its own body; and every name a
+module imports at module level is used in that module.  References are
+read from the syntax trees, so a mention in a docstring or a comment does
+not count.  And every function that the benchmark's tracer counts by name
+is one it can wrap."""
 
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import cmsvp
@@ -48,6 +51,31 @@ def unreferenced(package: Path) -> list[str]:
     return [f"{module}.{name}" for module, name, _ in definitions if name not in used and name not in cmsvp.__all__]
 
 
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unreferenced_methods(package: Path) -> list[str]:
+    """'module.Class.name' of each non-dunder method or property of a
+    module-level class that no attribute of the package names outside the
+    method's own body: a method is reached only as an attribute, so a
+    local variable of the same name does not keep it alive."""
+    methods = []  # (module, class, the method's definition)
+    used = Counter()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used += _attributes(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (path.stem, cls.name, f)
+                    for f in cls.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                ]
+    return [f"{module}.{cls}.{f.name}" for module, cls, f in methods if used[f.name] == _attributes(f)[f.name]]
+
+
 def unused_imports(package: Path) -> list[str]:
     """'module.name' of each name bound by a module-level import of a
     module other than __init__.py (which re-exports) that the rest of the
@@ -81,6 +109,23 @@ def test_a_docstring_mention_is_no_reference(tmp_path):
     )
     (tmp_path / "b.py").write_text('from .a import used\n\n"""dead() is named only here."""\n')
     assert unreferenced(tmp_path) == ["a.dead", "a.recursive"]
+
+
+def test_every_method_is_referenced():
+    assert unreferenced_methods(PACKAGE) == []
+
+
+def test_a_method_named_only_in_its_own_body_or_as_a_variable_is_unreferenced(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n    def __init__(self):\n        self.x = 1\n\n"
+        "    @property\n    def used(self):\n        return self.x\n\n"
+        '    def dead(self):\n        """self.dead() is named only here."""\n        return self.used\n\n'
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    @staticmethod\n    def local():\n        return 0\n\n"
+        "    def called(self):\n        return 0\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import A\n\nlocal = A().called()\n")
+    assert unreferenced_methods(tmp_path) == ["a.A.dead", "a.A.recursive", "a.A.local"]
 
 
 def test_every_module_level_import_is_used():

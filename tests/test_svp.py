@@ -30,7 +30,6 @@ from cmsvp.interval import (
     RealInterval,
     _scaled,
     det_interval,
-    interval_sum,
     log_interval,
     root_interval,
 )
@@ -47,15 +46,18 @@ from conftest import (
     ORACLE_QUANTIZE_BITS,
     benchmark_spec,
     interval_gram_entries,
+    interval_sum,
     leaves_of,
     log_sigma,
     oracle_minimal_vectors,
     oracle_psi,
+    overlaps,
     quantized_floor_form,
     reference_basis_map,
     reference_mismatches,
     sigma,
     sigma_real,
+    torsion_units,
 )
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -138,7 +140,7 @@ def test_gram_row_read_off_the_trace_table_is_the_trace_of_field_products(n, dat
 def test_minimal_vectors_equal_weights(f5, f7):
     mv5 = minimal_vectors(f5, None)
     assert (mv5.mu, mv5.count) == (Fraction(2), 10)
-    units = {tuple(u.coords) for u in f5.torsion_units()}
+    units = {tuple(u.coords) for u in torsion_units(f5)}
     assert set(mv5.vectors) == units
     mv7 = minimal_vectors(f7, None)
     assert (mv7.mu, mv7.count) == (Fraction(3), 14)
@@ -363,11 +365,11 @@ def test_characteristic_set_sizes(f5, f7):
     basis5 = cyclotomic_unit_basis(f5)
     e5 = characteristic_set_E(f5, basis5, theorem_bound(f5, basis5))
     assert e5.size == 10
-    assert set(e5.elements) == set(f5.torsion_units())
+    assert set(e5.elements) == set(torsion_units(f5))
     basis7 = cyclotomic_unit_basis(f7)
     e7 = characteristic_set_E(f7, basis7, theorem_bound(f7, basis7))
     assert e7.size == 14
-    assert set(e7.elements) == set(f7.torsion_units())
+    assert set(e7.elements) == set(torsion_units(f7))
     assert set(e5.to_json()) == {"size", "elements"}
 
 
@@ -494,27 +496,27 @@ def test_set_e_multiplies_out_beta_once_per_group(monkeypatch, capsys):
 def test_set_e_with_a_basis_file_builds_the_unit_log_matrix_once_per_precision(tmp_path, monkeypatch, capsys):
     """load_unit_basis certifies the file's basis through the chamber that
     set E then reduces against, so the generators' log matrix and its
-    adjugate are built once per precision, not once for each."""
+    verified inverse are built once per precision, not once for each."""
     field = CMField(7)
     basis = cyclotomic_unit_basis(field)
     path = tmp_path / "units.txt"
     path.write_text(f"torsion {basis.torsion}\n" + "".join(g.format() + "\n" for g in basis.generators), encoding="utf-8")
-    adjugates, logged = [], []
-    real_adjugate, real_log = units.adjugate, units._log_sigma
+    inverses, logged = [], []
+    real_inverse, real_log = units._verified_inverse, units._log_sigma
 
-    def counting_adjugate(m):
-        adjugates.append(len(m))
-        return real_adjugate(m)
+    def counting_inverse(m):
+        inverses.append(len(m))
+        return real_inverse(m)
 
     def counting_log(n, coords, prec):
         logged.append(prec.bits)
         return real_log(n, coords, prec)
 
-    monkeypatch.setattr(units, "adjugate", counting_adjugate)
+    monkeypatch.setattr(units, "_verified_inverse", counting_inverse)
     monkeypatch.setattr(units, "_log_sigma", counting_log)
     assert cli.main(["set-e", "--cyclotomic", "7", "--units", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["size"] == 14
-    assert adjugates == [field.k - 1] * len(set(logged)) == [2]
+    assert inverses == [field.k - 1] * len(set(logged)) == [2]
 
 
 def test_verify_craig_reduces_three_grams_per_leg(monkeypatch, capsys):
@@ -554,15 +556,14 @@ def test_verify_craig_tests_one_quotient_per_distinct_beta(monkeypatch, capsys):
 def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, capsys):
     """Set E at p = 7 tests each beta = a conj(a) once: 168 candidates, 84
     +- pairs on the half-space descent, fall into 11 groups, each gets one
-    exact norm, and each chamber attempt one log_sigma against one adjugate
-    of the unit log matrix per precision: k - 1 shared cofactor expansions,
-    one per deleted row, and one for the determinant."""
+    exact norm, and each chamber attempt one log_sigma against one verified
+    inverse of the unit log matrix per precision."""
     field = CMField(7)
     k1 = field.k - 1
     gens = len(cyclotomic_unit_basis(field).generators)
-    logged, expansions, divides, norms, pairs, attempts = [], [], [], [], [], []
+    logged, inverses, divides, norms, pairs, attempts = [], [], [], [], [], []
     real_log, real_divide, real_norm = units._log_sigma, units.exact_divide, svp.real_norm
-    real_det, real_minors = interval.det_interval, interval.minor_intervals
+    real_inverse = units._verified_inverse
     real_half_space = lattice._half_space
     real_coordinates = units._Chamber.coordinates
 
@@ -570,13 +571,9 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         logged.append(prec.bits)
         return real_log(n, coords, prec)
 
-    def counting_det(den, pairs):
-        expansions.append(len(pairs))
-        return real_det(den, pairs)
-
-    def counting_minors(den, pairs):
-        expansions.append(len(pairs))
-        return real_minors(den, pairs)
+    def counting_inverse(m):
+        inverses.append(len(m))
+        return real_inverse(m)
 
     def counting_divide(a, b):
         divides.append((a, b))
@@ -596,10 +593,7 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
         return real_coordinates(self, ys, prec)
 
     monkeypatch.setattr(units, "_log_sigma", counting_log)
-    # interval.adjugate looks det_interval and minor_intervals up in its own
-    # module; the bound engine binds its own names and is not counted
-    monkeypatch.setattr(interval, "det_interval", counting_det)
-    monkeypatch.setattr(interval, "minor_intervals", counting_minors)
+    monkeypatch.setattr(units, "_verified_inverse", counting_inverse)
     monkeypatch.setattr(units, "exact_divide", counting_divide)
     monkeypatch.setattr(svp, "real_norm", counting_norm)
     monkeypatch.setattr(lattice, "_half_space", counting_half_space)
@@ -614,13 +608,11 @@ def test_set_e_computes_the_unit_log_matrix_once_per_precision(monkeypatch, caps
     # once at each precision tried
     precisions = len(set(logged))
     assert len(logged) == len(attempts) + gens * precisions
-    # det L and one expansion per deleted row for its (k-1)^2 cofactor
-    # minors, once per precision
-    assert expansions == [k1 - 1] * k1 + [k1]
-    assert len(expansions) == (1 + k1) * precisions
+    # one verified inverse of the k-1 x k-1 log matrix per precision
+    assert inverses == [k1] * precisions
     # at p = 7 every attempt separates at the base precision: 7 of the 11
     # groups are within the norm bound
-    assert (precisions, len(attempts), len(logged), len(expansions)) == (1, 7, 9, 3)
+    assert (precisions, len(attempts), len(logged), len(inverses)) == (1, 7, 9, 1)
     # the one division is the built-in basis's u = (1 - zeta^3) / (1 - zeta);
     # the chamber divides nothing
     one = field.one()
@@ -815,7 +807,7 @@ def test_skewed_psi_encloses_what_the_oracle_encloses(p, kind):
     for t in PSI_ORACLE_TS:
         got = psi_truncated(field, ws, t).enclosure()
         want = oracle_psi(field, ws, t).enclosure()
-        assert got.overlaps(want), t
+        assert overlaps(got, want), t
         assert got.width <= Fraction(1001, 1000) * want.width, t
 
 

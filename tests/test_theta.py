@@ -26,7 +26,7 @@ from cmsvp.theta import (
     theta_prefix,
 )
 
-from conftest import ldl, own_record, random_int_gram, reduced_gram, reference_tail_bound, sigma, theta_sum
+from conftest import ldl, overlaps, own_record, random_int_gram, reduced_gram, reference_tail_bound, sigma, theta_sum
 
 PSI5_T2 = Fraction("1.0000350036722590365260564947061390719773289969898")
 PSI5_T4 = Fraction("1.0000000001216164153243296975053644337075200684559")
@@ -78,7 +78,7 @@ SKEW5_PSI_T2 = RealInterval(SKEW5_PSI_T2_VALUE[0], SKEW5_PSI_T2_VALUE[1] + SKEW5
 def _near_pin(enc: RealInterval, pin: RealInterval) -> bool:
     """enc overlaps the pinned enclosure and is at most 1.001 times as
     wide."""
-    return enc.overlaps(pin) and enc.width <= Fraction(1001, 1000) * pin.width
+    return overlaps(enc, pin) and enc.width <= Fraction(1001, 1000) * pin.width
 
 
 def test_theta_prefix_z5():
@@ -273,7 +273,7 @@ def test_psi_ideal_identity(f5):
     weights = sigma(f5, kappa)
     lhs = psi_truncated(f5, weights, 2).enclosure()
     rhs = theta_sum(gram_matrix(f5, None, kappa), 2).enclosure()
-    assert lhs.overlaps(rhs)
+    assert overlaps(lhs, rhs)
     assert lhs.lo <= THETA_IDEAL5_T2 <= lhs.hi
     assert rhs.lo <= THETA_IDEAL5_T2 <= rhs.hi
 
@@ -298,7 +298,7 @@ def test_cusp_extract_skew_weights(f5):
     mu, count = cusp_extract(f5, (Fraction(3), Fraction(1)))
     ground = minimal_vectors(f5, (Fraction(3), Fraction(1)))
     assert count == ground.count
-    assert mu.overlaps(ground.mu)
+    assert overlaps(mu, ground.mu)
     assert _near_pin(mu, RealInterval(*SKEW5_CUSP_MU))
     assert count == 10
 
